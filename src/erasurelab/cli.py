@@ -23,7 +23,7 @@ from .sim import (
     CampaignConfig,
     format_csv,
     run_campaign,
-    sample_unreliability_vector,
+    sample_unreliability_vectors,
 )
 from .strategy import STRATEGIES, StrategyKind, p_profile
 
@@ -176,7 +176,7 @@ def cmd_strategy(args) -> int:
         qam = SquareQam(code.q)
         sigma = sigma_from_ebn0(args.sample, code.q, code.n, code.k)
         rng = np.random.default_rng(args.seed or 0)
-        h = sample_unreliability_vector(sigma, qam, code.n, rng)
+        h = sample_unreliability_vectors(sigma, qam, code.n, 1, rng)[0]
     else:
         raise CliError("need an h-vector file or --sample EBN0_DB")
     if np.any(h < 0) or np.any(h >= 1):

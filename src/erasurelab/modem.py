@@ -85,19 +85,6 @@ class SquareQam:
         ix, iy = self.hard_decision_indices(y)
         return self.index_symbol[ix, iy]
 
-    def neighbor_offsets(self, ix: int, iy: int) -> list[tuple[int, int]]:
-        """Axis-adjacent level-index offsets that exist for point (ix, iy)."""
-        out = []
-        if ix > 0:
-            out.append((-1, 0))
-        if ix < self.L - 1:
-            out.append((1, 0))
-        if iy > 0:
-            out.append((0, -1))
-        if iy < self.L - 1:
-            out.append((0, 1))
-        return out
-
 
 def awgn(points: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarray:
     """Add zero-mean Gaussian noise with per-dimension std sigma."""

@@ -31,6 +31,7 @@ from .strategy import (
     choose_tau,
     pgf_distribution,
     residual_error_prob,
+    tail_coeffs,
 )
 
 MODES = ("errors_only", "fixed_tau", "adaptive", "gmd", "semi_simulative")
@@ -81,10 +82,20 @@ class CampaignConfig:
             raise ConfigError(f"unknown unreliability method {self.unreliability!r}")
         if not self.ebn0_grid:
             raise ConfigError("ebn0_grid must be non-empty")
+        if not all(math.isfinite(db) for db in self.ebn0_grid):
+            raise ConfigError(f"ebn0_grid must be finite, got {self.ebn0_grid}")
         if self.max_frames < 1:
             raise ConfigError("max_frames must be >= 1")
+        if self.max_errors < 1:
+            raise ConfigError("max_errors must be >= 1")
+        if self.samples < 1:
+            raise ConfigError("samples must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.mode == "fixed_tau" and not (0 <= self.fixed_tau <= self.code.d_min - 1):
             raise ConfigError("fixed_tau out of [0, d_min - 1]")
+        if self.force_tau is not None and not (0 <= self.force_tau <= self.code.d_min - 1):
+            raise ConfigError("force_tau out of [0, d_min - 1]")
         if self.mode in ("errors_only", "fixed_tau", "adaptive", "gmd") and self.decoder_kind is not DecoderKind.BMD:
             raise ConfigError("Monte-Carlo modes require the BMD decoder; "
                               "IRS/GS capabilities are analytic only")
@@ -109,12 +120,6 @@ class FerPoint:
     ci_low: float
     ci_high: float
     predicted_p: float
-
-
-@dataclass
-class AverageUnreliability:
-    h_bar: np.ndarray
-    samples: int
 
 
 def sample_unreliability_vectors(
@@ -148,48 +153,18 @@ def sample_unreliability_vectors(
     return h[:, ::-1]
 
 
-def sample_unreliability_vector(sigma, qam, n, rng, method="nn") -> np.ndarray:
-    return sample_unreliability_vectors(sigma, qam, n, 1, rng, method)[0]
-
-
-def average_unreliability(
-    sigma, qam, n, rng, samples: int = 10_000, method: str = "nn"
-) -> AverageUnreliability:
-    """Component-wise mean of sorted unreliability vectors (stays sorted)."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    vecs = sample_unreliability_vectors(sigma, qam, n, samples, rng, method)
-    return AverageUnreliability(vecs.mean(axis=0), samples)
-
-
 def tau_bar(h_bar, cap: DecoderCapability, kind: StrategyKind) -> int:
     """Fixed erasure count for a whole grid point, chosen on the average vector."""
     return choose_tau(h_bar, cap, kind).tau_chosen
 
 
-def predict_errors_only(h, cap: DecoderCapability) -> float:
-    """Analytic residual error probability of errors-only decoding (tau = 0)."""
-    return residual_error_prob(pgf_distribution(h, 0), cap.epsilon0(0))
-
-
-def batch_head_mass(vectors: np.ndarray, tau: int, eps0: int) -> np.ndarray:
-    """Pr(Y_tau <= eps0) for each row; truncated convolution in O(n * eps0)."""
+def batch_residual_probs(vectors: np.ndarray, tau: int, eps0: int) -> np.ndarray:
+    """Exact P(tau) for each sorted unreliability vector (row), O(n * eps0)."""
     count, n = vectors.shape
     if eps0 <= NO_CAPABILITY:
-        return np.zeros(count)
-    width = min(eps0, n - tau) + 1
-    coeffs = np.zeros((count, width))
-    coeffs[:, 0] = 1.0
-    for i in range(tau, n):
-        p = vectors[:, i : i + 1]
-        coeffs[:, 1:] = coeffs[:, 1:] * (1.0 - p) + coeffs[:, :-1] * p
-        coeffs[:, 0] *= (1.0 - p[:, 0])
-    return coeffs.sum(axis=1)
-
-
-def batch_residual_probs(vectors: np.ndarray, tau: int, eps0: int) -> np.ndarray:
-    """Exact P(tau) for each sorted unreliability vector (row)."""
-    return np.clip(1.0 - batch_head_mass(vectors, tau, eps0), 0.0, 1.0)
+        return np.ones(count)
+    head = tail_coeffs(vectors, min(eps0, n - tau) + 1, tau, tau)[0].sum(axis=0)
+    return np.clip(1.0 - head, 0.0, 1.0)
 
 
 def _frame_rng(seed: int, point_index: int, frame_index: int) -> np.random.Generator:
@@ -288,7 +263,7 @@ def _run_point_mc(cfg: CampaignConfig, sigma: float, point_index: int, threads: 
     lo, hi = wilson_interval(errors, frames)
     tau = cfg.fixed_tau if cfg.mode == "fixed_tau" else (0 if cfg.mode == "errors_only" else -1)
     return FerPoint(
-        ebn0_db=float(cfg_point_db(cfg, point_index)),
+        ebn0_db=float(cfg.ebn0_grid[point_index]),
         mode=cfg.mode,
         strategy=cfg.strategy.value,
         tau=tau,
@@ -301,10 +276,6 @@ def _run_point_mc(cfg: CampaignConfig, sigma: float, point_index: int, threads: 
     )
 
 
-def cfg_point_db(cfg: CampaignConfig, point_index: int) -> float:
-    return cfg.ebn0_grid[point_index]
-
-
 def _run_point_semi(cfg: CampaignConfig, sigma: float, point_index: int) -> FerPoint:
     qam = SquareQam(cfg.qam_size)
     cap = cfg.capability()
@@ -313,8 +284,9 @@ def _run_point_semi(cfg: CampaignConfig, sigma: float, point_index: int) -> FerP
     vecs = sample_unreliability_vectors(
         sigma, qam, cfg.code.n, cfg.samples, rng, cfg.unreliability, lut
     )
-    avg = AverageUnreliability(vecs.mean(axis=0), cfg.samples)
-    tau = cfg.force_tau if cfg.force_tau is not None else tau_bar(avg.h_bar, cap, cfg.strategy)
+    tau = cfg.force_tau
+    if tau is None:
+        tau = tau_bar(vecs.mean(axis=0), cap, cfg.strategy)
     probs = batch_residual_probs(vecs, tau, cap.epsilon0(tau))
     fer = float(probs.mean())
     return FerPoint(

@@ -8,6 +8,11 @@ the tau most unreliable symbols and decoding once is the tail mass beyond
 the decoder's capability eps0(tau). Three choosers for tau are provided:
 the exact minimizer, a Hoeffding-window approximation, and the
 two-coefficient eps0 approximation.
+
+Every distribution comes from one kernel, ``tail_coeffs``: a single
+backward pass over the sorted vector, of cost O(n * width), yields the
+first ``width`` coefficients for every tau at once, so each chooser costs
+one pass however many tau it compares.
 """
 
 from __future__ import annotations
@@ -19,14 +24,6 @@ from enum import Enum
 import numpy as np
 
 from .dcf import NO_CAPABILITY, DecoderCapability
-
-#: below this unreliability the deflation recurrence (division by h) is
-#: considered unstable and the caller recomputes from scratch
-DEFLATION_THRESHOLD = 1e-3
-
-
-class DeflationUnstable(ArithmeticError):
-    """Signal that the removed factor is too small for stable deflation."""
 
 
 class StrategyKind(Enum):
@@ -65,46 +62,50 @@ def check_sorted_unreliability(h) -> np.ndarray:
     return h
 
 
-def pgf_distribution(h, tau: int) -> ErrorCountDistribution:
-    """Error-count distribution of the non-erased tail h[tau:].
+def tail_coeffs(h, width: int, tau_lo: int, tau_hi: int) -> np.ndarray:
+    """First `width` coefficients of the distribution of Y_tau, the error
+    count of the tail h[..., tau:], for every tau in [tau_lo, tau_hi].
 
-    Iterative degree-growing polynomial multiplication, O((n - tau)^2).
+    One backward pass, O((n - tau_lo) * width) per row: multiplying in the
+    factor of h[i] turns the distribution of h[i+1:] into that of h[i:], so
+    the state after column i is the one for tau = i. No coefficient feeds a
+    lower one, so truncating to `width` leaves the kept ones exact, and
+    those beyond n - tau stay exactly 0. `h` is one vector or a (rows, n)
+    array; the result has shape (tau_hi - tau_lo + 1, width, *rows), with
+    the rows last so that one vector's column is a scalar.
     """
+    h = np.asarray(h, dtype=float)
+    n = h.shape[-1]
+    if width < 1 or not 0 <= tau_lo <= tau_hi <= n:
+        raise ValueError(f"need width >= 1 and 0 <= tau_lo <= tau_hi <= {n}, "
+                         f"got {width}, {tau_lo}, {tau_hi}")
+    # buf[0] stays 0, so one update covers coefficient 0 as well; buf[1:]
+    # holds the coefficients
+    buf = np.zeros((width + 1,) + h.shape[:-1])
+    buf[1] = 1.0
+    lower, upper = buf[:-1], buf[1:]
+    out = np.empty((tau_hi - tau_lo + 1,) + upper.shape)
+    if tau_hi == n:
+        out[-1] = upper
+    columns = h.T
+    for i in range(n - 1, tau_lo - 1, -1):
+        p = columns[i]
+        carry = lower * p  # read before `upper`, which overlaps it, changes
+        upper *= 1.0 - p
+        upper += carry
+        if i <= tau_hi:
+            out[i - tau_lo] = upper
+    return out
+
+
+def pgf_distribution(h, tau: int) -> ErrorCountDistribution:
+    """Error-count distribution of the non-erased tail h[tau:], O((n - tau)^2)."""
     h = check_sorted_unreliability(h)
     if not 0 <= tau <= len(h):
         raise ValueError(f"tau out of range: {tau}")
-    coeffs = np.array([1.0])
-    for p in h[tau:]:
-        nxt = np.empty(len(coeffs) + 1)
-        nxt[:-1] = coeffs * (1.0 - p)
-        nxt[-1] = 0.0
-        nxt[1:] += coeffs * p
-        coeffs = nxt
+    coeffs = tail_coeffs(h, len(h) - tau + 1, tau, tau)[0]
     np.clip(coeffs, 0.0, None, out=coeffs)
     return ErrorCountDistribution(tau, coeffs)
-
-
-def deflate(dist: ErrorCountDistribution, h_tau: float) -> ErrorCountDistribution:
-    """Remove the Bernoulli factor with success probability h_tau.
-
-    Divides the generating polynomial by 1 - h_tau + rho*h_tau with the
-    top-down recurrence q_{j-1} = (p_j - (1-h) q_j) / h. Raises
-    DeflationUnstable when h_tau is below the stability threshold; the
-    caller then recomputes the distribution from scratch.
-    """
-    if h_tau < DEFLATION_THRESHOLD:
-        raise DeflationUnstable(f"h_tau={h_tau} below deflation threshold")
-    p = dist.coeffs
-    deg = len(p) - 1
-    if deg < 1:
-        raise ValueError("cannot deflate a degree-0 distribution")
-    q = np.empty(deg)
-    one_minus = 1.0 - h_tau
-    q[deg - 1] = p[deg] / h_tau
-    for j in range(deg - 1, 0, -1):
-        q[j - 1] = (p[j] - one_minus * q[j]) / h_tau
-    np.clip(q, 0.0, None, out=q)
-    return ErrorCountDistribution(dist.tau + 1, q)
 
 
 def expectation(h, tau: int) -> float:
@@ -125,40 +126,41 @@ def residual_error_prob(dist: ErrorCountDistribution, eps0: int) -> float:
     return min(1.0, max(0.0, 1.0 - head))
 
 
-def _tau_range(cap: DecoderCapability) -> range:
-    return range(0, cap.code.d_min)
+def _tau_sweep(h, cap: DecoderCapability):
+    """eps0(tau) and the head coefficients of Y_tau for every tau in
+    [0, d_min - 1], from one pass wide enough for every chooser (eps0 + 2)."""
+    h = check_sorted_unreliability(h)
+    eps0 = [cap.epsilon0(tau) for tau in range(cap.code.d_min)]
+    return h, eps0, tail_coeffs(h, max(eps0) + 2, 0, len(eps0) - 1)
 
 
-def _head_coeffs(h, tau: int, width: int) -> np.ndarray:
-    """First `width` coefficients of the tau-distribution by truncated
-    convolution, O((n - tau) * width).
+def _tail_means(h: np.ndarray, count: int) -> list[float]:
+    """E{Y_tau} for tau < count by the running subtraction the Hoeffding
+    window bounds were defined with."""
+    means = [float(np.sum(h))]
+    for tau in range(1, count):
+        means.append(means[-1] - float(h[tau - 1]))
+    return means
 
-    Repeatedly deflating one distribution into the next would be cheaper,
-    but polynomial deflation is badly conditioned over long chains (errors
-    amplify through the shifting coefficient profile), so each tau is
-    computed from scratch on the prefix that the approximations actually
-    read.
-    """
-    coeffs = np.zeros(width)
-    coeffs[0] = 1.0
-    for p in h[tau:]:
-        coeffs[1:] = coeffs[1:] * (1.0 - p) + coeffs[:-1] * p
-        coeffs[0] *= 1.0 - p
-    return coeffs
+
+def _first_min(values, kind: StrategyKind) -> StrategyResult:
+    """The smallest tau attaining the minimum (argmin returns the first)."""
+    tau = int(np.argmin(values))
+    return StrategyResult(tau, float(values[tau]), kind)
+
+
+def p_profile(h, cap: DecoderCapability) -> np.ndarray:
+    """Exact P(tau) for every tau in [0, d_min - 1]."""
+    _, eps0, coeffs = _tau_sweep(h, cap)
+    return np.array([
+        residual_error_prob(ErrorCountDistribution(tau, c), e0)
+        for tau, (c, e0) in enumerate(zip(coeffs, eps0))
+    ])
 
 
 def tau_star_exact(h, cap: DecoderCapability) -> StrategyResult:
-    """Minimize the exact residual error probability over tau (O(n^3))."""
-    h = check_sorted_unreliability(h)
-    best_tau = 0
-    best_p = math.inf
-    for tau in _tau_range(cap):
-        dist = pgf_distribution(h, tau)
-        p = residual_error_prob(dist, cap.epsilon0(tau))
-        if p < best_p:
-            best_p = p
-            best_tau = tau
-    return StrategyResult(best_tau, best_p, StrategyKind.EXACT)
+    """Minimize the exact residual error probability over tau."""
+    return _first_min(p_profile(h, cap), StrategyKind.EXACT)
 
 
 def hoeffding_half_width(n: int) -> int:
@@ -168,57 +170,31 @@ def hoeffding_half_width(n: int) -> int:
 
 def tau_star_hoeffding(h, cap: DecoderCapability) -> StrategyResult:
     """Approximate each P(tau) by the window of Pr(Y_tau = eps) around E{Y_tau}."""
-    h = check_sorted_unreliability(h)
-    w = hoeffding_half_width(len(h))
-    best_tau = 0
-    best_p = math.inf
-    mean = float(np.sum(h))
-    for tau in _tau_range(cap):
-        if tau > 0:
-            mean -= float(h[tau - 1])
-        eps0 = cap.epsilon0(tau)
-        if eps0 <= NO_CAPABILITY:
-            p = 1.0
-        else:
-            lo = max(0, math.ceil(mean - w))
-            hi = min(int(math.floor(mean + w)), eps0, len(h) - tau)
-            if hi >= lo:
-                coeffs = _head_coeffs(h, tau, hi + 1)
-                p = min(1.0, max(0.0, 1.0 - float(coeffs[lo:].sum())))
-            else:
-                p = 1.0
-        if p < best_p:
-            best_p = p
-            best_tau = tau
-    return StrategyResult(best_tau, best_p, StrategyKind.HOEFFDING)
+    h, eps0, coeffs = _tau_sweep(h, cap)
+    n = len(h)
+    w = hoeffding_half_width(n)
+    p = np.ones(len(eps0))
+    for tau, (c, e0, mean) in enumerate(zip(coeffs, eps0, _tail_means(h, len(eps0)))):
+        lo = max(0, math.ceil(mean - w))
+        hi = min(int(math.floor(mean + w)), e0, n - tau)  # hi < lo when e0 < 0
+        if hi >= lo:
+            p[tau] = min(1.0, max(0.0, 1.0 - float(c[lo : hi + 1].sum())))
+    return _first_min(p, StrategyKind.HOEFFDING)
 
 
 def tau_star_eps0(h, cap: DecoderCapability) -> StrategyResult:
     """Two-coefficient surrogate: 1 - Pr(Y=eps0) when E{Y} > eps0, else
-    Pr(Y=eps0+1); only the first eps0+2 coefficients are ever computed."""
-    h = check_sorted_unreliability(h)
-    best_tau = 0
-    best_p = math.inf
-    mean = float(np.sum(h))
-    for tau in _tau_range(cap):
-        if tau > 0:
-            mean -= float(h[tau - 1])
-        eps0 = cap.epsilon0(tau)
-        deg = len(h) - tau
-        if eps0 <= NO_CAPABILITY:
-            p = 1.0
-        elif mean > eps0:
-            pk = float(_head_coeffs(h, tau, eps0 + 1)[eps0]) if eps0 <= deg else 0.0
-            p = min(1.0, max(0.0, 1.0 - pk))
+    Pr(Y=eps0+1); only the first eps0+2 coefficients are ever read."""
+    h, eps0, coeffs = _tau_sweep(h, cap)
+    p = np.ones(len(eps0))
+    for tau, (c, e0, mean) in enumerate(zip(coeffs, eps0, _tail_means(h, len(eps0)))):
+        if e0 <= NO_CAPABILITY:
+            continue
+        if mean > e0:
+            p[tau] = min(1.0, max(0.0, 1.0 - float(c[e0])))
         else:
-            if eps0 + 1 <= deg:
-                p = float(_head_coeffs(h, tau, eps0 + 2)[eps0 + 1])
-            else:
-                p = 0.0
-        if p < best_p:
-            best_p = p
-            best_tau = tau
-    return StrategyResult(best_tau, best_p, StrategyKind.EPS0)
+            p[tau] = float(c[e0 + 1])
+    return _first_min(p, StrategyKind.EPS0)
 
 
 STRATEGIES = {
@@ -230,14 +206,3 @@ STRATEGIES = {
 
 def choose_tau(h, cap: DecoderCapability, kind: StrategyKind) -> StrategyResult:
     return STRATEGIES[kind](h, cap)
-
-
-def p_profile(h, cap: DecoderCapability) -> np.ndarray:
-    """Exact P(tau) for every tau in [0, d_min - 1]."""
-    h = check_sorted_unreliability(h)
-    return np.array(
-        [
-            residual_error_prob(pgf_distribution(h, tau), cap.epsilon0(tau))
-            for tau in _tau_range(cap)
-        ]
-    )

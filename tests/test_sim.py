@@ -10,9 +10,7 @@ from erasurelab.rs import CodeParams
 from erasurelab.sim import (
     CampaignConfig,
     ConfigError,
-    batch_head_mass,
     batch_residual_probs,
-    average_unreliability,
     format_csv,
     run_campaign,
     sample_unreliability_vectors,
@@ -71,6 +69,20 @@ def test_config_validation(code):
         make_cfg(code, fixed_tau=9)  # d_min - 1 = 8 is the maximum
     with pytest.raises(ConfigError):
         make_cfg(code, mode="adaptive", decoder_kind=DecoderKind.GS)
+    with pytest.raises(ConfigError):
+        make_cfg(code, max_errors=0)
+    with pytest.raises(ConfigError):
+        make_cfg(code, mode="semi_simulative", samples=0)
+    with pytest.raises(ConfigError):
+        make_cfg(code, mode="semi_simulative", force_tau=9)
+    with pytest.raises(ConfigError):
+        make_cfg(code, mode="semi_simulative", force_tau=-1)
+    with pytest.raises(ConfigError):
+        make_cfg(code, seed=-1)
+    with pytest.raises(ConfigError):
+        make_cfg(code, ebn0_grid=(9.0, math.nan))
+    with pytest.raises(ConfigError):
+        make_cfg(code, ebn0_grid=(math.inf,))
     # GS is fine for the analytic mode
     make_cfg(code, mode="semi_simulative", decoder_kind=DecoderKind.GS)
 
@@ -87,23 +99,21 @@ def test_sampled_vectors_shape_and_order(code):
 def test_average_unreliability_sorted(code):
     qam = SquareQam(16)
     rng = np.random.default_rng(3)
-    avg = average_unreliability(0.15, qam, 15, rng, samples=300, method="exact")
-    assert avg.samples == 300
-    assert np.all(np.diff(avg.h_bar) <= 0)
+    h_bar = sample_unreliability_vectors(0.15, qam, 15, 300, rng, "exact").mean(axis=0)
+    assert h_bar.shape == (15,)
+    assert np.all(np.diff(h_bar) <= 0)
 
 
-def test_batch_head_mass_matches_pgf(code):
+def test_batch_residual_probs_matches_pgf(code):
     rng = np.random.default_rng(4)
     vecs = np.sort(rng.uniform(0, 0.8, (20, 15)), axis=1)[:, ::-1]
-    for tau, eps0 in ((0, 4), (2, 3), (5, 1)):
-        got = batch_head_mass(vecs, tau, eps0)
+    for tau, eps0 in ((0, 4), (2, 3), (5, 1), (8, 0)):
+        got = batch_residual_probs(vecs, tau, eps0)
         want = np.array(
-            [pgf_distribution(v, tau).coeffs[: eps0 + 1].sum() for v in vecs]
+            [residual_error_prob(pgf_distribution(v, tau), eps0) for v in vecs]
         )
         assert np.max(np.abs(got - want)) < 1e-12
-    assert np.all(batch_head_mass(vecs, 0, -1) == 0.0)
-    probs = batch_residual_probs(vecs, 0, 4)
-    assert np.all((probs >= 0) & (probs <= 1))
+    assert np.all(batch_residual_probs(vecs, 0, -1) == 1.0)
 
 
 def test_frame_rng_independence():
@@ -186,8 +196,8 @@ def test_tau_bar_consistency(code):
     qam = SquareQam(16)
     cap = DecoderCapability(DecoderKind.BMD, code)
     rng = np.random.default_rng(5)
-    avg = average_unreliability(0.12, qam, 15, rng, samples=200, method="exact")
-    tau = tau_bar(avg.h_bar, cap, StrategyKind.EXACT)
+    h_bar = sample_unreliability_vectors(0.12, qam, 15, 200, rng, "exact").mean(axis=0)
+    tau = tau_bar(h_bar, cap, StrategyKind.EXACT)
     assert 0 <= tau <= code.d_min - 1
 
 

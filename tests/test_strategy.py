@@ -9,17 +9,15 @@ from erasurelab.dcf import DecoderCapability, DecoderKind
 from erasurelab.gf import GF
 from erasurelab.rs import CodeParams
 from erasurelab.strategy import (
-    DEFLATION_THRESHOLD,
     STRATEGIES,
-    DeflationUnstable,
     StrategyKind,
     choose_tau,
-    deflate,
     expectation,
     hoeffding_half_width,
     p_profile,
     pgf_distribution,
     residual_error_prob,
+    tail_coeffs,
     tau_star_eps0,
     tau_star_exact,
 )
@@ -100,21 +98,77 @@ def test_expectation_is_tail_sum():
         assert mean == pytest.approx(expectation(h, tau), abs=1e-10)
 
 
-def test_deflate_roundtrip():
+def test_tail_coeffs_match_enumeration_every_tau():
+    """One backward pass gives every tau's distribution, full or truncated,
+    for one vector or a stack of rows."""
     rng = np.random.default_rng(3)
-    h = np.sort(rng.uniform(0.01, 0.95, 64))[::-1]
-    dist = pgf_distribution(h, 0)
-    for tau in range(30):
-        dist = deflate(dist, float(h[tau]))
-        ref = pgf_distribution(h, tau + 1)
-        # errors accumulate slightly along the 30-step chain
-        assert np.max(np.abs(dist.coeffs - ref.coeffs)) < 1e-8
+    for _ in range(20):
+        n = int(rng.integers(1, 15))
+        h = sorted_vec(rng, n)
+        full = tail_coeffs(h, n + 1, 0, n)
+        for tau in range(n + 1):
+            want = np.zeros(n + 1)
+            want[: n - tau + 1] = brute_force_pmf(h[tau:])
+            assert np.max(np.abs(full[tau] - want)) < 1e-12
+        width = int(rng.integers(1, n + 2))
+        lo = int(rng.integers(0, n + 1))
+        assert np.array_equal(tail_coeffs(h, width, lo, n), full[lo:, :width])
+    rows = np.sort(rng.uniform(0, 0.9, (6, 12)), axis=1)[:, ::-1]
+    stacked = tail_coeffs(rows, 5, 2, 4)
+    assert stacked.shape == (3, 5, 6)
+    for r, h in enumerate(rows):
+        assert np.array_equal(stacked[..., r], tail_coeffs(h, 5, 2, 4))
+    with pytest.raises(ValueError):
+        tail_coeffs(rows, 5, 4, 2)
+    with pytest.raises(ValueError):
+        tail_coeffs(rows, 0, 2, 4)
 
 
-def test_deflate_unstable_raises():
-    dist = pgf_distribution(np.array([0.5, 0.4]), 0)
-    with pytest.raises(DeflationUnstable):
-        deflate(dist, DEFLATION_THRESHOLD / 2)
+def brute_force_strategy_values(h, pmfs, cap):
+    """Per-tau values each chooser minimizes, from the enumerated
+    distributions pmfs[tau] of the tails h[tau:]."""
+    n = len(h)
+    w = hoeffding_half_width(n)
+    values = {kind: [] for kind in StrategyKind}
+    for tau in range(cap.code.d_min):
+        pmf = np.append(pmfs[tau], 0.0)
+        e0 = cap.epsilon0(tau)
+        mean = float(h[tau:].sum())
+        lo = max(0, math.ceil(mean - w))
+        hi = min(math.floor(mean + w), e0, n - tau)
+        if e0 < 0:
+            exact = surrogate = 1.0
+        else:
+            exact = 1.0 - pmf[: e0 + 1].sum()
+            surrogate = 1.0 - pmf[e0] if mean > e0 else pmf[e0 + 1]
+        window = 1.0 - pmf[lo : hi + 1].sum() if hi >= lo else 1.0
+        values[StrategyKind.EXACT].append(exact)
+        values[StrategyKind.HOEFFDING].append(window)
+        values[StrategyKind.EPS0].append(surrogate)
+    return {kind: np.clip(v, 0.0, 1.0) for kind, v in values.items()}
+
+
+def test_every_strategy_matches_brute_force_per_capability():
+    """All three choosers and the P(tau) profile against enumeration on
+    RS(16;15,7) with BMD, GS and IRS(3): the larger eps0 of GS and IRS
+    checks that the shared pass is wide enough for every tau."""
+    code = CodeParams(GF(4), 15, 7)
+    caps = [DecoderCapability(DecoderKind.BMD, code),
+            DecoderCapability(DecoderKind.GS, code),
+            DecoderCapability(DecoderKind.IRS, code, 3)]
+    rng = np.random.default_rng(9)
+    # the noisy vectors have E{Y} > w, so the Hoeffding window starts above 0
+    vectors = [sorted_vec(rng, 15) for _ in range(6)]
+    vectors += [np.sort(rng.uniform(0.85, 0.99, 15))[::-1] for _ in range(2)]
+    for h in vectors:
+        pmfs = [brute_force_pmf(h[tau:]) for tau in range(code.d_min)]
+        for cap in caps:
+            want = brute_force_strategy_values(h, pmfs, cap)
+            assert np.max(np.abs(p_profile(h, cap) - want[StrategyKind.EXACT])) < 1e-12
+            for kind in StrategyKind:
+                res = choose_tau(h, cap, kind)
+                assert res.tau_chosen == int(np.argmin(want[kind]))
+                assert res.predicted_p == pytest.approx(want[kind].min(), abs=1e-12)
 
 
 def test_residual_error_prob():
