@@ -1,10 +1,21 @@
 """GF(2^m) arithmetic via log/antilog tables.
 
 Addition is XOR; multiplication and inversion go through the discrete
-logarithm tables generated from a primitive polynomial.
+logarithm tables generated from a primitive polynomial. The tables carry a
+zero sentinel: the logarithm of 0 is 2(q-1), and the antilog table is zero
+from index 2(q-1) onward, so the product of any two elements, zero
+included, is ``exp[log[a] + log[b]]``, with no branch and no modulo.
+
+The scalar methods read the tables as lists. The array kernels read them
+as numpy arrays (`log_table`, `exp_table`), after the lookup-table ufuncs
+of the `galois` library (https://github.com/mhostetter/galois): a product
+of arrays is one gather, a sum of products that gather followed by an
+XOR-reduce.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class FieldError(ValueError):
@@ -61,21 +72,30 @@ class GF:
         if x != 1:
             raise FieldError("polynomial is not irreducible/primitive")
 
+        # zero-sentinel tables: the log of 0 is 2(q-1) and exp is zero from
+        # 2(q-1) onward, so a log sum of two nonzero elements (at most
+        # 2(q-2)) finds their product and one with a zero factor (from
+        # 2(q-1) to 4(q-1)) finds 0
+        self.zero_log = 2 * order
+        log[0] = self.zero_log
         self.antilog = antilog
         self.log = log
+        self.exp = antilog * 2 + [0] * (2 * order + 1)
+        # the same tables as arrays, for the array kernels
+        self.dtype = np.min_scalar_type(order)
+        self.log_table = np.array(log, dtype=np.intp)
+        self.exp_table = np.array(self.exp, dtype=self.dtype)
 
     def add(self, a: int, b: int) -> int:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.antilog[(self.log[a] + self.log[b]) % (self.q - 1)]
+        return self.exp[self.log[a] + self.log[b]]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of 0 in GF(2^m)")
-        return self.antilog[(self.q - 1 - self.log[a]) % (self.q - 1)]
+        return self.exp[self.q - 1 - self.log[a]]
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
@@ -85,11 +105,11 @@ class GF:
             if e <= 0:
                 raise ZeroDivisionError("0 cannot be raised to a non-positive power")
             return 0
-        return self.antilog[(self.log[a] * e) % (self.q - 1)]
+        return self.exp[(self.log[a] * e) % (self.q - 1)]
 
     def alpha_pow(self, e: int) -> int:
         """alpha^e for the table generator alpha."""
-        return self.antilog[e % (self.q - 1)]
+        return self.exp[e % (self.q - 1)]
 
     def mul_noLUT(self, a: int, b: int) -> int:
         """Carry-less polynomial multiply reduced by the primitive polynomial.
@@ -106,16 +126,57 @@ class GF:
                 a ^= self.primitive_poly
         return r
 
-    # -- polynomial helpers (coefficient lists, index = power of x) --
+    # -- array kernels (element arrays of dtype self.dtype or any int) --
 
-    def poly_mul(self, p: list[int], q: list[int]) -> list[int]:
-        r = [0] * (len(p) + len(q) - 1)
-        for i, pi in enumerate(p):
-            if pi == 0:
-                continue
-            for j, qj in enumerate(q):
-                r[i + j] ^= self.mul(pi, qj)
-        return r
+    def mul_array(self, a, b) -> np.ndarray:
+        """Elementwise product of two broadcastable element arrays."""
+        return self.exp_table[self.log_table[a] + self.log_table[b]]
+
+    def div_array(self, a, b) -> np.ndarray:
+        """Elementwise a / b; every entry of b must be nonzero."""
+        return self.exp_table[self.log_table[a] + (self.q - 1 - self.log_table[b])]
+
+    def products(self, v, log_matrix: np.ndarray) -> np.ndarray:
+        """The products v_i * M[i, j], with M given by its logarithms
+        (entries in [0, q-2]); rows of M beyond len(v) are ignored."""
+        lv = self.log_table[v]
+        return self.exp_table[lv[:, None] + log_matrix[: len(lv)]]
+
+    def vecmat(self, v, log_matrix: np.ndarray) -> np.ndarray:
+        """The vector-matrix product v·M: `products` XOR-reduced over i."""
+        return np.bitwise_xor.reduce(self.products(v, log_matrix), axis=0)
+
+    def linear_factors(self, exponents) -> np.ndarray:
+        """Coefficients (ascending powers) of prod_e (1 + alpha^e x) over
+        the given exponents, each in [0, q-2]: one vector update per factor."""
+        buf = np.zeros(len(exponents) + 2, dtype=self.dtype)
+        buf[1] = 1
+        out, shifted = buf[1:], buf[:-1]  # buf[0] stays 0
+        for e in exponents:
+            # exp_table[e:] maps the log of b to alpha^e * b, 0 included
+            out ^= self.exp_table[e:][self.log_table[shifted]]
+        return out
+
+    # -- polynomial helpers (coefficient sequences, index = power of x) --
+
+    def poly_mul(self, p, q, lo: int = 0, hi: int | None = None) -> np.ndarray:
+        """Coefficients lo..hi-1 of p(x)·q(x), hi defaulting to the full
+        length len(p) + len(q) - 1.
+
+        The logs of q, padded with zero sentinels, are read through a
+        strided view whose column t holds the factors of q facing p's
+        reversed coefficients in product coefficient t; one gather and
+        an XOR-reduce over the rows give every coefficient.
+        """
+        lp = self.log_table[p]
+        m = len(lp)
+        if hi is None:
+            hi = m + len(q) - 1
+        padded = np.full(len(q) + 2 * (m - 1), self.zero_log, dtype=np.intp)
+        padded[m - 1 : m - 1 + len(q)] = self.log_table[q]
+        step = padded.itemsize
+        cols = np.ndarray((m, max(hi - lo, 0)), np.intp, padded, lo * step, (step, step))
+        return np.bitwise_xor.reduce(self.exp_table[cols + lp[::-1, None]], axis=0)
 
     def poly_eval(self, p: list[int], x: int) -> int:
         """Evaluate p at x by Horner's rule."""

@@ -5,6 +5,15 @@ Decoding is bounded-minimum-distance with erasures: Forney syndromes,
 Berlekamp-Massey for the error locator, Chien search and the Forney
 magnitude formula. A word with eps errors and tau erasures is recovered
 whenever 2*eps + tau <= d_min - 1.
+
+Every step of order n*(n-k) is an array kernel of `GF` (one table gather
+and an XOR-reduce, see `erasurelab.gf`) on matrices of logarithms built
+once per code: the k x (n-k) parity matrix of the encoder, the n x (n-k)
+syndrome matrix (also the final codeword check) and the Chien power
+table, whose columns at the roots also give the Forney magnitudes. g(x)
+and the erasure locator Gamma(x) are built one linear factor at a time;
+the Forney syndromes, Psi(x) and Omega(x) are array polynomial products.
+Berlekamp-Massey is scalar, on the field's zero-sentinel table lists.
 """
 
 from __future__ import annotations
@@ -74,46 +83,55 @@ def erase_most_unreliable(symbols: list, unreliability: np.ndarray, tau: int) ->
     return ReceivedWord(out, h)
 
 
+def _erasures_as_zero(symbols: list) -> np.ndarray:
+    return np.array([0 if s is None else s for s in symbols])
+
+
 class RSCodec:
     """Encoder/decoder pair for one code."""
 
     def __init__(self, params: CodeParams):
         self.params = params
         gf = params.gf
-        # g(x) = prod_{j=1}^{n-k} (x - alpha^j)
-        g = [1]
-        for j in range(1, params.n - params.k + 1):
-            g = gf.poly_mul(g, [gf.alpha_pow(j), 1])
+        n, k = params.n, params.k
+        nsyn = n - k
+        order = gf.q - 1
+        # g(x) = prod_{j=1}^{n-k} (x + alpha^j), the reversal of prod (1 + alpha^j x)
+        g = gf.linear_factors(np.arange(1, nsyn + 1))[::-1]
         self.generator = g
+        # x^(n-1-i) mod g(x) is the parity of a unit at info position i:
+        # rows by the recursion x^(t+1) mod g = x * (x^t mod g) mod g
+        parity = np.empty((k, nsyn), dtype=gf.dtype)
+        row = g[:nsyn]  # x^(n-k) mod g
+        for i in range(k - 1, -1, -1):
+            parity[i] = row
+            row = np.concatenate(([0], row[:-1])) ^ gf.mul_array(row[-1], g[:nsyn])
+        # parity position k + t holds the coefficient of x^(n-k-1-t)
+        self._parity_logs = gf.log_table[parity[:, ::-1]]
+        powers = np.arange(n - 1, -1, -1)  # X_i = alpha^(n-1-i)
+        # S_j = sum_i r_i X_i^j, j = 1..n-k
+        self._syndrome_logs = np.outer(powers, np.arange(1, nsyn + 1)) % order
+        # Psi(X_i^-1) = sum_t Psi_t X_i^-t for deg Psi <= n-k
+        self._chien_logs = np.outer(np.arange(nsyn + 1), -powers) % order
 
     # position i <-> coefficient of x^(n-1-i); info occupies positions 0..k-1
 
     def encode(self, info: list[int]) -> list[int]:
         p = self.params
-        gf = p.gf
         if len(info) != p.k:
             raise CodeError(f"info length {len(info)} != k={p.k}")
-        nparity = p.n - p.k
-        # long division of info(x) * x^(n-k) by g(x)
-        rem = [0] * nparity
-        for a in info:
-            top = a ^ rem[-1]
-            rem = [0] + rem[:-1]
-            if top:
-                for j in range(nparity):
-                    rem[j] ^= gf.mul(top, self.generator[j])
-        parity = rem[::-1]  # position order (descending powers)
-        return list(info) + parity
+        parity = p.gf.vecmat(np.asarray(info), self._parity_logs)
+        return list(info) + parity.tolist()
+
+    def _syndromes(self, received: np.ndarray) -> np.ndarray:
+        return self.params.gf.vecmat(received, self._syndrome_logs)
 
     def syndromes(self, symbols: list[int]) -> list[int]:
         """S_j = R(alpha^j) for j = 1..n-k, with erasures read as zero."""
-        p = self.params
-        gf = p.gf
-        coeffs = [0 if s is None else s for s in reversed(symbols)]  # coeff of x^i
-        return [gf.poly_eval(coeffs, gf.alpha_pow(j)) for j in range(1, p.n - p.k + 1)]
+        return self._syndromes(_erasures_as_zero(symbols)).tolist()
 
     def is_codeword(self, symbols: list[int]) -> bool:
-        return all(s == 0 for s in self.syndromes(symbols))
+        return not self._syndromes(_erasures_as_zero(symbols)).any()
 
     def decode_ee(self, word: ReceivedWord) -> list[int] | None:
         """Error/erasure decode; returns a codeword or None on failure."""
@@ -130,81 +148,62 @@ class RSCodec:
             return None  # radius empty
 
         received = [0 if s is None else s for s in word.symbols]
-        synd = self.syndromes(received)
-        if tau == 0 and all(s == 0 for s in synd):
+        r = np.array(received)
+        synd = self._syndromes(r)
+        if tau == 0 and not synd.any():
             return received
 
-        # erasure locators X_i = alpha^(n-1-i)
-        eras_loc = [gf.alpha_pow(n - 1 - i) for i in erased]
+        # erasure locator polynomial Gamma(x) = prod (1 + X x), X = alpha^(n-1-i)
+        gamma = gf.linear_factors([n - 1 - i for i in erased])
+        # T(x) = Gamma(x) S(x) mod x^(n-k), with S(x) = sum S_j x^(j-1);
+        # its coefficients tau..n-k-1 are the Forney syndromes
+        gamma_s = gf.poly_mul(gamma, synd, 0, nsyn)
 
-        # Forney syndromes: fold each erasure factor (1 + X x) into S(x),
-        # dropping the constant term each time
-        fsynd = list(synd)
-        for X in eras_loc:
-            for j in range(len(fsynd) - 1):
-                fsynd[j] = gf.mul(fsynd[j], X) ^ fsynd[j + 1]
-            fsynd[-1] = gf.mul(fsynd[-1], X)
-        fsynd = fsynd[: nsyn - tau]
-
-        lam, L = self._berlekamp_massey(fsynd)
+        lam, L = self._berlekamp_massey(gamma_s[tau:].tolist())
         if 2 * L > nsyn - tau or L != len(lam) - 1:
             return None
-
-        # erasure locator polynomial Gamma(x) = prod (1 + X x)
-        gamma = [1]
-        for X in eras_loc:
-            gamma = gf.poly_mul(gamma, [1, X])
         psi = gf.poly_mul(lam, gamma)
 
-        # Chien search over all positions
-        roots = []  # positions i with Psi(X_i^{-1}) = 0
-        deg_psi = len(psi) - 1
-        for i in range(n):
-            xinv = gf.alpha_pow(-(n - 1 - i))
-            if gf.poly_eval(psi, xinv) == 0:
-                roots.append(i)
-        if len(roots) != deg_psi:
+        # Chien search over all positions: terms[t, i] = Psi_t X_i^-t
+        terms = gf.products(psi, self._chien_logs)
+        roots = np.flatnonzero(np.bitwise_xor.reduce(terms, axis=0) == 0)
+        if len(roots) != len(psi) - 1:
             return None
 
-        # Omega(x) = Psi(x) S(x) mod x^(n-k), with S(x) = sum S_j x^(j-1)
-        omega = gf.poly_mul(psi, synd)[:nsyn]
-        # formal derivative of Psi (char 2: odd-power terms survive)
-        dpsi = [psi[j] if j % 2 == 1 else 0 for j in range(1, len(psi))]
-
-        corrected = list(received)
-        for i in roots:
-            xinv = gf.alpha_pow(-(n - 1 - i))
-            den = gf.poly_eval(dpsi, xinv)
-            if den == 0:
-                return None
-            mag = gf.div(gf.poly_eval(omega, xinv), den)
-            corrected[i] ^= mag
-
-        if not self.is_codeword(corrected):
+        # Forney: e = Omega(X^-1) / Psi'(X^-1) = X^-1 Omega(X^-1) / Psi_odd(X^-1),
+        # where Psi_odd(x) = x Psi'(x) (char 2) sums the odd-power terms
+        # and Omega(x) = Psi(x) S(x) mod x^(n-k) = Lambda(x) T(x) mod x^(n-k)
+        den = np.bitwise_xor.reduce(terms[1::2, roots], axis=0)
+        if not den.all():
             return None
-        return corrected
+        omega = gf.poly_mul(lam, gamma_s, 0, nsyn)
+        r[roots] ^= gf.div_array(gf.vecmat(omega, self._chien_logs[1:, roots]), den)
+
+        if self._syndromes(r).any():
+            return None
+        return r.tolist()
 
     def _berlekamp_massey(self, synd: list[int]) -> tuple[list[int], int]:
         gf = self.params.gf
+        exp, log = gf.exp, gf.log  # zero-sentinel lists: no branch on 0
+        order = gf.q - 1
+        log_synd = [log[s] for s in synd]
         lam = [1]
         b = [1]
         L = 0
         for r, s in enumerate(synd):
             delta = s
-            for j in range(1, len(lam)):
-                if r - j < 0:
-                    break
-                delta ^= gf.mul(lam[j], synd[r - j])
-            b = [0] + b
+            for j in range(1, min(len(lam), r + 1)):
+                delta ^= exp[log[lam[j]] + log_synd[r - j]]
+            b.insert(0, 0)
             if delta != 0:
-                t = [0] * max(len(lam), len(b))
-                for j, c in enumerate(lam):
-                    t[j] ^= c
+                log_delta = log[delta]
+                t = lam + [0] * (len(b) - len(lam))
                 for j, c in enumerate(b):
-                    t[j] ^= gf.mul(delta, c)
+                    t[j] ^= exp[log_delta + log[c]]
                 if 2 * L <= r:
-                    dinv = gf.inv(delta)
-                    b = [gf.mul(dinv, c) for c in lam]
+                    log_dinv = order - log_delta
+                    b = [exp[log_dinv + log[c]] for c in lam]
                     L = r + 1 - L
                 lam = t
         # trim trailing zeros

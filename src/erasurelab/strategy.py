@@ -55,10 +55,12 @@ class StrategyResult:
 
 def check_sorted_unreliability(h) -> np.ndarray:
     h = np.asarray(h, dtype=float)
-    if np.any(h < 0) or np.any(h >= 1):
-        raise ValueError("unreliabilities must lie in [0, 1)")
-    if np.any(np.diff(h) > 0):
+    # one pass; a NaN compares false, so it fails here
+    if not np.all(h[:-1] >= h[1:]):
         raise ValueError("unreliability vector must be sorted non-increasing")
+    # sorted, so the ends bound every entry
+    if h.size and not (h[-1] >= 0 and h[0] < 1):
+        raise ValueError("unreliabilities must lie in [0, 1)")
     return h
 
 

@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from erasurelab.gf import GF, DEFAULT_POLYS, FieldError
+from scalar_rs import scalar_poly_mul
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +54,40 @@ def test_mul_matches_shift_reduce_exhaustive(gf4):
 def test_mul_matches_shift_reduce_gf256(a, b):
     gf = GF(8)
     assert gf.mul(a, b) == gf.mul_noLUT(a, b)
+
+
+@pytest.mark.parametrize("m", [4, 8])
+def test_array_and_scalar_mul_match_shift_reduce_all_pairs(m):
+    """Every pair, zero included, against the table-free multiply."""
+    gf = GF(m)
+    elems = np.arange(gf.q)
+    expected = [[gf.mul_noLUT(a, b) for b in range(gf.q)] for a in range(gf.q)]
+    assert gf.mul_array(elems[:, None], elems[None, :]).tolist() == expected
+    assert [[gf.mul(a, b) for b in range(gf.q)] for a in range(gf.q)] == expected
+    quotients = gf.div_array(elems[:, None], elems[None, 1:])
+    assert (gf.mul_array(quotients, elems[None, 1:]) == elems[:, None]).all()
+
+
+def test_poly_kernels_match_scalar_products(gf8):
+    """poly_mul (full and any coefficient range), linear_factors and vecmat
+    against list-based products and Horner evaluation."""
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        p = rng.integers(0, 256, rng.integers(1, 12)).tolist()
+        q = rng.integers(0, 256, rng.integers(1, 12)).tolist()
+        full = scalar_poly_mul(gf8, p, q)
+        assert gf8.poly_mul(p, q).tolist() == full
+        lo, hi = sorted(rng.integers(0, len(full) + 1, 2).tolist())
+        assert gf8.poly_mul(p, q, lo, hi).tolist() == full[lo:hi]
+        exponents = rng.integers(0, 255, rng.integers(0, 10)).tolist()
+        expected = [1]
+        for e in exponents:
+            expected = scalar_poly_mul(gf8, expected, [1, gf8.alpha_pow(e)])
+        assert gf8.linear_factors(exponents).tolist() == expected
+        # vecmat against column j = powers of alpha^j: p reversed, at alpha^j
+        col = np.outer(np.arange(len(p) - 1, -1, -1), np.arange(5)) % 255
+        at = [gf8.poly_eval(p[::-1], gf8.alpha_pow(j)) for j in range(5)]
+        assert gf8.vecmat(p, col).tolist() == at
 
 
 def test_inverse_exhaustive(gf8):

@@ -9,6 +9,7 @@ from erasurelab.rs import (
     RSCodec,
     erase_most_unreliable,
 )
+from scalar_rs import ScalarRSCodec
 
 
 @pytest.fixture(scope="module")
@@ -145,3 +146,32 @@ def test_decode_at_exact_radius_boundary(big_codec):
     eps = (p.d_min - 1 - tau) // 2  # 2*50 + 11 = 111 = d_min - 1
     word = corrupt(cw, rng, eps, tau, p.q)
     assert big_codec.decode_ee(ReceivedWord(word, np.zeros(p.n))) == cw
+
+
+@pytest.mark.parametrize("m, n, k, count", [(4, 15, 7, 1000), (8, 255, 144, 100)])
+def test_array_codec_matches_scalar_codec(m, n, k, count):
+    """encode, syndromes, is_codeword and decode_ee equal the scalar codec
+    they replaced, None included, on seeded patterns inside and beyond the
+    decoding radius (up to three errors past it, or d_min erasures)."""
+    params = CodeParams(GF(m), n, k)
+    codec, ref = RSCodec(params), ScalarRSCodec(params)
+    rng = np.random.default_rng(n)
+    d = params.d_min
+    inside = failed = decoded = 0
+    for _ in range(count):
+        info = rng.integers(0, params.q, size=k).tolist()
+        cw = ref.encode(info)
+        assert codec.encode(info) == cw
+        tau = int(rng.integers(0, d + 1))
+        eps = int(rng.integers(0, max(d - 1 - tau, 0) // 2 + 4))
+        word = corrupt(cw, rng, eps, tau, params.q)
+        received = ReceivedWord(word, np.zeros(n))
+        out = codec.decode_ee(received)
+        assert out == ref.decode_ee(received), (eps, tau)
+        assert codec.syndromes(word) == ref.syndromes(word)
+        assert codec.is_codeword(word) == ref.is_codeword(word)
+        inside += 2 * eps + tau <= d - 1
+        failed += out is None
+        decoded += out == cw
+    assert 0 < inside < count
+    assert failed > 0 and decoded > 0

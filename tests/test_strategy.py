@@ -51,6 +51,9 @@ def test_input_validation():
         pgf_distribution(np.array([1.0, 0.5]), 0)  # out of [0, 1)
     with pytest.raises(ValueError):
         pgf_distribution(np.array([0.5, 0.2]), 3)  # tau > n
+    for nan_at in ([0.5, np.nan, 0.1], [np.nan], [0.5, 0.1, np.nan]):
+        with pytest.raises(ValueError):
+            pgf_distribution(np.array(nan_at), 0)
 
 
 def test_two_symbol_distribution_by_hand():
