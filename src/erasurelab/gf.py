@@ -159,9 +159,9 @@ class GF:
 
     # -- polynomial helpers (coefficient sequences, index = power of x) --
 
-    def poly_mul(self, p, q, lo: int = 0, hi: int | None = None) -> np.ndarray:
-        """Coefficients lo..hi-1 of p(x)·q(x), hi defaulting to the full
-        length len(p) + len(q) - 1.
+    def poly_mul(self, p, q, hi: int | None = None) -> np.ndarray:
+        """Coefficients 0..hi-1 of p(x)·q(x), hi defaulting to the full
+        length len(p) + len(q) - 1 (a smaller hi is the product mod x^hi).
 
         The logs of q, padded with zero sentinels, are read through a
         strided view whose column t holds the factors of q facing p's
@@ -175,7 +175,7 @@ class GF:
         padded = np.full(len(q) + 2 * (m - 1), self.zero_log, dtype=np.intp)
         padded[m - 1 : m - 1 + len(q)] = self.log_table[q]
         step = padded.itemsize
-        cols = np.ndarray((m, max(hi - lo, 0)), np.intp, padded, lo * step, (step, step))
+        cols = np.ndarray((m, hi), np.intp, padded, 0, (step, step))
         return np.bitwise_xor.reduce(self.exp_table[cols + lp[::-1, None]], axis=0)
 
     def poly_eval(self, p: list[int], x: int) -> int:

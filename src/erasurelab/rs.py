@@ -147,17 +147,16 @@ class RSCodec:
         if tau > nsyn:
             return None  # radius empty
 
-        received = [0 if s is None else s for s in word.symbols]
-        r = np.array(received)
+        r = _erasures_as_zero(word.symbols)
         synd = self._syndromes(r)
         if tau == 0 and not synd.any():
-            return received
+            return r.tolist()
 
         # erasure locator polynomial Gamma(x) = prod (1 + X x), X = alpha^(n-1-i)
         gamma = gf.linear_factors([n - 1 - i for i in erased])
         # T(x) = Gamma(x) S(x) mod x^(n-k), with S(x) = sum S_j x^(j-1);
         # its coefficients tau..n-k-1 are the Forney syndromes
-        gamma_s = gf.poly_mul(gamma, synd, 0, nsyn)
+        gamma_s = gf.poly_mul(gamma, synd, nsyn)
 
         lam, L = self._berlekamp_massey(gamma_s[tau:].tolist())
         if 2 * L > nsyn - tau or L != len(lam) - 1:
@@ -176,7 +175,7 @@ class RSCodec:
         den = np.bitwise_xor.reduce(terms[1::2, roots], axis=0)
         if not den.all():
             return None
-        omega = gf.poly_mul(lam, gamma_s, 0, nsyn)
+        omega = gf.poly_mul(lam, gamma_s, nsyn)
         r[roots] ^= gf.div_array(gf.vecmat(omega, self._chien_logs[1:, roots]), den)
 
         if self._syndromes(r).any():

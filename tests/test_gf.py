@@ -69,7 +69,7 @@ def test_array_and_scalar_mul_match_shift_reduce_all_pairs(m):
 
 
 def test_poly_kernels_match_scalar_products(gf8):
-    """poly_mul (full and any coefficient range), linear_factors and vecmat
+    """poly_mul (full and truncated mod x^hi), linear_factors and vecmat
     against list-based products and Horner evaluation."""
     rng = np.random.default_rng(0)
     for _ in range(100):
@@ -77,8 +77,8 @@ def test_poly_kernels_match_scalar_products(gf8):
         q = rng.integers(0, 256, rng.integers(1, 12)).tolist()
         full = scalar_poly_mul(gf8, p, q)
         assert gf8.poly_mul(p, q).tolist() == full
-        lo, hi = sorted(rng.integers(0, len(full) + 1, 2).tolist())
-        assert gf8.poly_mul(p, q, lo, hi).tolist() == full[lo:hi]
+        hi = int(rng.integers(0, len(full) + 1))
+        assert gf8.poly_mul(p, q, hi).tolist() == full[:hi]
         exponents = rng.integers(0, 255, rng.integers(0, 10)).tolist()
         expected = [1]
         for e in exponents:
