@@ -179,8 +179,10 @@ def cmd_strategy(args) -> int:
         h = sample_unreliability_vectors(sigma, qam, code.n, 1, rng)[0]
     else:
         raise CliError("need an h-vector file or --sample EBN0_DB")
-    if np.any(h < 0) or np.any(h >= 1):
-        raise CliError("unreliabilities must lie in [0, 1)")
+    if len(h) != code.n:
+        raise CliError(f"need {code.n} unreliabilities (one per code symbol), got {len(h)}")
+    if not np.all((h >= 0) & (h < 1)):
+        raise CliError("unreliabilities must be finite and lie in [0, 1)")
     if np.any(np.diff(h) > 0):
         print("note: input vector not sorted, sorting non-increasing")
         h = np.sort(h)[::-1]

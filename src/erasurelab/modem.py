@@ -2,16 +2,18 @@
 
 The unreliability of a received point is the posterior probability that its
 hard decision is wrong. It is computed either exactly (sum over the whole
-constellation) or with the nearest-neighbor approximation (sum over the
-hard decision and its axis-adjacent neighbors), both in the log-likelihood
-domain with max-shift normalization. The nearest-neighbor values can be
-tabulated in a small symmetry-reduced lookup table.
+constellation, one sum per axis since the Gaussian likelihood factors) or
+with the nearest-neighbor approximation (sum over the hard decision and its
+axis-adjacent neighbors). Both sum the off-decision likelihoods s relative
+to the hard decision's and return s / (1 + s), so tiny unreliabilities keep
+their precision. The nearest-neighbor values can be tabulated in a small
+symmetry-reduced lookup table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,20 +94,26 @@ def awgn(points: np.ndarray, sigma: float, rng: np.random.Generator) -> np.ndarr
     return points + rng.normal(0.0, sigma, size=points.shape)
 
 
+def _posterior(s: np.ndarray) -> np.ndarray:
+    """h = s / (1 + s) from the off-decision likelihood mass s (relative to
+    the hard decision's); keeps h ~ s where 1 - 1/(1 + s) would round to 0."""
+    return s / (1.0 + s)
+
+
 def unreliability_exact(y: np.ndarray, qam: SquareQam, sigma: float) -> np.ndarray:
-    """Exact unreliability: posterior over the full constellation."""
+    """Exact unreliability: posterior over the full constellation.
+
+    The Gaussian likelihood factors per axis, so the total mass relative to
+    the nearest point is (1 + Sx)(1 + Sy), where S sums an axis's other
+    levels: O(L) per symbol and no hard decision needed.
+    """
     if sigma <= 0:
         raise ModemError("sigma must be > 0")
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    # separable Gaussian: per-axis squared distances to the L levels
-    dx = (y[:, 0:1] - qam.levels[None, :]) ** 2
-    dy = (y[:, 1:2] - qam.levels[None, :]) ** 2
-    d = dx[:, :, None] + dy[:, None, :]  # (N, L, L)
-    e = -d / (2.0 * sigma * sigma)
-    m = e.max(axis=(1, 2), keepdims=True)
-    denom = np.exp(e - m).sum(axis=(1, 2))
-    # the hard decision achieves the max exponent, so its shifted likelihood is 1
-    return 1.0 - 1.0 / denom
+    d = np.sort((y[:, :, None] - qam.levels) ** 2, axis=-1)  # (N, 2, L)
+    s_axis = np.exp((d[:, :, :1] - d[:, :, 1:]) / (2.0 * sigma * sigma)).sum(axis=-1)
+    sx, sy = s_axis[:, 0], s_axis[:, 1]
+    return _posterior(sx + sy + sx * sy)
 
 
 def unreliability_nn(y: np.ndarray, qam: SquareQam, sigma: float) -> np.ndarray:
@@ -126,13 +134,15 @@ def unreliability_nn(y: np.ndarray, qam: SquareQam, sigma: float) -> np.ndarray:
         ok = (nx >= 0) & (nx < qam.L) & (ny >= 0) & (ny < qam.L)
         dn = (y[:, 0] - (lx + dxi * step)) ** 2 + (y[:, 1] - (ly + dyi * step)) ** 2
         s += np.where(ok, np.exp(-(dn - d0) / (2.0 * sigma * sigma)), 0.0)
-    return 1.0 - 1.0 / (1.0 + s)
+    return _posterior(s)
 
 
-# region classes of the lookup table
+# region classes of the lookup table; the index of each is its number of
+# border axes and its slice of the dense table
 INTERIOR = "interior"
 EDGE = "edge"
 CORNER = "corner"
+CLASSES = (INTERIOR, EDGE, CORNER)
 
 
 @dataclass
@@ -144,8 +154,9 @@ class UnreliabilityLut:
     (unbounded outer regions are clipped to the width of inner regions).
     Under the nearest-neighbor approximation, all regions of one class
     (interior / edge / corner) carry identical values up to rotation and
-    reflection, so one representative sub-grid per class is stored, further
-    folded by the class's own symmetry:
+    reflection, so one representative sub-grid per class is stored: region
+    (1, 1), the top edge region (1, L-1) and the top-right corner region
+    (L-1, L-1), further folded by the class's own symmetry:
 
     * interior: mirror-symmetric in both axes -> one quadrant kept,
     * edge: mirror-symmetric along the boundary axis -> one half kept,
@@ -155,6 +166,15 @@ class UnreliabilityLut:
     unpaired; to keep the canonical entry budget of cells^2/2 per the
     64+128+128 accounting, diagonal cells are stored at half resolution
     (each even diagonal cell reads its outward odd neighbor's entry).
+
+    ``lookup`` folds a cell with offset o in region r per axis: a border
+    axis (r = 0 or L-1) takes the outward offset (o in region L-1, c-1-o in
+    region 0), any other axis the folded offset max(o, c-1-o). The class is
+    the number of border axes. An edge cell keys (along-edge, outward), so
+    the offsets swap when the border axis is x; a corner cell keys
+    (max, min) of its two outward offsets, and an even diagonal corner cell
+    moves to its odd neighbor (p+1, p+1). One gather then reads the entry
+    from a dense (3, c, c) copy of ``entries``.
     """
 
     M: int
@@ -162,6 +182,13 @@ class UnreliabilityLut:
     sigma: float
     cells_per_region: int
     entries: dict  # (class, i, j) -> h value
+    table: np.ndarray = field(init=False, repr=False, compare=False)  # dense entries, NaN elsewhere
+
+    def __post_init__(self):
+        c = self.cells_per_region
+        self.table = np.full((len(CLASSES), c, c), np.nan)
+        for (name, i, j), h in self.entries.items():
+            self.table[CLASSES.index(name), i, j] = h
 
     @classmethod
     def build(cls, qam: SquareQam, sigma: float, bits_per_axis: int) -> "UnreliabilityLut":
@@ -169,91 +196,54 @@ class UnreliabilityLut:
             raise ModemError("bits_per_axis must be >= 2")
         if sigma <= 0:
             raise ModemError("sigma must be > 0")
-        cells = (1 << bits_per_axis) // qam.L
-        if cells < 2 or cells * qam.L != (1 << bits_per_axis):
+        L = qam.L
+        cells = (1 << bits_per_axis) // L
+        if cells < 2 or cells * L != (1 << bits_per_axis):
             raise ModemError(
-                f"{bits_per_axis}-bit quantization cannot resolve {qam.L} decision "
+                f"{bits_per_axis}-bit quantization cannot resolve {L} decision "
                 "regions per axis"
             )
-        step = 2.0 * qam.scale           # distance between adjacent points
-        w = step / cells                 # cell width
-        two_s2 = 2.0 * sigma * sigma
+        # cell centres of the interior, top edge and top-right corner regions
+        centre = (np.arange(cells) + 0.5) * (2.0 * qam.scale / cells) - qam.scale
+        u, v = np.meshgrid(centre, centre, indexing="ij")
+        regions = ((1, 1), (1, L - 1), (L - 1, L - 1))
+        pts = np.stack(
+            [np.stack([qam.levels[rx] + u, qam.levels[ry] + v], axis=-1) for rx, ry in regions]
+        )
+        h = unreliability_nn(pts.reshape(-1, 2), qam, sigma).reshape(len(CLASSES), cells, cells)
+        h = h.tolist()
 
-        def h_nn(u: float, v: float, nbrs: list[tuple[float, float]]) -> float:
-            d0 = u * u + v * v
-            acc = 0.0
-            for ax, ay in nbrs:
-                dn = (u - ax) ** 2 + (v - ay) ** 2
-                acc += math.exp(-(dn - d0) / two_s2)
-            return 1.0 - 1.0 / (1.0 + acc)
-
-        def center(i: int) -> float:
-            # offset of cell i's center from the modulation point
-            return (i - (cells / 2.0 - 0.5)) * w
-
-        interior_nbrs = [(-step, 0.0), (step, 0.0), (0.0, -step), (0.0, step)]
-        edge_nbrs = [(-step, 0.0), (step, 0.0), (0.0, -step)]     # outward = +v
-        corner_nbrs = [(-step, 0.0), (0.0, -step)]                # outward = +u, +v
-
-        entries: dict = {}
-        if qam.L > 2:
-            for i in range(cells // 2, cells):
-                for j in range(cells // 2, cells):
-                    entries[(INTERIOR, i, j)] = h_nn(center(i), center(j), interior_nbrs)
-            for i in range(cells // 2, cells):
-                for j in range(cells):
-                    entries[(EDGE, i, j)] = h_nn(center(i), center(j), edge_nbrs)
-        for i in range(cells):
-            for j in range(cells):
-                if i > j or (i == j and i % 2 == 1):
-                    entries[(CORNER, i, j)] = h_nn(center(i), center(j), corner_nbrs)
+        i, j = np.indices((cells, cells))
+        half = i >= cells // 2
+        stored = (half & (j >= cells // 2), half, (i > j) | ((i == j) & (i % 2 == 1)))
+        entries = {
+            (name, a, b): h[k][a][b]
+            for k, name in enumerate(CLASSES)
+            if L > 2 or name == CORNER
+            for a, b in np.argwhere(stored[k]).tolist()
+        }
         return cls(qam.M, bits_per_axis, sigma, cells, entries)
-
-    # -- canonicalization --
-
-    def _fold(self, o: int) -> int:
-        c = self.cells_per_region
-        return o if o >= c // 2 else c - 1 - o
-
-    def canonical_key(self, rx: int, ry: int, ox: int, oy: int, L: int):
-        """Map a (region, cell offset) pair to its stored entry key."""
-        c = self.cells_per_region
-        x_border = rx == 0 or rx == L - 1
-        y_border = ry == 0 or ry == L - 1
-        if x_border and y_border:
-            # rotate onto the top-right corner: outward = increasing offsets
-            p = ox if rx == L - 1 else c - 1 - ox
-            q = oy if ry == L - 1 else c - 1 - oy
-            if p < q:
-                p, q = q, p
-            if p == q and p % 2 == 0:
-                p = q = p + 1
-            return (CORNER, p, q)
-        if x_border or y_border:
-            # rotate onto the top edge: a = along-edge axis, t = outward axis
-            if y_border:
-                a = ox
-                t = oy if ry == L - 1 else c - 1 - oy
-            else:
-                a = oy
-                t = ox if rx == L - 1 else c - 1 - ox
-            return (EDGE, self._fold(a), t)
-        return (INTERIOR, self._fold(ox), self._fold(oy))
 
     def lookup(self, y: np.ndarray, qam: SquareQam) -> np.ndarray:
         """Quantize received points and fetch the tabulated unreliability."""
         y = np.atleast_2d(np.asarray(y, dtype=float))
         c = self.cells_per_region
+        L = qam.L
         w = 2.0 * qam.scale / c
-        half_span = qam.L * qam.scale
-        gi = np.floor((y + half_span) / w).astype(np.int64)
-        np.clip(gi, 0, qam.L * c - 1, out=gi)
-        out = np.empty(len(y))
-        for row in range(len(y)):
-            gx, gy = int(gi[row, 0]), int(gi[row, 1])
-            key = self.canonical_key(gx // c, gy // c, gx % c, gy % c, qam.L)
-            out[row] = self.entries[key]
-        return out
+        gi = np.floor((y + L * qam.scale) / w).astype(np.int64)
+        np.clip(gi, 0, L * c - 1, out=gi)
+        # mirror each axis onto its lower half: region 0 is then the border
+        r, o = np.divmod(np.minimum(gi, L * c - 1 - gi), c)
+        border = r == 0
+        u = np.where(border, c - 1 - o, np.maximum(o, c - 1 - o))
+        ux, uy = u[:, 0], u[:, 1]
+        bx, by = border[:, 0], border[:, 1]
+        cls_ix = bx.astype(np.int64) + by
+        swap = bx & (~by | (ux < uy))
+        i = np.where(swap, uy, ux)
+        j = np.where(swap, ux, uy)
+        diag = (cls_ix == 2) & (i == j) & (i % 2 == 0)
+        return self.table[cls_ix, i + diag, j + diag]
 
     # -- flat text export / import --
 

@@ -122,6 +122,18 @@ class FerPoint:
     predicted_p: float
 
 
+def unreliability(
+    y: np.ndarray, qam: SquareQam, sigma: float, method: str, lut: UnreliabilityLut | None
+) -> np.ndarray:
+    """Symbol unreliabilities of received points by one of UNRELIABILITY_METHODS;
+    ``lut`` serves the ``lut`` method."""
+    if method == "exact":
+        return unreliability_exact(y, qam, sigma)
+    if method == "lut":
+        return lut.lookup(y, qam)
+    return unreliability_nn(y, qam, sigma)
+
+
 def sample_unreliability_vectors(
     sigma: float,
     qam: SquareQam,
@@ -129,25 +141,18 @@ def sample_unreliability_vectors(
     count: int,
     rng: np.random.Generator,
     method: str = "nn",
-    lut: UnreliabilityLut | None = None,
 ) -> np.ndarray:
     """Sorted (non-increasing) unreliability vectors of random transmissions."""
     if sigma <= 0:
         raise ValueError("sigma must be > 0")
     sym = rng.integers(0, qam.M, size=count * n)
     y = awgn(qam.modulate(sym), sigma, rng)
-    if method == "lut":
-        lut = lut or UnreliabilityLut.build(qam, sigma, 8)
-    # chunked so the exact method's (N, L, L) distance tensor stays small
+    lut = UnreliabilityLut.build(qam, sigma, 8) if method == "lut" else None
+    # chunked so the exact method's (N, 2, L) distance arrays stay small
     h = np.empty(count * n)
     for lo in range(0, count * n, 1 << 18):
         chunk = y[lo : lo + (1 << 18)]
-        if method == "exact":
-            h[lo : lo + len(chunk)] = unreliability_exact(chunk, qam, sigma)
-        elif method == "lut":
-            h[lo : lo + len(chunk)] = lut.lookup(chunk, qam)
-        else:
-            h[lo : lo + len(chunk)] = unreliability_nn(chunk, qam, sigma)
+        h[lo : lo + len(chunk)] = unreliability(chunk, qam, sigma, method, lut)
     h = h.reshape(count, n)
     h.sort(axis=1)
     return h[:, ::-1]
@@ -192,13 +197,6 @@ class _FrameRunner:
             else GmdConfig.for_code(cfg.code)
         )
 
-    def unreliability(self, y: np.ndarray) -> np.ndarray:
-        if self.cfg.unreliability == "exact":
-            return unreliability_exact(y, self.qam, self.sigma)
-        if self.cfg.unreliability == "lut":
-            return self.lut.lookup(y, self.qam)
-        return unreliability_nn(y, self.qam, self.sigma)
-
     def run_frame(self, frame_index: int) -> tuple[int, float]:
         """Returns (frame error indicator, per-frame analytic prediction)."""
         cfg = self.cfg
@@ -208,7 +206,7 @@ class _FrameRunner:
         cw = self.codec.encode(info)
         y = awgn(self.qam.modulate(cw), self.sigma, rng)
         r = self.qam.hard_decision(y).tolist()
-        h = self.unreliability(y)
+        h = unreliability(y, self.qam, self.sigma, cfg.unreliability, self.lut)
 
         predicted = math.nan
         if cfg.mode == "gmd":
@@ -280,10 +278,7 @@ def _run_point_semi(cfg: CampaignConfig, sigma: float, point_index: int) -> FerP
     qam = SquareQam(cfg.qam_size)
     cap = cfg.capability()
     rng = _frame_rng(cfg.seed, point_index, 0)
-    lut = UnreliabilityLut.build(qam, sigma, 8) if cfg.unreliability == "lut" else None
-    vecs = sample_unreliability_vectors(
-        sigma, qam, cfg.code.n, cfg.samples, rng, cfg.unreliability, lut
-    )
+    vecs = sample_unreliability_vectors(sigma, qam, cfg.code.n, cfg.samples, rng, cfg.unreliability)
     tau = cfg.force_tau
     if tau is None:
         tau = tau_bar(vecs.mean(axis=0), cap, cfg.strategy)

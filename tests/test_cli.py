@@ -126,6 +126,20 @@ def test_strategy_command_from_file(tmp_path, capsys):
     assert "tau,p_exact" in out
 
 
+@pytest.mark.parametrize("h", [
+    [0.3, 0.2, float("nan")] + [0.1] * 12,  # not finite
+    [0.3, 0.2, 0.1, 0.05, 0.01],            # shorter than n
+    list(np.linspace(0.3, 0.01, 20)),       # longer than n
+])
+def test_strategy_command_rejects_bad_vector_file(tmp_path, capsys, h):
+    hfile = tmp_path / "h.txt"
+    np.savetxt(hfile, h)
+    with pytest.raises(SystemExit) as exc:
+        run(["strategy", str(hfile), "--m", "4", "--n", "15", "--k", "7"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_strategy_command_sampled(capsys):
     rc = run(["strategy", "--m", "4", "--n", "15", "--k", "7",
               "--sample", "9.0", "--seed", "4", "--strategy", "exact"])

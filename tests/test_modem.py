@@ -16,6 +16,11 @@ from erasurelab.modem import (
     unreliability_nn,
 )
 
+from scalar_modem import canonical_key, scalar_lut_entries, tensor_unreliability_exact
+
+#: (M, bits per axis) of the lookup-table differential tests
+LUT_CASES = [(4, 8), (16, 6), (16, 8), (64, 8), (256, 8), (256, 9)]
+
 
 @pytest.fixture(scope="module")
 def qam256():
@@ -114,6 +119,45 @@ def test_unreliability_4qam_centroid():
     qam = SquareQam(4)
     h = unreliability_exact(np.array([[0.0, 0.0]]), qam, 0.3)
     assert h[0] == pytest.approx(0.75)
+
+
+@pytest.mark.parametrize("M", [4, 16, 256])
+@pytest.mark.parametrize("ebn0_db", [6.0, 12.0, 18.0])
+def test_exact_matches_tensor_reference(M, ebn0_db):
+    """The separable posterior equals the (N, L, L) tensor form it replaced,
+    on noisy transmissions and on decision-boundary midpoints (ties)."""
+    qam = SquareQam(M)
+    sigma = sigma_from_ebn0(ebn0_db, M, 15, 7)
+    rng = np.random.default_rng(int(ebn0_db) * M)
+    y = awgn(qam.modulate(rng.integers(0, M, 4000)), sigma, rng)
+    mids = (qam.levels[:-1] + qam.levels[1:]) / 2.0
+    both = mids[rng.integers(0, qam.L - 1, (300, 2))]
+    one = np.stack([mids[rng.integers(0, qam.L - 1, 300)], qam.levels[rng.integers(0, qam.L, 300)]], -1)
+    pts = np.concatenate([y, both, one])
+    diff = np.abs(unreliability_exact(pts, qam, sigma) - tensor_unreliability_exact(pts, qam, sigma))
+    assert diff.max() <= 1e-15
+
+
+@pytest.mark.parametrize("qam", [SquareQam(16), SquareQam(256)], ids=["16", "256"])
+@pytest.mark.parametrize("a", [28.0, 112.5])
+def test_tiny_unreliability_keeps_precision(qam, a):
+    """Exactly on an interior point the off-decision mass is four neighbors at
+    step^2 / 2 sigma^2 = a, so h_nn = s / (1 + s) with s = 4 exp(-a): about
+    3e-12 and 3e-49 here, where 1 - 1/(1 + s) keeps 4 digits or none. (a =
+    112.5 is sigma = 0.0102 at 256-QAM; 16-QAM at sigma = 0.01 would underflow
+    exp to 0.) The exact posterior adds about exp(-a) relative mass from the
+    diagonal and second neighbors; at a = 28 that is far above rounding."""
+    step = 2.0 * qam.scale
+    sigma = step / math.sqrt(2.0 * a)
+    inner = qam.points[(qam.symbol_ix > 0) & (qam.symbol_ix < qam.L - 1)
+                       & (qam.symbol_iy > 0) & (qam.symbol_iy < qam.L - 1)]
+    s = 4.0 * math.exp(-a)
+    h_nn = unreliability_nn(inner, qam, sigma)
+    h_ex = unreliability_exact(inner, qam, sigma)
+    assert np.allclose(h_nn, s / (1.0 + s), rtol=1e-12, atol=0)
+    assert np.allclose(h_ex, h_nn, rtol=1e-12, atol=0)
+    # rounding of the exponents (~a * 1e-16 relative) stays below 1e-13
+    assert np.all(h_ex >= h_nn * (1.0 + math.exp(-a) / 2.0 - 1e-13))
 
 
 def test_nn_underestimates_exact(qam256):
@@ -220,6 +264,40 @@ def test_lut_lookup_matches_nn_closely(qam256):
     assert diff.max() < 0.25
 
 
+@pytest.mark.parametrize("M,bits", LUT_CASES)
+def test_lut_entries_match_scalar_reference(M, bits):
+    """Entries from one unreliability_nn call at the representative cell
+    centres equal the scalar per-cell posterior they replaced."""
+    qam = SquareQam(M)
+    sigma = 0.6 * qam.scale
+    lut = UnreliabilityLut.build(qam, sigma, bits)
+    ref = scalar_lut_entries(qam, sigma, lut.cells_per_region)
+    assert lut.entries.keys() == ref.keys()
+    assert max(abs(lut.entries[key] - ref[key]) for key in ref) <= 1e-14
+
+
+@pytest.mark.parametrize("M,bits", LUT_CASES)
+def test_lut_lookup_matches_canonical_key(M, bits):
+    """The array fold reads the entry that the per-point canonical_key names,
+    on every cell and on random points inside and outside the grid."""
+    qam = SquareQam(M)
+    lut = UnreliabilityLut.build(qam, 0.6 * qam.scale, bits)
+    c, L = lut.cells_per_region, qam.L
+    w = 2.0 * qam.scale / c
+    half_span = L * qam.scale
+    grid = (np.arange(L * c) + 0.5) * w - half_span
+    xs, ys = np.meshgrid(grid, grid, indexing="ij")
+    rng = np.random.default_rng(M * bits)
+    pts = np.concatenate([
+        np.stack([xs.ravel(), ys.ravel()], axis=-1),
+        rng.uniform(-1.5 * half_span, 1.5 * half_span, (5000, 2)),
+    ])
+    gi = np.clip(np.floor((pts + half_span) / w).astype(np.int64), 0, L * c - 1)
+    want = [lut.entries[canonical_key(gx // c, gy // c, gx % c, gy % c, L, c)]
+            for gx, gy in gi.tolist()]
+    assert np.array_equal(lut.lookup(pts, qam), want)
+
+
 def test_lut_save_load_roundtrip(tmp_path, qam16):
     lut = UnreliabilityLut.build(qam16, 0.1, 6)
     path = tmp_path / "lut.txt"
@@ -229,6 +307,9 @@ def test_lut_save_load_roundtrip(tmp_path, qam16):
     assert again.bits_per_axis == lut.bits_per_axis
     assert again.sigma == lut.sigma
     assert again.entries == lut.entries
+    rng = np.random.default_rng(8)
+    y = rng.uniform(-1.2, 1.2, (1000, 2))
+    assert np.array_equal(again.lookup(y, qam16), lut.lookup(y, qam16))
 
 
 def test_lut_save_deterministic(tmp_path, qam16):
