@@ -88,25 +88,16 @@ def build_code(values: dict) -> CodeParams:
 
 
 def build_campaign(values: dict) -> CampaignConfig:
-    code = build_code(values)
-    kind = DecoderKind(values.get("decoder", "bmd"))
-    strategy = StrategyKind(values.get("strategy", "exact"))
-    grid = parse_grid(values.get("ebn0_grid", ""))
-    return CampaignConfig(
-        code=code,
-        decoder_kind=kind,
-        ell=values.get("ell", 1),
-        ebn0_grid=grid,
-        mode=values.get("mode", "errors_only"),
-        strategy=strategy,
-        fixed_tau=values.get("fixed_tau", 0),
-        max_frames=values.get("max_frames", 10_000),
-        max_errors=values.get("max_errors", 100),
-        seed=values.get("seed", 0),
-        unreliability=values.get("unreliability", "nn"),
-        samples=values.get("samples", 10_000),
-        force_tau=values.get("force_tau"),
-    )
+    """The campaign of the keys given; every default but the code's is
+    CampaignConfig's."""
+    kw = {key: values[key] for key in values.keys() - {"m", "n", "k", "decoder"}}
+    if "decoder" in values:
+        kw["decoder_kind"] = DecoderKind(values["decoder"])
+    if "strategy" in kw:
+        kw["strategy"] = StrategyKind(kw["strategy"])
+    if "ebn0_grid" in kw:
+        kw["ebn0_grid"] = parse_grid(kw["ebn0_grid"])
+    return CampaignConfig(build_code(values), **kw)
 
 
 def manifest_for(values: dict, extra: dict | None = None) -> dict:
@@ -135,7 +126,7 @@ def cmd_simulate(args) -> int:
         cfg = build_campaign(values)
     except ValueError as exc:
         raise CliError(str(exc))
-    points = run_campaign(cfg, threads=args.threads)
+    points = run_campaign(cfg)
     text = format_csv(points, manifest_for(values, {"command": "simulate", "out": args.out}))
     with open(args.out, "w") as fh:
         fh.write(text)
@@ -243,7 +234,8 @@ def main(argv=None) -> int:
     sim_p.add_argument("--seed", type=int)
     sim_p.add_argument("--unreliability", choices=("exact", "nn", "lut"))
     sim_p.add_argument("--samples", type=int)
-    sim_p.add_argument("--threads", type=int, default=1)
+    sim_p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; frames always run in one thread")
     sim_p.add_argument("--out", required=True)
     sim_p.set_defaults(func=cmd_simulate)
 

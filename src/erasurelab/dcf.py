@@ -31,6 +31,8 @@ class DecoderCapability:
     ell: int = 1  # IRS interleaving parameter, >= 1
 
     def __post_init__(self):
+        if not isinstance(self.kind, DecoderKind):
+            raise ValueError(f"kind must be a DecoderKind, got {self.kind!r}")
         if self.kind is DecoderKind.IRS and self.ell < 1:
             raise ValueError("IRS parameter ell must be >= 1")
 

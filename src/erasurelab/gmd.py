@@ -1,16 +1,20 @@
 """Forney-style multi-trial GMD decoding.
 
-Runs the error/erasure decoder once per scheduled erasure count (erasing
-the most unreliable positions each time), collects the distinct codeword
+Runs the error/erasure decoder once per scheduled erasure count, erasing
+the most unreliable positions each time, collects the distinct codeword
 candidates, and returns the one with the largest reliability-weighted
-agreement with the hard-decision word.
+agreement with the hard-decision word. The erasure sets are nested
+prefixes of one stable sort of the unreliabilities, so each trial erases
+the previous trial's positions plus the next ones in that order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .rs import CodeParams, RSCodec, ReceivedWord, erase_most_unreliable
+import numpy as np
+
+from .rs import CodeParams, RSCodec, ReceivedWord
 
 
 def default_schedule(d_min: int) -> list[int]:
@@ -50,14 +54,20 @@ def gmd_decode(word: ReceivedWord, codec: RSCodec, cfg: GmdConfig) -> list[int] 
     """
     h = word.unreliability
     symbols = word.symbols
+    # stable sort keeps position order among equal unreliabilities
+    order = np.argsort(-h, kind="stable").tolist()
+    trial = list(symbols)  # decode_ee only reads it, so one list serves every trial
+    prev_tau = 0
     best = None
     best_score = -1.0
     seen = set()
     for tau in cfg.erasure_schedule:
         if tau > codec.params.d_min - 1:
             break
-        trial = erase_most_unreliable(symbols, h, tau)
-        cand = codec.decode_ee(trial)
+        for i in order[prev_tau:tau]:
+            trial[i] = None
+        prev_tau = tau
+        cand = codec.decode_ee(ReceivedWord(trial, h))
         if cand is None:
             continue
         key = tuple(cand)

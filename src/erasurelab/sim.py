@@ -11,13 +11,12 @@ A campaign sweeps an Eb/N0 grid with one of five decoder modes:
   over sampled unreliability vectors (an upper bound on adaptive decoding).
 
 Per-frame random streams are derived from (seed, grid index, frame index),
-so results are reproducible under any degree of concurrency.
+so results are reproducible for a given seed.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,8 +36,9 @@ from .strategy import (
 MODES = ("errors_only", "fixed_tau", "adaptive", "gmd", "semi_simulative")
 UNRELIABILITY_METHODS = ("exact", "nn", "lut")
 
-#: frames are simulated in fixed-size blocks so that the early-stopping
-#: decision never depends on the thread count
+#: the error-count stop is checked only between blocks of this many frames,
+#: so a point's frame count (and the CSV) is a multiple of it unless
+#: max_frames ends the point
 FRAME_BLOCK = 256
 
 
@@ -72,10 +72,15 @@ class CampaignConfig:
     seed: int = 0
     unreliability: str = "nn"
     samples: int = 10_000  # vectors averaged in semi-simulative mode
-    gmd_schedule: tuple | None = None
     force_tau: int | None = None  # semi-simulative only: bypass the strategy
 
     def __post_init__(self):
+        if not isinstance(self.decoder_kind, DecoderKind):
+            raise ConfigError(f"decoder_kind must be a DecoderKind, got {self.decoder_kind!r}")
+        if not isinstance(self.strategy, StrategyKind):
+            raise ConfigError(f"strategy must be a StrategyKind, got {self.strategy!r}")
+        if self.decoder_kind is DecoderKind.IRS and self.ell < 1:
+            raise ConfigError("IRS parameter ell must be >= 1")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.unreliability not in UNRELIABILITY_METHODS:
@@ -191,11 +196,7 @@ class _FrameRunner:
         self.lut = (
             UnreliabilityLut.build(self.qam, sigma, 8) if cfg.unreliability == "lut" else None
         )
-        self.gmd_cfg = (
-            GmdConfig(list(cfg.gmd_schedule))
-            if cfg.gmd_schedule is not None
-            else GmdConfig.for_code(cfg.code)
-        )
+        self.gmd_cfg = GmdConfig.for_code(cfg.code)
 
     def run_frame(self, frame_index: int) -> tuple[int, float]:
         """Returns (frame error indicator, per-frame analytic prediction)."""
@@ -208,20 +209,17 @@ class _FrameRunner:
         r = self.qam.hard_decision(y).tolist()
         h = unreliability(y, self.qam, self.sigma, cfg.unreliability, self.lut)
 
-        predicted = math.nan
         if cfg.mode == "gmd":
             out = gmd_decode(ReceivedWord(r, h), self.codec, self.gmd_cfg)
+            predicted = math.nan
         else:
             h_sorted = np.sort(h)[::-1]
-            if cfg.mode == "errors_only":
-                tau = 0
-            elif cfg.mode == "fixed_tau":
-                tau = cfg.fixed_tau
-            else:  # adaptive
+            if cfg.mode == "adaptive":
                 res = choose_tau(h_sorted, self.cap, cfg.strategy)
                 tau = res.tau_chosen
                 predicted = res.predicted_p
-            if cfg.mode in ("errors_only", "fixed_tau"):
+            else:
+                tau = cfg.fixed_tau if cfg.mode == "fixed_tau" else 0
                 predicted = residual_error_prob(
                     pgf_distribution(h_sorted, tau), self.cap.epsilon0(tau)
                 )
@@ -229,33 +227,18 @@ class _FrameRunner:
         return (0 if out == cw else 1), predicted
 
 
-def _run_point_mc(cfg: CampaignConfig, sigma: float, point_index: int, threads: int) -> FerPoint:
+def _run_point_mc(cfg: CampaignConfig, sigma: float, point_index: int) -> FerPoint:
     runner = _FrameRunner(cfg, sigma, point_index)
     frames = 0
     errors = 0
-    pred_sum = 0.0
-    pred_count = 0
-
-    def consume(results):
-        nonlocal frames, errors, pred_sum, pred_count
-        for err, pred in results:
-            frames += 1
+    pred_sum = 0.0  # NaN in gmd mode, which predicts nothing
+    while frames < cfg.max_frames and errors < cfg.max_errors:
+        block_end = min(frames + FRAME_BLOCK, cfg.max_frames)
+        for i in range(frames, block_end):
+            err, pred = runner.run_frame(i)
             errors += err
-            if not math.isnan(pred):
-                pred_sum += pred
-                pred_count += 1
-
-    pool = ThreadPoolExecutor(max_workers=threads) if threads > 1 else None
-    try:
-        while frames < cfg.max_frames and errors < cfg.max_errors:
-            block = range(frames, min(frames + FRAME_BLOCK, cfg.max_frames))
-            if pool is not None:
-                consume(list(pool.map(runner.run_frame, block)))
-            else:
-                consume(runner.run_frame(i) for i in block)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+            pred_sum += pred
+        frames = block_end
 
     fer = errors / frames
     lo, hi = wilson_interval(errors, frames)
@@ -270,7 +253,7 @@ def _run_point_mc(cfg: CampaignConfig, sigma: float, point_index: int, threads: 
         fer=fer,
         ci_low=lo,
         ci_high=hi,
-        predicted_p=pred_sum / pred_count if pred_count else math.nan,
+        predicted_p=pred_sum / frames,
     )
 
 
@@ -299,14 +282,18 @@ def _run_point_semi(cfg: CampaignConfig, sigma: float, point_index: int) -> FerP
 
 
 def run_campaign(cfg: CampaignConfig, threads: int = 1) -> list[FerPoint]:
-    """One FerPoint per Eb/N0 grid entry, deterministic for a given seed."""
+    """One FerPoint per Eb/N0 grid entry, deterministic for a given seed.
+
+    ``threads`` is accepted for compatibility and ignored: frames run
+    serially in one thread.
+    """
     points = []
     for idx, db in enumerate(cfg.ebn0_grid):
         sigma = sigma_from_ebn0(db, cfg.qam_size, cfg.code.n, cfg.code.k)
         if cfg.mode == "semi_simulative":
             points.append(_run_point_semi(cfg, sigma, idx))
         else:
-            points.append(_run_point_mc(cfg, sigma, idx, threads))
+            points.append(_run_point_mc(cfg, sigma, idx))
     return points
 
 

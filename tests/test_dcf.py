@@ -57,6 +57,8 @@ def test_dcf_domain_errors(code255):
         gs.dcf_value(0, 255)
     with pytest.raises(ValueError):
         gs.epsilon0(255)
+    with pytest.raises(ValueError):
+        DecoderCapability("bmd", code255)
 
 
 def test_epsilon0_maximality_exhaustive(code255, code15):

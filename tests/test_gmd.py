@@ -1,10 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from erasurelab.gf import GF
 from erasurelab.gmd import GmdConfig, default_schedule, gmd_decode
 from erasurelab.modem import SquareQam, awgn, sigma_from_ebn0, unreliability_exact
-from erasurelab.rs import CodeParams, ReceivedWord, RSCodec
+from erasurelab.rs import CodeParams, ReceivedWord, RSCodec, erase_most_unreliable
 
 
 @pytest.fixture(scope="module")
@@ -123,3 +125,72 @@ def test_gmd_schedule_cap(codec, code):
     cfg = GmdConfig([0, 20])
     out = gmd_decode(ReceivedWord(list(cw), np.zeros(code.n)), codec, cfg)
     assert out == cw
+
+
+def reference_gmd(word, codec, cfg, outcomes):
+    """The trial loop that gmd_decode replaced: each trial erases afresh
+    with erase_most_unreliable. Counts failed (True) and successful (False)
+    trials in `outcomes`."""
+    h = word.unreliability
+    symbols = word.symbols
+    best = None
+    best_score = -1.0
+    seen = set()
+    for tau in cfg.erasure_schedule:
+        if tau > codec.params.d_min - 1:
+            break
+        cand = codec.decode_ee(erase_most_unreliable(symbols, h, tau))
+        outcomes[cand is None] += 1
+        if cand is None:
+            continue
+        key = tuple(cand)
+        if key in seen:
+            continue
+        seen.add(key)
+        score = float(
+            sum((1.0 - h[i]) for i, ci in enumerate(cand) if symbols[i] == ci)
+        )
+        if score > best_score:
+            best_score = score
+            best = cand
+    return best
+
+
+def gmd_test_words(code, codec, dbs, frames, garbage, rng):
+    """Channel frames over the Eb/N0 values `dbs` and random words, each as
+    it is, with h rounded to 2 decimals (ties), with h all zero, and with 3
+    symbols already erased."""
+    qam = SquareQam(code.q)
+    words = []
+    for f in range(frames):
+        sigma = sigma_from_ebn0(dbs[f % len(dbs)], code.q, code.n, code.k)
+        cw = codec.encode(rng.integers(0, code.q, size=code.k).tolist())
+        y = awgn(qam.modulate(cw), sigma, rng)
+        words.append((qam.hard_decision(y).tolist(), unreliability_exact(y, qam, sigma)))
+    for _ in range(garbage):
+        words.append((rng.integers(0, code.q, size=code.n).tolist(), rng.uniform(0, 0.99, code.n)))
+    for r, h in words:
+        yield r, h
+        yield r, np.minimum(np.round(h, 2), 0.99)
+        yield r, np.zeros(code.n)
+        erased = list(r)
+        for i in rng.choice(code.n, 3, replace=False):
+            erased[i] = None
+        yield erased, h
+
+
+@pytest.mark.parametrize("m, n, k, dbs, frames, garbage", [
+    (4, 15, 7, (6.0, 7.0, 8.0, 9.0), 500, 40),
+    (8, 255, 144, (15.0, 16.0), 10, 2),
+])
+def test_gmd_matches_per_trial_erasure(m, n, k, dbs, frames, garbage):
+    """Nested erasure sets from one sort give the codeword of the per-trial
+    erase_most_unreliable loop, ties and prior erasures included."""
+    code = CodeParams(GF(m), n, k)
+    codec = RSCodec(code)
+    cfg = GmdConfig.for_code(code)
+    outcomes = Counter()
+    for r, h in gmd_test_words(code, codec, dbs, frames, garbage, np.random.default_rng(11)):
+        want = reference_gmd(ReceivedWord(r, h), codec, cfg, outcomes)
+        assert gmd_decode(ReceivedWord(r, h), codec, cfg) == want
+    assert outcomes[True] > 0 and outcomes[False] > 0

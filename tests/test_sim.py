@@ -83,6 +83,12 @@ def test_config_validation(code):
         make_cfg(code, ebn0_grid=(9.0, math.nan))
     with pytest.raises(ConfigError):
         make_cfg(code, ebn0_grid=(math.inf,))
+    with pytest.raises(ConfigError):
+        make_cfg(code, mode="semi_simulative", decoder_kind="bmd")
+    with pytest.raises(ConfigError):
+        make_cfg(code, mode="adaptive", strategy="exact")
+    with pytest.raises(ConfigError):
+        make_cfg(code, mode="semi_simulative", decoder_kind=DecoderKind.IRS, ell=0)
     # GS is fine for the analytic mode
     make_cfg(code, mode="semi_simulative", decoder_kind=DecoderKind.GS)
 
