@@ -138,7 +138,8 @@ class GF:
 
     def products(self, v, log_matrix: np.ndarray) -> np.ndarray:
         """The products v_i * M[i, j], with M given by its logarithms
-        (entries in [0, q-2]); rows of M beyond len(v) are ignored."""
+        (entries in [0, q-2], or the zero sentinel for a zero entry); rows
+        of M beyond len(v) are ignored."""
         lv = self.log_table[v]
         return self.exp_table[lv[:, None] + log_matrix[: len(lv)]]
 
@@ -151,11 +152,18 @@ class GF:
         the given exponents, each in [0, q-2]: one vector update per factor."""
         buf = np.zeros(len(exponents) + 2, dtype=self.dtype)
         buf[1] = 1
-        out, shifted = buf[1:], buf[:-1]  # buf[0] stays 0
+        out, shifted = buf[1:], buf[:-1]
         for e in exponents:
-            # exp_table[e:] maps the log of b to alpha^e * b, 0 included
-            out ^= self.exp_table[e:][self.log_table[shifted]]
+            self.mul_linear(out, shifted, e)
         return out
+
+    def mul_linear(self, out: np.ndarray, shifted: np.ndarray, e: int) -> None:
+        """out ^= alpha^e * shifted, e in [0, q-2]. With out = buf[1:] and
+        shifted = buf[:-1] of one buffer with buf[0] = 0, this multiplies
+        the polynomial with coefficient t at buf[t + 1] in place by
+        (1 + alpha^e x), dropping the top coefficient of the product."""
+        # exp_table[e:] maps the log of b to alpha^e * b, 0 included
+        out ^= self.exp_table[e:][self.log_table[shifted]]
 
     # -- polynomial helpers (coefficient sequences, index = power of x) --
 

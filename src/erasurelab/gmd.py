@@ -5,7 +5,11 @@ the most unreliable positions each time, collects the distinct codeword
 candidates, and returns the one with the largest reliability-weighted
 agreement with the hard-decision word. The erasure sets are nested
 prefixes of one stable sort of the unreliabilities, so each trial erases
-the previous trial's positions plus the next ones in that order.
+the previous trial's positions plus the next ones in that order: one
+`rs.ErasedWord` per frame holds the syndromes, computed once, and grows
+its erasure locator and Forney syndromes by those positions before each
+`RSCodec.decode_ee` trial. A position erased in the input may recur in
+the prefix; erasing it again changes nothing.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rs import CodeParams, RSCodec, ReceivedWord
+from .rs import CodeParams, ErasedWord, RSCodec, ReceivedWord
 
 
 def default_schedule(d_min: int) -> list[int]:
@@ -53,10 +57,11 @@ def gmd_decode(word: ReceivedWord, codec: RSCodec, cfg: GmdConfig) -> list[int] 
     by the smaller erasure count.
     """
     h = word.unreliability
+    h_list = h.tolist()
     symbols = word.symbols
     # stable sort keeps position order among equal unreliabilities
     order = np.argsort(-h, kind="stable").tolist()
-    trial = list(symbols)  # decode_ee only reads it, so one list serves every trial
+    erasing = ErasedWord(codec, symbols)
     prev_tau = 0
     best = None
     best_score = -1.0
@@ -64,19 +69,16 @@ def gmd_decode(word: ReceivedWord, codec: RSCodec, cfg: GmdConfig) -> list[int] 
     for tau in cfg.erasure_schedule:
         if tau > codec.params.d_min - 1:
             break
-        for i in order[prev_tau:tau]:
-            trial[i] = None
+        erasing.erase(order[prev_tau:tau])
         prev_tau = tau
-        cand = codec.decode_ee(ReceivedWord(trial, h))
+        cand = codec.decode_ee(erasing)
         if cand is None:
             continue
         key = tuple(cand)
         if key in seen:
             continue
         seen.add(key)
-        score = float(
-            sum((1.0 - h[i]) for i, ci in enumerate(cand) if symbols[i] == ci)
-        )
+        score = sum(1.0 - hi for hi, si, ci in zip(h_list, symbols, cand) if si == ci)
         # strict inequality keeps the earlier (smaller tau) candidate on ties
         if score > best_score:
             best_score = score

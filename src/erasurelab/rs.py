@@ -2,17 +2,30 @@
 
 Systematic generator-polynomial encoding with roots alpha^1..alpha^(n-k).
 Decoding is bounded-minimum-distance with erasures: Forney syndromes,
-Berlekamp-Massey for the error locator, Chien search and the Forney
-magnitude formula. A word with eps errors and tau erasures is recovered
-whenever 2*eps + tau <= d_min - 1.
+Berlekamp-Massey for the error locator Lambda, Chien search and the
+Forney magnitude formula. A word with eps errors and tau erasures is
+recovered whenever 2*eps + tau <= d_min - 1.
+
+The decoder works on an `ErasedWord`, the per-word state: the hard word
+y, its syndromes S(y), computed once, the erased positions, the erasure
+locator Gamma(x) and T(x) = Gamma(x) S(x) mod x^(n-k), whose coefficients
+tau..n-k-1 are the Forney syndromes. Erasing one more position multiplies
+Gamma and T by one linear factor, so a multi-trial decoder that erases
+nested sets (GMD) grows one state and pays only Berlekamp-Massey and the
+steps after it per trial. `decode_ee` reads a `ReceivedWord` as a fresh
+state. The Chien search runs on Lambda alone: Psi = Lambda Gamma has
+deg Psi distinct roots iff Lambda has L distinct roots at code positions
+and none is erased. The Forney magnitudes are evaluated at the at most
+n-k roots of Psi, and the corrected word is checked by S(y) = S(e), a sum
+over those roots only.
 
 Every step of order n*(n-k) is an array kernel of `GF` (one table gather
 and an XOR-reduce, see `erasurelab.gf`) on matrices of logarithms built
 once per code: the k x (n-k) parity matrix of the encoder, the n x (n-k)
-syndrome matrix (also the final codeword check) and the Chien power
-table, whose columns at the roots also give the Forney magnitudes. g(x)
-and the erasure locator Gamma(x) are built one linear factor at a time;
-the Forney syndromes, Psi(x) and Omega(x) are array polynomial products.
+syndrome matrix, the Chien power table and the Forney table, its columns
+at the roots facing the coefficients of Psi and of Omega = Lambda T mod
+x^(n-k), both read off one array product of Lambda with the state's
+Gamma/T buffer. g(x) and Gamma are built one linear factor at a time.
 Berlekamp-Massey is scalar, on the field's zero-sentinel table lists.
 """
 
@@ -87,6 +100,59 @@ def _erasures_as_zero(symbols: list) -> np.ndarray:
     return np.array([0 if s is None else s for s in symbols])
 
 
+class ErasedWord:
+    """The decoder's view of one received word under a growing erasure set.
+
+    `y` is the hard word with the input erasures (None) read as 0 and
+    `synd` = S(y); both are fixed at construction. `erased` is the set of
+    erased positions. `polys` holds the erasure locator Gamma(x) =
+    prod (1 + X_i x) over them and T(x) = Gamma(x) S(x) mod x^(n-k) as
+    [0, Gamma_0..Gamma_(n-k), 0, T_0..T_(n-k)], T_(n-k) being a spare slot;
+    `erase` multiplies both by (1 + X_i x) for each new position.
+
+    The symbols of y at later erasures stay as they are: the Forney
+    syndromes do not depend on them, and the Forney magnitudes are linear
+    in S, so the decoder corrects y to the codeword it would find with
+    them read as 0.
+    """
+
+    def __init__(self, codec: RSCodec, symbols: list):
+        p = codec.params
+        if len(symbols) != p.n:
+            raise CodeError("received word length mismatch")
+        self._gf = p.gf
+        self._n = p.n
+        self.y = _erasures_as_zero(symbols)
+        self.synd = codec._syndromes(self.y)
+        nsyn = len(self.synd)
+        # intp: a log-table gather indexed by it needs no cast
+        self.polys = np.zeros(2 * nsyn + 4, dtype=np.intp)
+        self.polys[1] = 1
+        self.polys[nsyn + 3 : 2 * nsyn + 3] = self.synd
+        # one shift-and-add over the whole buffer updates both polynomials:
+        # Gamma's top coefficient spills into T's leading zero only past
+        # n-k erasures, where decoding fails anyway
+        self._out, self._shifted = self.polys[1:], self.polys[:-1]
+        self.erased: set[int] = set()
+        self.erase([i for i, s in enumerate(symbols) if s is None])
+
+    @property
+    def gamma(self) -> np.ndarray:
+        return self.polys[1 : len(self.erased) + 2]
+
+    @property
+    def gamma_s(self) -> np.ndarray:
+        nsyn = len(self.synd)
+        return self.polys[nsyn + 3 : 2 * nsyn + 3]
+
+    def erase(self, positions) -> None:
+        """Erase the given positions; positions already erased are skipped."""
+        for i in positions:
+            if i not in self.erased:
+                self.erased.add(i)
+                self._gf.mul_linear(self._out, self._shifted, self._n - 1 - i)
+
+
 class RSCodec:
     """Encoder/decoder pair for one code."""
 
@@ -113,6 +179,15 @@ class RSCodec:
         self._syndrome_logs = np.outer(powers, np.arange(1, nsyn + 1)) % order
         # Psi(X_i^-1) = sum_t Psi_t X_i^-t for deg Psi <= n-k
         self._chien_logs = np.outer(np.arange(nsyn + 1), -powers) % order
+        # Forney terms facing the product of Lambda(x) with ErasedWord.polys.
+        # As deg Psi = L + tau <= n-k, its two halves are Psi = Lambda Gamma
+        # and Omega = Lambda T mod x^(n-k), coefficient s at index s + 1:
+        # the first half pairs the odd Psi_s with X_i^-s (Psi_odd), the
+        # second Omega_s with X_i^-(s+1); the zero sentinel masks the rest
+        forney = np.full((2, nsyn + 2, n), gf.zero_log)
+        forney[0, 2::2] = self._chien_logs[1::2]
+        forney[1, 1:-1] = self._chien_logs[1:]
+        self._forney_logs = forney.reshape(2 * nsyn + 4, n)
 
     # position i <-> coefficient of x^(n-1-i); info occupies positions 0..k-1
 
@@ -133,54 +208,65 @@ class RSCodec:
     def is_codeword(self, symbols: list[int]) -> bool:
         return not self._syndromes(_erasures_as_zero(symbols)).any()
 
-    def decode_ee(self, word: ReceivedWord) -> list[int] | None:
-        """Error/erasure decode; returns a codeword or None on failure."""
-        p = self.params
-        gf = p.gf
-        n, k = p.n, p.k
-        if len(word.symbols) != n:
-            raise CodeError("received word length mismatch")
-        nsyn = n - k
+    def decode_ee(self, word: ReceivedWord | ErasedWord) -> list[int] | None:
+        """Error/erasure decode; returns a codeword or None on failure.
 
-        erased = [i for i, s in enumerate(word.symbols) if s is None]
+        A `ReceivedWord` is read as an `ErasedWord` of its symbols; a
+        caller that decodes one word under growing erasure sets passes
+        its `ErasedWord` and erases between calls.
+        """
+        if isinstance(word, ReceivedWord):
+            word = ErasedWord(self, word.symbols)
+        gf = self.params.gf
+        nsyn = len(word.synd)
+        erased = word.erased
         tau = len(erased)
         if tau > nsyn:
             return None  # radius empty
-
-        r = _erasures_as_zero(word.symbols)
-        synd = self._syndromes(r)
+        synd = word.synd
         if tau == 0 and not synd.any():
-            return r.tolist()
+            return word.y.tolist()
 
-        # erasure locator polynomial Gamma(x) = prod (1 + X x), X = alpha^(n-1-i)
-        gamma = gf.linear_factors([n - 1 - i for i in erased])
-        # T(x) = Gamma(x) S(x) mod x^(n-k), with S(x) = sum S_j x^(j-1);
-        # its coefficients tau..n-k-1 are the Forney syndromes
-        gamma_s = gf.poly_mul(gamma, synd, nsyn)
-
-        lam, L = self._berlekamp_massey(gamma_s[tau:].tolist())
+        # the coefficients tau..n-k-1 of T = Gamma S mod x^(n-k) are the
+        # Forney syndromes, the same whatever symbols sit at the erasures
+        lam, L = self._berlekamp_massey(word.gamma_s[tau:].tolist())
         if 2 * L > nsyn - tau or L != len(lam) - 1:
             return None
-        psi = gf.poly_mul(lam, gamma)
 
-        # Chien search over all positions: terms[t, i] = Psi_t X_i^-t
-        terms = gf.products(psi, self._chien_logs)
-        roots = np.flatnonzero(np.bitwise_xor.reduce(terms, axis=0) == 0)
-        if len(roots) != len(psi) - 1:
+        roots = self._error_positions(lam, erased)
+        if roots is None:
             return None
+        roots += erased  # the roots of Psi = Lambda Gamma
 
-        # Forney: e = Omega(X^-1) / Psi'(X^-1) = X^-1 Omega(X^-1) / Psi_odd(X^-1),
+        # Forney at the roots of Psi only: e = X^-1 Omega(X^-1) / Psi_odd(X^-1),
         # where Psi_odd(x) = x Psi'(x) (char 2) sums the odd-power terms
-        # and Omega(x) = Psi(x) S(x) mod x^(n-k) = Lambda(x) T(x) mod x^(n-k)
-        den = np.bitwise_xor.reduce(terms[1::2, roots], axis=0)
-        if not den.all():
-            return None
-        omega = gf.poly_mul(lam, gamma_s, nsyn)
-        r[roots] ^= gf.div_array(gf.vecmat(omega, self._chien_logs[1:, roots]), den)
+        prod = gf.poly_mul(lam, word.polys, len(word.polys))
+        terms = gf.products(prod, self._forney_logs[:, roots])
+        den, num = np.bitwise_xor.reduce(terms.reshape(2, nsyn + 2, -1), axis=1)
+        e = gf.div_array(num, den)
 
-        if self._syndromes(r).any():
+        # the corrected word y + e is a codeword iff S(y) = S(e)
+        if (gf.vecmat(e, self._syndrome_logs[roots]) != synd).any():
             return None
-        return r.tolist()
+        c = word.y.copy()
+        c[roots] ^= e
+        return c.tolist()
+
+    def _error_positions(self, lam: list[int], erased: set[int]) -> list[int] | None:
+        """Chien search of Lambda over all positions: the positions of its
+        L = len(lam) - 1 roots, or None unless it has L distinct roots at
+        code positions and none of them is erased.
+
+        That is the test that Psi = Lambda Gamma has deg Psi distinct roots
+        at code positions. Psi is then squarefree, so the Forney
+        denominator Psi_odd is nonzero at each of its roots.
+        """
+        gf = self.params.gf
+        vals = np.bitwise_xor.reduce(gf.products(lam, self._chien_logs), axis=0)
+        roots = np.flatnonzero(vals == 0).tolist()
+        if len(roots) != len(lam) - 1 or not erased.isdisjoint(roots):
+            return None
+        return roots
 
     def _berlekamp_massey(self, synd: list[int]) -> tuple[list[int], int]:
         gf = self.params.gf

@@ -40,6 +40,11 @@ UNRELIABILITY_METHODS = ("exact", "nn", "lut")
 #: so a point's frame count (and the CSV) is a multiple of it unless
 #: max_frames ends the point
 FRAME_BLOCK = 256
+# symbols per unreliability call in sample_unreliability_vectors: few
+# enough that each call's temporaries stay under glibc's mmap threshold,
+# so they are reused from the heap instead of mapped and page-faulted
+# afresh (the chunking also bounds the exact method's (N, 2, L) arrays)
+UNRELIABILITY_CHUNK = 1 << 14
 
 
 class ConfigError(ValueError):
@@ -153,10 +158,9 @@ def sample_unreliability_vectors(
     sym = rng.integers(0, qam.M, size=count * n)
     y = awgn(qam.modulate(sym), sigma, rng)
     lut = UnreliabilityLut.build(qam, sigma, 8) if method == "lut" else None
-    # chunked so the exact method's (N, 2, L) distance arrays stay small
     h = np.empty(count * n)
-    for lo in range(0, count * n, 1 << 18):
-        chunk = y[lo : lo + (1 << 18)]
+    for lo in range(0, count * n, UNRELIABILITY_CHUNK):
+        chunk = y[lo : lo + UNRELIABILITY_CHUNK]
         h[lo : lo + len(chunk)] = unreliability(chunk, qam, sigma, method, lut)
     h = h.reshape(count, n)
     h.sort(axis=1)

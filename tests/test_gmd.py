@@ -7,6 +7,7 @@ from erasurelab.gf import GF
 from erasurelab.gmd import GmdConfig, default_schedule, gmd_decode
 from erasurelab.modem import SquareQam, awgn, sigma_from_ebn0, unreliability_exact
 from erasurelab.rs import CodeParams, ReceivedWord, RSCodec, erase_most_unreliable
+from scalar_rs import ScalarRSCodec
 
 
 @pytest.fixture(scope="module")
@@ -127,19 +128,19 @@ def test_gmd_schedule_cap(codec, code):
     assert out == cw
 
 
-def reference_gmd(word, codec, cfg, outcomes):
-    """The trial loop that gmd_decode replaced: each trial erases afresh
-    with erase_most_unreliable. Counts failed (True) and successful (False)
-    trials in `outcomes`."""
+def reference_gmd(word, ref, cfg, outcomes):
+    """The trial loop that gmd_decode replaced, on the scalar codec: each
+    trial erases afresh with erase_most_unreliable. Counts failed (True)
+    and successful (False) trials in `outcomes`."""
     h = word.unreliability
     symbols = word.symbols
     best = None
     best_score = -1.0
     seen = set()
     for tau in cfg.erasure_schedule:
-        if tau > codec.params.d_min - 1:
+        if tau > ref.params.d_min - 1:
             break
-        cand = codec.decode_ee(erase_most_unreliable(symbols, h, tau))
+        cand = ref.decode_ee(erase_most_unreliable(symbols, h, tau))
         outcomes[cand is None] += 1
         if cand is None:
             continue
@@ -181,16 +182,35 @@ def gmd_test_words(code, codec, dbs, frames, garbage, rng):
 
 @pytest.mark.parametrize("m, n, k, dbs, frames, garbage", [
     (4, 15, 7, (6.0, 7.0, 8.0, 9.0), 500, 40),
-    (8, 255, 144, (15.0, 16.0), 10, 2),
+    (8, 255, 144, (15.0, 16.0), 4, 1),
 ])
 def test_gmd_matches_per_trial_erasure(m, n, k, dbs, frames, garbage):
-    """Nested erasure sets from one sort give the codeword of the per-trial
-    erase_most_unreliable loop, ties and prior erasures included."""
+    """Nested erasure sets grown on one ErasedWord give the codeword of the
+    per-trial erase_most_unreliable loop on the scalar codec, ties and
+    prior erasures included, also where a prior erasure recurs in the
+    sorted prefix that the trials erase."""
     code = CodeParams(GF(m), n, k)
-    codec = RSCodec(code)
+    codec, ref = RSCodec(code), ScalarRSCodec(code)
     cfg = GmdConfig.for_code(code)
     outcomes = Counter()
+    recurring = 0
     for r, h in gmd_test_words(code, codec, dbs, frames, garbage, np.random.default_rng(11)):
-        want = reference_gmd(ReceivedWord(r, h), codec, cfg, outcomes)
+        want = reference_gmd(ReceivedWord(r, h), ref, cfg, outcomes)
         assert gmd_decode(ReceivedWord(r, h), codec, cfg) == want
+        prefix = np.argsort(-h, kind="stable")[: code.d_min - 1]
+        recurring += any(r[i] is None for i in prefix)
     assert outcomes[True] > 0 and outcomes[False] > 0
+    assert recurring > 0
+
+
+def test_decoders_leave_the_word_untouched(codec, code):
+    """gmd_decode and decode_ee read the caller's symbols and unreliability
+    and change neither."""
+    cfg = GmdConfig.for_code(code)
+    for r, h in gmd_test_words(code, codec, (7.0,), 20, 2, np.random.default_rng(12)):
+        word = ReceivedWord(r, h)
+        symbols, unreliability = list(r), word.unreliability.copy()
+        gmd_decode(word, codec, cfg)
+        codec.decode_ee(word)
+        assert word.symbols is r and r == symbols
+        assert np.array_equal(word.unreliability, unreliability)

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,12 @@ from erasurelab.gf import GF
 from erasurelab.rs import (
     CodeError,
     CodeParams,
+    ErasedWord,
     ReceivedWord,
     RSCodec,
     erase_most_unreliable,
 )
-from scalar_rs import ScalarRSCodec
+from scalar_rs import ScalarRSCodec, scalar_poly_mul
 
 
 @pytest.fixture(scope="module")
@@ -175,3 +178,84 @@ def test_array_codec_matches_scalar_codec(m, n, k, count):
         decoded += out == cw
     assert 0 < inside < count
     assert failed > 0 and decoded > 0
+
+
+def scalar_erasure_locator(gf, n, erased):
+    """Gamma(x) = prod (1 + X_i x) over the erased positions, scalar."""
+    gamma = [1]
+    for i in erased:
+        gamma = scalar_poly_mul(gf, gamma, [1, gf.alpha_pow(n - 1 - i)])
+    return gamma
+
+
+@pytest.mark.parametrize("m, n, k", [(4, 15, 7), (8, 255, 144)])
+def test_erased_word_grows_gamma_and_t(m, n, k):
+    """erase multiplies Gamma and T = Gamma S mod x^(n-k) by one factor per
+    new position and skips positions already erased, input erasures
+    included: both equal the scalar products over the distinct erased
+    positions, and y and S(y) stay as built."""
+    params = CodeParams(GF(m), n, k)
+    codec, ref = RSCodec(params), ScalarRSCodec(params)
+    gf, nsyn = params.gf, n - k
+    rng = np.random.default_rng(5)
+    repeats = 0
+    for _ in range(10):
+        symbols = rng.integers(0, params.q, n).tolist()
+        for i in rng.choice(n, 3, replace=False):
+            symbols[i] = None
+        word = ErasedWord(codec, symbols)
+        y = [0 if s is None else s for s in symbols]
+        synd = ref.syndromes(symbols)
+        expected = [i for i, s in enumerate(symbols) if s is None]
+        while True:
+            assert word.erased == set(expected)
+            gamma = scalar_erasure_locator(gf, n, expected)
+            assert word.gamma.tolist() == gamma
+            assert word.gamma_s.tolist() == scalar_poly_mul(gf, gamma, synd)[:nsyn]
+            assert word.y.tolist() == y and word.synd.tolist() == synd
+            # two random positions and one already erased
+            batch = rng.choice(n, 2).tolist() + [expected[int(rng.integers(len(expected)))]]
+            new = [i for i in dict.fromkeys(batch) if i not in expected]
+            if len(expected) + len(new) > nsyn:
+                break
+            repeats += len(batch) - len(new)
+            word.erase(batch)
+            expected += new
+    assert repeats > 0
+
+
+def test_decode_ee_rejects_lambda_roots_at_erasures(codec, small):
+    """Beyond the radius with many erasures, Lambda often has L distinct
+    roots at code positions, some of them erased. Psi = Lambda Gamma then
+    has a repeated root and decoding must fail: the root test rejects such
+    a Lambda and keeps the roots of every other one. decode_ee equals the
+    scalar codec on all these words."""
+    ref = ScalarRSCodec(small)
+    gf, n, nsyn = small.gf, small.n, small.n - small.k
+    rng = np.random.default_rng(17)
+    cases = Counter()
+    for _ in range(400):
+        symbols = rng.integers(0, small.q, n).tolist()
+        tau = int(rng.integers(3, nsyn))
+        for i in rng.choice(n, tau, replace=False):
+            symbols[i] = None
+        word = ReceivedWord(symbols, np.zeros(n))
+        out = codec.decode_ee(word)
+        assert out == ref.decode_ee(word)
+        # Lambda from the Forney syndromes by the scalar steps
+        erased = [i for i, s in enumerate(symbols) if s is None]
+        gamma = scalar_erasure_locator(gf, n, erased)
+        lam, L = ref._berlekamp_massey(scalar_poly_mul(gf, gamma, ref.syndromes(symbols))[tau:nsyn])
+        if 2 * L > nsyn - tau or L != len(lam) - 1:
+            continue
+        roots = [i for i in range(n) if gf.poly_eval(lam, gf.alpha_pow(-(n - 1 - i))) == 0]
+        if len(roots) != L:
+            continue
+        found = codec._error_positions(lam, set(erased))
+        if set(roots) & set(erased):
+            cases["erased root"] += 1
+            assert out is None and found is None
+        else:
+            cases["accepted"] += 1
+            assert found == roots
+    assert cases["erased root"] > 0 and cases["accepted"] > 0

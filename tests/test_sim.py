@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from erasurelab import sim
 from erasurelab.dcf import DecoderCapability, DecoderKind
 from erasurelab.gf import GF
 from erasurelab.modem import SquareQam, sigma_from_ebn0
@@ -100,6 +101,22 @@ def test_sampled_vectors_shape_and_order(code):
     assert vecs.shape == (50, 15)
     assert np.all(vecs >= 0) and np.all(vecs < 1)
     assert np.all(np.diff(vecs, axis=1) <= 0)
+
+
+@pytest.mark.parametrize("method", ["exact", "nn", "lut"])
+def test_sampled_vectors_independent_of_chunk_size(monkeypatch, method):
+    """The unreliability chunking only bounds the temporaries: h is
+    bit-identical for one chunk, the default chunks and uneven chunks."""
+    qam = SquareQam(16)
+    count = 2000
+    assert 15 * count > sim.UNRELIABILITY_CHUNK  # the default splits too
+    vecs = []
+    for chunk in (1 << 18, sim.UNRELIABILITY_CHUNK, 1000):
+        monkeypatch.setattr(sim, "UNRELIABILITY_CHUNK", chunk)
+        vecs.append(sample_unreliability_vectors(
+            0.15, qam, 15, count, np.random.default_rng(5), method))
+    for v in vecs[1:]:
+        assert np.array_equal(v, vecs[0])
 
 
 def test_average_unreliability_sorted(code):
