@@ -1,0 +1,47 @@
+#!/bin/sh
+# Write the fixed-seed CSVs of the erasurelab CLI into OUTDIR: `simulate`
+# on RS(16;15,7) in every Monte-Carlo mode and strategy with each
+# unreliability method, on RS(256;255,144) in the four Monte-Carlo modes
+# and semi-simulatively with each method, and `predict` on both codes,
+# RS(256;255,144) also at 18-20 dB, where P(tau) lies far below 1e-16.
+#
+# Usage: sh scripts/fixed_seed_csvs.sh OUTDIR
+#
+# Every file is written from inside OUTDIR under a bare name, so that its
+# `# out=` manifest line is the same wherever OUTDIR is. Two runs, or runs
+# of two revisions, compare with `diff -r`. The lab is imported from the
+# src/ next to this script. About a minute on two cores.
+set -eu
+[ $# -eq 1 ] || { echo "usage: $0 OUTDIR" >&2; exit 2; }
+src=$(cd "$(dirname "$0")/../src" && pwd)
+mkdir -p "$1"
+cd "$1"
+
+lab() {
+    PYTHONPATH="$src" python3 -c 'import sys; from erasurelab.cli import main; sys.exit(main())' "$@" > /dev/null
+}
+
+short="--m 4 --n 15 --k 7 --ebn0-grid 7,9 --frames 1000 --seed 1"
+for u in exact nn lut; do
+    lab simulate $short --unreliability $u --mode errors_only --out rs15_errors_only_$u.csv
+    lab simulate $short --unreliability $u --mode fixed_tau --fixed-tau 2 --out rs15_fixed_tau_$u.csv
+    for s in exact hoeffding eps0; do
+        lab simulate $short --unreliability $u --mode adaptive --strategy $s --out rs15_adaptive_${s}_$u.csv
+    done
+    lab simulate $short --unreliability $u --mode gmd --out rs15_gmd_$u.csv
+done
+
+long="--ebn0-grid 16.5,17 --frames 100 --seed 1 --unreliability exact"
+lab simulate $long --mode errors_only --out rs255_errors_only.csv
+lab simulate $long --mode fixed_tau --fixed-tau 20 --out rs255_fixed_tau.csv
+lab simulate $long --mode adaptive --strategy exact --out rs255_adaptive.csv
+lab simulate $long --mode gmd --out rs255_gmd.csv
+for u in exact lut nn; do
+    lab simulate --ebn0-grid 16,16.5,17 --mode semi_simulative --samples 1000 --seed 1 \
+        --unreliability $u --out rs255_semi_$u.csv
+done
+
+lab predict --m 4 --n 15 --k 7 --ebn0-grid 6,8,10,12,14 --samples 2000 --seed 1 \
+    --unreliability exact --out rs15_predict.csv
+lab predict --ebn0-grid 15,16,17 --samples 500 --seed 1 --unreliability exact --out rs255_predict.csv
+lab predict --ebn0-grid 18,19,20 --samples 500 --seed 1 --unreliability exact --out rs255_predict_high.csv

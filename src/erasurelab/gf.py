@@ -6,8 +6,8 @@ zero sentinel: the logarithm of 0 is 2(q-1), and the antilog table is zero
 from index 2(q-1) onward, so the product of any two elements, zero
 included, is ``exp[log[a] + log[b]]``, with no branch and no modulo.
 
-The scalar methods read the tables as lists. The array kernels read them
-as numpy arrays (`log_table`, `exp_table`), after the lookup-table ufuncs
+The scalar product `mul` reads the tables as lists. The array kernels read
+them as numpy arrays (`log_table`, `exp_table`), after the lookup-table ufuncs
 of the `galois` library (https://github.com/mhostetter/galois): a product
 of arrays is one gather, a sum of products that gather followed by an
 XOR-reduce.
@@ -86,45 +86,8 @@ class GF:
         self.log_table = np.array(log, dtype=np.intp)
         self.exp_table = np.array(self.exp, dtype=self.dtype)
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         return self.exp[self.log[a] + self.log[b]]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of 0 in GF(2^m)")
-        return self.exp[self.q - 1 - self.log[a]]
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        if a == 0:
-            if e <= 0:
-                raise ZeroDivisionError("0 cannot be raised to a non-positive power")
-            return 0
-        return self.exp[(self.log[a] * e) % (self.q - 1)]
-
-    def alpha_pow(self, e: int) -> int:
-        """alpha^e for the table generator alpha."""
-        return self.exp[e % (self.q - 1)]
-
-    def mul_noLUT(self, a: int, b: int) -> int:
-        """Carry-less polynomial multiply reduced by the primitive polynomial.
-
-        Reference implementation used to cross-check the tables.
-        """
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if a & self.q:
-                a ^= self.primitive_poly
-        return r
 
     # -- array kernels (element arrays of dtype self.dtype or any int) --
 
@@ -185,10 +148,3 @@ class GF:
         step = padded.itemsize
         cols = np.ndarray((m, hi), np.intp, padded, 0, (step, step))
         return np.bitwise_xor.reduce(self.exp_table[cols + lp[::-1, None]], axis=0)
-
-    def poly_eval(self, p: list[int], x: int) -> int:
-        """Evaluate p at x by Horner's rule."""
-        acc = 0
-        for c in reversed(p):
-            acc = self.mul(acc, x) ^ c
-        return acc

@@ -79,10 +79,6 @@ class ReceivedWord:
         if np.any(self.unreliability < 0) or np.any(self.unreliability >= 1):
             raise CodeError("unreliability entries must lie in [0, 1)")
 
-    @property
-    def erasure_count(self) -> int:
-        return sum(1 for s in self.symbols if s is None)
-
 
 def erase_most_unreliable(symbols: list, unreliability: np.ndarray, tau: int) -> ReceivedWord:
     """Erase the tau positions with the largest unreliability (stable order)."""

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dcf import NO_CAPABILITY, DecoderCapability, DecoderKind
+from .dcf import DecoderCapability, DecoderKind
 from .gmd import GmdConfig, gmd_decode
 from .modem import SquareQam, UnreliabilityLut, awgn, sigma_from_ebn0, unreliability_exact, unreliability_nn
 from .rs import CodeParams, RSCodec, ReceivedWord, erase_most_unreliable
@@ -173,12 +173,11 @@ def tau_bar(h_bar, cap: DecoderCapability, kind: StrategyKind) -> int:
 
 
 def batch_residual_probs(vectors: np.ndarray, tau: int, eps0: int) -> np.ndarray:
-    """Exact P(tau) for each sorted unreliability vector (row), O(n * eps0)."""
-    count, n = vectors.shape
-    if eps0 <= NO_CAPABILITY:
-        return np.ones(count)
-    head = tail_coeffs(vectors, min(eps0, n - tau) + 1, tau, tau)[0].sum(axis=0)
-    return np.clip(1.0 - head, 0.0, 1.0)
+    """Exact P(tau) = Pr(Y_tau > eps0) for each sorted unreliability vector
+    (row), O(n * eps0): one tail mass, which is Pr(Y_tau >= 0) = 1 when
+    eps0 = -1."""
+    e = min(eps0, vectors.shape[1] - tau) + 1
+    return tail_coeffs(vectors, e + 1, tau, tau)[0][e]
 
 
 def _frame_rng(seed: int, point_index: int, frame_index: int) -> np.random.Generator:

@@ -1,18 +1,20 @@
 """Adaptive erasing strategies for single-trial error/erasure decoding.
 
 The number of errors among the n - tau non-erased symbols is a
-Poisson-binomial random variable; its distribution is the coefficient
+Poisson-binomial random variable Y_tau; its distribution is the coefficient
 sequence of the product of the per-symbol generating polynomials
 1 - h_i + rho * h_i. The residual codeword error probability after erasing
-the tau most unreliable symbols and decoding once is the tail mass beyond
-the decoder's capability eps0(tau). Three choosers for tau are provided:
-the exact minimizer, a Hoeffding-window approximation, and the
-two-coefficient eps0 approximation.
+the tau most unreliable symbols and decoding once is the tail mass
+P(tau) = Pr(Y_tau > eps0(tau)) beyond the decoder's capability. Three
+choosers for tau are provided: the exact minimizer, a Hoeffding-window
+approximation, and the two-coefficient eps0 approximation.
 
-Every distribution comes from one kernel, ``tail_coeffs``: a single
-backward pass over the sorted vector, of cost O(n * width), yields the
-first ``width`` coefficients for every tau at once, so each chooser costs
-one pass however many tau it compares.
+Every probability comes from one kernel, ``tail_coeffs``: a single backward
+pass over the sorted vector, of cost O(n * width), yields the first
+``width`` tail masses Pr(Y_tau >= e) for every tau at once, so each chooser
+costs one pass however many tau it compares. P(tau) is one entry of it,
+never 1 minus a head sum, so it keeps its relative precision far below
+1e-16; a point probability is the difference of two neighbouring entries.
 """
 
 from __future__ import annotations
@@ -42,9 +44,6 @@ class ErrorCountDistribution:
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=float)
 
-    def normalization_defect(self) -> float:
-        return abs(float(self.coeffs.sum()) - 1.0)
-
 
 @dataclass(frozen=True)
 class StrategyResult:
@@ -65,26 +64,29 @@ def check_sorted_unreliability(h) -> np.ndarray:
 
 
 def tail_coeffs(h, width: int, tau_lo: int, tau_hi: int) -> np.ndarray:
-    """First `width` coefficients of the distribution of Y_tau, the error
-    count of the tail h[..., tau:], for every tau in [tau_lo, tau_hi].
+    """Tail masses Q_tau[e] = Pr(Y_tau >= e) for e = 0..width-1 of the error
+    count Y_tau of the tail h[..., tau:], for every tau in [tau_lo, tau_hi].
 
     One backward pass, O((n - tau_lo) * width) per row: multiplying in the
-    factor of h[i] turns the distribution of h[i+1:] into that of h[i:], so
-    the state after column i is the one for tau = i. No coefficient feeds a
-    lower one, so truncating to `width` leaves the kept ones exact, and
-    those beyond n - tau stay exactly 0. `h` is one vector or a (rows, n)
-    array; the result has shape (tau_hi - tau_lo + 1, width, *rows), with
-    the rows last so that one vector's column is a scalar.
+    factor of h[i] turns the tail masses of h[i+1:] into those of h[i:],
+    Q[e] <- Q[e] (1 - h_i) + Q[e - 1] h_i, so the state after column i is
+    the one for tau = i. The update only adds products of numbers in
+    [0, 1], so a tail of 1e-40 keeps its relative precision, Q[0] stays
+    exactly 1 and Q stays non-increasing in e. No entry feeds a lower one,
+    so truncating to `width` leaves the kept ones exact, and those beyond
+    n - tau stay exactly 0. `h` is one vector or a (rows, n) array; the
+    result has shape (tau_hi - tau_lo + 1, width, *rows), with the rows
+    last so that one vector's column is a scalar.
     """
     h = np.asarray(h, dtype=float)
     n = h.shape[-1]
     if width < 1 or not 0 <= tau_lo <= tau_hi <= n:
         raise ValueError(f"need width >= 1 and 0 <= tau_lo <= tau_hi <= {n}, "
                          f"got {width}, {tau_lo}, {tau_hi}")
-    # buf[0] stays 0, so one update covers coefficient 0 as well; buf[1:]
-    # holds the coefficients
+    # buf[0] = Pr(Y >= -1) = 1 is never written, so one update covers Q[0]
+    # as well; buf[1:] holds Q, which starts as the empty tail's [1, 0, ...]
     buf = np.zeros((width + 1,) + h.shape[:-1])
-    buf[1] = 1.0
+    buf[:2] = 1.0
     lower, upper = buf[:-1], buf[1:]
     out = np.empty((tau_hi - tau_lo + 1,) + upper.shape)
     if tau_hi == n:
@@ -101,13 +103,17 @@ def tail_coeffs(h, width: int, tau_lo: int, tau_hi: int) -> np.ndarray:
 
 
 def pgf_distribution(h, tau: int) -> ErrorCountDistribution:
-    """Error-count distribution of the non-erased tail h[tau:], O((n - tau)^2)."""
+    """Error-count distribution of the non-erased tail h[tau:], O((n - tau)^2).
+
+    Each Pr(Y = e) is the difference Q[e] - Q[e + 1] of two tail masses, so
+    it carries an absolute error of about 1e-16; the differences are never
+    negative, since Q is non-increasing.
+    """
     h = check_sorted_unreliability(h)
     if not 0 <= tau <= len(h):
         raise ValueError(f"tau out of range: {tau}")
-    coeffs = tail_coeffs(h, len(h) - tau + 1, tau, tau)[0]
-    np.clip(coeffs, 0.0, None, out=coeffs)
-    return ErrorCountDistribution(tau, coeffs)
+    tails = tail_coeffs(h, len(h) - tau + 2, tau, tau)[0]
+    return ErrorCountDistribution(tau, tails[:-1] - tails[1:])
 
 
 def expectation(h, tau: int) -> float:
@@ -119,30 +125,26 @@ def expectation(h, tau: int) -> float:
 
 
 def residual_error_prob(dist: ErrorCountDistribution, eps0: int) -> float:
-    """1 - Pr(Y_tau <= eps0), clamped to [0, 1]; eps0 = -1 means no capability."""
+    """Pr(Y_tau > eps0), the sum of the coefficients beyond eps0 (at most 1
+    after rounding); eps0 = -1 means no capability and gives the whole mass."""
     if eps0 < NO_CAPABILITY:
         raise ValueError(f"eps0 must be >= {NO_CAPABILITY}")
-    if eps0 <= NO_CAPABILITY:
-        return 1.0
-    head = float(dist.coeffs[: eps0 + 1].sum())
-    return min(1.0, max(0.0, 1.0 - head))
+    return min(1.0, float(dist.coeffs[eps0 + 1 :].sum()))
 
 
 def _tau_sweep(h, cap: DecoderCapability):
-    """eps0(tau) and the head coefficients of Y_tau for every tau in
-    [0, d_min - 1], from one pass wide enough for every chooser (eps0 + 2)."""
+    """eps0(tau), the tail masses Q_tau and E{Y_tau} for every tau in
+    [0, d_min - 1], from one pass wide enough for every chooser (eps0 + 3).
+
+    The means are the running subtraction the Hoeffding window bounds were
+    defined with, E{Y_tau} = E{Y_(tau-1)} - h[tau - 1], as one accumulate.
+    """
     h = check_sorted_unreliability(h)
-    eps0 = [cap.epsilon0(tau) for tau in range(cap.code.d_min)]
-    return h, eps0, tail_coeffs(h, max(eps0) + 2, 0, len(eps0) - 1)
-
-
-def _tail_means(h: np.ndarray, count: int) -> list[float]:
-    """E{Y_tau} for tau < count by the running subtraction the Hoeffding
-    window bounds were defined with."""
-    means = [float(np.sum(h))]
-    for tau in range(1, count):
-        means.append(means[-1] - float(h[tau - 1]))
-    return means
+    d = cap.code.d_min
+    eps0 = np.array([cap.epsilon0(tau) for tau in range(d)])
+    tails = tail_coeffs(h, int(eps0.max()) + 3, 0, d - 1)
+    means = np.subtract.accumulate(np.concatenate(([np.sum(h)], h[: d - 1])))
+    return h, eps0, tails, means
 
 
 def _first_min(values, kind: StrategyKind) -> StrategyResult:
@@ -152,12 +154,10 @@ def _first_min(values, kind: StrategyKind) -> StrategyResult:
 
 
 def p_profile(h, cap: DecoderCapability) -> np.ndarray:
-    """Exact P(tau) for every tau in [0, d_min - 1]."""
-    _, eps0, coeffs = _tau_sweep(h, cap)
-    return np.array([
-        residual_error_prob(ErrorCountDistribution(tau, c), e0)
-        for tau, (c, e0) in enumerate(zip(coeffs, eps0))
-    ])
+    """Exact P(tau) = Pr(Y_tau > eps0(tau)) = Q_tau[eps0 + 1] for every tau
+    in [0, d_min - 1]; no capability (eps0 = -1) reads Q_tau[0] = 1."""
+    _, eps0, tails, _ = _tau_sweep(h, cap)
+    return tails[np.arange(len(eps0)), eps0 + 1]
 
 
 def tau_star_exact(h, cap: DecoderCapability) -> StrategyResult:
@@ -171,32 +171,30 @@ def hoeffding_half_width(n: int) -> int:
 
 
 def tau_star_hoeffding(h, cap: DecoderCapability) -> StrategyResult:
-    """Approximate each P(tau) by the window of Pr(Y_tau = eps) around E{Y_tau}."""
-    h, eps0, coeffs = _tau_sweep(h, cap)
+    """Approximate each P(tau) by 1 minus the mass Q[lo] - Q[hi + 1] of the
+    window [lo, hi] around E{Y_tau}, cut off at eps0: (1 - Q[lo]) + Q[hi + 1],
+    exact whenever lo = 0, and 1 for an empty window."""
+    h, eps0, tails, means = _tau_sweep(h, cap)
     n = len(h)
     w = hoeffding_half_width(n)
-    p = np.ones(len(eps0))
-    for tau, (c, e0, mean) in enumerate(zip(coeffs, eps0, _tail_means(h, len(eps0)))):
-        lo = max(0, math.ceil(mean - w))
-        hi = min(int(math.floor(mean + w)), e0, n - tau)  # hi < lo when e0 < 0
-        if hi >= lo:
-            p[tau] = min(1.0, max(0.0, 1.0 - float(c[lo : hi + 1].sum())))
+    taus = np.arange(len(eps0))
+    lo = np.maximum(0, np.ceil(means - w)).astype(int)
+    hi = np.minimum(np.minimum(np.floor(means + w).astype(int), eps0), n - taus)
+    inside = hi >= lo  # hi < lo when eps0 < 0
+    mass_from = tails[taus, np.where(inside, lo, 0)]
+    p = np.where(inside, (1.0 - mass_from) + tails[taus, hi + 1], 1.0)
     return _first_min(p, StrategyKind.HOEFFDING)
 
 
 def tau_star_eps0(h, cap: DecoderCapability) -> StrategyResult:
-    """Two-coefficient surrogate: 1 - Pr(Y=eps0) when E{Y} > eps0, else
-    Pr(Y=eps0+1); only the first eps0+2 coefficients are ever read."""
-    h, eps0, coeffs = _tau_sweep(h, cap)
-    p = np.ones(len(eps0))
-    for tau, (c, e0, mean) in enumerate(zip(coeffs, eps0, _tail_means(h, len(eps0)))):
-        if e0 <= NO_CAPABILITY:
-            continue
-        if mean > e0:
-            p[tau] = min(1.0, max(0.0, 1.0 - float(c[e0])))
-        else:
-            p[tau] = float(c[e0 + 1])
-    return _first_min(p, StrategyKind.EPS0)
+    """Two-coefficient surrogate: 1 - Pr(Y=eps0) = (1 - Q[eps0]) + Q[eps0+1]
+    when E{Y} > eps0, else Pr(Y=eps0+1) = Q[eps0+1] - Q[eps0+2]."""
+    _, eps0, tails, means = _tau_sweep(h, cap)
+    taus = np.arange(len(eps0))
+    # eps0 = -1 reads `at` from the last column; the mask below discards it
+    at, above, beyond = (tails[taus, eps0 + j] for j in range(3))
+    p = np.where(means > eps0, (1.0 - at) + above, above - beyond)
+    return _first_min(np.where(eps0 > NO_CAPABILITY, p, 1.0), StrategyKind.EPS0)
 
 
 STRATEGIES = {

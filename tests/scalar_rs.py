@@ -1,14 +1,53 @@
 """Scalar reference codec for the differential tests of `erasurelab.rs`.
 
 `ScalarRSCodec` is the pure-Python encoder and error/erasure decoder that
-the array kernels of `RSCodec` replaced, kept verbatim apart from its name
-and its polynomial product: `scalar_poly_mul` is the list-based product
-that `GF.poly_mul` was before. It uses only the scalar `GF` methods.
+the array kernels of `RSCodec` replaced, kept verbatim apart from its name,
+its polynomial product and its field helpers: `scalar_poly_mul` is the
+list-based product that `GF.poly_mul` was before, and `inv`, `div`,
+`alpha_pow` and `poly_eval` are the scalar `GF` methods of the same names,
+now free functions, since only the tests use them. `mul_noLUT` is the
+table-free product that `tests/test_gf.py` checks the tables against.
 """
 
 from __future__ import annotations
 
 from erasurelab.rs import CodeError, CodeParams, ReceivedWord
+
+
+def inv(gf, a: int) -> int:
+    if a == 0:
+        raise ZeroDivisionError("inverse of 0 in GF(2^m)")
+    return gf.exp[gf.q - 1 - gf.log[a]]
+
+
+def div(gf, a: int, b: int) -> int:
+    return gf.mul(a, inv(gf, b))
+
+
+def alpha_pow(gf, e: int) -> int:
+    """alpha^e for the table generator alpha."""
+    return gf.exp[e % (gf.q - 1)]
+
+
+def poly_eval(gf, p: list[int], x: int) -> int:
+    """Evaluate p (ascending coefficients) at x by Horner's rule."""
+    acc = 0
+    for c in reversed(p):
+        acc = gf.mul(acc, x) ^ c
+    return acc
+
+
+def mul_noLUT(gf, a: int, b: int) -> int:
+    """Carry-less polynomial multiply reduced by the primitive polynomial."""
+    r = 0
+    while b:
+        if b & 1:
+            r ^= a
+        b >>= 1
+        a <<= 1
+        if a & gf.q:
+            a ^= gf.primitive_poly
+    return r
 
 
 def scalar_poly_mul(gf, p: list[int], q: list[int]) -> list[int]:
@@ -31,7 +70,7 @@ class ScalarRSCodec:
         # g(x) = prod_{j=1}^{n-k} (x - alpha^j)
         g = [1]
         for j in range(1, params.n - params.k + 1):
-            g = scalar_poly_mul(gf, g, [gf.alpha_pow(j), 1])
+            g = scalar_poly_mul(gf, g, [alpha_pow(gf, j), 1])
         self.generator = g
 
     # position i <-> coefficient of x^(n-1-i); info occupies positions 0..k-1
@@ -58,7 +97,7 @@ class ScalarRSCodec:
         p = self.params
         gf = p.gf
         coeffs = [0 if s is None else s for s in reversed(symbols)]  # coeff of x^i
-        return [gf.poly_eval(coeffs, gf.alpha_pow(j)) for j in range(1, p.n - p.k + 1)]
+        return [poly_eval(gf, coeffs, alpha_pow(gf, j)) for j in range(1, p.n - p.k + 1)]
 
     def is_codeword(self, symbols: list[int]) -> bool:
         return all(s == 0 for s in self.syndromes(symbols))
@@ -83,7 +122,7 @@ class ScalarRSCodec:
             return received
 
         # erasure locators X_i = alpha^(n-1-i)
-        eras_loc = [gf.alpha_pow(n - 1 - i) for i in erased]
+        eras_loc = [alpha_pow(gf, n - 1 - i) for i in erased]
 
         # Forney syndromes: fold each erasure factor (1 + X x) into S(x),
         # dropping the constant term each time
@@ -108,8 +147,8 @@ class ScalarRSCodec:
         roots = []  # positions i with Psi(X_i^{-1}) = 0
         deg_psi = len(psi) - 1
         for i in range(n):
-            xinv = gf.alpha_pow(-(n - 1 - i))
-            if gf.poly_eval(psi, xinv) == 0:
+            xinv = alpha_pow(gf, -(n - 1 - i))
+            if poly_eval(gf, psi, xinv) == 0:
                 roots.append(i)
         if len(roots) != deg_psi:
             return None
@@ -121,11 +160,11 @@ class ScalarRSCodec:
 
         corrected = list(received)
         for i in roots:
-            xinv = gf.alpha_pow(-(n - 1 - i))
-            den = gf.poly_eval(dpsi, xinv)
+            xinv = alpha_pow(gf, -(n - 1 - i))
+            den = poly_eval(gf, dpsi, xinv)
             if den == 0:
                 return None
-            mag = gf.div(gf.poly_eval(omega, xinv), den)
+            mag = div(gf, poly_eval(gf, omega, xinv), den)
             corrected[i] ^= mag
 
         if not self.is_codeword(corrected):
@@ -151,7 +190,7 @@ class ScalarRSCodec:
                 for j, c in enumerate(b):
                     t[j] ^= gf.mul(delta, c)
                 if 2 * L <= r:
-                    dinv = gf.inv(delta)
+                    dinv = inv(gf, delta)
                     b = [gf.mul(dinv, c) for c in lam]
                     L = r + 1 - L
                 lam = t

@@ -146,3 +146,16 @@ def test_strategy_command_sampled(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert out.startswith("exact: tau=")
+
+
+def test_strategy_profile_at_20_db_has_no_zero_p(capsys):
+    """On the default RS(256;255,144) at 20 dB most P(tau) lie far below
+    1e-16, and every one is positive, since each is read from a tail mass."""
+    rc = run(["strategy", "--sample", "20", "--seed", "0", "--profile"])
+    assert rc == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("exact: tau=19 ")
+    profile = [float(line.split(",")[1]) for line in out[out.index("tau,p_exact") + 1 :]]
+    assert len(profile) == 112
+    assert min(profile) > 0
+    assert sum(p < 1e-16 for p in profile) >= 80

@@ -139,6 +139,23 @@ def test_batch_residual_probs_matches_pgf(code):
     assert np.all(batch_residual_probs(vecs, 0, -1) == 1.0)
 
 
+@pytest.mark.parametrize("ebn0_db, want_tau", [(19.0, 27), (20.0, 23)])
+def test_tau_bar_at_high_snr_reads_tail_masses(ebn0_db, want_tau):
+    """RS(256;255,144) above 18.5 dB, where most P(tau) lie below 1e-16:
+    tau_bar of the mean of 200 exact vectors is the true minimizer, and
+    every vector's P(tau_bar) is positive, not rounded to 0."""
+    code = CodeParams(GF(8), 255, 144)
+    cap = DecoderCapability(DecoderKind.BMD, code)
+    vecs = sample_unreliability_vectors(
+        sigma_from_ebn0(ebn0_db, 256, 255, 144), SquareQam(256), 255, 200,
+        np.random.default_rng(0), "exact",
+    )
+    tau = tau_bar(vecs.mean(axis=0), cap, StrategyKind.EXACT)
+    assert tau == want_tau
+    probs = batch_residual_probs(vecs, tau, cap.epsilon0(tau))
+    assert probs.min() > 0 and np.median(probs) < 1e-16
+
+
 def test_frame_rng_independence():
     a = _frame_rng(7, 0, 0).integers(0, 1 << 30, 4)
     b = _frame_rng(7, 0, 1).integers(0, 1 << 30, 4)

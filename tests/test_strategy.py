@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,10 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from erasurelab.dcf import DecoderCapability, DecoderKind
 from erasurelab.gf import GF
+from erasurelab.modem import SquareQam, sigma_from_ebn0
 from erasurelab.rs import CodeParams
+from erasurelab.sim import _frame_rng, batch_residual_probs, sample_unreliability_vectors
 from erasurelab.strategy import (
     STRATEGIES,
     StrategyKind,
+    _tau_sweep,
     choose_tau,
     expectation,
     hoeffding_half_width,
@@ -21,6 +25,7 @@ from erasurelab.strategy import (
     tau_star_eps0,
     tau_star_exact,
 )
+from scalar_strategy import LOOP_STRATEGIES, loop_tail_means, loop_tau_star_exact
 
 
 def brute_force_pmf(h):
@@ -77,7 +82,7 @@ def test_pgf_normalization_large():
     h = sorted_vec(rng, 255)
     for tau in (0, 40, 254, 255):
         dist = pgf_distribution(h, tau)
-        assert dist.normalization_defect() < 1e-10
+        assert abs(dist.coeffs.sum() - 1.0) < 1e-10
         assert len(dist.coeffs) == 255 - tau + 1
 
 
@@ -102,8 +107,8 @@ def test_expectation_is_tail_sum():
 
 
 def test_tail_coeffs_match_enumeration_every_tau():
-    """One backward pass gives every tau's distribution, full or truncated,
-    for one vector or a stack of rows."""
+    """One backward pass gives every tau's tail masses Pr(Y_tau >= e), full
+    or truncated, for one vector or a stack of rows."""
     rng = np.random.default_rng(3)
     for _ in range(20):
         n = int(rng.integers(1, 15))
@@ -111,8 +116,9 @@ def test_tail_coeffs_match_enumeration_every_tau():
         full = tail_coeffs(h, n + 1, 0, n)
         for tau in range(n + 1):
             want = np.zeros(n + 1)
-            want[: n - tau + 1] = brute_force_pmf(h[tau:])
+            want[: n - tau + 1] = np.cumsum(brute_force_pmf(h[tau:])[::-1])[::-1]
             assert np.max(np.abs(full[tau] - want)) < 1e-12
+            assert full[tau, 0] == 1.0
         width = int(rng.integers(1, n + 2))
         lo = int(rng.integers(0, n + 1))
         assert np.array_equal(tail_coeffs(h, width, lo, n), full[lo:, :width])
@@ -272,15 +278,12 @@ def test_pgf_is_distribution(values):
     h = np.sort(np.array(values))[::-1]
     dist = pgf_distribution(h, 0)
     assert np.all(dist.coeffs >= 0)
-    assert dist.normalization_defect() < 1e-9
+    assert abs(dist.coeffs.sum() - 1.0) < 1e-9
 
 
 def test_eps0_near_optimal_large_code_channel():
     """RS(255,144) at 16 dB: the eps0 choice loses < 5% relative exact-P
     for at least 95% of sampled channel vectors."""
-    from erasurelab.modem import SquareQam, sigma_from_ebn0
-    from erasurelab.sim import _frame_rng, sample_unreliability_vectors
-
     code = CodeParams(GF(8), 255, 144)
     cap = DecoderCapability(DecoderKind.BMD, code)
     qam = SquareQam(256)
@@ -322,3 +325,128 @@ def test_strategy_registry(cap15):
     h = np.zeros(15)
     for kind, fn in STRATEGIES.items():
         assert fn(h, cap15).strategy_kind is kind
+
+
+def rational_tails(h):
+    """Pr(Y_tau >= e) as exact fractions of the float entries of h, for
+    every tau and e = 0..n+1."""
+    n = len(h)
+    pmf = [Fraction(1)]
+    tails = [None] * (n + 1)
+    for tau in range(n, -1, -1):
+        if tau < n:
+            p = Fraction(float(h[tau]))
+            pmf = [a * (1 - p) + b * p for a, b in zip(pmf + [0], [0] + pmf)]
+        tail = list(itertools.accumulate(reversed(pmf)))[::-1]
+        tails[tau] = tail + [Fraction(0)] * (n + 2 - len(tail))
+    return tails
+
+
+def rational_strategy_values(h, tails, cap):
+    """The per-tau values each chooser minimizes, in exact arithmetic; the
+    window bounds and the eps0 branch come from the float means, as in the
+    choosers' definitions."""
+    n = len(h)
+    w = hoeffding_half_width(n)
+    values = {kind: [] for kind in StrategyKind}
+    for tau, mean in enumerate(loop_tail_means(h, cap.code.d_min)):
+        q, e0 = tails[tau], cap.epsilon0(tau)
+        lo = max(0, math.ceil(mean - w))
+        hi = min(math.floor(mean + w), e0, n - tau)
+        values[StrategyKind.EXACT].append(q[e0 + 1] if e0 >= 0 else Fraction(1))
+        values[StrategyKind.HOEFFDING].append(1 - (q[lo] - q[hi + 1]) if hi >= lo else Fraction(1))
+        if e0 < 0:
+            values[StrategyKind.EPS0].append(Fraction(1))
+        elif mean > e0:
+            values[StrategyKind.EPS0].append(1 - (q[e0] - q[e0 + 1]))
+        else:
+            values[StrategyKind.EPS0].append(q[e0 + 1] - q[e0 + 2])
+    return values
+
+
+def rel_close(got, want, rel=1e-12):
+    return abs(got - float(want)) <= rel * float(want)
+
+
+@pytest.fixture(scope="module")
+def rational_cases():
+    """Sorted vectors of 14 unreliabilities (RS(16;14,6)) spread from 1e-12 to
+    1e-1, so that P(tau) spans many decades below 1e-16, with their exact
+    tail masses."""
+    rng = np.random.default_rng(11)
+    vectors = np.sort(10.0 ** rng.uniform(-12, -1, (60, 14)), axis=1)[:, ::-1]
+    return vectors, [rational_tails(h) for h in vectors]
+
+
+@pytest.mark.parametrize("decoder", [DecoderKind.BMD, DecoderKind.GS], ids=["bmd", "gs"])
+def test_residual_probabilities_match_exact_rationals(rational_cases, decoder):
+    """Every P(tau) read (p_profile, batch_residual_probs and the sum of the
+    pgf coefficients beyond eps0) is within 1e-12 relative of exact rational
+    enumeration, down to P far below 1e-30, where 1 - head rounds to 0."""
+    vectors, tails = rational_cases
+    cap = DecoderCapability(decoder, CodeParams(GF(4), 14, 6))
+    smallest = 1.0
+    for tau in range(cap.code.d_min):
+        e0 = cap.epsilon0(tau)
+        want = [t[tau][e0 + 1] for t in tails]
+        smallest = min(smallest, float(min(want)))
+        batch = batch_residual_probs(vectors, tau, e0)
+        for h, got, p in zip(vectors, batch, want):
+            assert rel_close(got, p)
+            assert rel_close(residual_error_prob(pgf_distribution(h, tau), e0), p)
+    for h, t in zip(vectors, tails):
+        profile = p_profile(h, cap)
+        for tau in range(cap.code.d_min):
+            assert rel_close(profile[tau], t[tau][cap.epsilon0(tau) + 1])
+    assert smallest < 1e-30
+
+
+@pytest.mark.parametrize("decoder", [DecoderKind.BMD, DecoderKind.GS], ids=["bmd", "gs"])
+def test_choosers_match_rational_argmin_where_head_sums_fail(rational_cases, decoder):
+    """Each chooser picks the first minimum of its exact rational values and
+    predicts it to 1e-12 relative, on vectors where the exact chooser built
+    on 1 - head picks another tau; those vectors are counted, so they occur."""
+    vectors, tails = rational_cases
+    cap = DecoderCapability(decoder, CodeParams(GF(4), 14, 6))
+    head_wrong = 0
+    for h, t in zip(vectors, tails):
+        values = rational_strategy_values(h, t, cap)
+        for kind in StrategyKind:
+            best = min(values[kind])
+            res = choose_tau(h, cap, kind)
+            assert res.tau_chosen == values[kind].index(best)
+            assert rel_close(res.predicted_p, best)
+        head_wrong += loop_tau_star_exact(h, cap).tau_chosen != values[StrategyKind.EXACT].index(
+            min(values[StrategyKind.EXACT])
+        )
+    assert head_wrong >= 10
+
+
+@pytest.mark.parametrize(
+    "m, n, k, qam, grid",
+    [(4, 15, 7, 16, (5.0, 6.0, 7.0, 8.0, 9.0)), (8, 255, 144, 256, (15.5, 16.0, 16.5, 17.0))],
+    ids=["15", "255"],
+)
+def test_vectorised_choosers_match_loop_reference(m, n, k, qam, grid):
+    """The array expressions over tau against the per-tau loops they replaced
+    (tests/scalar_strategy.py), on channel vectors where 1 - head is still
+    accurate: the same tau and P within 1e-9 relative, and E{Y_tau} from one
+    subtract.accumulate equal to the running subtraction bit for bit. The
+    n = 255 points at 15.5 and 16 dB have Hoeffding windows starting above 0."""
+    code = CodeParams(GF(m), n, k)
+    cap = DecoderCapability(DecoderKind.BMD, code)
+    window_above_zero = 0
+    for db in grid:
+        vecs = sample_unreliability_vectors(
+            sigma_from_ebn0(db, qam, n, k), SquareQam(qam), n, 100, np.random.default_rng(7), "exact"
+        )
+        for h in vecs:
+            means = _tau_sweep(h, cap)[3]
+            assert np.array_equal(means, loop_tail_means(h, code.d_min))
+            window_above_zero += means[0] > hoeffding_half_width(n)
+            for kind in StrategyKind:
+                got, want = choose_tau(h, cap, kind), LOOP_STRATEGIES[kind](h, cap)
+                assert got.tau_chosen == want.tau_chosen
+                assert abs(got.predicted_p - want.predicted_p) <= 1e-9 * want.predicted_p
+    if n == 255:
+        assert window_above_zero > 0
