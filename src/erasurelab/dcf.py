@@ -11,6 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+
+import numpy as np
 
 from .rs import CodeParams
 
@@ -41,6 +44,13 @@ class DecoderCapability:
 
     def epsilon0(self, tau: int) -> int:
         return epsilon0(self, tau)
+
+    @cached_property
+    def epsilon0_table(self) -> np.ndarray:
+        """eps0(tau) for tau = 0..d_min-1, built on first use and read-only."""
+        table = np.array([epsilon0(self, tau) for tau in range(self.code.d_min)])
+        table.setflags(write=False)
+        return table
 
 
 def dcf_value(cap: DecoderCapability, eps: int, tau: int) -> float:

@@ -5,12 +5,15 @@ the most unreliable positions each time, collects the distinct codeword
 candidates, and returns the one with the largest reliability-weighted
 agreement with the hard-decision word. The erasure sets are nested
 prefixes of one stable sort of the unreliabilities, so each trial erases
-the previous trial's positions plus the next ones in that order: one
-`rs.ErasedWord` per frame holds the syndromes, computed once, and grows
-its erasure locator and Forney syndromes by those positions before each
-`RSCodec.decode_ee` trial. A position erased in the input may recur in
-the prefix; erasing it again changes nothing.
-"""
+the previous trial's positions plus the next ones in that order. One
+`rs.ErasedWord` per frame holds the syndromes, computed once; one pass of
+its `nested_trials` over the schedule grows its erasure locator and
+Forney syndromes by those positions and keeps each trial's Gamma/T buffer
+as one row of one array. `RSCodec.solve_locators` then solves the key
+equations of all trials together, in one row-batched Berlekamp-Massey
+pass on long syndromes, and one `RSCodec.decode_ee` call per trial, in
+schedule order, finishes each. A position erased in the input may recur
+in the prefix; erasing it again changes nothing."""
 
 from __future__ import annotations
 
@@ -61,17 +64,14 @@ def gmd_decode(word: ReceivedWord, codec: RSCodec, cfg: GmdConfig) -> list[int] 
     symbols = word.symbols
     # stable sort keeps position order among equal unreliabilities
     order = np.argsort(-h, kind="stable").tolist()
-    erasing = ErasedWord(codec, symbols)
-    prev_tau = 0
+    taus = [tau for tau in cfg.erasure_schedule if tau <= codec.params.d_min - 1]
+    trials = ErasedWord(codec, symbols).nested_trials(order, taus)
+    codec.solve_locators(trials)
     best = None
     best_score = -1.0
     seen = set()
-    for tau in cfg.erasure_schedule:
-        if tau > codec.params.d_min - 1:
-            break
-        erasing.erase(order[prev_tau:tau])
-        prev_tau = tau
-        cand = codec.decode_ee(erasing)
+    for trial in trials:
+        cand = codec.decode_ee(trial)
         if cand is None:
             continue
         key = tuple(cand)

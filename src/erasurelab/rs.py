@@ -11,22 +11,31 @@ y, its syndromes S(y), computed once, the erased positions, the erasure
 locator Gamma(x) and T(x) = Gamma(x) S(x) mod x^(n-k), whose coefficients
 tau..n-k-1 are the Forney syndromes. Erasing one more position multiplies
 Gamma and T by one linear factor, so a multi-trial decoder that erases
-nested sets (GMD) grows one state and pays only Berlekamp-Massey and the
-steps after it per trial. `decode_ee` reads a `ReceivedWord` as a fresh
-state. The Chien search runs on Lambda alone: Psi = Lambda Gamma has
-deg Psi distinct roots iff Lambda has L distinct roots at code positions
-and none is erased. The Forney magnitudes are evaluated at the at most
-n-k roots of Psi, and the corrected word is checked by S(y) = S(e), a sum
-over those roots only.
+nested sets (GMD) grows one state and takes each trial as a snapshot of
+it (`ErasedWord.nested_trials`). `RSCodec.solve_locators` then solves
+the key equations of all trials in one Berlekamp-Massey pass over the
+rows of one array, and each trial pays only the steps after it.
+`decode_ee` reads a `ReceivedWord` as a fresh state. The Chien search
+runs on Lambda alone: Psi = Lambda Gamma has deg Psi distinct roots iff
+Lambda has L distinct roots at code positions and none is erased. The
+Forney magnitudes are evaluated at the at most n-k roots of Psi, and the
+corrected word is checked by S(y) = S(e), a sum over those roots only.
 
 Every step of order n*(n-k) is an array kernel of `GF` (one table gather
 and an XOR-reduce, see `erasurelab.gf`) on matrices of logarithms built
 once per code: the k x (n-k) parity matrix of the encoder, the n x (n-k)
-syndrome matrix, the Chien power table and the Forney table, its columns
+syndrome matrix, the Chien power table and the Forney table, its blocks
 at the roots facing the coefficients of Psi and of Omega = Lambda T mod
 x^(n-k), both read off one array product of Lambda with the state's
 Gamma/T buffer. g(x) and Gamma are built one linear factor at a time.
-Berlekamp-Massey is scalar, on the field's zero-sentinel table lists.
+
+Berlekamp-Massey has two forms, chosen by the number n-k of check
+symbols. The scalar one, on the field's zero-sentinel table lists, runs
+per word inside `decode_ee`. The row-batched one steps all trials of a
+word in lock-step on (W, rows) log/antilog arrays, W = (n-k)//2 + 2; a
+step costs about ten array calls whatever the row count, so it pays off
+only on long syndromes, from ROW_BM_MIN_CHECKS on. Both give the same
+Lambda wherever 2L <= N, where it is unique.
 """
 
 from __future__ import annotations
@@ -36,6 +45,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf import GF
+
+#: the number n-k of check symbols from which `RSCodec.solve_locators`
+#: solves the trials of a word in one row-batched Berlekamp-Massey pass.
+#: Below it the scalar pass per trial is faster: on GMD frames of
+#: RS(256;255,k) with about (n-k)/3 symbol errors the two cross between
+#: n-k = 48 and 56
+ROW_BM_MIN_CHECKS = 56
 
 
 class CodeError(ValueError):
@@ -100,11 +116,15 @@ class ErasedWord:
     """The decoder's view of one received word under a growing erasure set.
 
     `y` is the hard word with the input erasures (None) read as 0 and
-    `synd` = S(y); both are fixed at construction. `erased` is the set of
-    erased positions. `polys` holds the erasure locator Gamma(x) =
-    prod (1 + X_i x) over them and T(x) = Gamma(x) S(x) mod x^(n-k) as
+    `synd` = S(y); both are fixed at construction. `erased` lists the
+    erased positions in the order they were erased. `polys` holds the
+    erasure locator Gamma(x) = prod (1 + X_i x) over them and
+    T(x) = Gamma(x) S(x) mod x^(n-k) as
     [0, Gamma_0..Gamma_(n-k), 0, T_0..T_(n-k)], T_(n-k) being a spare slot;
     `erase` multiplies both by (1 + X_i x) for each new position.
+    `locator` is None or the solved (Lambda, L) of the current erasures,
+    which `RSCodec.decode_ee` then reads in place of running
+    Berlekamp-Massey.
 
     The symbols of y at later erasures stay as they are: the Forney
     syndromes do not depend on them, and the Forney magnitudes are linear
@@ -129,7 +149,9 @@ class ErasedWord:
         # Gamma's top coefficient spills into T's leading zero only past
         # n-k erasures, where decoding fails anyway
         self._out, self._shifted = self.polys[1:], self.polys[:-1]
-        self.erased: set[int] = set()
+        self.erased: list[int] = []
+        self._is_erased = bytearray(p.n)
+        self.locator = None
         self.erase([i for i, s in enumerate(symbols) if s is None])
 
     @property
@@ -143,10 +165,31 @@ class ErasedWord:
 
     def erase(self, positions) -> None:
         """Erase the given positions; positions already erased are skipped."""
+        self.locator = None
         for i in positions:
-            if i not in self.erased:
-                self.erased.add(i)
+            if not self._is_erased[i]:
+                self._is_erased[i] = 1
+                self.erased.append(i)
                 self._gf.mul_linear(self._out, self._shifted, self._n - 1 - i)
+
+    def nested_trials(self, order: list[int], taus: list[int]) -> list[ErasedWord]:
+        """Erase order[:tau] for each tau of the non-decreasing `taus` in
+        turn, and after each step take the word as a trial: a read-only
+        ErasedWord that shares y and S(y), whose Gamma/T buffer is one row
+        of one array and whose erased positions are those erased so far.
+        A trial cannot erase further."""
+        rows = np.empty((len(taus), len(self.polys)), dtype=np.intp)
+        trials = []
+        done = 0
+        for row, tau in zip(rows, taus):
+            self.erase(order[done:tau])
+            done = tau
+            row[:] = self.polys
+            trial = object.__new__(ErasedWord)
+            trial.y, trial.synd, trial.polys = self.y, self.synd, row
+            trial.erased, trial.locator = self.erased[:], None
+            trials.append(trial)
+        return trials
 
 
 class RSCodec:
@@ -175,15 +218,16 @@ class RSCodec:
         self._syndrome_logs = np.outer(powers, np.arange(1, nsyn + 1)) % order
         # Psi(X_i^-1) = sum_t Psi_t X_i^-t for deg Psi <= n-k
         self._chien_logs = np.outer(np.arange(nsyn + 1), -powers) % order
-        # Forney terms facing the product of Lambda(x) with ErasedWord.polys.
-        # As deg Psi = L + tau <= n-k, its two halves are Psi = Lambda Gamma
-        # and Omega = Lambda T mod x^(n-k), coefficient s at index s + 1:
-        # the first half pairs the odd Psi_s with X_i^-s (Psi_odd), the
-        # second Omega_s with X_i^-(s+1); the zero sentinel masks the rest
-        forney = np.full((2, nsyn + 2, n), gf.zero_log)
-        forney[0, 2::2] = self._chien_logs[1::2]
-        forney[1, 1:-1] = self._chien_logs[1:]
-        self._forney_logs = forney.reshape(2 * nsyn + 4, n)
+        # Forney terms facing the product of Lambda(x) with ErasedWord.polys,
+        # one (2, n-k+2) block per position. As deg Psi = L + tau <= n-k,
+        # the product's two halves are Psi = Lambda Gamma and
+        # Omega = Lambda T mod x^(n-k), coefficient s at index s + 1: the
+        # first half pairs the odd Psi_s with X_i^-s (Psi_odd), the second
+        # Omega_s with X_i^-(s+1); the zero sentinel masks the rest
+        forney = np.full((n, 2, nsyn + 2), gf.zero_log)
+        forney[:, 0, 2::2] = self._chien_logs[1::2].T
+        forney[:, 1, 1:-1] = self._chien_logs[1:].T
+        self._forney_logs = forney
 
     # position i <-> coefficient of x^(n-1-i); info occupies positions 0..k-1
 
@@ -209,7 +253,9 @@ class RSCodec:
 
         A `ReceivedWord` is read as an `ErasedWord` of its symbols; a
         caller that decodes one word under growing erasure sets passes
-        its `ErasedWord` and erases between calls.
+        its `ErasedWord` and erases between calls, or passes the trials
+        of `ErasedWord.nested_trials`. A word's solved locator, if it
+        has one, stands in for Berlekamp-Massey.
         """
         if isinstance(word, ReceivedWord):
             word = ErasedWord(self, word.symbols)
@@ -225,7 +271,10 @@ class RSCodec:
 
         # the coefficients tau..n-k-1 of T = Gamma S mod x^(n-k) are the
         # Forney syndromes, the same whatever symbols sit at the erasures
-        lam, L = self._berlekamp_massey(word.gamma_s[tau:].tolist())
+        if word.locator is None:
+            lam, L = self._berlekamp_massey(word.gamma_s[tau:].tolist())
+        else:
+            lam, L = word.locator
         if 2 * L > nsyn - tau or L != len(lam) - 1:
             return None
 
@@ -236,9 +285,12 @@ class RSCodec:
 
         # Forney at the roots of Psi only: e = X^-1 Omega(X^-1) / Psi_odd(X^-1),
         # where Psi_odd(x) = x Psi'(x) (char 2) sums the odd-power terms
-        prod = gf.poly_mul(lam, word.polys, len(word.polys))
-        terms = gf.products(prod, self._forney_logs[:, roots])
-        den, num = np.bitwise_xor.reduce(terms.reshape(2, nsyn + 2, -1), axis=1)
+        # deg Omega < deg Psi = len(roots), so both halves of the product
+        # are zero past index len(roots) + 1
+        top = len(roots) + 2
+        prod = gf.poly_mul(lam, word.polys, len(word.polys)).reshape(2, nsyn + 2)
+        terms = gf.exp_table[gf.log_table[prod[:, :top]] + self._forney_logs[roots, :, :top]]
+        den, num = np.bitwise_xor.reduce(terms, axis=2).T
         e = gf.div_array(num, den)
 
         # the corrected word y + e is a codeword iff S(y) = S(e)
@@ -248,7 +300,7 @@ class RSCodec:
         c[roots] ^= e
         return c.tolist()
 
-    def _error_positions(self, lam: list[int], erased: set[int]) -> list[int] | None:
+    def _error_positions(self, lam: list[int], erased: list[int]) -> list[int] | None:
         """Chien search of Lambda over all positions: the positions of its
         L = len(lam) - 1 roots, or None unless it has L distinct roots at
         code positions and none of them is erased.
@@ -260,9 +312,96 @@ class RSCodec:
         gf = self.params.gf
         vals = np.bitwise_xor.reduce(gf.products(lam, self._chien_logs), axis=0)
         roots = np.flatnonzero(vals == 0).tolist()
-        if len(roots) != len(lam) - 1 or not erased.isdisjoint(roots):
+        if len(roots) != len(lam) - 1 or not set(roots).isdisjoint(erased):
             return None
         return roots
+
+    def solve_locators(self, words: list[ErasedWord]) -> None:
+        """Solve the key equation of each word, ahead of its `decode_ee`.
+
+        `words` are trials of one received word with non-decreasing
+        erased counts, as `ErasedWord.nested_trials` makes them. From
+        ROW_BM_MIN_CHECKS check symbols on, one row-batched
+        Berlekamp-Massey pass sets every word's locator; below it the
+        words keep none, and `decode_ee` runs the scalar steps, which
+        are faster on short syndromes.
+        """
+        nsyn = self.params.n - self.params.k
+        if nsyn < ROW_BM_MIN_CHECKS or not words:
+            return
+        taus = np.array([len(w.erased) for w in words])
+        # row j's Forney syndromes are T_tau..T_(n-k-1) with tau = taus[j];
+        # columns past a row's length are clipped and never read
+        cols = np.minimum(taus[:, None] + np.arange(nsyn), nsyn - 1)
+        synd = np.take_along_axis(np.stack([w.gamma_s for w in words]), cols, axis=1)
+        lam, L = self._berlekamp_massey_rows(synd, np.maximum(nsyn - taus, 0))
+        # deg Lambda: the index of the last nonzero coefficient
+        deg = (len(lam) - 1 - np.argmax(lam[::-1] != 0, axis=0)).tolist()
+        for w, coeffs, d, l in zip(words, lam.T.tolist(), deg, L.tolist()):
+            w.locator = (coeffs[: d + 1], l)
+
+    def _berlekamp_massey_rows(self, synd: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
+        """Berlekamp-Massey on the rows of `synd` in lock-step.
+
+        Row j holds its syndromes in columns 0..lengths[j]-1, the lengths
+        non-increasing, so the rows still running at step r are a prefix.
+        Returns Lambda as the columns of a (W, rows) array,
+        W = (n-k)//2 + 2, and L per row. Wherever 2L <= lengths[j], the
+        row's Lambda and L are those of `_berlekamp_massey`: L never
+        decreases, so such a row never held a coefficient beyond
+        (n-k)//2. Where 2L > lengths[j], L is at least as large as the
+        scalar one and Lambda, cut at W coefficients, is meaningless.
+
+        A step is the scalar update on columns, with B = beta x^(r-m) P
+        kept as the log of beta, the inverse discrepancy of the last length
+        change m, and the logs of P, Lambda as it stood then. The zero
+        sentinel makes a zero discrepancy leave Lambda unchanged without a
+        branch.
+        """
+        gf = self.params.gf
+        order, zero = gf.q - 1, gf.zero_log
+        log, exp = gf.log_table, gf.exp_table
+        lengths = np.asarray(lengths)
+        rows = len(lengths)
+        if np.any(lengths[1:] > lengths[:-1]):
+            raise ValueError("row lengths must be non-increasing")
+        steps = int(lengths[0]) if rows else 0
+        width = (self.params.n - self.params.k) // 2 + 2
+        # live[r]: the number of rows longer than r
+        live = np.searchsorted(-lengths, -np.arange(steps), side="left").tolist()
+        # the syndrome logs reversed: S_(r-j) is at index steps-1-r+j, with
+        # zero sentinels for r-j < 0
+        lsynd = np.full((steps + width - 1, rows), zero)
+        lsynd[:steps] = log[synd[:, :steps][:, ::-1].T]
+        lam = np.zeros((width, rows), dtype=gf.dtype)
+        lam[0] = 1
+        # the window of step r, from index steps-1-r on, holds the logs of
+        # x^(r-m) P: P is written where the window of step m starts, and
+        # each window starts one index lower than the one before; P = 1,
+        # m = -1 to begin with
+        lp = np.full((steps + width, rows), zero)
+        lp[steps] = 0
+        lbeta = np.zeros(rows, dtype=np.intp)
+        twice_l = np.zeros(rows, dtype=np.intp)
+        for r in range(steps):
+            j = live[r]
+            # Lambda and B have degree at most r + 1 here
+            w = min(width, r + 2)
+            at = steps - 1 - r
+            lam_r, lp_r, lbeta_r, twice_l_r = lam[:w, :j], lp[at : at + w, :j], lbeta[:j], twice_l[:j]
+            llam = log[lam_r]
+            delta = np.bitwise_xor.reduce(exp[llam + lsynd[at : at + w, :j]], axis=0)
+            ldelta = log[delta]
+            # the log of delta * beta, the zero sentinel when delta = 0
+            lscale = log[exp[ldelta + lbeta_r]]
+            grow = twice_l_r <= r
+            np.logical_and(grow, delta, out=grow)
+            update = exp[lp_r + lscale]
+            np.copyto(lp_r, llam, where=grow)
+            lam_r ^= update
+            np.subtract(order, ldelta, out=lbeta_r, where=grow)
+            np.subtract(2 * (r + 1), twice_l_r, out=twice_l_r, where=grow)
+        return lam, twice_l // 2
 
     def _berlekamp_massey(self, synd: list[int]) -> tuple[list[int], int]:
         gf = self.params.gf

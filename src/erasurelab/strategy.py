@@ -140,8 +140,8 @@ def _tau_sweep(h, cap: DecoderCapability):
     defined with, E{Y_tau} = E{Y_(tau-1)} - h[tau - 1], as one accumulate.
     """
     h = check_sorted_unreliability(h)
-    d = cap.code.d_min
-    eps0 = np.array([cap.epsilon0(tau) for tau in range(d)])
+    eps0 = cap.epsilon0_table
+    d = len(eps0)
     tails = tail_coeffs(h, int(eps0.max()) + 3, 0, d - 1)
     means = np.subtract.accumulate(np.concatenate(([np.sum(h)], h[: d - 1])))
     return h, eps0, tails, means

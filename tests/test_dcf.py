@@ -124,6 +124,18 @@ def test_module_functions_match_methods(code15):
     assert dcf_value(cap, 2, 3) == cap.dcf_value(2, 3)
 
 
+def test_epsilon0_table_matches_per_tau(code15, code255):
+    """The table the tau choosers read is eps0(tau) for tau = 0..d_min-1,
+    built once per capability and read-only."""
+    for code in (code15, code255):
+        for cap in caps(code, ells=(3,)):
+            table = cap.epsilon0_table
+            assert table.tolist() == [epsilon0(cap, tau) for tau in range(code.d_min)]
+            assert cap.epsilon0_table is table
+            with pytest.raises(ValueError):
+                table[0] = 0
+
+
 def test_bmd_closed_form(code15):
     bmd = DecoderCapability(DecoderKind.BMD, code15)
     for tau in range(code15.n + 1):

@@ -183,12 +183,17 @@ def gmd_test_words(code, codec, dbs, frames, garbage, rng):
 @pytest.mark.parametrize("m, n, k, dbs, frames, garbage", [
     (4, 15, 7, (6.0, 7.0, 8.0, 9.0), 500, 40),
     (8, 255, 144, (15.0, 16.0), 4, 1),
+    (8, 255, 223, (18.5, 19.5), 2, 1),
+    (8, 255, 191, (17.5, 18.5), 2, 1),
 ])
 def test_gmd_matches_per_trial_erasure(m, n, k, dbs, frames, garbage):
     """Nested erasure sets grown on one ErasedWord give the codeword of the
     per-trial erase_most_unreliable loop on the scalar codec, ties and
     prior erasures included, also where a prior erasure recurs in the
-    sorted prefix that the trials erase."""
+    sorted prefix that the trials erase. RS(256;255,223) and
+    RS(256;255,191) lie on the two sides of rs.ROW_BM_MIN_CHECKS: the
+    first solves each trial's key equation in decode_ee, the second all
+    trials of a word in one row-batched pass."""
     code = CodeParams(GF(m), n, k)
     codec, ref = RSCodec(code), ScalarRSCodec(code)
     cfg = GmdConfig.for_code(code)

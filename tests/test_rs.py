@@ -5,6 +5,7 @@ import pytest
 
 from erasurelab.gf import GF
 from erasurelab.rs import (
+    ROW_BM_MIN_CHECKS,
     CodeError,
     CodeParams,
     ErasedWord,
@@ -193,7 +194,8 @@ def test_erased_word_grows_gamma_and_t(m, n, k):
     """erase multiplies Gamma and T = Gamma S mod x^(n-k) by one factor per
     new position and skips positions already erased, input erasures
     included: both equal the scalar products over the distinct erased
-    positions, and y and S(y) stay as built."""
+    positions, `erased` lists those in the order they were erased, and y
+    and S(y) stay as built."""
     params = CodeParams(GF(m), n, k)
     codec, ref = RSCodec(params), ScalarRSCodec(params)
     gf, nsyn = params.gf, n - k
@@ -208,7 +210,7 @@ def test_erased_word_grows_gamma_and_t(m, n, k):
         synd = ref.syndromes(symbols)
         expected = [i for i, s in enumerate(symbols) if s is None]
         while True:
-            assert word.erased == set(expected)
+            assert word.erased == expected
             gamma = scalar_erasure_locator(gf, n, expected)
             assert word.gamma.tolist() == gamma
             assert word.gamma_s.tolist() == scalar_poly_mul(gf, gamma, synd)[:nsyn]
@@ -259,3 +261,104 @@ def test_decode_ee_rejects_lambda_roots_at_erasures(codec, small):
             cases["accepted"] += 1
             assert found == roots
     assert cases["erased root"] > 0 and cases["accepted"] > 0
+
+
+def lfsr_rows(gf, rng, nsyn, count):
+    """Syndrome rows of random lengths N, each generated by a random LFSR
+    of length L <= N // 2, so that Berlekamp-Massey finds 2L <= N."""
+    rows = []
+    for _ in range(count):
+        length = int(rng.integers(0, nsyn + 1))
+        L = int(rng.integers(0, length // 2 + 1))
+        taps = rng.integers(0, gf.q, L).tolist()
+        row = rng.integers(0, gf.q, L).tolist()
+        while len(row) < nsyn:
+            s = 0
+            for j, c in enumerate(taps, 1):
+                s ^= gf.mul(c, row[-j])
+            row.append(s)
+        rows.append((row, length))
+    return rows
+
+
+def gmd_forney_rows(codec, rng, count):
+    """The Forney syndromes of the nested GMD trials of noisy words with
+    three input erasures, one of them among the first positions the trials
+    erase, so that it recurs in the sorted prefix, and the others beyond
+    the prefix, so that the last trials erase more than n-k positions."""
+    p = codec.params
+    nsyn = p.n - p.k
+    taus = list(range(p.d_min))
+    rows = []
+    for _ in range(count):
+        cw = codec.encode(rng.integers(0, p.q, p.k).tolist())
+        symbols = corrupt(cw, rng, int(rng.integers(0, nsyn)), 0, p.q)
+        order = rng.permutation(p.n).tolist()
+        for i in [order[2]] + order[-2:]:
+            symbols[i] = None
+        for trial in ErasedWord(codec, symbols).nested_trials(order, taus):
+            tau = len(trial.erased)
+            rows.append((trial.gamma_s[tau:].tolist() + [0] * min(tau, nsyn), max(nsyn - tau, 0)))
+    return rows
+
+
+@pytest.mark.parametrize("m, n, k", [(4, 15, 7), (8, 255, 223), (8, 255, 144)])
+def test_berlekamp_massey_rows_matches_scalar(m, n, k):
+    """The row-batched Berlekamp-Massey gives each row the Lambda and L of
+    the scalar codec and of the reference codec whenever 2L <= N, and
+    2L > N wherever they do. Rows of unequal length N, N = 0, all-zero
+    rows, random rows (mostly 2L > N), LFSR rows and the rows of GMD
+    trials are solved together, longest first."""
+    params = CodeParams(GF(m), n, k)
+    codec, ref = RSCodec(params), ScalarRSCodec(params)
+    gf, nsyn = params.gf, n - k
+    rng = np.random.default_rng(23)
+    rows = lfsr_rows(gf, rng, nsyn, 40)
+    rows += [(rng.integers(0, gf.q, nsyn).tolist(), int(rng.integers(0, nsyn + 1))) for _ in range(40)]
+    rows += [([0] * nsyn, nsyn), ([0] * nsyn, 3), (rng.integers(0, gf.q, nsyn).tolist(), 0)]
+    rows += gmd_forney_rows(codec, rng, 2)
+    rows.sort(key=lambda row: -row[1])
+    lam, L = codec._berlekamp_massey_rows(np.array([r for r, _ in rows]), [N for _, N in rows])
+    assert lam.shape == (nsyn // 2 + 2, len(rows))
+    cases = Counter()
+    for (row, N), coeffs, got_l in zip(rows, lam.T.tolist(), L.tolist()):
+        want, want_l = codec._berlekamp_massey(row[:N])
+        assert ref._berlekamp_massey(row[:N]) == (want, want_l)
+        if 2 * want_l > N:
+            cases["2L > N"] += 1
+            assert 2 * got_l > N
+            continue
+        cases["N = 0" if N == 0 else "solved"] += 1
+        assert got_l == want_l
+        assert coeffs == want + [0] * (len(coeffs) - len(want))
+    assert min(cases.values()) > 0 and len(cases) == 3
+    with pytest.raises(ValueError):
+        codec._berlekamp_massey_rows(np.zeros((2, nsyn), dtype=int), [1, 2])
+
+
+@pytest.mark.parametrize("k", [223, 191, 144])
+def test_solve_locators_by_check_count(k):
+    """From ROW_BM_MIN_CHECKS check symbols on, solve_locators gives every
+    GMD trial the locator of the scalar Berlekamp-Massey wherever 2L <= N,
+    and decode_ee reads it to the same result; below it the trials keep
+    none. RS(256;255,223) and RS(256;255,191) lie on the two sides."""
+    params = CodeParams(GF(8), 255, k)
+    codec, nsyn = RSCodec(params), 255 - k
+    assert 32 < ROW_BM_MIN_CHECKS <= 64
+    rng = np.random.default_rng(29)
+    cw = codec.encode(rng.integers(0, params.q, k).tolist())
+    symbols = corrupt(cw, rng, nsyn // 3, 2, params.q)
+    order = rng.permutation(255).tolist()
+    trials = ErasedWord(codec, symbols).nested_trials(order, list(range(0, params.d_min, 2)))
+    codec.solve_locators(trials)
+    if nsyn < ROW_BM_MIN_CHECKS:
+        assert all(t.locator is None for t in trials)
+        return
+    for t in trials:
+        tau = len(t.erased)
+        want = codec._berlekamp_massey(t.gamma_s[tau:].tolist())
+        if 2 * want[1] <= nsyn - tau:
+            assert t.locator == want
+        out = codec.decode_ee(t)
+        t.locator = None
+        assert out == codec.decode_ee(t)
