@@ -4,14 +4,11 @@ Runs the error/erasure decoder once per scheduled erasure count, erasing
 the most unreliable positions each time, collects the distinct codeword
 candidates, and returns the one with the largest reliability-weighted
 agreement with the hard-decision word. The erasure sets are nested
-prefixes of one stable sort of the unreliabilities, so each trial erases
-the previous trial's positions plus the next ones in that order. One
-`rs.ErasedWord` per frame holds the syndromes, computed once; one pass of
-its `nested_trials` over the schedule grows its erasure locator and
-Forney syndromes by those positions and keeps each trial's Gamma/T buffer
-as one row of one array. `RSCodec.solve_locators` then solves the key
-equations of all trials together, in one row-batched Berlekamp-Massey
-pass on long syndromes, and one `RSCodec.decode_ee` call per trial, in
+prefixes of `rs.erasure_order`, so each trial erases the previous
+trial's positions plus the next ones in that order. One call of
+`RSCodec.erasure_trials` per frame builds every trial, computing the
+syndromes once and growing the erasure locator and Forney syndromes by
+each trial's new positions, and one `RSCodec.decode_ee` call per trial, in
 schedule order, finishes each. A position erased in the input may recur
 in the prefix; erasing it again changes nothing."""
 
@@ -19,9 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .rs import CodeParams, ErasedWord, RSCodec, ReceivedWord
+from .rs import CodeParams, RSCodec, ReceivedWord, erasure_order
 
 
 def default_schedule(d_min: int) -> list[int]:
@@ -62,15 +57,11 @@ def gmd_decode(word: ReceivedWord, codec: RSCodec, cfg: GmdConfig) -> list[int] 
     h = word.unreliability
     h_list = h.tolist()
     symbols = word.symbols
-    # stable sort keeps position order among equal unreliabilities
-    order = np.argsort(-h, kind="stable").tolist()
     taus = [tau for tau in cfg.erasure_schedule if tau <= codec.params.d_min - 1]
-    trials = ErasedWord(codec, symbols).nested_trials(order, taus)
-    codec.solve_locators(trials)
     best = None
     best_score = -1.0
     seen = set()
-    for trial in trials:
+    for trial in codec.erasure_trials(symbols, erasure_order(h), taus):
         cand = codec.decode_ee(trial)
         if cand is None:
             continue

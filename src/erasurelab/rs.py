@@ -6,35 +6,36 @@ Berlekamp-Massey for the error locator Lambda, Chien search and the
 Forney magnitude formula. A word with eps errors and tau erasures is
 recovered whenever 2*eps + tau <= d_min - 1.
 
-The decoder works on an `ErasedWord`, the per-word state: the hard word
-y, its syndromes S(y), computed once, the erased positions, the erasure
+The decoder works on trials, `ErasedWord` values that
+`RSCodec.erasure_trials` builds from a received word: the hard word y,
+its syndromes S(y), computed once, the erased positions, the erasure
 locator Gamma(x) and T(x) = Gamma(x) S(x) mod x^(n-k), whose coefficients
-tau..n-k-1 are the Forney syndromes. Erasing one more position multiplies
-Gamma and T by one linear factor, so a multi-trial decoder that erases
-nested sets (GMD) grows one state and takes each trial as a snapshot of
-it (`ErasedWord.nested_trials`). `RSCodec.solve_locators` then solves
-the key equations of all trials in one Berlekamp-Massey pass over the
-rows of one array, and each trial pays only the steps after it.
-`decode_ee` reads a `ReceivedWord` as a fresh state. The Chien search
-runs on Lambda alone: Psi = Lambda Gamma has deg Psi distinct roots iff
-Lambda has L distinct roots at code positions and none is erased. The
-Forney magnitudes are evaluated at the at most n-k roots of Psi, and the
-corrected word is checked by S(y) = S(e), a sum over those roots only.
+tau..n-k-1 are the Forney syndromes, and the error locator if the builder
+solved it. Erasing one more position multiplies Gamma and T by one linear
+factor, so the trials of nested erasure sets (GMD) come from one pass,
+each trial's Gamma/T buffer a row of one array grown from the row before.
+`decode_ee` reads a `ReceivedWord` as the builder's one trial. The Chien
+search runs on Lambda alone: Psi = Lambda Gamma has deg Psi distinct
+roots iff Lambda has L distinct roots at code positions and none is
+erased. The Forney magnitudes are evaluated at the at most n-k roots of
+Psi, and the corrected word is checked by S(y) = S(e), a sum over those
+roots only.
 
 Every step of order n*(n-k) is an array kernel of `GF` (one table gather
 and an XOR-reduce, see `erasurelab.gf`) on matrices of logarithms built
 once per code: the k x (n-k) parity matrix of the encoder, the n x (n-k)
 syndrome matrix, the Chien power table and the Forney table, its blocks
 at the roots facing the coefficients of Psi and of Omega = Lambda T mod
-x^(n-k), both read off one array product of Lambda with the state's
+x^(n-k), both read off one array product of Lambda with the trial's
 Gamma/T buffer. g(x) and Gamma are built one linear factor at a time.
 
 Berlekamp-Massey has two forms, chosen by the number n-k of check
 symbols. The scalar one, on the field's zero-sentinel table lists, runs
-per word inside `decode_ee`. The row-batched one steps all trials of a
-word in lock-step on (W, rows) log/antilog arrays, W = (n-k)//2 + 2; a
-step costs about ten array calls whatever the row count, so it pays off
-only on long syndromes, from ROW_BM_MIN_CHECKS on. Both give the same
+per trial inside `decode_ee` when the trial has no locator. The
+row-batched one steps all trials of a word in lock-step on (W, rows)
+log/antilog arrays, W = (n-k)//2 + 2; a step costs about ten array calls
+whatever the row count, so `erasure_trials` runs it only for two or more
+trials on long syndromes, from ROW_BM_MIN_CHECKS on. Both give the same
 Lambda wherever 2L <= N, where it is unique.
 """
 
@@ -46,7 +47,7 @@ import numpy as np
 
 from .gf import GF
 
-#: the number n-k of check symbols from which `RSCodec.solve_locators`
+#: the number n-k of check symbols from which `RSCodec.erasure_trials`
 #: solves the trials of a word in one row-batched Berlekamp-Massey pass.
 #: Below it the scalar pass per trial is faster: on GMD frames of
 #: RS(256;255,k) with about (n-k)/3 symbol errors the two cross between
@@ -96,15 +97,19 @@ class ReceivedWord:
             raise CodeError("unreliability entries must lie in [0, 1)")
 
 
+def erasure_order(h: np.ndarray) -> list[int]:
+    """The positions from the most to the least unreliable; the sort is
+    stable, so it keeps position order among equal unreliabilities."""
+    return np.argsort(-h, kind="stable").tolist()
+
+
 def erase_most_unreliable(symbols: list, unreliability: np.ndarray, tau: int) -> ReceivedWord:
-    """Erase the tau positions with the largest unreliability (stable order)."""
+    """Erase the first tau positions of `erasure_order`."""
     h = np.asarray(unreliability, dtype=float)
     out = list(symbols)
     if tau > 0:
-        # stable sort keeps position order among equal unreliabilities
-        idx = np.argsort(-h, kind="stable")[:tau]
-        for i in idx:
-            out[int(i)] = None
+        for i in erasure_order(h)[:tau]:
+            out[i] = None
     return ReceivedWord(out, h)
 
 
@@ -112,47 +117,29 @@ def _erasures_as_zero(symbols: list) -> np.ndarray:
     return np.array([0 if s is None else s for s in symbols])
 
 
+@dataclass
 class ErasedWord:
-    """The decoder's view of one received word under a growing erasure set.
+    """One decoder trial: a received word under one erasure set.
 
     `y` is the hard word with the input erasures (None) read as 0 and
-    `synd` = S(y); both are fixed at construction. `erased` lists the
-    erased positions in the order they were erased. `polys` holds the
-    erasure locator Gamma(x) = prod (1 + X_i x) over them and
-    T(x) = Gamma(x) S(x) mod x^(n-k) as
-    [0, Gamma_0..Gamma_(n-k), 0, T_0..T_(n-k)], T_(n-k) being a spare slot;
-    `erase` multiplies both by (1 + X_i x) for each new position.
-    `locator` is None or the solved (Lambda, L) of the current erasures,
-    which `RSCodec.decode_ee` then reads in place of running
-    Berlekamp-Massey.
+    `synd` = S(y). `erased` lists the erased positions in the order they
+    were erased. `polys` holds the erasure locator
+    Gamma(x) = prod (1 + X_i x) over them and T(x) = Gamma(x) S(x) mod
+    x^(n-k) as [0, Gamma_0..Gamma_(n-k), 0, T_0..T_(n-k)], T_(n-k) being a
+    spare slot. `locator` is None or the solved (Lambda, L), which
+    `RSCodec.decode_ee` then reads in place of running Berlekamp-Massey.
 
-    The symbols of y at later erasures stay as they are: the Forney
-    syndromes do not depend on them, and the Forney magnitudes are linear
-    in S, so the decoder corrects y to the codeword it would find with
-    them read as 0.
+    The symbols of y at the erasures past the input ones stay as they
+    are: the Forney syndromes do not depend on them, and the Forney
+    magnitudes are linear in S, so the decoder corrects y to the codeword
+    it would find with them read as 0.
     """
 
-    def __init__(self, codec: RSCodec, symbols: list):
-        p = codec.params
-        if len(symbols) != p.n:
-            raise CodeError("received word length mismatch")
-        self._gf = p.gf
-        self._n = p.n
-        self.y = _erasures_as_zero(symbols)
-        self.synd = codec._syndromes(self.y)
-        nsyn = len(self.synd)
-        # intp: a log-table gather indexed by it needs no cast
-        self.polys = np.zeros(2 * nsyn + 4, dtype=np.intp)
-        self.polys[1] = 1
-        self.polys[nsyn + 3 : 2 * nsyn + 3] = self.synd
-        # one shift-and-add over the whole buffer updates both polynomials:
-        # Gamma's top coefficient spills into T's leading zero only past
-        # n-k erasures, where decoding fails anyway
-        self._out, self._shifted = self.polys[1:], self.polys[:-1]
-        self.erased: list[int] = []
-        self._is_erased = bytearray(p.n)
-        self.locator = None
-        self.erase([i for i, s in enumerate(symbols) if s is None])
+    y: np.ndarray
+    synd: np.ndarray
+    erased: list[int]
+    polys: np.ndarray
+    locator: tuple[list[int], int] | None = None
 
     @property
     def gamma(self) -> np.ndarray:
@@ -162,34 +149,6 @@ class ErasedWord:
     def gamma_s(self) -> np.ndarray:
         nsyn = len(self.synd)
         return self.polys[nsyn + 3 : 2 * nsyn + 3]
-
-    def erase(self, positions) -> None:
-        """Erase the given positions; positions already erased are skipped."""
-        self.locator = None
-        for i in positions:
-            if not self._is_erased[i]:
-                self._is_erased[i] = 1
-                self.erased.append(i)
-                self._gf.mul_linear(self._out, self._shifted, self._n - 1 - i)
-
-    def nested_trials(self, order: list[int], taus: list[int]) -> list[ErasedWord]:
-        """Erase order[:tau] for each tau of the non-decreasing `taus` in
-        turn, and after each step take the word as a trial: a read-only
-        ErasedWord that shares y and S(y), whose Gamma/T buffer is one row
-        of one array and whose erased positions are those erased so far.
-        A trial cannot erase further."""
-        rows = np.empty((len(taus), len(self.polys)), dtype=np.intp)
-        trials = []
-        done = 0
-        for row, tau in zip(rows, taus):
-            self.erase(order[done:tau])
-            done = tau
-            row[:] = self.polys
-            trial = object.__new__(ErasedWord)
-            trial.y, trial.synd, trial.polys = self.y, self.synd, row
-            trial.erased, trial.locator = self.erased[:], None
-            trials.append(trial)
-        return trials
 
 
 class RSCodec:
@@ -251,14 +210,13 @@ class RSCodec:
     def decode_ee(self, word: ReceivedWord | ErasedWord) -> list[int] | None:
         """Error/erasure decode; returns a codeword or None on failure.
 
-        A `ReceivedWord` is read as an `ErasedWord` of its symbols; a
-        caller that decodes one word under growing erasure sets passes
-        its `ErasedWord` and erases between calls, or passes the trials
-        of `ErasedWord.nested_trials`. A word's solved locator, if it
-        has one, stands in for Berlekamp-Massey.
+        A `ReceivedWord` is read as the one trial of its symbols; a caller
+        that decodes one word under several erasure sets passes the
+        trials of `erasure_trials`. A trial's locator, if it has one,
+        stands in for Berlekamp-Massey.
         """
         if isinstance(word, ReceivedWord):
-            word = ErasedWord(self, word.symbols)
+            (word,) = self.erasure_trials(word.symbols)
         gf = self.params.gf
         nsyn = len(word.synd)
         erased = word.erased
@@ -316,29 +274,76 @@ class RSCodec:
             return None
         return roots
 
-    def solve_locators(self, words: list[ErasedWord]) -> None:
-        """Solve the key equation of each word, ahead of its `decode_ee`.
+    def erasure_trials(self, symbols: list, order=(), taus=(0,)) -> list[ErasedWord]:
+        """The trials of one received word, one per tau of the
+        non-decreasing, non-negative `taus`: trial tau erases the input
+        erasures (None) and then order[:tau], skipping positions already
+        erased.
 
-        `words` are trials of one received word with non-decreasing
-        erased counts, as `ErasedWord.nested_trials` makes them. From
-        ROW_BM_MIN_CHECKS check symbols on, one row-batched
-        Berlekamp-Massey pass sets every word's locator; below it the
-        words keep none, and `decode_ee` runs the scalar steps, which
-        are faster on short syndromes.
+        S(y) is computed once. Each trial's Gamma/T buffer is a row of one
+        array, a copy of the row before grown by one linear factor per new
+        position. For two or more trials from ROW_BM_MIN_CHECKS check
+        symbols on, one row-batched Berlekamp-Massey pass gives every
+        trial its locator; otherwise the trials carry none, and
+        `decode_ee` runs the scalar steps, which are faster on short
+        syndromes and for a single word.
         """
-        nsyn = self.params.n - self.params.k
-        if nsyn < ROW_BM_MIN_CHECKS or not words:
-            return
-        taus = np.array([len(w.erased) for w in words])
+        p = self.params
+        n, gf = p.n, p.gf
+        if len(symbols) != n:
+            raise CodeError("received word length mismatch")
+        y = _erasures_as_zero(symbols)
+        synd = self._syndromes(y)
+        nsyn = len(synd)
+        sequence = [i for i, s in enumerate(symbols) if s is None]
+        first = len(sequence)
+        sequence += order
+        # intp: a log-table gather indexed by it needs no cast
+        rows = np.zeros((len(taus), 2 * nsyn + 4), dtype=np.intp)
+        trials: list[ErasedWord] = []
+        erased: list[int] = []
+        is_erased = bytearray(n)
+        done = 0
+        for tau in taus:
+            row = rows[len(trials)]
+            if trials:
+                row[:] = trials[-1].polys
+            else:
+                row[1] = 1
+                row[nsyn + 3 : 2 * nsyn + 3] = synd
+            end = first + tau
+            if tau < 0 or end < done:
+                raise CodeError(f"taus must be non-negative and non-decreasing, got {taus}")
+            # one shift-and-add over the whole row updates both polynomials:
+            # Gamma's top coefficient spills into T's leading zero only past
+            # n-k erasures, where decoding fails anyway
+            out, shifted = row[1:], row[:-1]
+            for i in sequence[done:end]:
+                if not is_erased[i]:
+                    is_erased[i] = 1
+                    erased.append(i)
+                    gf.mul_linear(out, shifted, n - 1 - i)
+            done = end
+            trials.append(ErasedWord(y, synd, erased[:], row))
+        if len(trials) < 2 or nsyn < ROW_BM_MIN_CHECKS:
+            return trials
+        locators = self._solve_locators(rows[:, nsyn + 3 : 2 * nsyn + 3], [len(t.erased) for t in trials])
+        return [ErasedWord(y, synd, t.erased, t.polys, loc) for t, loc in zip(trials, locators)]
+
+    def _solve_locators(self, gamma_s: np.ndarray, taus: list[int]) -> list:
+        """(Lambda, L) for the T coefficients in each row of `gamma_s`, with
+        taus[j] erasures in row j, in one row-batched Berlekamp-Massey
+        pass; the taus must be non-decreasing."""
+        nsyn = gamma_s.shape[1]
+        taus = np.array(taus)
         # row j's Forney syndromes are T_tau..T_(n-k-1) with tau = taus[j];
         # columns past a row's length are clipped and never read
         cols = np.minimum(taus[:, None] + np.arange(nsyn), nsyn - 1)
-        synd = np.take_along_axis(np.stack([w.gamma_s for w in words]), cols, axis=1)
+        synd = np.take_along_axis(gamma_s, cols, axis=1)
         lam, L = self._berlekamp_massey_rows(synd, np.maximum(nsyn - taus, 0))
         # deg Lambda: the index of the last nonzero coefficient
         deg = (len(lam) - 1 - np.argmax(lam[::-1] != 0, axis=0)).tolist()
-        for w, coeffs, d, l in zip(words, lam.T.tolist(), deg, L.tolist()):
-            w.locator = (coeffs[: d + 1], l)
+        return [(coeffs[: d + 1], l) for coeffs, d, l in zip(lam.T.tolist(), deg, L.tolist())]
 
     def _berlekamp_massey_rows(self, synd: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
         """Berlekamp-Massey on the rows of `synd` in lock-step.

@@ -84,15 +84,29 @@ class CampaignConfig:
             raise ConfigError(f"decoder_kind must be a DecoderKind, got {self.decoder_kind!r}")
         if not isinstance(self.strategy, StrategyKind):
             raise ConfigError(f"strategy must be a StrategyKind, got {self.strategy!r}")
+        for name in ("ell", "fixed_tau", "max_frames", "max_errors", "samples", "seed", "force_tau"):
+            value = getattr(self, name)
+            if value is None and name == "force_tau":
+                continue
+            # what operator.index takes, numpy integers too; a bool is an
+            # int, but never a count
+            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if self.code.gf.m % 2:
+            raise ConfigError(f"code: square QAM needs q = 2^m with m even, got m={self.code.gf.m}")
         if self.decoder_kind is DecoderKind.IRS and self.ell < 1:
             raise ConfigError("IRS parameter ell must be >= 1")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.unreliability not in UNRELIABILITY_METHODS:
             raise ConfigError(f"unknown unreliability method {self.unreliability!r}")
-        if not self.ebn0_grid:
+        try:
+            finite = [math.isfinite(db) for db in self.ebn0_grid]
+        except TypeError:
+            raise ConfigError(f"ebn0_grid must be a sequence of numbers, got {self.ebn0_grid!r}") from None
+        if not finite:
             raise ConfigError("ebn0_grid must be non-empty")
-        if not all(math.isfinite(db) for db in self.ebn0_grid):
+        if not all(finite):
             raise ConfigError(f"ebn0_grid must be finite, got {self.ebn0_grid}")
         if self.max_frames < 1:
             raise ConfigError("max_frames must be >= 1")

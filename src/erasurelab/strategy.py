@@ -36,13 +36,16 @@ class StrategyKind(Enum):
 
 @dataclass
 class ErrorCountDistribution:
-    """Pr(Y_tau = eps) for eps = 0..n-tau."""
+    """The tail masses Pr(Y_tau >= e) for e = 0..n-tau+1, the last one 0."""
 
     tau: int
-    coeffs: np.ndarray
+    tails: np.ndarray
 
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
+    @property
+    def coeffs(self) -> np.ndarray:
+        """Pr(Y_tau = e) for e = 0..n-tau, the differences of neighbouring
+        tail masses."""
+        return self.tails[:-1] - self.tails[1:]
 
 
 @dataclass(frozen=True)
@@ -105,15 +108,14 @@ def tail_coeffs(h, width: int, tau_lo: int, tau_hi: int) -> np.ndarray:
 def pgf_distribution(h, tau: int) -> ErrorCountDistribution:
     """Error-count distribution of the non-erased tail h[tau:], O((n - tau)^2).
 
-    Each Pr(Y = e) is the difference Q[e] - Q[e + 1] of two tail masses, so
-    it carries an absolute error of about 1e-16; the differences are never
-    negative, since Q is non-increasing.
+    Each Pr(Y = e) in `coeffs` is the difference Q[e] - Q[e + 1] of two
+    tail masses, so it carries an absolute error of about 1e-16; the
+    differences are never negative, since Q is non-increasing.
     """
     h = check_sorted_unreliability(h)
     if not 0 <= tau <= len(h):
         raise ValueError(f"tau out of range: {tau}")
-    tails = tail_coeffs(h, len(h) - tau + 2, tau, tau)[0]
-    return ErrorCountDistribution(tau, tails[:-1] - tails[1:])
+    return ErrorCountDistribution(tau, tail_coeffs(h, len(h) - tau + 2, tau, tau)[0])
 
 
 def expectation(h, tau: int) -> float:
@@ -125,11 +127,12 @@ def expectation(h, tau: int) -> float:
 
 
 def residual_error_prob(dist: ErrorCountDistribution, eps0: int) -> float:
-    """Pr(Y_tau > eps0), the sum of the coefficients beyond eps0 (at most 1
-    after rounding); eps0 = -1 means no capability and gives the whole mass."""
+    """Pr(Y_tau > eps0), the tail mass Q[eps0 + 1], 0 past n - tau; eps0 = -1
+    means no capability and reads Q[0] = 1."""
     if eps0 < NO_CAPABILITY:
         raise ValueError(f"eps0 must be >= {NO_CAPABILITY}")
-    return min(1.0, float(dist.coeffs[eps0 + 1 :].sum()))
+    tails = dist.tails
+    return float(tails[min(eps0 + 1, len(tails) - 1)])
 
 
 def _tau_sweep(h, cap: DecoderCapability):

@@ -187,10 +187,10 @@ def gmd_test_words(code, codec, dbs, frames, garbage, rng):
     (8, 255, 191, (17.5, 18.5), 2, 1),
 ])
 def test_gmd_matches_per_trial_erasure(m, n, k, dbs, frames, garbage):
-    """Nested erasure sets grown on one ErasedWord give the codeword of the
-    per-trial erase_most_unreliable loop on the scalar codec, ties and
-    prior erasures included, also where a prior erasure recurs in the
-    sorted prefix that the trials erase. RS(256;255,223) and
+    """Nested erasure sets built by one erasure_trials call give the
+    codeword of the per-trial erase_most_unreliable loop on the scalar
+    codec, ties and prior erasures included, also where a prior erasure
+    recurs in the sorted prefix that the trials erase. RS(256;255,223) and
     RS(256;255,191) lie on the two sides of rs.ROW_BM_MIN_CHECKS: the
     first solves each trial's key equation in decode_ee, the second all
     trials of a word in one row-batched pass."""

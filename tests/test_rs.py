@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from erasurelab.rs import (
     ROW_BM_MIN_CHECKS,
     CodeError,
     CodeParams,
-    ErasedWord,
     ReceivedWord,
     RSCodec,
     erase_most_unreliable,
@@ -191,11 +191,12 @@ def scalar_erasure_locator(gf, n, erased):
 
 @pytest.mark.parametrize("m, n, k", [(4, 15, 7), (8, 255, 144)])
 def test_erased_word_grows_gamma_and_t(m, n, k):
-    """erase multiplies Gamma and T = Gamma S mod x^(n-k) by one factor per
-    new position and skips positions already erased, input erasures
-    included: both equal the scalar products over the distinct erased
-    positions, `erased` lists those in the order they were erased, and y
-    and S(y) stay as built."""
+    """Trial tau of erasure_trials erases the input erasures and then
+    order[:tau], skipping positions already erased, input erasures and
+    repeats in `order` included: its Gamma and T = Gamma S mod x^(n-k)
+    equal the scalar products over the distinct erased positions, `erased`
+    lists those in the order they were erased, and y and S(y) are those of
+    the received word. The taus are cumulative, equal ones included."""
     params = CodeParams(GF(m), n, k)
     codec, ref = RSCodec(params), ScalarRSCodec(params)
     gf, nsyn = params.gf, n - k
@@ -203,27 +204,32 @@ def test_erased_word_grows_gamma_and_t(m, n, k):
     repeats = 0
     for _ in range(10):
         symbols = rng.integers(0, params.q, n).tolist()
-        for i in rng.choice(n, 3, replace=False):
+        inputs = rng.choice(n, 3, replace=False).tolist()
+        for i in inputs:
             symbols[i] = None
-        word = ErasedWord(codec, symbols)
+        # at most n-k distinct positions in all, drawn with replacement,
+        # plus one repeat and one input erasure
+        draws = rng.choice(n, nsyn - 3).tolist()
+        order = draws + [draws[0], inputs[1]]
+        rng.shuffle(order)
+        taus = [0] + sorted(rng.integers(0, len(order) + 1, 4).tolist()) + [len(order)]
         y = [0 if s is None else s for s in symbols]
         synd = ref.syndromes(symbols)
-        expected = [i for i, s in enumerate(symbols) if s is None]
-        while True:
-            assert word.erased == expected
+        trials = codec.erasure_trials(symbols, order, taus)
+        assert len(trials) == len(taus)
+        for tau, trial in zip(taus, trials):
+            expected = list(dict.fromkeys(sorted(inputs) + order[:tau]))
+            assert trial.erased == expected
             gamma = scalar_erasure_locator(gf, n, expected)
-            assert word.gamma.tolist() == gamma
-            assert word.gamma_s.tolist() == scalar_poly_mul(gf, gamma, synd)[:nsyn]
-            assert word.y.tolist() == y and word.synd.tolist() == synd
-            # two random positions and one already erased
-            batch = rng.choice(n, 2).tolist() + [expected[int(rng.integers(len(expected)))]]
-            new = [i for i in dict.fromkeys(batch) if i not in expected]
-            if len(expected) + len(new) > nsyn:
-                break
-            repeats += len(batch) - len(new)
-            word.erase(batch)
-            expected += new
-    assert repeats > 0
+            assert trial.gamma.tolist() == gamma
+            assert trial.gamma_s.tolist() == scalar_poly_mul(gf, gamma, synd)[:nsyn]
+            assert trial.y.tolist() == y and trial.synd.tolist() == synd
+        repeats += len(order) + 3 - len(trials[-1].erased)
+        assert codec.erasure_trials(symbols, order, []) == []
+        for taus in ([2, 1], [-1]):
+            with pytest.raises(CodeError):
+                codec.erasure_trials(symbols, order, taus)
+    assert repeats >= 20
 
 
 def test_decode_ee_rejects_lambda_roots_at_erasures(codec, small):
@@ -296,7 +302,7 @@ def gmd_forney_rows(codec, rng, count):
         order = rng.permutation(p.n).tolist()
         for i in [order[2]] + order[-2:]:
             symbols[i] = None
-        for trial in ErasedWord(codec, symbols).nested_trials(order, taus):
+        for trial in codec.erasure_trials(symbols, order, taus):
             tau = len(trial.erased)
             rows.append((trial.gamma_s[tau:].tolist() + [0] * min(tau, nsyn), max(nsyn - tau, 0)))
     return rows
@@ -338,10 +344,12 @@ def test_berlekamp_massey_rows_matches_scalar(m, n, k):
 
 @pytest.mark.parametrize("k", [223, 191, 144])
 def test_solve_locators_by_check_count(k):
-    """From ROW_BM_MIN_CHECKS check symbols on, solve_locators gives every
-    GMD trial the locator of the scalar Berlekamp-Massey wherever 2L <= N,
-    and decode_ee reads it to the same result; below it the trials keep
-    none. RS(256;255,223) and RS(256;255,191) lie on the two sides."""
+    """erasure_trials gives its trials a locator exactly when it builds two
+    or more of them from ROW_BM_MIN_CHECKS check symbols on: that of the
+    scalar Berlekamp-Massey wherever 2L <= N, and decode_ee reads it to the
+    result it gets without it. A one-trial call, as decode_ee makes for a
+    ReceivedWord, carries none. RS(256;255,223) and RS(256;255,191) lie on
+    the two sides."""
     params = CodeParams(GF(8), 255, k)
     codec, nsyn = RSCodec(params), 255 - k
     assert 32 < ROW_BM_MIN_CHECKS <= 64
@@ -349,16 +357,18 @@ def test_solve_locators_by_check_count(k):
     cw = codec.encode(rng.integers(0, params.q, k).tolist())
     symbols = corrupt(cw, rng, nsyn // 3, 2, params.q)
     order = rng.permutation(255).tolist()
-    trials = ErasedWord(codec, symbols).nested_trials(order, list(range(0, params.d_min, 2)))
-    codec.solve_locators(trials)
-    if nsyn < ROW_BM_MIN_CHECKS:
-        assert all(t.locator is None for t in trials)
-        return
-    for t in trials:
-        tau = len(t.erased)
-        want = codec._berlekamp_massey(t.gamma_s[tau:].tolist())
-        if 2 * want[1] <= nsyn - tau:
-            assert t.locator == want
-        out = codec.decode_ee(t)
-        t.locator = None
-        assert out == codec.decode_ee(t)
+    decoded = 0
+    for taus in ([0], [nsyn // 2], [3, 3], list(range(0, params.d_min, 2))):
+        solved = len(taus) >= 2 and nsyn >= ROW_BM_MIN_CHECKS
+        for t in codec.erasure_trials(symbols, order, taus):
+            assert (t.locator is not None) == solved
+            out = codec.decode_ee(t)
+            decoded += out == cw
+            if not solved:
+                continue
+            tau = len(t.erased)
+            want = codec._berlekamp_massey(t.gamma_s[tau:].tolist())
+            if 2 * want[1] <= nsyn - tau:
+                assert t.locator == want
+            assert out == codec.decode_ee(replace(t, locator=None))
+    assert decoded > 0

@@ -92,6 +92,31 @@ def test_config_validation(code):
         make_cfg(code, mode="semi_simulative", decoder_kind=DecoderKind.IRS, ell=0)
     # GS is fine for the analytic mode
     make_cfg(code, mode="semi_simulative", decoder_kind=DecoderKind.GS)
+    # numpy integers are integers
+    make_cfg(code, max_frames=np.int64(512), seed=np.uint32(1), fixed_tau=np.int8(2))
+    make_cfg(code, mode="semi_simulative", samples=np.int16(5), force_tau=np.intp(1))
+
+
+@pytest.mark.parametrize("field, kw", [
+    ("code", dict(code=CodeParams(GF(3, 0b1011), 7, 3))),
+    ("max_frames", dict(max_frames=2.5)),
+    ("max_frames", dict(max_frames=True)),
+    ("max_errors", dict(max_errors=np.float64(10))),
+    ("samples", dict(mode="semi_simulative", samples=2.5)),
+    ("fixed_tau", dict(fixed_tau=1.5)),
+    ("force_tau", dict(mode="semi_simulative", force_tau=1.5)),
+    ("seed", dict(seed=1.5)),
+    ("seed", dict(seed=np.True_)),
+    ("ell", dict(mode="semi_simulative", decoder_kind=DecoderKind.IRS, ell=2.0)),
+    ("ebn0_grid", dict(ebn0_grid="5,6")),
+])
+def test_config_rejects_what_fails_in_the_run(code, field, kw):
+    """A non-integer or bool count, a code with no square QAM and a grid
+    given as a string fail when the config is built, naming the field,
+    not deep in the run (in SquareQam, numpy's integers, SeedSequence or
+    tail_coeffs) or with a nonsense result such as frames=True."""
+    with pytest.raises(ConfigError, match=field):
+        make_cfg(**{"code": code, **kw})
 
 
 def test_sampled_vectors_shape_and_order(code):
