@@ -9,9 +9,9 @@ campaign driver.
 
 __version__ = "0.1.0"
 
-from .dcf import NO_CAPABILITY, DecoderCapability, DecoderKind, dcf_value, epsilon0
+from .dcf import NO_CAPABILITY, DecoderCapability, DecoderKind
 from .gf import GF, FieldError
-from .gmd import GmdConfig, gmd_decode
+from .gmd import gmd_decode
 from .modem import SquareQam, UnreliabilityLut, awgn, sigma_from_ebn0
 from .rs import CodeParams, ReceivedWord, RSCodec, erase_most_unreliable
 from .sim import CampaignConfig, FerPoint, run_campaign
@@ -33,8 +33,6 @@ __all__ = [
     "NO_CAPABILITY",
     "DecoderCapability",
     "DecoderKind",
-    "dcf_value",
-    "epsilon0",
     "SquareQam",
     "UnreliabilityLut",
     "awgn",
@@ -44,7 +42,6 @@ __all__ = [
     "choose_tau",
     "pgf_distribution",
     "residual_error_prob",
-    "GmdConfig",
     "gmd_decode",
     "CampaignConfig",
     "FerPoint",

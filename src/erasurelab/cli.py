@@ -157,10 +157,13 @@ def cmd_predict(args) -> int:
 
 def cmd_strategy(args) -> int:
     values = collect_values(args, ("m", "n", "k", "decoder", "ell"))
-    code = build_code(values)
-    cap = DecoderCapability(
-        DecoderKind(values.get("decoder", "bmd")), code, values.get("ell", 1)
-    )
+    try:
+        code = build_code(values)
+        cap = DecoderCapability(
+            DecoderKind(values.get("decoder", "bmd")), code, values.get("ell", 1)
+        )
+    except ValueError as exc:
+        raise CliError(str(exc))
     if args.h_file:
         h = np.loadtxt(args.h_file, ndmin=1)
     elif args.sample is not None:
@@ -193,13 +196,10 @@ def cmd_strategy(args) -> int:
 def cmd_lut(args) -> int:
     try:
         qam = SquareQam(args.qam)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    if args.sigma is not None:
-        sigma = args.sigma
-    else:
-        sigma = sigma_from_ebn0(args.ebn0, args.qam, args.n, args.k)
-    try:
+        if args.sigma is not None:
+            sigma = args.sigma
+        else:
+            sigma = sigma_from_ebn0(args.ebn0, args.qam, args.n, args.k)
         lut = UnreliabilityLut.build(qam, sigma, args.bits)
     except ValueError as exc:
         raise CliError(str(exc))

@@ -59,6 +59,14 @@ class CodeError(ValueError):
     pass
 
 
+def require_integer(name: str, value, error: type[ValueError] = ValueError) -> None:
+    """Raise `error` unless `value` is an integer: anything operator.index
+    takes, numpy integers too, but not a bool, which is an int but never a
+    count."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CodeParams:
     """RS(q; n, k, d_min) over GF(2^m); d_min = n - k + 1 (MDS)."""
@@ -68,6 +76,8 @@ class CodeParams:
     k: int
 
     def __post_init__(self):
+        require_integer("n", self.n, CodeError)
+        require_integer("k", self.k, CodeError)
         if not (1 <= self.k < self.n <= self.gf.q - 1):
             raise CodeError(f"need 1 <= k < n <= q-1, got n={self.n} k={self.k} q={self.gf.q}")
 
@@ -267,8 +277,7 @@ class RSCodec:
         at code positions. Psi is then squarefree, so the Forney
         denominator Psi_odd is nonzero at each of its roots.
         """
-        gf = self.params.gf
-        vals = np.bitwise_xor.reduce(gf.products(lam, self._chien_logs), axis=0)
+        vals = self.params.gf.vecmat(lam, self._chien_logs)
         roots = np.flatnonzero(vals == 0).tolist()
         if len(roots) != len(lam) - 1 or not set(roots).isdisjoint(erased):
             return None

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dcf import DecoderCapability, DecoderKind
-from .gmd import GmdConfig, gmd_decode
+from .gmd import gmd_decode
 from .modem import SquareQam, UnreliabilityLut, awgn, sigma_from_ebn0, unreliability_exact, unreliability_nn
-from .rs import CodeParams, RSCodec, ReceivedWord, erase_most_unreliable
+from .rs import CodeParams, RSCodec, ReceivedWord, erase_most_unreliable, require_integer
 from .strategy import (
     StrategyKind,
     choose_tau,
@@ -84,14 +84,10 @@ class CampaignConfig:
             raise ConfigError(f"decoder_kind must be a DecoderKind, got {self.decoder_kind!r}")
         if not isinstance(self.strategy, StrategyKind):
             raise ConfigError(f"strategy must be a StrategyKind, got {self.strategy!r}")
-        for name in ("ell", "fixed_tau", "max_frames", "max_errors", "samples", "seed", "force_tau"):
-            value = getattr(self, name)
-            if value is None and name == "force_tau":
-                continue
-            # what operator.index takes, numpy integers too; a bool is an
-            # int, but never a count
-            if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("ell", "fixed_tau", "max_frames", "max_errors", "samples", "seed"):
+            require_integer(name, getattr(self, name), ConfigError)
+        if self.force_tau is not None:
+            require_integer("force_tau", self.force_tau, ConfigError)
         if self.code.gf.m % 2:
             raise ConfigError(f"code: square QAM needs q = 2^m with m even, got m={self.code.gf.m}")
         if self.decoder_kind is DecoderKind.IRS and self.ell < 1:
@@ -213,7 +209,6 @@ class _FrameRunner:
         self.lut = (
             UnreliabilityLut.build(self.qam, sigma, 8) if cfg.unreliability == "lut" else None
         )
-        self.gmd_cfg = GmdConfig.for_code(cfg.code)
 
     def run_frame(self, frame_index: int) -> tuple[int, float]:
         """Returns (frame error indicator, per-frame analytic prediction)."""
@@ -227,7 +222,7 @@ class _FrameRunner:
         h = unreliability(y, self.qam, self.sigma, cfg.unreliability, self.lut)
 
         if cfg.mode == "gmd":
-            out = gmd_decode(ReceivedWord(r, h), self.codec, self.gmd_cfg)
+            out = gmd_decode(ReceivedWord(r, h), self.codec)
             predicted = math.nan
         else:
             h_sorted = np.sort(h)[::-1]

@@ -159,3 +159,19 @@ def test_strategy_profile_at_20_db_has_no_zero_p(capsys):
     assert len(profile) == 112
     assert min(profile) > 0
     assert sum(p < 1e-16 for p in profile) >= 80
+
+
+@pytest.mark.parametrize("argv", [
+    ["strategy", "--m", "5", "--n", "31", "--k", "15", "--sample", "9"],  # no GF(32)
+    ["strategy", "--m", "4", "--n", "20", "--k", "7", "--sample", "9"],  # n > q - 1
+    ["strategy", "--m", "4", "--n", "15", "--k", "7", "--decoder", "irs", "--ell", "0",
+     "--sample", "9"],
+    ["lut", "--qam", "16", "--ebn0", "9", "--n", "15", "--k", "20", "--out", "x"],  # k > n
+], ids=["field", "code", "ell", "rate"])
+def test_bad_parameters_are_errors_not_tracebacks(capsys, argv):
+    """strategy and lut report a bad parameter as simulate and predict do:
+    one `error:` line and exit status 2."""
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error: ")

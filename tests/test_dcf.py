@@ -2,13 +2,7 @@ import math
 
 import pytest
 
-from erasurelab.dcf import (
-    NO_CAPABILITY,
-    DecoderCapability,
-    DecoderKind,
-    dcf_value,
-    epsilon0,
-)
+from erasurelab.dcf import NO_CAPABILITY, DecoderCapability, DecoderKind
 from erasurelab.gf import GF
 from erasurelab.rs import CodeParams
 
@@ -31,10 +25,10 @@ def caps(code, ells=(1, 2, 3)):
 
 
 def test_spot_values_255_144(code255):
-    assert epsilon0(DecoderCapability(DecoderKind.BMD, code255), 0) == 55
-    assert epsilon0(DecoderCapability(DecoderKind.GS, code255), 0) == 64
-    assert epsilon0(DecoderCapability(DecoderKind.BMD, code255), 111) == 0
-    assert epsilon0(DecoderCapability(DecoderKind.BMD, code255), 112) == NO_CAPABILITY
+    assert DecoderCapability(DecoderKind.BMD, code255).epsilon0(0) == 55
+    assert DecoderCapability(DecoderKind.GS, code255).epsilon0(0) == 64
+    assert DecoderCapability(DecoderKind.BMD, code255).epsilon0(111) == 0
+    assert DecoderCapability(DecoderKind.BMD, code255).epsilon0(112) == NO_CAPABILITY
 
 
 def test_dcf_values(code255):
@@ -59,6 +53,19 @@ def test_dcf_domain_errors(code255):
         gs.epsilon0(255)
     with pytest.raises(ValueError):
         DecoderCapability("bmd", code255)
+
+
+@pytest.mark.parametrize("kind, ell", [
+    (DecoderKind.IRS, 1.5),
+    (DecoderKind.IRS, 2.0),
+    (DecoderKind.IRS, True),
+    (DecoderKind.BMD, 1.0),
+])
+def test_ell_must_be_an_integer(code15, kind, ell):
+    """A non-integer or bool ell fails when the capability is built, not
+    with a table for a meaningless ell."""
+    with pytest.raises(ValueError, match="ell must be an integer"):
+        DecoderCapability(kind, code15, ell)
 
 
 def test_epsilon0_maximality_exhaustive(code255, code15):
@@ -117,20 +124,13 @@ def test_gs_integer_boundary_guard():
     assert (100 - (e0 + 1)) ** 2 <= 2500
 
 
-def test_module_functions_match_methods(code15):
-    cap = DecoderCapability(DecoderKind.IRS, code15, 3)
-    for tau in range(code15.n + 1):
-        assert epsilon0(cap, tau) == cap.epsilon0(tau)
-    assert dcf_value(cap, 2, 3) == cap.dcf_value(2, 3)
-
-
 def test_epsilon0_table_matches_per_tau(code15, code255):
     """The table the tau choosers read is eps0(tau) for tau = 0..d_min-1,
     built once per capability and read-only."""
     for code in (code15, code255):
         for cap in caps(code, ells=(3,)):
             table = cap.epsilon0_table
-            assert table.tolist() == [epsilon0(cap, tau) for tau in range(code.d_min)]
+            assert table.tolist() == [cap.epsilon0(tau) for tau in range(code.d_min)]
             assert cap.epsilon0_table is table
             with pytest.raises(ValueError):
                 table[0] = 0
@@ -141,3 +141,44 @@ def test_bmd_closed_form(code15):
     for tau in range(code15.n + 1):
         e0 = math.ceil((code15.n - code15.k + 1 - tau) / 2) - 1
         assert bmd.epsilon0(tau) == (e0 if e0 >= 0 else NO_CAPABILITY)
+
+
+def float_epsilon0(kind, n, k, tau, ell=1):
+    """eps0 from the closed forms in floating point, the GS one repaired
+    by exact integer guard loops: the form the integer arithmetic of
+    `DecoderCapability.epsilon0` replaced, kept as its test reference."""
+    if kind is DecoderKind.BMD:
+        e0 = math.ceil((n - k + 1 - tau) / 2) - 1
+    elif kind is DecoderKind.IRS:
+        e0 = math.ceil(ell * (n - k + 1 - tau) / (ell + 1)) - 1
+    else:
+        e0 = math.ceil(n - tau - math.sqrt((n - tau) * (k - 1))) - 1
+        # guard against 1-ulp drift of sqrt at integer boundaries: eps is
+        # admissible iff (n-tau-eps)^2 > (n-tau)(k-1), exact in integers
+        while e0 + 1 <= n - tau and (n - tau - (e0 + 1)) ** 2 > (n - tau) * (k - 1):
+            e0 += 1
+        while e0 >= 0 and (n - tau - e0) ** 2 <= (n - tau) * (k - 1):
+            e0 -= 1
+    return e0 if e0 >= 0 else NO_CAPABILITY
+
+
+@pytest.mark.parametrize("m, lengths", [(4, range(2, 16)), (8, (255, 100))], ids=["gf16", "gf256"])
+def test_integer_epsilon0_matches_float_forms(m, lengths):
+    """The integer eps0 equals the floating-point closed forms with guards
+    for every k and tau: every code over GF(16), and n = 255 and n = 100
+    over GF(256), where n = 100, k = 26 makes (n-tau)(k-1) a perfect
+    square at tau = 0."""
+    gf = GF(m)
+    kinds = [(DecoderKind.BMD, 1), (DecoderKind.GS, 1)]
+    kinds += [(DecoderKind.IRS, ell) for ell in (1, 2, 3, 8)]
+    checked = 0
+    for n in lengths:
+        for k in range(1, n):
+            code = CodeParams(gf, n, k)
+            for kind, ell in kinds:
+                cap = DecoderCapability(kind, code, ell)
+                # GS is undefined at tau = n (test_dcf_domain_errors)
+                for tau in range(n + (kind is not DecoderKind.GS)):
+                    assert cap.epsilon0(tau) == float_epsilon0(kind, n, k, tau, ell), (kind, ell, n, k, tau)
+                    checked += 1
+    assert checked > (6000 if m == 4 else 400_000)

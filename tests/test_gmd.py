@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from erasurelab.gf import GF
-from erasurelab.gmd import GmdConfig, default_schedule, gmd_decode
+from erasurelab.gmd import default_schedule, gmd_decode
 from erasurelab.modem import SquareQam, awgn, sigma_from_ebn0, unreliability_exact
-from erasurelab.rs import CodeParams, ReceivedWord, RSCodec, erase_most_unreliable
+from erasurelab.rs import CodeParams, ReceivedWord, RSCodec, erase_most_unreliable, erasure_order
 from scalar_rs import ScalarRSCodec
 
 
@@ -31,22 +31,6 @@ def test_default_schedule_odd_dmin():
     assert len(default_schedule(9)) == 5
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        GmdConfig([3, 1])
-    with pytest.raises(ValueError):
-        GmdConfig([0, 0, 2])
-    with pytest.raises(ValueError):
-        GmdConfig([-1, 1])
-    cfg = GmdConfig([0, 2, 4])
-    assert cfg.z == 3
-
-
-def test_for_code(code):
-    cfg = GmdConfig.for_code(code)
-    assert cfg.erasure_schedule == [0, 2, 4, 6, 8]
-
-
 def test_gmd_recovers_within_half_distance(codec, code):
     """Few errors with matching high unreliabilities: GMD must recover."""
     rng = np.random.default_rng(0)
@@ -60,7 +44,7 @@ def test_gmd_recovers_within_half_distance(codec, code):
         for i in pos:
             word[i] ^= int(rng.integers(1, code.q))
             h[i] = rng.uniform(0.6, 0.99)
-        out = gmd_decode(ReceivedWord(word, h), codec, GmdConfig.for_code(code))
+        out = gmd_decode(ReceivedWord(word, h), codec)
         assert out == cw
 
 
@@ -79,27 +63,28 @@ def test_gmd_beats_errors_only_with_reliable_flags(codec, code):
             h[i] = rng.uniform(0.9, 0.99)
         eo = codec.decode_ee(ReceivedWord(word, h))
         assert eo != cw  # 8 errors exceed the errors-only radius
-        out = gmd_decode(ReceivedWord(word, h), codec, GmdConfig.for_code(code))
+        out = gmd_decode(ReceivedWord(word, h), codec)
         wins += out == cw
     assert wins == trials
 
 
 def test_gmd_output_is_codeword_or_none(codec, code):
     """Garbage input: with the full schedule the n-k erasure trial always
-    completes to some codeword (MDS); with a short schedule failures occur.
-    Either way, any output is a valid codeword."""
+    completes to some codeword (MDS); trials with only 0 or 2 erasures
+    fail on some words. Either way, any output is a valid codeword."""
     rng = np.random.default_rng(2)
     nones_short = 0
     for _ in range(30):
         word = rng.integers(0, code.q, size=code.n).tolist()
         h = rng.uniform(0.4, 0.6, code.n)
-        out = gmd_decode(ReceivedWord(word, h), codec, GmdConfig.for_code(code))
+        out = gmd_decode(ReceivedWord(word, h), codec)
         assert out is not None and codec.is_codeword(out)
-        short = gmd_decode(ReceivedWord(word, h), codec, GmdConfig([0, 2]))
-        if short is None:
-            nones_short += 1
-        else:
-            assert codec.is_codeword(short)
+        for trial in codec.erasure_trials(word, erasure_order(h), [0, 2]):
+            short = codec.decode_ee(trial)
+            if short is None:
+                nones_short += 1
+            else:
+                assert codec.is_codeword(short)
     assert nones_short > 0
 
 
@@ -108,7 +93,6 @@ def test_gmd_candidate_selection_channel(codec, code):
     rng = np.random.default_rng(3)
     qam = SquareQam(code.q)
     sigma = sigma_from_ebn0(7.0, code.q, code.n, code.k)
-    cfg = GmdConfig.for_code(code)
     gmd_err = eo_err = 0
     for _ in range(400):
         cw = codec.encode(rng.integers(0, code.q, size=code.k).tolist())
@@ -116,30 +100,21 @@ def test_gmd_candidate_selection_channel(codec, code):
         r = qam.hard_decision(y).tolist()
         h = unreliability_exact(y, qam, sigma)
         eo_err += codec.decode_ee(ReceivedWord(r, h)) != cw
-        gmd_err += gmd_decode(ReceivedWord(r, h), codec, cfg) != cw
+        gmd_err += gmd_decode(ReceivedWord(r, h), codec) != cw
     assert gmd_err <= eo_err
 
 
-def test_gmd_schedule_cap(codec, code):
-    """Erasure counts beyond d_min - 1 are skipped, not attempted."""
-    cw = codec.encode([1] * code.k)
-    cfg = GmdConfig([0, 20])
-    out = gmd_decode(ReceivedWord(list(cw), np.zeros(code.n)), codec, cfg)
-    assert out == cw
-
-
-def reference_gmd(word, ref, cfg, outcomes):
+def reference_gmd(word, ref, taus, outcomes):
     """The trial loop that gmd_decode replaced, on the scalar codec: each
-    trial erases afresh with erase_most_unreliable. Counts failed (True)
-    and successful (False) trials in `outcomes`."""
+    trial of the erasure counts `taus` erases afresh with
+    erase_most_unreliable. Counts failed (True) and successful (False)
+    trials in `outcomes`."""
     h = word.unreliability
     symbols = word.symbols
     best = None
     best_score = -1.0
     seen = set()
-    for tau in cfg.erasure_schedule:
-        if tau > ref.params.d_min - 1:
-            break
+    for tau in taus:
         cand = ref.decode_ee(erase_most_unreliable(symbols, h, tau))
         outcomes[cand is None] += 1
         if cand is None:
@@ -196,12 +171,13 @@ def test_gmd_matches_per_trial_erasure(m, n, k, dbs, frames, garbage):
     trials of a word in one row-batched pass."""
     code = CodeParams(GF(m), n, k)
     codec, ref = RSCodec(code), ScalarRSCodec(code)
-    cfg = GmdConfig.for_code(code)
+    taus = list(range((code.d_min - 1) % 2, code.d_min, 2))
+    assert default_schedule(code.d_min) == taus
     outcomes = Counter()
     recurring = 0
     for r, h in gmd_test_words(code, codec, dbs, frames, garbage, np.random.default_rng(11)):
-        want = reference_gmd(ReceivedWord(r, h), ref, cfg, outcomes)
-        assert gmd_decode(ReceivedWord(r, h), codec, cfg) == want
+        want = reference_gmd(ReceivedWord(r, h), ref, taus, outcomes)
+        assert gmd_decode(ReceivedWord(r, h), codec) == want
         prefix = np.argsort(-h, kind="stable")[: code.d_min - 1]
         recurring += any(r[i] is None for i in prefix)
     assert outcomes[True] > 0 and outcomes[False] > 0
@@ -211,11 +187,10 @@ def test_gmd_matches_per_trial_erasure(m, n, k, dbs, frames, garbage):
 def test_decoders_leave_the_word_untouched(codec, code):
     """gmd_decode and decode_ee read the caller's symbols and unreliability
     and change neither."""
-    cfg = GmdConfig.for_code(code)
     for r, h in gmd_test_words(code, codec, (7.0,), 20, 2, np.random.default_rng(12)):
         word = ReceivedWord(r, h)
         symbols, unreliability = list(r), word.unreliability.copy()
-        gmd_decode(word, codec, cfg)
+        gmd_decode(word, codec)
         codec.decode_ee(word)
         assert word.symbols is r and r == symbols
         assert np.array_equal(word.unreliability, unreliability)

@@ -52,6 +52,16 @@ def test_params_validation():
         CodeParams(gf, 15, 15)
 
 
+@pytest.mark.parametrize("n, k", [(15.0, 7), (15, 7.0), (np.float64(15), 7), (15, True)],
+                         ids=["float-n", "float-k", "np-float-n", "bool-k"])
+def test_params_reject_non_integers(n, k):
+    """A non-integer or bool length or dimension fails when the code is
+    built, not later inside RSCodec's slices and tables."""
+    with pytest.raises(CodeError, match="must be an integer"):
+        CodeParams(GF(4), n, k)
+    assert CodeParams(GF(4), np.int64(15), np.int8(7)).d_min == 9
+
+
 def test_received_word_validation():
     with pytest.raises(CodeError):
         ReceivedWord([1, 2], np.array([0.1]))
