@@ -165,7 +165,10 @@ def cmd_strategy(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc))
     if args.h_file:
-        h = np.loadtxt(args.h_file, ndmin=1)
+        try:
+            h = np.loadtxt(args.h_file, ndmin=1)
+        except (OSError, ValueError) as exc:
+            raise CliError(f"cannot read unreliabilities from {args.h_file}: {exc}")
     elif args.sample is not None:
         qam = SquareQam(code.q)
         sigma = sigma_from_ebn0(args.sample, code.q, code.n, code.k)

@@ -10,10 +10,11 @@ The decoder works on trials, `ErasedWord` values that
 `RSCodec.erasure_trials` builds from a received word: the hard word y,
 its syndromes S(y), computed once, the erased positions, the erasure
 locator Gamma(x) and T(x) = Gamma(x) S(x) mod x^(n-k), whose coefficients
-tau..n-k-1 are the Forney syndromes, and the error locator if the builder
-solved it. Erasing one more position multiplies Gamma and T by one linear
-factor, so the trials of nested erasure sets (GMD) come from one pass,
-each trial's Gamma/T buffer a row of one array grown from the row before.
+tau..n-k-1 are the Forney syndromes, and the error locator once
+`RSCodec.solve_locators` has solved it. Erasing one more position
+multiplies Gamma and T by one linear factor, so the trials of nested
+erasure sets (GMD) come from one pass, each trial's Gamma/T buffer a row
+of one array grown from the row before.
 `decode_ee` reads a `ReceivedWord` as the builder's one trial. The Chien
 search runs on Lambda alone: Psi = Lambda Gamma has deg Psi distinct
 roots iff Lambda has L distinct roots at code positions and none is
@@ -32,11 +33,13 @@ Gamma/T buffer. g(x) and Gamma are built one linear factor at a time.
 Berlekamp-Massey has two forms, chosen by the number n-k of check
 symbols. The scalar one, on the field's zero-sentinel table lists, runs
 per trial inside `decode_ee` when the trial has no locator. The
-row-batched one steps all trials of a word in lock-step on (W, rows)
+row-batched one steps the trials of a word in lock-step on (W, rows)
 log/antilog arrays, W = (n-k)//2 + 2; a step costs about ten array calls
-whatever the row count, so `erasure_trials` runs it only for two or more
-trials on long syndromes, from ROW_BM_MIN_CHECKS on. Both give the same
-Lambda wherever 2L <= N, where it is unique.
+whatever the row count, so `solve_locators` runs it only for two or more
+trials on long syndromes, from ROW_BM_MIN_CHECKS on, and hands the trials
+back unsolved otherwise. A caller that decodes some trials of a word and
+then decides which others it still needs (GMD) solves only those. Both
+forms give the same Lambda wherever 2L <= N, where it is unique.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ import numpy as np
 
 from .gf import GF
 
-#: the number n-k of check symbols from which `RSCodec.erasure_trials`
+#: the number n-k of check symbols from which `RSCodec.solve_locators`
 #: solves the trials of a word in one row-batched Berlekamp-Massey pass.
 #: Below it the scalar pass per trial is faster: on GMD frames of
 #: RS(256;255,k) with about (n-k)/3 symbol errors the two cross between
@@ -222,8 +225,13 @@ class RSCodec:
 
         A `ReceivedWord` is read as the one trial of its symbols; a caller
         that decodes one word under several erasure sets passes the
-        trials of `erasure_trials`. A trial's locator, if it has one,
-        stands in for Berlekamp-Massey.
+        trials of `erasure_trials`. A trial's locator, if `solve_locators`
+        gave it one, stands in for Berlekamp-Massey.
+
+        The decoder is a BMD decoder: the trial with erased set X returns
+        the codeword c exactly when 2 |{i not in X : y_i != c_i}| + |X| <=
+        n - k, and None when no codeword lies that close. Within that
+        radius c is unique.
         """
         if isinstance(word, ReceivedWord):
             (word,) = self.erasure_trials(word.symbols)
@@ -284,18 +292,15 @@ class RSCodec:
         return roots
 
     def erasure_trials(self, symbols: list, order=(), taus=(0,)) -> list[ErasedWord]:
-        """The trials of one received word, one per tau of the
-        non-decreasing, non-negative `taus`: trial tau erases the input
-        erasures (None) and then order[:tau], skipping positions already
-        erased.
+        """The trials of one received word, one per tau of `taus`,
+        non-negative integers in non-decreasing order (anything else is a
+        CodeError): trial tau erases the input erasures (None) and then
+        order[:tau], skipping positions already erased.
 
         S(y) is computed once. Each trial's Gamma/T buffer is a row of one
         array, a copy of the row before grown by one linear factor per new
-        position. For two or more trials from ROW_BM_MIN_CHECKS check
-        symbols on, one row-batched Berlekamp-Massey pass gives every
-        trial its locator; otherwise the trials carry none, and
-        `decode_ee` runs the scalar steps, which are faster on short
-        syndromes and for a single word.
+        position. The trials carry no locator: `solve_locators` gives
+        them theirs, or `decode_ee` runs Berlekamp-Massey per trial.
         """
         p = self.params
         n, gf = p.n, p.gf
@@ -314,6 +319,7 @@ class RSCodec:
         is_erased = bytearray(n)
         done = 0
         for tau in taus:
+            require_integer("tau", tau, CodeError)
             row = rows[len(trials)]
             if trials:
                 row[:] = trials[-1].polys
@@ -334,25 +340,34 @@ class RSCodec:
                     gf.mul_linear(out, shifted, n - 1 - i)
             done = end
             trials.append(ErasedWord(y, synd, erased[:], row))
+        return trials
+
+    def solve_locators(self, trials: list[ErasedWord]) -> list[ErasedWord]:
+        """The trials with their error locators solved, for two or more
+        trials from ROW_BM_MIN_CHECKS check symbols on: one row-batched
+        Berlekamp-Massey pass gives each trial its (Lambda, L). Otherwise
+        the trials as they are, and `decode_ee` runs the scalar steps,
+        which are faster on short syndromes and for a single word. The
+        trials must come in non-decreasing order of erasure count, as
+        `erasure_trials` builds them."""
+        nsyn = self.params.n - self.params.k
         if len(trials) < 2 or nsyn < ROW_BM_MIN_CHECKS:
             return trials
-        locators = self._solve_locators(rows[:, nsyn + 3 : 2 * nsyn + 3], [len(t.erased) for t in trials])
-        return [ErasedWord(y, synd, t.erased, t.polys, loc) for t, loc in zip(trials, locators)]
-
-    def _solve_locators(self, gamma_s: np.ndarray, taus: list[int]) -> list:
-        """(Lambda, L) for the T coefficients in each row of `gamma_s`, with
-        taus[j] erasures in row j, in one row-batched Berlekamp-Massey
-        pass; the taus must be non-decreasing."""
-        nsyn = gamma_s.shape[1]
-        taus = np.array(taus)
-        # row j's Forney syndromes are T_tau..T_(n-k-1) with tau = taus[j];
-        # columns past a row's length are clipped and never read
-        cols = np.minimum(taus[:, None] + np.arange(nsyn), nsyn - 1)
-        synd = np.take_along_axis(gamma_s, cols, axis=1)
-        lam, L = self._berlekamp_massey_rows(synd, np.maximum(nsyn - taus, 0))
+        # row j: trial j's Forney syndromes T_tau..T_(n-k-1), left-aligned;
+        # the columns past them are never read
+        synd = np.zeros((len(trials), nsyn), dtype=np.intp)
+        lengths = []
+        for row, t in zip(synd, trials):
+            forney = t.gamma_s[len(t.erased) :]
+            row[: len(forney)] = forney
+            lengths.append(len(forney))
+        lam, L = self._berlekamp_massey_rows(synd, lengths)
         # deg Lambda: the index of the last nonzero coefficient
         deg = (len(lam) - 1 - np.argmax(lam[::-1] != 0, axis=0)).tolist()
-        return [(coeffs[: d + 1], l) for coeffs, d, l in zip(lam.T.tolist(), deg, L.tolist())]
+        return [
+            ErasedWord(t.y, t.synd, t.erased, t.polys, (coeffs[: d + 1], l))
+            for t, coeffs, d, l in zip(trials, lam.T.tolist(), deg, L.tolist())
+        ]
 
     def _berlekamp_massey_rows(self, synd: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
         """Berlekamp-Massey on the rows of `synd` in lock-step.

@@ -140,6 +140,19 @@ def test_strategy_command_rejects_bad_vector_file(tmp_path, capsys, h):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("content", [None, "abc\n", "0.1 0.2\n0.3\n"])
+def test_strategy_command_rejects_unreadable_vector_file(tmp_path, capsys, content):
+    """A missing file, a non-number and a ragged file are one `error:`
+    line and exit status 2, not a traceback."""
+    hfile = tmp_path / "h.txt"
+    if content is not None:
+        hfile.write_text(content)
+    with pytest.raises(SystemExit) as exc:
+        run(["strategy", str(hfile), "--m", "4", "--n", "15", "--k", "7"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_strategy_command_sampled(capsys):
     rc = run(["strategy", "--m", "4", "--n", "15", "--k", "7",
               "--sample", "9.0", "--seed", "4", "--strategy", "exact"])

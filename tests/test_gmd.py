@@ -108,7 +108,8 @@ def reference_gmd(word, ref, taus, outcomes):
     """The trial loop that gmd_decode replaced, on the scalar codec: each
     trial of the erasure counts `taus` erases afresh with
     erase_most_unreliable. Counts failed (True) and successful (False)
-    trials in `outcomes`."""
+    trials in `outcomes`, and as "tie" each new candidate whose score
+    equals the best one so far, which the smaller erasure count wins."""
     h = word.unreliability
     symbols = word.symbols
     best = None
@@ -126,6 +127,7 @@ def reference_gmd(word, ref, taus, outcomes):
         score = float(
             sum((1.0 - h[i]) for i, ci in enumerate(cand) if symbols[i] == ci)
         )
+        outcomes["tie"] += score == best_score
         if score > best_score:
             best_score = score
             best = cand
@@ -155,12 +157,17 @@ def gmd_test_words(code, codec, dbs, frames, garbage, rng):
         yield erased, h
 
 
-@pytest.mark.parametrize("m, n, k, dbs, frames, garbage", [
+#: codes and gmd_test_words arguments: RS(16;15,7), and RS(256;255,k) on
+#: both sides of rs.ROW_BM_MIN_CHECKS
+GMD_CASES = [
     (4, 15, 7, (6.0, 7.0, 8.0, 9.0), 500, 40),
     (8, 255, 144, (15.0, 16.0), 4, 1),
     (8, 255, 223, (18.5, 19.5), 2, 1),
     (8, 255, 191, (17.5, 18.5), 2, 1),
-])
+]
+
+
+@pytest.mark.parametrize("m, n, k, dbs, frames, garbage", GMD_CASES)
 def test_gmd_matches_per_trial_erasure(m, n, k, dbs, frames, garbage):
     """Nested erasure sets built by one erasure_trials call give the
     codeword of the per-trial erase_most_unreliable loop on the scalar
@@ -168,7 +175,10 @@ def test_gmd_matches_per_trial_erasure(m, n, k, dbs, frames, garbage):
     recurs in the sorted prefix that the trials erase. RS(256;255,223) and
     RS(256;255,191) lie on the two sides of rs.ROW_BM_MIN_CHECKS: the
     first solves each trial's key equation in decode_ee, the second all
-    trials of a word in one row-batched pass."""
+    trials of a word in one row-batched pass. Distinct candidates tie on
+    score on RS(16;15,7) and RS(256;255,144), and the smaller erasure
+    count must win; the tie that gmd_decode's probe of the middle trial
+    meets first is test_score_tie_goes_to_smaller_tau_found_after_the_probe."""
     code = CodeParams(GF(m), n, k)
     codec, ref = RSCodec(code), ScalarRSCodec(code)
     taus = list(range((code.d_min - 1) % 2, code.d_min, 2))
@@ -182,6 +192,76 @@ def test_gmd_matches_per_trial_erasure(m, n, k, dbs, frames, garbage):
         recurring += any(r[i] is None for i in prefix)
     assert outcomes[True] > 0 and outcomes[False] > 0
     assert recurring > 0
+    if n - k in (8, 111):
+        # the 12 words of each other code give one or two candidates
+        # apiece, and none tie
+        assert outcomes["tie"] > 0
+
+
+def radius_holds(trial, cand, nsyn):
+    """The BMD radius rule: 2 |{i not erased : y_i != c_i}| + |X| <= n - k
+    for the trial with erased set X."""
+    erased = set(trial.erased)
+    wrong = sum(1 for i, (yi, ci) in enumerate(zip(trial.y.tolist(), cand)) if yi != ci and i not in erased)
+    return 2 * wrong + len(erased) <= nsyn
+
+
+@pytest.mark.parametrize("m, n, k, dbs, frames, garbage", GMD_CASES)
+def test_skip_rule_matches_decoding_every_trial(m, n, k, dbs, frames, garbage):
+    """Every schedule trial of the words of
+    test_gmd_matches_per_trial_erasure, decoded: a trial returns a
+    candidate c exactly when the radius rule holds for it against c. So a
+    trial returns an already-found candidate exactly when the rule holds
+    for it against that candidate, and then it returns that very
+    candidate, which makes gmd_decode's skipping exact; and the first
+    trial whose rule holds is the one that finds c."""
+    code = CodeParams(GF(m), n, k)
+    codec, nsyn = RSCodec(code), n - k
+    cases = Counter()
+    for r, h in gmd_test_words(code, codec, dbs, frames, garbage, np.random.default_rng(11)):
+        trials = codec.erasure_trials(r, erasure_order(h), default_schedule(code.d_min))
+        outs = [codec.decode_ee(t) for t in trials]
+        found = {tuple(out) for out in outs if out is not None}
+        for c in found:
+            holds = [radius_holds(t, c, nsyn) for t in trials]
+            assert holds == [out == list(c) for out in outs]
+            # the trials after the first that return c: gmd_decode skips them
+            cases["settled"] += sum(holds) - 1
+        cases["new"] += len(found)
+        cases["failed"] += outs.count(None)
+    assert cases["new"] > 0 and cases["failed"] > 0
+    if k != 144:
+        # at 15-16 dB each RS(256;255,144) candidate comes from one trial
+        assert cases["settled"] > 0
+
+
+def test_score_tie_goes_to_smaller_tau_found_after_the_probe(codec, code):
+    """Two codewords A and B at distance d_min = 9 tie on score; the trial
+    at tau = 2 returns A and the middle trial, tau = 4, returns B, which
+    the probe finds first. GMD must return A."""
+    assert default_schedule(code.d_min) == [0, 2, 4, 6, 8]
+    # B - A: one information symbol and the 8 checks, weight d_min = 9
+    b = codec.encode([1] + [0] * (code.k - 1))
+    s = [i for i, bi in enumerate(b) if bi]
+    assert len(s) == 9
+    a = [0] * code.n
+    # y agrees with B at s[0] and s[4..6], with A at s[2, 3, 7, 8] and
+    # everywhere off the support, and with neither at s[1]
+    y = [0] * code.n
+    for i in [s[0]] + s[4:7]:
+        y[i] = b[i]
+    y[s[1]] = b[s[1]] ^ 1 or 2
+    # erasure order s[0], s[1], ...; in 64ths, so that every score is
+    # exact, the h where only A agrees with y and the h where only B does
+    # both sum to 144/64
+    h = np.zeros(code.n)
+    h[s] = np.array([60, 56, 52, 48, 32, 28, 24, 23, 21]) / 64
+    trials = codec.erasure_trials(y, erasure_order(h), default_schedule(code.d_min))
+    outs = [codec.decode_ee(t) for t in trials]
+    assert outs[1] == a and outs[2] == b
+    score = [sum(1.0 - hi for hi, yi, ci in zip(h, y, c) if yi == ci) for c in (a, b)]
+    assert score[0] == score[1]
+    assert gmd_decode(ReceivedWord(y, h), codec) == a
 
 
 def test_decoders_leave_the_word_untouched(codec, code):

@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -206,7 +205,9 @@ def test_erased_word_grows_gamma_and_t(m, n, k):
     repeats in `order` included: its Gamma and T = Gamma S mod x^(n-k)
     equal the scalar products over the distinct erased positions, `erased`
     lists those in the order they were erased, and y and S(y) are those of
-    the received word. The taus are cumulative, equal ones included."""
+    the received word. The taus are cumulative, equal ones included; a
+    tau that is not a non-negative integer, or a decreasing one, is a
+    CodeError."""
     params = CodeParams(GF(m), n, k)
     codec, ref = RSCodec(params), ScalarRSCodec(params)
     gf, nsyn = params.gf, n - k
@@ -236,9 +237,12 @@ def test_erased_word_grows_gamma_and_t(m, n, k):
             assert trial.y.tolist() == y and trial.synd.tolist() == synd
         repeats += len(order) + 3 - len(trials[-1].erased)
         assert codec.erasure_trials(symbols, order, []) == []
-        for taus in ([2, 1], [-1]):
+        # decreasing, negative, a bool (an int, but never a count) and a
+        # fraction
+        for taus in ([2, 1], [-1], [True, 2], [0.5], [0, np.float64(2.0)]):
             with pytest.raises(CodeError):
                 codec.erasure_trials(symbols, order, taus)
+        assert len(codec.erasure_trials(symbols, order, [np.int64(0), 2])) == 2
     assert repeats >= 20
 
 
@@ -354,12 +358,13 @@ def test_berlekamp_massey_rows_matches_scalar(m, n, k):
 
 @pytest.mark.parametrize("k", [223, 191, 144])
 def test_solve_locators_by_check_count(k):
-    """erasure_trials gives its trials a locator exactly when it builds two
-    or more of them from ROW_BM_MIN_CHECKS check symbols on: that of the
-    scalar Berlekamp-Massey wherever 2L <= N, and decode_ee reads it to the
-    result it gets without it. A one-trial call, as decode_ee makes for a
-    ReceivedWord, carries none. RS(256;255,223) and RS(256;255,191) lie on
-    the two sides."""
+    """erasure_trials builds trials without a locator, and solve_locators
+    gives them one exactly when it gets two or more of them from
+    ROW_BM_MIN_CHECKS check symbols on: that of the scalar
+    Berlekamp-Massey wherever 2L <= N, and decode_ee reads it to the
+    result it gets without it. Otherwise solve_locators returns the
+    trials as they are. RS(256;255,223) and RS(256;255,191) lie on the
+    two sides."""
     params = CodeParams(GF(8), 255, k)
     codec, nsyn = RSCodec(params), 255 - k
     assert 32 < ROW_BM_MIN_CHECKS <= 64
@@ -370,15 +375,19 @@ def test_solve_locators_by_check_count(k):
     decoded = 0
     for taus in ([0], [nsyn // 2], [3, 3], list(range(0, params.d_min, 2))):
         solved = len(taus) >= 2 and nsyn >= ROW_BM_MIN_CHECKS
-        for t in codec.erasure_trials(symbols, order, taus):
+        trials = codec.erasure_trials(symbols, order, taus)
+        assert all(t.locator is None for t in trials)
+        for t, bare in zip(codec.solve_locators(trials), trials):
             assert (t.locator is not None) == solved
+            assert (t is bare) != solved
             out = codec.decode_ee(t)
             decoded += out == cw
             if not solved:
                 continue
+            assert t.y is bare.y and t.synd is bare.synd and t.erased is bare.erased and t.polys is bare.polys
             tau = len(t.erased)
             want = codec._berlekamp_massey(t.gamma_s[tau:].tolist())
             if 2 * want[1] <= nsyn - tau:
                 assert t.locator == want
-            assert out == codec.decode_ee(replace(t, locator=None))
+            assert out == codec.decode_ee(bare)
     assert decoded > 0
