@@ -22,6 +22,7 @@ from .rs import CodeParams
 from .sim import (
     CampaignConfig,
     format_csv,
+    predict_points,
     run_campaign,
     sample_unreliability_vectors,
 )
@@ -144,10 +145,7 @@ def cmd_predict(args) -> int:
         base = build_campaign(values)
     except ValueError as exc:
         raise CliError(str(exc))
-    from dataclasses import replace
-
-    points = run_campaign(replace(base, force_tau=0))
-    points += run_campaign(base)
+    points = predict_points(base)
     text = format_csv(points, manifest_for(values, {"command": "predict", "out": args.out}))
     with open(args.out, "w") as fh:
         fh.write(text)

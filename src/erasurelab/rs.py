@@ -30,16 +30,16 @@ at the roots facing the coefficients of Psi and of Omega = Lambda T mod
 x^(n-k), both read off one array product of Lambda with the trial's
 Gamma/T buffer. g(x) and Gamma are built one linear factor at a time.
 
-Berlekamp-Massey has two forms, chosen by the number n-k of check
-symbols. The scalar one, on the field's zero-sentinel table lists, runs
-per trial inside `decode_ee` when the trial has no locator. The
-row-batched one steps the trials of a word in lock-step on (W, rows)
-log/antilog arrays, W = (n-k)//2 + 2; a step costs about ten array calls
-whatever the row count, so `solve_locators` runs it only for two or more
-trials on long syndromes, from ROW_BM_MIN_CHECKS on, and hands the trials
-back unsolved otherwise. A caller that decodes some trials of a word and
-then decides which others it still needs (GMD) solves only those. Both
-forms give the same Lambda wherever 2L <= N, where it is unique.
+Berlekamp-Massey has one entry, `RSCodec.solve_locators`, and two forms
+with one state: Lambda, L, and B = beta x^(r-m) P as the log of beta, the
+inverse discrepancy of the last length change m, and the logs of P, Lambda
+as it stood then; log(delta beta) is reduced through one table round trip.
+The scalar form runs one trial on the field's zero-sentinel lists, Lambda
+kept at L + 1 coefficients. The row form steps trials in lock-step on
+(W, rows) arrays, W = (n-k)//2 + 2, at about ten array calls a step
+whatever the row count, so it runs for two or more trials from
+ROW_BM_MIN_CHECKS check symbols on. Both give the same Lambda wherever
+2L <= N, where it is unique.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ import numpy as np
 from .gf import GF
 
 #: the number n-k of check symbols from which `RSCodec.solve_locators`
-#: solves the trials of a word in one row-batched Berlekamp-Massey pass.
-#: Below it the scalar pass per trial is faster: on GMD frames of
+#: solves two or more trials of a word in one row-batched Berlekamp-Massey
+#: pass. Below it the scalar pass per trial is faster: on GMD frames of
 #: RS(256;255,k) with about (n-k)/3 symbol errors the two cross between
 #: n-k = 48 and 56
 ROW_BM_MIN_CHECKS = 56
@@ -126,8 +126,19 @@ def erase_most_unreliable(symbols: list, unreliability: np.ndarray, tau: int) ->
     return ReceivedWord(out, h)
 
 
-def _erasures_as_zero(symbols: list) -> np.ndarray:
-    return np.array([0 if s is None else s for s in symbols])
+def _symbol_array(symbols, gf: GF) -> np.ndarray:
+    """`symbols` as an array; a CodeError unless each is an integer in
+    [0, q). Unchecked, a negative symbol would wrap around the log table."""
+    y = np.asarray(symbols)
+    # the OR of all entries has no bit from m up exactly when each is in
+    # [0, q); a negative entry sets the sign bit
+    if y.dtype.kind not in "iu" or np.bitwise_or.reduce(y) >> gf.m:
+        raise CodeError(f"symbols must be integers in [0, {gf.q})")
+    return y
+
+
+def _erasures_as_zero(symbols: list, gf: GF) -> np.ndarray:
+    return _symbol_array([0 if s is None else s for s in symbols], gf)
 
 
 @dataclass
@@ -139,8 +150,8 @@ class ErasedWord:
     were erased. `polys` holds the erasure locator
     Gamma(x) = prod (1 + X_i x) over them and T(x) = Gamma(x) S(x) mod
     x^(n-k) as [0, Gamma_0..Gamma_(n-k), 0, T_0..T_(n-k)], T_(n-k) being a
-    spare slot. `locator` is None or the solved (Lambda, L), which
-    `RSCodec.decode_ee` then reads in place of running Berlekamp-Massey.
+    spare slot. `locator` is None or the (Lambda, L) that
+    `RSCodec.solve_locators` solved.
 
     The symbols of y at the erasures past the input ones stay as they
     are: the Forney syndromes do not depend on them, and the Forney
@@ -207,7 +218,7 @@ class RSCodec:
         p = self.params
         if len(info) != p.k:
             raise CodeError(f"info length {len(info)} != k={p.k}")
-        parity = p.gf.vecmat(np.asarray(info), self._parity_logs)
+        parity = p.gf.vecmat(_symbol_array(info, p.gf), self._parity_logs)
         return list(info) + parity.tolist()
 
     def _syndromes(self, received: np.ndarray) -> np.ndarray:
@@ -215,18 +226,18 @@ class RSCodec:
 
     def syndromes(self, symbols: list[int]) -> list[int]:
         """S_j = R(alpha^j) for j = 1..n-k, with erasures read as zero."""
-        return self._syndromes(_erasures_as_zero(symbols)).tolist()
+        return self._syndromes(_erasures_as_zero(symbols, self.params.gf)).tolist()
 
     def is_codeword(self, symbols: list[int]) -> bool:
-        return not self._syndromes(_erasures_as_zero(symbols)).any()
+        return not self._syndromes(_erasures_as_zero(symbols, self.params.gf)).any()
 
     def decode_ee(self, word: ReceivedWord | ErasedWord) -> list[int] | None:
         """Error/erasure decode; returns a codeword or None on failure.
 
         A `ReceivedWord` is read as the one trial of its symbols; a caller
         that decodes one word under several erasure sets passes the
-        trials of `erasure_trials`. A trial's locator, if `solve_locators`
-        gave it one, stands in for Berlekamp-Massey.
+        trials of `erasure_trials`, solved by `solve_locators` or not: a
+        trial without a locator gets it from `solve_locators`.
 
         The decoder is a BMD decoder: the trial with erased set X returns
         the codeword c exactly when 2 |{i not in X : y_i != c_i}| + |X| <=
@@ -245,12 +256,9 @@ class RSCodec:
         if tau == 0 and not synd.any():
             return word.y.tolist()
 
-        # the coefficients tau..n-k-1 of T = Gamma S mod x^(n-k) are the
-        # Forney syndromes, the same whatever symbols sit at the erasures
         if word.locator is None:
-            lam, L = self._berlekamp_massey(word.gamma_s[tau:].tolist())
-        else:
-            lam, L = word.locator
+            (word,) = self.solve_locators([word])
+        lam, L = word.locator
         if 2 * L > nsyn - tau or L != len(lam) - 1:
             return None
 
@@ -300,13 +308,13 @@ class RSCodec:
         S(y) is computed once. Each trial's Gamma/T buffer is a row of one
         array, a copy of the row before grown by one linear factor per new
         position. The trials carry no locator: `solve_locators` gives
-        them theirs, or `decode_ee` runs Berlekamp-Massey per trial.
+        them theirs.
         """
         p = self.params
         n, gf = p.n, p.gf
         if len(symbols) != n:
             raise CodeError("received word length mismatch")
-        y = _erasures_as_zero(symbols)
+        y = _erasures_as_zero(symbols, gf)
         synd = self._syndromes(y)
         nsyn = len(synd)
         sequence = [i for i, s in enumerate(symbols) if s is None]
@@ -343,31 +351,29 @@ class RSCodec:
         return trials
 
     def solve_locators(self, trials: list[ErasedWord]) -> list[ErasedWord]:
-        """The trials with their error locators solved, for two or more
-        trials from ROW_BM_MIN_CHECKS check symbols on: one row-batched
-        Berlekamp-Massey pass gives each trial its (Lambda, L). Otherwise
-        the trials as they are, and `decode_ee` runs the scalar steps,
-        which are faster on short syndromes and for a single word. The
-        trials must come in non-decreasing order of erasure count, as
-        `erasure_trials` builds them."""
+        """The trials, each with its error locator (Lambda, L) solved from
+        its Forney syndromes: in one row-batched Berlekamp-Massey pass for
+        two or more trials from ROW_BM_MIN_CHECKS check symbols on, which
+        needs them in non-decreasing order of erasure count, as
+        `erasure_trials` builds them, and by the scalar steps per trial
+        otherwise."""
         nsyn = self.params.n - self.params.k
+        # the coefficients tau..n-k-1 of T = Gamma S mod x^(n-k) are the
+        # Forney syndromes, the same whatever symbols sit at the erasures
+        forney = [t.gamma_s[len(t.erased) :] for t in trials]
         if len(trials) < 2 or nsyn < ROW_BM_MIN_CHECKS:
-            return trials
-        # row j: trial j's Forney syndromes T_tau..T_(n-k-1), left-aligned;
-        # the columns past them are never read
-        synd = np.zeros((len(trials), nsyn), dtype=np.intp)
-        lengths = []
-        for row, t in zip(synd, trials):
-            forney = t.gamma_s[len(t.erased) :]
-            row[: len(forney)] = forney
-            lengths.append(len(forney))
-        lam, L = self._berlekamp_massey_rows(synd, lengths)
-        # deg Lambda: the index of the last nonzero coefficient
-        deg = (len(lam) - 1 - np.argmax(lam[::-1] != 0, axis=0)).tolist()
-        return [
-            ErasedWord(t.y, t.synd, t.erased, t.polys, (coeffs[: d + 1], l))
-            for t, coeffs, d, l in zip(trials, lam.T.tolist(), deg, L.tolist())
-        ]
+            locators = [self._berlekamp_massey(f.tolist()) for f in forney]
+        else:
+            # row j: trial j's Forney syndromes, left-aligned; the columns
+            # past them are never read
+            synd = np.zeros((len(trials), nsyn), dtype=np.intp)
+            for row, f in zip(synd, forney):
+                row[: len(f)] = f
+            lam, L = self._berlekamp_massey_rows(synd, [len(f) for f in forney])
+            # deg Lambda: the index of the last nonzero coefficient
+            deg = (len(lam) - 1 - np.argmax(lam[::-1] != 0, axis=0)).tolist()
+            locators = [(c[: d + 1], l) for c, d, l in zip(lam.T.tolist(), deg, L.tolist())]
+        return [ErasedWord(t.y, t.synd, t.erased, t.polys, loc) for t, loc in zip(trials, locators)]
 
     def _berlekamp_massey_rows(self, synd: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
         """Berlekamp-Massey on the rows of `synd` in lock-step.
@@ -381,11 +387,8 @@ class RSCodec:
         (n-k)//2. Where 2L > lengths[j], L is at least as large as the
         scalar one and Lambda, cut at W coefficients, is meaningless.
 
-        A step is the scalar update on columns, with B = beta x^(r-m) P
-        kept as the log of beta, the inverse discrepancy of the last length
-        change m, and the logs of P, Lambda as it stood then. The zero
-        sentinel makes a zero discrepancy leave Lambda unchanged without a
-        branch.
+        A step is the scalar update on columns. The zero sentinel makes a
+        zero discrepancy leave Lambda unchanged without a branch.
         """
         gf = self.params.gf
         order, zero = gf.q - 1, gf.zero_log
@@ -433,28 +436,30 @@ class RSCodec:
         return lam, twice_l // 2
 
     def _berlekamp_massey(self, synd: list[int]) -> tuple[list[int], int]:
+        """Lambda, trailing zeros trimmed, and L for one syndrome list."""
         gf = self.params.gf
         exp, log = gf.exp, gf.log  # zero-sentinel lists: no branch on 0
         order = gf.q - 1
         log_synd = [log[s] for s in synd]
-        lam = [1]
-        b = [1]
+        lam = [1]  # deg Lambda <= L: L + 1 coefficients
+        lp, lbeta, shift = [0], 0, 0  # P = 1, beta = 1, m = -1
         L = 0
         for r, s in enumerate(synd):
             delta = s
-            for j in range(1, min(len(lam), r + 1)):
+            for j in range(1, L + 1):
                 delta ^= exp[log[lam[j]] + log_synd[r - j]]
-            b.insert(0, 0)
-            if delta != 0:
-                log_delta = log[delta]
-                t = lam + [0] * (len(b) - len(lam))
-                for j, c in enumerate(b):
-                    t[j] ^= exp[log_delta + log[c]]
-                if 2 * L <= r:
-                    log_dinv = order - log_delta
-                    b = [exp[log_dinv + log[c]] for c in lam]
-                    L = r + 1 - L
-                lam = t
+            shift += 1
+            if delta == 0:
+                continue
+            log_delta = log[delta]
+            lscale = log[exp[log_delta + lbeta]]  # log(delta beta) mod q-1
+            update, at = lp, shift
+            if 2 * L <= r:
+                lp, lbeta, shift = [log[c] for c in lam], order - log_delta, 0
+                lam += [0] * (r + 1 - 2 * L)
+                L = r + 1 - L
+            for j, c in enumerate(update, at):
+                lam[j] ^= exp[c + lscale]
         # trim trailing zeros
         while len(lam) > 1 and lam[-1] == 0:
             lam.pop()

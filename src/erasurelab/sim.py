@@ -270,27 +270,47 @@ def _run_point_mc(cfg: CampaignConfig, sigma: float, point_index: int) -> FerPoi
 
 
 def _run_point_semi(cfg: CampaignConfig, sigma: float, point_index: int) -> FerPoint:
+    return _semi_points(cfg, sigma, point_index, [cfg.force_tau])[0]
+
+
+def _semi_points(cfg: CampaignConfig, sigma: float, point_index: int, taus) -> list[FerPoint]:
+    """The semi-simulative points of one draw of sampled vectors, one per
+    erasure count of `taus`, None standing for tau_bar of their mean."""
     qam = SquareQam(cfg.qam_size)
     cap = cfg.capability()
     rng = _frame_rng(cfg.seed, point_index, 0)
     vecs = sample_unreliability_vectors(sigma, qam, cfg.code.n, cfg.samples, rng, cfg.unreliability)
-    tau = cfg.force_tau
-    if tau is None:
-        tau = tau_bar(vecs.mean(axis=0), cap, cfg.strategy)
-    probs = batch_residual_probs(vecs, tau, cap.epsilon0(tau))
-    fer = float(probs.mean())
-    return FerPoint(
-        ebn0_db=float(cfg.ebn0_grid[point_index]),
-        mode=cfg.mode,
-        strategy=cfg.strategy.value,
-        tau=tau,
-        frames=cfg.samples,
-        frame_errors=0,
-        fer=fer,
-        ci_low=fer,
-        ci_high=fer,
-        predicted_p=fer,
-    )
+    points = []
+    for tau in taus:
+        if tau is None:
+            tau = tau_bar(vecs.mean(axis=0), cap, cfg.strategy)
+        fer = float(batch_residual_probs(vecs, tau, cap.epsilon0(tau)).mean())
+        points.append(
+            FerPoint(
+                ebn0_db=float(cfg.ebn0_grid[point_index]),
+                mode=cfg.mode,
+                strategy=cfg.strategy.value,
+                tau=tau,
+                frames=cfg.samples,
+                frame_errors=0,
+                fer=fer,
+                ci_low=fer,
+                ci_high=fer,
+                predicted_p=fer,
+            )
+        )
+    return points
+
+
+def predict_points(cfg: CampaignConfig) -> list[FerPoint]:
+    """The errors-only (tau = 0) point of every grid entry, then the point
+    `run_campaign(cfg)` gives it, from one draw of sampled vectors per
+    entry; cfg must be semi-simulative."""
+    pairs = []
+    for idx, db in enumerate(cfg.ebn0_grid):
+        sigma = sigma_from_ebn0(db, cfg.qam_size, cfg.code.n, cfg.code.k)
+        pairs.append(_semi_points(cfg, sigma, idx, [0, cfg.force_tau]))
+    return [errors_only for errors_only, _ in pairs] + [chosen for _, chosen in pairs]
 
 
 def run_campaign(cfg: CampaignConfig, threads: int = 1) -> list[FerPoint]:

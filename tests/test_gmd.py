@@ -173,9 +173,9 @@ def test_gmd_matches_per_trial_erasure(m, n, k, dbs, frames, garbage):
     codeword of the per-trial erase_most_unreliable loop on the scalar
     codec, ties and prior erasures included, also where a prior erasure
     recurs in the sorted prefix that the trials erase. RS(256;255,223) and
-    RS(256;255,191) lie on the two sides of rs.ROW_BM_MIN_CHECKS: the
-    first solves each trial's key equation in decode_ee, the second all
-    trials of a word in one row-batched pass. Distinct candidates tie on
+    RS(256;255,191) lie on the two sides of rs.ROW_BM_MIN_CHECKS:
+    solve_locators solves the first's trials by the scalar steps, the
+    second's in one row-batched pass. Distinct candidates tie on
     score on RS(16;15,7) and RS(256;255,144), and the smaller erasure
     count must win; the tie that gmd_decode's probe of the middle trial
     meets first is test_score_tie_goes_to_smaller_tau_found_after_the_probe."""

@@ -12,6 +12,7 @@ from erasurelab.rs import (
     RSCodec,
     erase_most_unreliable,
 )
+from erasurelab.gmd import gmd_decode
 from scalar_rs import ScalarRSCodec, alpha_pow, poly_eval, scalar_poly_mul
 
 
@@ -359,35 +360,56 @@ def test_berlekamp_massey_rows_matches_scalar(m, n, k):
 @pytest.mark.parametrize("k", [223, 191, 144])
 def test_solve_locators_by_check_count(k):
     """erasure_trials builds trials without a locator, and solve_locators
-    gives them one exactly when it gets two or more of them from
-    ROW_BM_MIN_CHECKS check symbols on: that of the scalar
-    Berlekamp-Massey wherever 2L <= N, and decode_ee reads it to the
-    result it gets without it. Otherwise solve_locators returns the
-    trials as they are. RS(256;255,223) and RS(256;255,191) lie on the
-    two sides."""
+    gives every trial one, by the row-batched pass for two or more trials
+    from ROW_BM_MIN_CHECKS check symbols on and by the scalar steps per
+    trial otherwise: that of the reference Berlekamp-Massey wherever
+    2L <= N, and decode_ee gives the same result from it as from the bare
+    trial. RS(256;255,223) and RS(256;255,191) lie on the two sides."""
     params = CodeParams(GF(8), 255, k)
-    codec, nsyn = RSCodec(params), 255 - k
+    codec, ref, nsyn = RSCodec(params), ScalarRSCodec(params), 255 - k
     assert 32 < ROW_BM_MIN_CHECKS <= 64
     rng = np.random.default_rng(29)
     cw = codec.encode(rng.integers(0, params.q, k).tolist())
     symbols = corrupt(cw, rng, nsyn // 3, 2, params.q)
     order = rng.permutation(255).tolist()
-    decoded = 0
+    decoded = compared = 0
     for taus in ([0], [nsyn // 2], [3, 3], list(range(0, params.d_min, 2))):
-        solved = len(taus) >= 2 and nsyn >= ROW_BM_MIN_CHECKS
         trials = codec.erasure_trials(symbols, order, taus)
         assert all(t.locator is None for t in trials)
         for t, bare in zip(codec.solve_locators(trials), trials):
-            assert (t.locator is not None) == solved
-            assert (t is bare) != solved
-            out = codec.decode_ee(t)
-            decoded += out == cw
-            if not solved:
-                continue
+            assert t.locator is not None
             assert t.y is bare.y and t.synd is bare.synd and t.erased is bare.erased and t.polys is bare.polys
             tau = len(t.erased)
-            want = codec._berlekamp_massey(t.gamma_s[tau:].tolist())
+            want = ref._berlekamp_massey(t.gamma_s[tau:].tolist())
             if 2 * want[1] <= nsyn - tau:
                 assert t.locator == want
+                compared += 1
+            out = codec.decode_ee(t)
             assert out == codec.decode_ee(bare)
-    assert decoded > 0
+            decoded += out == cw
+    assert decoded > 0 and compared > 0
+
+
+@pytest.mark.parametrize("bad", [-1, -3, 16, 1.7])
+def test_out_of_range_symbols_are_code_errors(codec, small, bad):
+    """A symbol that is not an integer in [0, q) is a CodeError in encode,
+    decode_ee and gmd_decode, with or without erasures; None still marks
+    an erasure. Unchecked, a negative symbol wraps around the log table
+    and decodes to a "codeword" with negative symbols."""
+    n = small.n
+    with pytest.raises(CodeError):
+        codec.encode([bad] * small.k)
+    cw = codec.encode(list(range(small.k)))
+    for erasures in ([], [5, 9]):
+        word = list(cw)
+        word[0] = bad
+        for i in erasures:
+            word[i] = None
+        received = ReceivedWord(word, np.linspace(0, 0.5, n))
+        with pytest.raises(CodeError):
+            codec.decode_ee(received)
+        with pytest.raises(CodeError):
+            gmd_decode(received, codec)
+        word[0] = cw[0]
+        assert codec.decode_ee(ReceivedWord(word, np.zeros(n))) == cw
+    assert codec.encode(np.arange(small.k, dtype=np.uint8)) == cw

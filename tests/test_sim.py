@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -255,6 +256,27 @@ def test_semi_simulative_force_tau(code):
     assert pt_f.tau == 0
     # same sampled vectors, tau chosen adaptively cannot be worse
     assert pt_a.fer <= pt_f.fer + 1e-12
+
+
+@pytest.mark.parametrize("force_tau", [None, 2])
+def test_predict_points_draw_once(code, monkeypatch, force_tau):
+    """predict_points gives the points of an errors-only (force_tau = 0)
+    campaign and then those of the campaign itself, field for field, and
+    samples each grid entry's vectors once."""
+    cfg = make_cfg(code, mode="semi_simulative", ebn0_grid=(8.0, 10.0), samples=300,
+                   force_tau=force_tau)
+    want = run_campaign(replace(cfg, force_tau=0)) + run_campaign(cfg)
+    draws = []
+    sample = sim.sample_unreliability_vectors
+
+    def counted(*args, **kwargs):
+        draws.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "sample_unreliability_vectors", counted)
+    assert sim.predict_points(cfg) == want
+    assert len(draws) == len(cfg.ebn0_grid)
+    assert [p.tau for p in want[:2]] == [0, 0]
 
 
 def test_tau_bar_consistency(code):
