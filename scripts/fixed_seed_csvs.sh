@@ -1,9 +1,11 @@
 #!/bin/sh
 # Write the fixed-seed CSVs of the erasurelab CLI into OUTDIR: `simulate`
 # on RS(16;15,7) in every Monte-Carlo mode and strategy with each
-# unreliability method, on RS(256;255,144) in the four Monte-Carlo modes
-# and semi-simulatively with each method, and `predict` on both codes,
+# unreliability method, on RS(256;255,144) in the four Monte-Carlo modes,
+# adaptively with one-frame points (the one-row frame block) and
+# semi-simulatively with each method, and `predict` on both codes,
 # RS(256;255,144) also at 18-20 dB, where P(tau) lies far below 1e-16.
+# That is 29 CSVs.
 #
 # Usage: sh scripts/fixed_seed_csvs.sh OUTDIR
 #
@@ -36,6 +38,8 @@ lab simulate $long --mode errors_only --out rs255_errors_only.csv
 lab simulate $long --mode fixed_tau --fixed-tau 20 --out rs255_fixed_tau.csv
 lab simulate $long --mode adaptive --strategy exact --out rs255_adaptive.csv
 lab simulate $long --mode gmd --out rs255_gmd.csv
+lab simulate --ebn0-grid 16,16.5,17 --frames 1 --seed 1 --unreliability exact \
+    --mode adaptive --strategy exact --out rs255_adaptive_one_frame.csv
 for u in exact lut nn; do
     lab simulate --ebn0-grid 16,16.5,17 --mode semi_simulative --samples 1000 --seed 1 \
         --unreliability $u --out rs255_semi_$u.csv

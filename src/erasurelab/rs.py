@@ -221,16 +221,6 @@ class RSCodec:
         parity = p.gf.vecmat(_symbol_array(info, p.gf), self._parity_logs)
         return list(info) + parity.tolist()
 
-    def _syndromes(self, received: np.ndarray) -> np.ndarray:
-        return self.params.gf.vecmat(received, self._syndrome_logs)
-
-    def syndromes(self, symbols: list[int]) -> list[int]:
-        """S_j = R(alpha^j) for j = 1..n-k, with erasures read as zero."""
-        return self._syndromes(_erasures_as_zero(symbols, self.params.gf)).tolist()
-
-    def is_codeword(self, symbols: list[int]) -> bool:
-        return not self._syndromes(_erasures_as_zero(symbols, self.params.gf)).any()
-
     def decode_ee(self, word: ReceivedWord | ErasedWord) -> list[int] | None:
         """Error/erasure decode; returns a codeword or None on failure.
 
@@ -315,7 +305,7 @@ class RSCodec:
         if len(symbols) != n:
             raise CodeError("received word length mismatch")
         y = _erasures_as_zero(symbols, gf)
-        synd = self._syndromes(y)
+        synd = gf.vecmat(y, self._syndrome_logs)
         nsyn = len(synd)
         sequence = [i for i, s in enumerate(symbols) if s is None]
         first = len(sequence)

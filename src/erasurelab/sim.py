@@ -12,6 +12,17 @@ A campaign sweeps an Eb/N0 grid with one of five decoder modes:
 
 Per-frame random streams are derived from (seed, grid index, frame index),
 so results are reproducible for a given seed.
+
+Monte-Carlo frames run in blocks of FRAME_BLOCK, the stretch between two
+checks of the error-count stop. Each frame keeps its own stream and its
+own decode: it draws its info symbols and then its noise from its stream,
+in that order, encodes, and is decoded alone (erasing its tau most
+unreliable symbols and running `decode_ee`, or `gmd_decode`). The block
+runs the rest once over all its frames: modulation, hard decision,
+unreliabilities, the row sort, the tau chooser on the (rows, n) block and,
+for errors_only and fixed_tau, the prediction. Every value is the one the
+frame would get alone, and the predictions are summed in frame order, so
+the output does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ UNRELIABILITY_METHODS = ("exact", "nn", "lut")
 #: so a point's frame count (and the CSV) is a multiple of it unless
 #: max_frames ends the point
 FRAME_BLOCK = 256
-# symbols per unreliability call in sample_unreliability_vectors: few
+# symbols per call of an unreliability method in `unreliability`: few
 # enough that each call's temporaries stay under glibc's mmap threshold,
 # so they are reused from the heap instead of mapped and page-faulted
 # afresh (the chunking also bounds the exact method's (N, 2, L) arrays)
@@ -145,13 +156,19 @@ class FerPoint:
 def unreliability(
     y: np.ndarray, qam: SquareQam, sigma: float, method: str, lut: UnreliabilityLut | None
 ) -> np.ndarray:
-    """Symbol unreliabilities of received points by one of UNRELIABILITY_METHODS;
-    ``lut`` serves the ``lut`` method."""
-    if method == "exact":
-        return unreliability_exact(y, qam, sigma)
-    if method == "lut":
-        return lut.lookup(y, qam)
-    return unreliability_nn(y, qam, sigma)
+    """Symbol unreliabilities of the (N, 2) received points by one of
+    UNRELIABILITY_METHODS, UNRELIABILITY_CHUNK points per call; ``lut``
+    serves the ``lut`` method."""
+    h = np.empty(len(y))
+    for lo in range(0, len(y), UNRELIABILITY_CHUNK):
+        chunk = y[lo : lo + UNRELIABILITY_CHUNK]
+        if method == "exact":
+            h[lo : lo + len(chunk)] = unreliability_exact(chunk, qam, sigma)
+        elif method == "lut":
+            h[lo : lo + len(chunk)] = lut.lookup(chunk, qam)
+        else:
+            h[lo : lo + len(chunk)] = unreliability_nn(chunk, qam, sigma)
+    return h
 
 
 def sample_unreliability_vectors(
@@ -168,11 +185,7 @@ def sample_unreliability_vectors(
     sym = rng.integers(0, qam.M, size=count * n)
     y = awgn(qam.modulate(sym), sigma, rng)
     lut = UnreliabilityLut.build(qam, sigma, 8) if method == "lut" else None
-    h = np.empty(count * n)
-    for lo in range(0, count * n, UNRELIABILITY_CHUNK):
-        chunk = y[lo : lo + UNRELIABILITY_CHUNK]
-        h[lo : lo + len(chunk)] = unreliability(chunk, qam, sigma, method, lut)
-    h = h.reshape(count, n)
+    h = unreliability(y, qam, sigma, method, lut).reshape(count, n)
     h.sort(axis=1)
     return h[:, ::-1]
 
@@ -191,9 +204,11 @@ def batch_residual_probs(vectors: np.ndarray, tau: int, eps0: int) -> np.ndarray
 
 
 def _frame_rng(seed: int, point_index: int, frame_index: int) -> np.random.Generator:
-    return np.random.default_rng(
+    """The stream of one frame: what `np.random.default_rng` gives for this
+    SeedSequence, built without its argument dispatch."""
+    return np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(entropy=seed, spawn_key=(point_index, frame_index))
-    )
+    ))
 
 
 class _FrameRunner:
@@ -212,31 +227,42 @@ class _FrameRunner:
 
     def run_frame(self, frame_index: int) -> tuple[int, float]:
         """Returns (frame error indicator, per-frame analytic prediction)."""
-        cfg = self.cfg
-        rng = _frame_rng(cfg.seed, self.point_index, frame_index)
-        code = cfg.code
-        info = rng.integers(0, code.q, size=code.k).tolist()
-        cw = self.codec.encode(info)
-        y = awgn(self.qam.modulate(cw), self.sigma, rng)
-        r = self.qam.hard_decision(y).tolist()
-        h = unreliability(y, self.qam, self.sigma, cfg.unreliability, self.lut)
+        return self.run_block(frame_index, frame_index + 1)[0]
+
+    def run_block(self, lo: int, hi: int) -> list[tuple[int, float]]:
+        """(frame error indicator, per-frame analytic prediction) of each
+        frame in [lo, hi), in frame order; the prediction is NaN in gmd
+        mode, which predicts nothing."""
+        cfg, code, qam = self.cfg, self.cfg.code, self.qam
+        rngs = [_frame_rng(cfg.seed, self.point_index, i) for i in range(lo, hi)]
+        sent = [self.codec.encode(rng.integers(0, code.q, size=code.k).tolist()) for rng in rngs]
+        y = qam.modulate(sent)
+        for row, rng in zip(y, rngs):
+            row[:] = awgn(row, self.sigma, rng)
+        points = y.reshape(-1, 2)
+        received = qam.hard_decision(points).reshape(y.shape[:2]).tolist()
+        h = unreliability(points, qam, self.sigma, cfg.unreliability, self.lut).reshape(y.shape[:2])
 
         if cfg.mode == "gmd":
-            out = gmd_decode(ReceivedWord(r, h), self.codec)
-            predicted = math.nan
+            out = [gmd_decode(ReceivedWord(r, hr), self.codec) for r, hr in zip(received, h)]
+            predicted = [math.nan] * len(out)
         else:
-            h_sorted = np.sort(h)[::-1]
+            h_sorted = np.sort(h, axis=1)[:, ::-1]
             if cfg.mode == "adaptive":
                 res = choose_tau(h_sorted, self.cap, cfg.strategy)
-                tau = res.tau_chosen
-                predicted = res.predicted_p
+                taus = res.tau_chosen.tolist()
+                predicted = res.predicted_p.tolist()
             else:
                 tau = cfg.fixed_tau if cfg.mode == "fixed_tau" else 0
+                taus = [tau] * len(h)
                 predicted = residual_error_prob(
                     pgf_distribution(h_sorted, tau), self.cap.epsilon0(tau)
-                )
-            out = self.codec.decode_ee(erase_most_unreliable(r, h, tau))
-        return (0 if out == cw else 1), predicted
+                ).tolist()
+            out = [
+                self.codec.decode_ee(erase_most_unreliable(r, hr, tau))
+                for r, hr, tau in zip(received, h, taus)
+            ]
+        return [(0 if o == cw else 1, p) for o, cw, p in zip(out, sent, predicted)]
 
 
 def _run_point_mc(cfg: CampaignConfig, sigma: float, point_index: int) -> FerPoint:
@@ -246,8 +272,8 @@ def _run_point_mc(cfg: CampaignConfig, sigma: float, point_index: int) -> FerPoi
     pred_sum = 0.0  # NaN in gmd mode, which predicts nothing
     while frames < cfg.max_frames and errors < cfg.max_errors:
         block_end = min(frames + FRAME_BLOCK, cfg.max_frames)
-        for i in range(frames, block_end):
-            err, pred = runner.run_frame(i)
+        # one Python float at a time, in frame order: np.sum would round differently
+        for err, pred in runner.run_block(frames, block_end):
             errors += err
             pred_sum += pred
         frames = block_end

@@ -15,6 +15,10 @@ pass over the sorted vector, of cost O(n * width), yields the first
 costs one pass however many tau it compares. P(tau) is one entry of it,
 never 1 minus a head sum, so it keeps its relative precision far below
 1e-16; a point probability is the difference of two neighbouring entries.
+
+The choosers, `p_profile` and `pgf_distribution` take one sorted vector or
+a (rows, n) block of them, one pass for the whole block; a block's result
+holds per row what that row's own call gives, bit for bit.
 """
 
 from __future__ import annotations
@@ -50,18 +54,23 @@ class ErrorCountDistribution:
 
 @dataclass(frozen=True)
 class StrategyResult:
-    tau_chosen: int
-    predicted_p: float
+    """The chosen tau and its P(tau): an int and a float for one vector,
+    one array entry per row for a (rows, n) block."""
+
+    tau_chosen: int | np.ndarray
+    predicted_p: float | np.ndarray
     strategy_kind: StrategyKind
 
 
 def check_sorted_unreliability(h) -> np.ndarray:
+    """`h` as a float array, one vector or a (rows, n) block, each checked
+    along its last axis."""
     h = np.asarray(h, dtype=float)
     # one pass; a NaN compares false, so it fails here
-    if not np.all(h[:-1] >= h[1:]):
+    if not (h[..., :-1] >= h[..., 1:]).all():
         raise ValueError("unreliability vector must be sorted non-increasing")
     # sorted, so the ends bound every entry
-    if h.size and not (h[-1] >= 0 and h[0] < 1):
+    if h.size and not ((h[..., -1] >= 0) & (h[..., 0] < 1)).all():
         raise ValueError("unreliabilities must lie in [0, 1)")
     return h
 
@@ -79,13 +88,18 @@ def tail_coeffs(h, width: int, tau_lo: int, tau_hi: int) -> np.ndarray:
     so truncating to `width` leaves the kept ones exact, and those beyond
     n - tau stay exactly 0. `h` is one vector or a (rows, n) array; the
     result has shape (tau_hi - tau_lo + 1, width, *rows), with the rows
-    last so that one vector's column is a scalar.
+    last so that one vector's column is a scalar. A single row runs as a
+    vector: as the last axis it would give each array step an inner loop
+    of length 1.
     """
     h = np.asarray(h, dtype=float)
     n = h.shape[-1]
     if width < 1 or not 0 <= tau_lo <= tau_hi <= n:
         raise ValueError(f"need width >= 1 and 0 <= tau_lo <= tau_hi <= {n}, "
                          f"got {width}, {tau_lo}, {tau_hi}")
+    rows = h.shape[:-1]
+    if rows == (1,):
+        h = h[0]
     # buf[0] = Pr(Y >= -1) = 1 is never written, so one update covers Q[0]
     # as well; buf[1:] holds Q, which starts as the empty tail's [1, 0, ...]
     buf = np.zeros((width + 1,) + h.shape[:-1])
@@ -102,20 +116,22 @@ def tail_coeffs(h, width: int, tau_lo: int, tau_hi: int) -> np.ndarray:
         upper += carry
         if i <= tau_hi:
             out[i - tau_lo] = upper
-    return out
+    return out.reshape(out.shape[:2] + rows)
 
 
 def pgf_distribution(h, tau: int) -> ErrorCountDistribution:
-    """Error-count distribution of the non-erased tail h[tau:], O((n - tau)^2).
+    """Error-count distribution of the non-erased tail h[tau:], O((n - tau)^2)
+    per vector; for a (rows, n) block, the tail masses carry the rows last.
 
     Each Pr(Y = e) in `coeffs` is the difference Q[e] - Q[e + 1] of two
     tail masses, so it carries an absolute error of about 1e-16; the
     differences are never negative, since Q is non-increasing.
     """
     h = check_sorted_unreliability(h)
-    if not 0 <= tau <= len(h):
+    n = h.shape[-1]
+    if not 0 <= tau <= n:
         raise ValueError(f"tau out of range: {tau}")
-    return ErrorCountDistribution(tau, tail_coeffs(h, len(h) - tau + 2, tau, tau)[0])
+    return ErrorCountDistribution(tau, tail_coeffs(h, n - tau + 2, tau, tau)[0])
 
 
 def expectation(h, tau: int) -> float:
@@ -126,18 +142,21 @@ def expectation(h, tau: int) -> float:
     return float(np.sum(h[tau:]))
 
 
-def residual_error_prob(dist: ErrorCountDistribution, eps0: int) -> float:
+def residual_error_prob(dist: ErrorCountDistribution, eps0: int) -> float | np.ndarray:
     """Pr(Y_tau > eps0), the tail mass Q[eps0 + 1], 0 past n - tau; eps0 = -1
-    means no capability and reads Q[0] = 1."""
+    means no capability and reads Q[0] = 1. One P per row for a block."""
     if eps0 < NO_CAPABILITY:
         raise ValueError(f"eps0 must be >= {NO_CAPABILITY}")
     tails = dist.tails
-    return float(tails[min(eps0 + 1, len(tails) - 1)])
+    p = tails[min(eps0 + 1, len(tails) - 1)]
+    return float(p) if tails.ndim == 1 else p
 
 
 def _tau_sweep(h, cap: DecoderCapability):
     """eps0(tau), the tail masses Q_tau and E{Y_tau} for every tau in
     [0, d_min - 1], from one pass wide enough for every chooser (eps0 + 3).
+    For a (rows, n) block, eps0 comes as a (d, 1) column and the means as
+    (d, rows), so that both broadcast against the rows of the tails.
 
     The means are the running subtraction the Hoeffding window bounds were
     defined with, E{Y_tau} = E{Y_(tau-1)} - h[tau - 1], as one accumulate.
@@ -146,21 +165,35 @@ def _tau_sweep(h, cap: DecoderCapability):
     eps0 = cap.epsilon0_table
     d = len(eps0)
     tails = tail_coeffs(h, int(eps0.max()) + 3, 0, d - 1)
-    means = np.subtract.accumulate(np.concatenate(([np.sum(h)], h[: d - 1])))
-    return h, eps0, tails, means
+    sums = h.sum(axis=-1)[None]
+    means = np.subtract.accumulate(np.concatenate((sums, h[..., : d - 1].T)), axis=0)
+    return h, eps0.reshape((d,) + (1,) * (h.ndim - 1)), tails, means
+
+
+def _read(tails, e) -> np.ndarray:
+    """Q_tau[e_tau] for each tau (and row): e broadcasts against the
+    (d, *rows) shape of the means."""
+    if tails.ndim == 2:
+        return tails[np.arange(len(tails)), e]
+    d, _, rows = tails.shape
+    return tails[np.arange(d)[:, None], e, np.arange(rows)]
 
 
 def _first_min(values, kind: StrategyKind) -> StrategyResult:
-    """The smallest tau attaining the minimum (argmin returns the first)."""
-    tau = int(np.argmin(values))
-    return StrategyResult(tau, float(values[tau]), kind)
+    """Per column, the smallest tau attaining the minimum (argmin returns
+    the first)."""
+    tau = values.argmin(axis=0)
+    if values.ndim == 1:
+        return StrategyResult(int(tau), float(values[tau]), kind)
+    return StrategyResult(tau, values[tau, np.arange(values.shape[1])], kind)
 
 
 def p_profile(h, cap: DecoderCapability) -> np.ndarray:
     """Exact P(tau) = Pr(Y_tau > eps0(tau)) = Q_tau[eps0 + 1] for every tau
-    in [0, d_min - 1]; no capability (eps0 = -1) reads Q_tau[0] = 1."""
+    in [0, d_min - 1] (and row); no capability (eps0 = -1) reads
+    Q_tau[0] = 1."""
     _, eps0, tails, _ = _tau_sweep(h, cap)
-    return tails[np.arange(len(eps0)), eps0 + 1]
+    return _read(tails, eps0 + 1)
 
 
 def tau_star_exact(h, cap: DecoderCapability) -> StrategyResult:
@@ -178,14 +211,14 @@ def tau_star_hoeffding(h, cap: DecoderCapability) -> StrategyResult:
     window [lo, hi] around E{Y_tau}, cut off at eps0: (1 - Q[lo]) + Q[hi + 1],
     exact whenever lo = 0, and 1 for an empty window."""
     h, eps0, tails, means = _tau_sweep(h, cap)
-    n = len(h)
+    n = h.shape[-1]
     w = hoeffding_half_width(n)
-    taus = np.arange(len(eps0))
+    taus = np.arange(len(eps0)).reshape(eps0.shape)
     lo = np.maximum(0, np.ceil(means - w)).astype(int)
     hi = np.minimum(np.minimum(np.floor(means + w).astype(int), eps0), n - taus)
     inside = hi >= lo  # hi < lo when eps0 < 0
-    mass_from = tails[taus, np.where(inside, lo, 0)]
-    p = np.where(inside, (1.0 - mass_from) + tails[taus, hi + 1], 1.0)
+    mass_from = _read(tails, np.where(inside, lo, 0))
+    p = np.where(inside, (1.0 - mass_from) + _read(tails, hi + 1), 1.0)
     return _first_min(p, StrategyKind.HOEFFDING)
 
 
@@ -193,9 +226,8 @@ def tau_star_eps0(h, cap: DecoderCapability) -> StrategyResult:
     """Two-coefficient surrogate: 1 - Pr(Y=eps0) = (1 - Q[eps0]) + Q[eps0+1]
     when E{Y} > eps0, else Pr(Y=eps0+1) = Q[eps0+1] - Q[eps0+2]."""
     _, eps0, tails, means = _tau_sweep(h, cap)
-    taus = np.arange(len(eps0))
     # eps0 = -1 reads `at` from the last column; the mask below discards it
-    at, above, beyond = (tails[taus, eps0 + j] for j in range(3))
+    at, above, beyond = (_read(tails, eps0 + j) for j in range(3))
     p = np.where(means > eps0, (1.0 - at) + above, above - beyond)
     return _first_min(np.where(eps0 > NO_CAPABILITY, p, 1.0), StrategyKind.EPS0)
 

@@ -7,8 +7,10 @@ import pytest
 from erasurelab import sim
 from erasurelab.dcf import DecoderCapability, DecoderKind
 from erasurelab.gf import GF
-from erasurelab.modem import SquareQam, sigma_from_ebn0
+from erasurelab.modem import SquareQam, awgn, sigma_from_ebn0
 from erasurelab.rs import CodeParams
+from erasurelab.gmd import gmd_decode
+from erasurelab.rs import ReceivedWord, erase_most_unreliable
 from erasurelab.sim import (
     CampaignConfig,
     ConfigError,
@@ -17,10 +19,12 @@ from erasurelab.sim import (
     run_campaign,
     sample_unreliability_vectors,
     tau_bar,
+    unreliability,
     wilson_interval,
     _frame_rng,
+    _FrameRunner,
 )
-from erasurelab.strategy import StrategyKind, pgf_distribution, residual_error_prob
+from erasurelab.strategy import StrategyKind, choose_tau, pgf_distribution, residual_error_prob
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +194,89 @@ def test_frame_rng_independence():
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert np.array_equal(a, d)
+
+
+@pytest.mark.parametrize("seed, point, frame", [(0, 0, 0), (1, 0, 255), (7, 3, 1), (2**40, 11, 70_000)])
+def test_frame_rng_is_default_rng_stream(seed, point, frame):
+    """_frame_rng builds the Generator that default_rng gives for the same
+    SeedSequence: equal integers and normal draws, in the frames' order."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(point, frame))
+    got, want = _frame_rng(seed, point, frame), np.random.default_rng(seq)
+    assert np.array_equal(got.integers(0, 256, size=144), want.integers(0, 256, size=144))
+    assert np.array_equal(got.normal(0.0, 0.3, size=(255, 2)), want.normal(0.0, 0.3, size=(255, 2)))
+
+
+def reference_frame(runner, i):
+    """One frame through the per-frame pipeline that run_block replaced:
+    its own channel, unreliabilities, sort, chooser call on one vector and
+    prediction."""
+    cfg, qam = runner.cfg, runner.qam
+    rng = _frame_rng(cfg.seed, runner.point_index, i)
+    cw = runner.codec.encode(rng.integers(0, cfg.code.q, size=cfg.code.k).tolist())
+    y = awgn(qam.modulate(cw), runner.sigma, rng)
+    r = qam.hard_decision(y).tolist()
+    h = unreliability(y, qam, runner.sigma, cfg.unreliability, runner.lut)
+    if cfg.mode == "gmd":
+        return (0 if gmd_decode(ReceivedWord(r, h), runner.codec) == cw else 1), math.nan
+    h_sorted = np.sort(h)[::-1]
+    if cfg.mode == "adaptive":
+        res = choose_tau(h_sorted, runner.cap, cfg.strategy)
+        tau, predicted = res.tau_chosen, res.predicted_p
+    else:
+        tau = cfg.fixed_tau if cfg.mode == "fixed_tau" else 0
+        predicted = residual_error_prob(pgf_distribution(h_sorted, tau), runner.cap.epsilon0(tau))
+    out = runner.codec.decode_ee(erase_most_unreliable(r, h, tau))
+    return (0 if out == cw else 1), predicted
+
+
+def assert_same_frames(got, want):
+    """Equal error bits, and predictions equal bit for bit as Python floats
+    (NaN in gmd mode)."""
+    assert len(got) == len(want)
+    for (err, pred), (err_want, pred_want) in zip(got, want):
+        assert err == err_want
+        assert type(pred) is float and type(pred_want) is float
+        assert pred == pred_want or (math.isnan(pred) and math.isnan(pred_want))
+
+
+MC_CASES = [("errors_only", StrategyKind.EXACT), ("fixed_tau", StrategyKind.EXACT),
+            ("gmd", StrategyKind.EXACT)] + [("adaptive", kind) for kind in StrategyKind]
+
+
+@pytest.mark.parametrize("method", ["exact", "nn", "lut"])
+@pytest.mark.parametrize("mode, strategy", MC_CASES, ids=[f"{m}-{s.value}" for m, s in MC_CASES])
+def test_run_block_matches_frame_by_frame(code, mode, strategy, method):
+    """300 RS(16;15,7) frames as a full, a partial and a one-frame block
+    give each frame's error bit and prediction of run_frame and of the
+    per-frame pipeline, and the point sums them as frame by frame."""
+    cfg = make_cfg(code, ebn0_grid=(8.0,), mode=mode, strategy=strategy, max_frames=300,
+                   seed=3, unreliability=method)
+    runner = _FrameRunner(cfg, sigma_from_ebn0(8.0, 16, 15, 7), 0)
+    blocks = runner.run_block(0, 256) + runner.run_block(256, 299) + runner.run_block(299, 300)
+    assert_same_frames(blocks, [runner.run_frame(i) for i in range(300)])
+    want = [reference_frame(runner, i) for i in range(300)]
+    assert_same_frames(blocks, want)
+    assert sum(err for err, _ in want) > 0
+    pred_sum = 0.0
+    for _, pred in want:
+        pred_sum += pred
+    pt = run_campaign(cfg)[0]
+    assert pt.frame_errors == sum(err for err, _ in want)
+    if mode == "gmd":
+        assert math.isnan(pt.predicted_p)
+    else:
+        assert pt.predicted_p == pred_sum / 300
+
+
+@pytest.mark.parametrize("mode", ["errors_only", "adaptive"])
+def test_run_block_matches_frame_by_frame_long_code(mode):
+    """Three RS(256;255,144) frames as one block and one by one."""
+    cfg = CampaignConfig(code=CodeParams(GF(8), 255, 144), ebn0_grid=(17.0,), mode=mode,
+                         max_frames=3, seed=3, unreliability="exact")
+    runner = _FrameRunner(cfg, sigma_from_ebn0(17.0, 256, 255, 144), 0)
+    block = runner.run_block(0, 3)
+    assert_same_frames(block, [runner.run_frame(i) for i in range(3)])
+    assert_same_frames(block, [reference_frame(runner, i) for i in range(3)])
 
 
 def test_campaign_deterministic_across_threads(code):

@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from erasurelab.strategy import (
     STRATEGIES,
     StrategyKind,
     _tau_sweep,
+    check_sorted_unreliability,
     choose_tau,
     expectation,
     hoeffding_half_width,
@@ -450,3 +452,105 @@ def test_vectorised_choosers_match_loop_reference(m, n, k, qam, grid):
                 assert abs(got.predicted_p - want.predicted_p) <= 1e-9 * want.predicted_p
     if n == 255:
         assert window_above_zero > 0
+
+
+def block_of_vectors(n: int) -> np.ndarray:
+    """A (rows, n) block of sorted unreliability vectors: channel-like and
+    noisy ones, an all-zero row (every P(tau) ties at 0), rows that are
+    zero past a few entries (ties from there on) and a constant row."""
+    rng = np.random.default_rng(17)
+    rows = [sorted_vec(rng, n, hi) for hi in (0.05, 0.3, 0.95) for _ in range(6)]
+    rows += [np.sort(10.0 ** rng.uniform(-12, -1, n))[::-1] for _ in range(4)]
+    rows.append(np.zeros(n))
+    for nonzero in (1, 3, 5):
+        h = np.zeros(n)
+        h[:nonzero] = sorted_vec(rng, nonzero, 0.5)
+        rows.append(h)
+    rows.append(np.full(n, 0.25))
+    return np.array(rows)
+
+
+def block_capabilities(code):
+    """BMD, GS and IRS(3) for the code, and a capability table with
+    eps0 = -1 entries, which no closed form gives below d_min, so a
+    stand-in carries it (the choosers read only the table)."""
+    table = DecoderCapability(DecoderKind.BMD, code).epsilon0_table.copy()
+    table[::3] = -1
+    return [DecoderCapability(DecoderKind.BMD, code), DecoderCapability(DecoderKind.GS, code),
+            DecoderCapability(DecoderKind.IRS, code, 3), SimpleNamespace(epsilon0_table=table)]
+
+
+@pytest.mark.parametrize("m, n, k", [(4, 15, 7), (8, 255, 144)], ids=["15", "255"])
+def test_choosers_on_a_block_match_per_row_calls(m, n, k):
+    """Every chooser and p_profile on a (rows, n) block give, per row, the
+    tau and P of the call on that row alone, bit for bit, ties included;
+    a one-row block too. The block is a reversed view, as a row sort
+    gives it, and E{Y_tau} per row equals the vector's bit for bit."""
+    code = CodeParams(GF(m), n, k)
+    block = np.ascontiguousarray(block_of_vectors(n)[:, ::-1])[:, ::-1]
+    ties = 0
+    for cap in block_capabilities(code):
+        profile = p_profile(block, cap)
+        assert profile.shape == (code.d_min, len(block))
+        means = _tau_sweep(block, cap)[3]
+        for j, h in enumerate(block):
+            assert np.array_equal(profile[:, j], p_profile(h, cap))
+            assert np.array_equal(means[:, j], _tau_sweep(h, cap)[3])
+            ties += np.count_nonzero(profile[:, j] == profile[:, j].min()) > 1
+        for kind in StrategyKind:
+            got = choose_tau(block, cap, kind)
+            assert got.strategy_kind is kind
+            want = [choose_tau(h, cap, kind) for h in block]
+            assert got.tau_chosen.tolist() == [w.tau_chosen for w in want]
+            assert got.predicted_p.tolist() == [w.predicted_p for w in want]
+            one = choose_tau(block[:1], cap, kind)
+            assert (one.tau_chosen.tolist(), one.predicted_p.tolist()) == (
+                [want[0].tau_chosen], [want[0].predicted_p])
+    assert ties > 0
+
+
+def test_pgf_distribution_on_a_block_matches_per_row_calls(cap15):
+    """pgf_distribution on a block carries each row's tail masses in its
+    column, and residual_error_prob returns each row's P."""
+    block = block_of_vectors(15)
+    for tau in range(cap15.code.d_min):
+        dist = pgf_distribution(block, tau)
+        rows = [pgf_distribution(h, tau) for h in block]
+        assert np.array_equal(dist.tails, np.stack([r.tails for r in rows], axis=1))
+        assert np.array_equal(dist.coeffs, np.stack([r.coeffs for r in rows], axis=1))
+        for eps0 in (-1, 0, cap15.epsilon0(tau), 15):
+            got = residual_error_prob(dist, eps0)
+            assert got.tolist() == [residual_error_prob(r, eps0) for r in rows]
+
+
+@pytest.mark.parametrize("bad", ["unsorted", "nan", "one"])
+def test_check_sorted_rejects_one_bad_row(bad):
+    """A block fails the check when any one row alone would."""
+    block = block_of_vectors(15)
+    check_sorted_unreliability(block)
+    row = block[5]
+    if bad == "unsorted":
+        row[3], row[4] = row[4], row[3] + 0.01
+    elif bad == "nan":
+        row[7] = np.nan
+    else:
+        row[0] = 1.0
+    with pytest.raises(ValueError):
+        check_sorted_unreliability(row)
+    with pytest.raises(ValueError):
+        check_sorted_unreliability(block)
+    with pytest.raises(ValueError):
+        choose_tau(block, DecoderCapability(DecoderKind.BMD, CodeParams(GF(4), 15, 7)),
+                   StrategyKind.EXACT)
+
+
+def test_tail_coeffs_single_row_is_the_vector_with_a_rows_axis():
+    """A (1, n) input gives the vector's tail masses with a rows axis of
+    length 1 added last, equal to the column of that row in a larger block."""
+    block = block_of_vectors(255)[:3]
+    for width, lo, hi in ((59, 0, 111), (257, 0, 0), (4, 200, 255)):
+        want = tail_coeffs(block[0], width, lo, hi)
+        got = tail_coeffs(block[:1], width, lo, hi)
+        assert got.shape == want.shape + (1,)
+        assert np.array_equal(got, want[..., None])
+        assert np.array_equal(got[..., 0], tail_coeffs(block, width, lo, hi)[..., 0])
