@@ -5,7 +5,8 @@
 # adaptively with one-frame points (the one-row frame block) and
 # semi-simulatively with each method, and `predict` on both codes,
 # RS(256;255,144) also at 18-20 dB, where P(tau) lies far below 1e-16.
-# That is 29 CSVs.
+# That is 29 CSVs. `lut` then writes two lookup-table text files, 256-QAM
+# at 8 bits and 16-QAM at 6 bits: 31 files.
 #
 # Usage: sh scripts/fixed_seed_csvs.sh OUTDIR
 #
@@ -49,3 +50,6 @@ lab predict --m 4 --n 15 --k 7 --ebn0-grid 6,8,10,12,14 --samples 2000 --seed 1 
     --unreliability exact --out rs15_predict.csv
 lab predict --ebn0-grid 15,16,17 --samples 500 --seed 1 --unreliability exact --out rs255_predict.csv
 lab predict --ebn0-grid 18,19,20 --samples 500 --seed 1 --unreliability exact --out rs255_predict_high.csv
+
+lab lut --qam 256 --bits 8 --ebn0 18 --n 255 --k 144 --out lut256_8bit.txt
+lab lut --qam 16 --bits 6 --ebn0 9 --n 15 --k 7 --out lut16_6bit.txt

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,21 +54,18 @@ class SquareQam:
         self.levels = (2.0 * np.arange(L) - (L - 1)) * self.scale
 
         gray = np.arange(L) ^ (np.arange(L) >> 1)
-        # symbol -> (I level index, Q level index)
-        self.symbol_ix = np.empty(M, dtype=np.int64)
-        self.symbol_iy = np.empty(M, dtype=np.int64)
-        for ix in range(L):
-            for iy in range(L):
-                sym = (int(gray[ix]) << self.bits_per_axis) | int(gray[iy])
-                self.symbol_ix[sym] = ix
-                self.symbol_iy[sym] = iy
+        # (ix, iy) -> symbol
+        self.index_symbol = (gray[:, None] << self.bits_per_axis) | gray
+        # symbol -> (I level index, Q level index): the inverse Gray code of
+        # the symbol's high and low bits
+        level = np.argsort(gray)
+        sym = np.arange(M)
+        self.symbol_ix = level[sym >> self.bits_per_axis]
+        self.symbol_iy = level[sym & (L - 1)]
         # (label index) -> point
         self.points = np.stack(
             [self.levels[self.symbol_ix], self.levels[self.symbol_iy]], axis=-1
         )
-        # (ix, iy) -> symbol
-        self.index_symbol = np.empty((L, L), dtype=np.int64)
-        self.index_symbol[self.symbol_ix, self.symbol_iy] = np.arange(M)
 
     # -- mapping / channel --
 
@@ -145,7 +143,7 @@ CORNER = "corner"
 CLASSES = (INTERIOR, EDGE, CORNER)
 
 
-@dataclass
+@dataclass(eq=False)
 class UnreliabilityLut:
     """Symmetry-reduced table of nearest-neighbor unreliabilities.
 
@@ -174,21 +172,26 @@ class UnreliabilityLut:
     the offsets swap when the border axis is x; a corner cell keys
     (max, min) of its two outward offsets, and an even diagonal corner cell
     moves to its odd neighbor (p+1, p+1). One gather then reads the entry
-    from a dense (3, c, c) copy of ``entries``.
+    from the dense (3, c, c) ``table``, the only store of the values.
     """
 
     M: int
     bits_per_axis: int
     sigma: float
     cells_per_region: int
-    entries: dict  # (class, i, j) -> h value
-    table: np.ndarray = field(init=False, repr=False, compare=False)  # dense entries, NaN elsewhere
+    # (class index, i, j) -> h of the stored cells, NaN elsewhere; read-only,
+    # so the cached ``entries`` stay its view
+    table: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        c = self.cells_per_region
-        self.table = np.full((len(CLASSES), c, c), np.nan)
-        for (name, i, j), h in self.entries.items():
-            self.table[CLASSES.index(name), i, j] = h
+        self.table.setflags(write=False)
+
+    @cached_property
+    def entries(self) -> dict:
+        """(class, i, j) -> h of every stored cell, built on first use."""
+        keys = np.argwhere(~np.isnan(self.table))
+        values = self.table[tuple(keys.T)].tolist()
+        return {(CLASSES[k], i, j): h for (k, i, j), h in zip(keys.tolist(), values)}
 
     @classmethod
     def build(cls, qam: SquareQam, sigma: float, bits_per_axis: int) -> "UnreliabilityLut":
@@ -211,18 +214,13 @@ class UnreliabilityLut:
             [np.stack([qam.levels[rx] + u, qam.levels[ry] + v], axis=-1) for rx, ry in regions]
         )
         h = unreliability_nn(pts.reshape(-1, 2), qam, sigma).reshape(len(CLASSES), cells, cells)
-        h = h.tolist()
 
         i, j = np.indices((cells, cells))
         half = i >= cells // 2
-        stored = (half & (j >= cells // 2), half, (i > j) | ((i == j) & (i % 2 == 1)))
-        entries = {
-            (name, a, b): h[k][a][b]
-            for k, name in enumerate(CLASSES)
-            if L > 2 or name == CORNER
-            for a, b in np.argwhere(stored[k]).tolist()
-        }
-        return cls(qam.M, bits_per_axis, sigma, cells, entries)
+        stored = np.stack([half & (j >= cells // 2), half, (i > j) | ((i == j) & (i % 2 == 1))])
+        if L == 2:  # 4-QAM: every region is a corner
+            stored[: CLASSES.index(CORNER)] = False
+        return cls(qam.M, bits_per_axis, sigma, cells, np.where(stored, h, np.nan))
 
     def lookup(self, y: np.ndarray, qam: SquareQam) -> np.ndarray:
         """Quantize received points and fetch the tabulated unreliability."""
@@ -250,18 +248,17 @@ class UnreliabilityLut:
     def save(self, path) -> None:
         with open(path, "w") as fh:
             fh.write(f"{self.M} {self.bits_per_axis} {self.sigma!r}\n")
-            for (cls_name, i, j) in sorted(self.entries, key=lambda k: (k[0], k[1], k[2])):
-                fh.write(f"{cls_name} {i} {j} {self.entries[(cls_name, i, j)]:.17g}\n")
+            for (cls_name, i, j), h in sorted(self.entries.items()):
+                fh.write(f"{cls_name} {i} {j} {h:.17g}\n")
 
     @classmethod
     def load(cls, path) -> "UnreliabilityLut":
         with open(path) as fh:
             header = fh.readline().split()
-            M, bits = int(header[0]), int(header[1])
-            sigma = float(header[2])
-            entries = {}
+            M, bits, sigma = int(header[0]), int(header[1]), float(header[2])
+            cells = (1 << bits) // math.isqrt(M)
+            table = np.full((len(CLASSES), cells, cells), np.nan)
             for line in fh:
                 name, i, j, h = line.split()
-                entries[(name, int(i), int(j))] = float(h)
-        cells = (1 << bits) // math.isqrt(M)
-        return cls(M, bits, sigma, cells, entries)
+                table[CLASSES.index(name), int(i), int(j)] = float(h)
+        return cls(M, bits, sigma, cells, table)

@@ -101,13 +101,12 @@ class ReceivedWord:
     unreliability: np.ndarray  # shape (n,), values in [0, 1)
 
     def __post_init__(self):
-        self.unreliability = np.asarray(self.unreliability, dtype=float)
-        if len(self.symbols) != len(self.unreliability):
+        u = self.unreliability = np.asarray(self.unreliability, dtype=float)
+        if len(self.symbols) != len(u):
             raise CodeError("symbols and unreliability lengths differ")
-        if np.any(~np.isfinite(self.unreliability)):
-            raise CodeError("unreliability entries must be finite")
-        if np.any(self.unreliability < 0) or np.any(self.unreliability >= 1):
-            raise CodeError("unreliability entries must lie in [0, 1)")
+        # NaN fails both comparisons, +-inf one of them
+        if not ((u >= 0) & (u < 1)).all():
+            raise CodeError("unreliability entries must be finite and lie in [0, 1)")
 
 
 def erasure_order(h: np.ndarray) -> list[int]:

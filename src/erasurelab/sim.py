@@ -51,6 +51,8 @@ UNRELIABILITY_METHODS = ("exact", "nn", "lut")
 #: so a point's frame count (and the CSV) is a multiple of it unless
 #: max_frames ends the point
 FRAME_BLOCK = 256
+#: quantisation bits per axis of the table behind the ``lut`` unreliabilities
+LUT_BITS = 8
 # symbols per call of an unreliability method in `unreliability`: few
 # enough that each call's temporaries stay under glibc's mmap threshold,
 # so they are reused from the heap instead of mapped and page-faulted
@@ -184,7 +186,7 @@ def sample_unreliability_vectors(
         raise ValueError("sigma must be > 0")
     sym = rng.integers(0, qam.M, size=count * n)
     y = awgn(qam.modulate(sym), sigma, rng)
-    lut = UnreliabilityLut.build(qam, sigma, 8) if method == "lut" else None
+    lut = UnreliabilityLut.build(qam, sigma, LUT_BITS) if method == "lut" else None
     h = unreliability(y, qam, sigma, method, lut).reshape(count, n)
     h.sort(axis=1)
     return h[:, ::-1]
@@ -222,7 +224,7 @@ class _FrameRunner:
         self.qam = SquareQam(cfg.qam_size)
         self.cap = cfg.capability()
         self.lut = (
-            UnreliabilityLut.build(self.qam, sigma, 8) if cfg.unreliability == "lut" else None
+            UnreliabilityLut.build(self.qam, sigma, LUT_BITS) if cfg.unreliability == "lut" else None
         )
 
     def run_frame(self, frame_index: int) -> tuple[int, float]:

@@ -10,7 +10,9 @@ lookup table replaced, kept verbatim apart from their names:
 * `scalar_lut_entries` - the table that `UnreliabilityLut.build` filled
   from `scalar_h_nn`;
 * `canonical_key` - the per-point fold of a (region, cell offset) pair
-  onto its stored entry key.
+  onto its stored entry key;
+* `loop_label_maps` - the L x L loop that filled `SquareQam`'s label maps
+  from the per-axis Gray codes.
 """
 
 from __future__ import annotations
@@ -101,3 +103,19 @@ def canonical_key(rx: int, ry: int, ox: int, oy: int, L: int, c: int):
             t = ox if rx == L - 1 else c - 1 - ox
         return (EDGE, _fold(a, c), t)
     return (INTERIOR, _fold(ox, c), _fold(oy, c))
+
+
+def loop_label_maps(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(symbol_ix, symbol_iy, index_symbol) of an L x L square QAM."""
+    bits_per_axis = L.bit_length() - 1
+    gray = np.arange(L) ^ (np.arange(L) >> 1)
+    symbol_ix = np.empty(L * L, dtype=np.int64)
+    symbol_iy = np.empty(L * L, dtype=np.int64)
+    for ix in range(L):
+        for iy in range(L):
+            sym = (int(gray[ix]) << bits_per_axis) | int(gray[iy])
+            symbol_ix[sym] = ix
+            symbol_iy[sym] = iy
+    index_symbol = np.empty((L, L), dtype=np.int64)
+    index_symbol[symbol_ix, symbol_iy] = np.arange(L * L)
+    return symbol_ix, symbol_iy, index_symbol

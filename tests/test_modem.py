@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from erasurelab.modem import (
+    CLASSES,
     CORNER,
     EDGE,
     INTERIOR,
@@ -16,7 +17,7 @@ from erasurelab.modem import (
     unreliability_nn,
 )
 
-from scalar_modem import canonical_key, scalar_lut_entries, tensor_unreliability_exact
+from scalar_modem import canonical_key, loop_label_maps, scalar_lut_entries, tensor_unreliability_exact
 
 #: (M, bits per axis) of the lookup-table differential tests
 LUT_CASES = [(4, 8), (16, 6), (16, 8), (64, 8), (256, 8), (256, 9)]
@@ -76,6 +77,13 @@ def test_gray_labels_adjacent_one_bit(qam16):
             if iy + 1 < L:
                 t = qam16.index_symbol[ix, iy + 1]
                 assert bin(int(s) ^ int(t)).count("1") == 1
+
+
+@pytest.mark.parametrize("M", [4, 16, 64, 256])
+def test_label_maps_match_loop_reference(M):
+    qam = SquareQam(M)
+    for got, want in zip((qam.symbol_ix, qam.symbol_iy, qam.index_symbol), loop_label_maps(qam.L)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_modulate_demap_roundtrip(qam256):
@@ -298,18 +306,25 @@ def test_lut_lookup_matches_canonical_key(M, bits):
     assert np.array_equal(lut.lookup(pts, qam), want)
 
 
-def test_lut_save_load_roundtrip(tmp_path, qam16):
-    lut = UnreliabilityLut.build(qam16, 0.1, 6)
-    path = tmp_path / "lut.txt"
-    lut.save(path)
-    again = UnreliabilityLut.load(path)
-    assert again.M == lut.M
-    assert again.bits_per_axis == lut.bits_per_axis
-    assert again.sigma == lut.sigma
-    assert again.entries == lut.entries
-    rng = np.random.default_rng(8)
-    y = rng.uniform(-1.2, 1.2, (1000, 2))
-    assert np.array_equal(again.lookup(y, qam16), lut.lookup(y, qam16))
+def test_lut_save_load_roundtrip(tmp_path):
+    """The text file restores the table bit for bit, and ``entries`` holds
+    exactly the table's stored (non-NaN) cells."""
+    for M, bits, sigma, count in ((4, 8, 0.3, 8192), (16, 6, 0.1, 320), (256, 8, 0.0419, 320)):
+        qam = SquareQam(M)
+        lut = UnreliabilityLut.build(qam, sigma, bits)
+        path = tmp_path / f"lut{M}.txt"
+        lut.save(path)
+        again = UnreliabilityLut.load(path)
+        assert (again.M, again.bits_per_axis, again.sigma) == (M, bits, sigma)
+        assert again.cells_per_region == lut.cells_per_region
+        assert np.array_equal(again.table, lut.table, equal_nan=True)
+        for t in (lut, again):
+            assert len(t.entries) == np.count_nonzero(~np.isnan(t.table)) == count
+            assert all(t.table[CLASSES.index(name), i, j] == h for (name, i, j), h in t.entries.items())
+        assert again.entries == lut.entries
+        rng = np.random.default_rng(8)
+        y = rng.uniform(-1.2, 1.2, (1000, 2))
+        assert np.array_equal(again.lookup(y, qam), lut.lookup(y, qam))
 
 
 def test_lut_save_deterministic(tmp_path, qam16):

@@ -65,8 +65,9 @@ def test_params_reject_non_integers(n, k):
 def test_received_word_validation():
     with pytest.raises(CodeError):
         ReceivedWord([1, 2], np.array([0.1]))
-    with pytest.raises(CodeError):
-        ReceivedWord([1, 2], np.array([0.1, 1.0]))
+    for bad in (1.0, np.nan, np.inf, -np.inf, -0.1):
+        with pytest.raises(CodeError, match="must be finite and lie in"):
+            ReceivedWord([1, 2], np.array([0.1, bad]))
     w = ReceivedWord([1, None, 3], np.array([0.1, 0.9, 0.0]))
     assert sum(s is None for s in w.symbols) == 1
 
