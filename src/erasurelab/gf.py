@@ -81,10 +81,13 @@ class GF:
         self.antilog = antilog
         self.log = log
         self.exp = antilog * 2 + [0] * (2 * order + 1)
-        # the same tables as arrays, for the array kernels
+        # the same tables as arrays, for the array kernels; read-only, as
+        # every codec on the field shares them
         self.dtype = np.min_scalar_type(order)
         self.log_table = np.array(log, dtype=np.intp)
         self.exp_table = np.array(self.exp, dtype=self.dtype)
+        self.log_table.setflags(write=False)
+        self.exp_table.setflags(write=False)
 
     def mul(self, a: int, b: int) -> int:
         return self.exp[self.log[a] + self.log[b]]

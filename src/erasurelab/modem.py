@@ -43,7 +43,7 @@ class SquareQam:
     """
 
     def __init__(self, M: int):
-        L = math.isqrt(M)
+        L = math.isqrt(max(M, 0))
         if L * L != M or L < 2 or (L & (L - 1)):
             raise ModemError(f"M={M} is not a square QAM size 2^(2b)")
         self.M = M
@@ -195,17 +195,10 @@ class UnreliabilityLut:
 
     @classmethod
     def build(cls, qam: SquareQam, sigma: float, bits_per_axis: int) -> "UnreliabilityLut":
-        if bits_per_axis < 2:
-            raise ModemError("bits_per_axis must be >= 2")
         if sigma <= 0:
             raise ModemError("sigma must be > 0")
         L = qam.L
-        cells = (1 << bits_per_axis) // L
-        if cells < 2 or cells * L != (1 << bits_per_axis):
-            raise ModemError(
-                f"{bits_per_axis}-bit quantization cannot resolve {L} decision "
-                "regions per axis"
-            )
+        cells = _cells_per_region(L, bits_per_axis)
         # cell centres of the interior, top edge and top-right corner regions
         centre = (np.arange(cells) + 0.5) * (2.0 * qam.scale / cells) - qam.scale
         u, v = np.meshgrid(centre, centre, indexing="ij")
@@ -253,12 +246,50 @@ class UnreliabilityLut:
 
     @classmethod
     def load(cls, path) -> "UnreliabilityLut":
+        """The table that `save` wrote to `path`. A header that `build`
+        would reject, or an entry line with a wrong field count, an
+        unknown class, a cell index outside [0, cells_per_region) or an h
+        outside [0, 1), is a ModemError naming its line."""
         with open(path) as fh:
-            header = fh.readline().split()
-            M, bits, sigma = int(header[0]), int(header[1]), float(header[2])
-            cells = (1 << bits) // math.isqrt(M)
+            M, bits, sigma = _read_fields(path, 1, fh.readline(), (int, int, float))
+            try:
+                cells = _cells_per_region(SquareQam(M).L, bits)
+            except ModemError as exc:
+                raise ModemError(f"{path}, line 1: {exc}") from None
+            if not sigma > 0:
+                raise ModemError(f"{path}, line 1: sigma must be > 0, got {sigma}")
             table = np.full((len(CLASSES), cells, cells), np.nan)
-            for line in fh:
-                name, i, j, h = line.split()
-                table[CLASSES.index(name), int(i), int(j)] = float(h)
+            for lineno, line in enumerate(fh, 2):
+                name, i, j, h = _read_fields(path, lineno, line, (str, int, int, float))
+                if name not in CLASSES:
+                    raise ModemError(f"{path}, line {lineno}: unknown class {name!r}")
+                if not (0 <= i < cells and 0 <= j < cells):
+                    raise ModemError(f"{path}, line {lineno}: cell ({i}, {j}) outside [0, {cells})")
+                if not 0 <= h < 1:  # NaN fails too
+                    raise ModemError(f"{path}, line {lineno}: h must lie in [0, 1), got {h}")
+                table[CLASSES.index(name), i, j] = h
         return cls(M, bits, sigma, cells, table)
+
+
+def _cells_per_region(L: int, bits_per_axis: int) -> int:
+    """Cells per axis of each of the L decision regions per axis when the
+    axis is cut into 2^bits_per_axis uniform cells; a ModemError unless
+    that is a whole number of at least 2."""
+    if bits_per_axis < 2:
+        raise ModemError("bits_per_axis must be >= 2")
+    cells = (1 << bits_per_axis) // L
+    if cells < 2 or cells * L != (1 << bits_per_axis):
+        raise ModemError(f"{bits_per_axis}-bit quantization cannot resolve {L} decision regions per axis")
+    return cells
+
+
+def _read_fields(path, lineno: int, line: str, types: tuple) -> list:
+    """The whitespace-separated fields of one line of a table file, each
+    read by its type; a ModemError naming the line otherwise."""
+    fields = line.split()
+    if len(fields) != len(types):
+        raise ModemError(f"{path}, line {lineno}: expected {len(types)} fields, got {len(fields)}")
+    try:
+        return [read(f) for read, f in zip(types, fields)]
+    except ValueError:
+        raise ModemError(f"{path}, line {lineno}: cannot read {line.strip()!r}") from None

@@ -29,6 +29,8 @@ syndrome matrix, the Chien power table and the Forney table, its blocks
 at the roots facing the coefficients of Psi and of Omega = Lambda T mod
 x^(n-k), both read off one array product of Lambda with the trial's
 Gamma/T buffer. g(x) and Gamma are built one linear factor at a time.
+The tables are read-only, and `CodeParams.codec` builds them once per
+code: every campaign on one `CodeParams` shares its codec.
 
 Berlekamp-Massey has one entry, `RSCodec.solve_locators`, and two forms
 with one state: Lambda, L, and B = beta x^(r-m) P as the log of beta, the
@@ -45,6 +47,7 @@ ROW_BM_MIN_CHECKS check symbols on. Both give the same Lambda wherever
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -91,6 +94,13 @@ class CodeParams:
     @property
     def d_min(self) -> int:
         return self.n - self.k + 1
+
+    @cached_property
+    def codec(self) -> RSCodec:
+        """The code's encoder/decoder, built on first use and shared by
+        every user of this CodeParams; a copy (`dataclasses.replace`)
+        builds its own."""
+        return RSCodec(self)
 
 
 @dataclass
@@ -175,7 +185,8 @@ class ErasedWord:
 
 
 class RSCodec:
-    """Encoder/decoder pair for one code."""
+    """Encoder/decoder pair for one code, which `CodeParams.codec` builds
+    once and shares: it holds only the code and read-only tables."""
 
     def __init__(self, params: CodeParams):
         self.params = params
@@ -183,18 +194,21 @@ class RSCodec:
         n, k = params.n, params.k
         nsyn = n - k
         order = gf.q - 1
+        log, exp = gf.log_table, gf.exp_table
         # g(x) = prod_{j=1}^{n-k} (x + alpha^j), the reversal of prod (1 + alpha^j x)
         g = gf.linear_factors(np.arange(1, nsyn + 1))[::-1]
-        self.generator = g
+        glog = log[g[:nsyn]]
         # x^(n-1-i) mod g(x) is the parity of a unit at info position i:
-        # rows by the recursion x^(t+1) mod g = x * (x^t mod g) mod g
-        parity = np.empty((k, nsyn), dtype=gf.dtype)
-        row = g[:nsyn]  # x^(n-k) mod g
-        for i in range(k - 1, -1, -1):
-            parity[i] = row
-            row = np.concatenate(([0], row[:-1])) ^ gf.mul_array(row[-1], g[:nsyn])
+        # rows by the recursion x^(t+1) mod g = x * (x^t mod g) mod g, row i
+        # in columns 1..n-k behind a zero column, so that columns 0..n-k-1
+        # are its shift by x
+        rows = np.zeros((k, nsyn + 1), dtype=gf.dtype)
+        rows[-1, 1:] = g[:nsyn]  # x^(n-k) mod g
+        for i in range(k - 1, 0, -1):
+            rows[i - 1, 1:] = rows[i, :-1] ^ exp[glog + log[rows[i, -1]]]
+        parity = rows[:, 1:]
         # parity position k + t holds the coefficient of x^(n-k-1-t)
-        self._parity_logs = gf.log_table[parity[:, ::-1]]
+        self._parity_logs = log[parity[:, ::-1]]
         powers = np.arange(n - 1, -1, -1)  # X_i = alpha^(n-1-i)
         # S_j = sum_i r_i X_i^j, j = 1..n-k
         self._syndrome_logs = np.outer(powers, np.arange(1, nsyn + 1)) % order
@@ -210,6 +224,9 @@ class RSCodec:
         forney[:, 0, 2::2] = self._chien_logs[1::2].T
         forney[:, 1, 1:-1] = self._chien_logs[1:].T
         self._forney_logs = forney
+        # shared by every campaign on the code through `CodeParams.codec`
+        for table in (self._parity_logs, self._syndrome_logs, self._chien_logs, forney):
+            table.setflags(write=False)
 
     # position i <-> coefficient of x^(n-1-i); info occupies positions 0..k-1
 

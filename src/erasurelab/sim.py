@@ -35,7 +35,7 @@ import numpy as np
 from .dcf import DecoderCapability, DecoderKind
 from .gmd import gmd_decode
 from .modem import SquareQam, UnreliabilityLut, awgn, sigma_from_ebn0, unreliability_exact, unreliability_nn
-from .rs import CodeParams, RSCodec, ReceivedWord, erase_most_unreliable, require_integer
+from .rs import CodeParams, ReceivedWord, erase_most_unreliable, require_integer
 from .strategy import (
     StrategyKind,
     choose_tau,
@@ -220,7 +220,7 @@ class _FrameRunner:
         self.cfg = cfg
         self.sigma = sigma
         self.point_index = point_index
-        self.codec = RSCodec(cfg.code)
+        self.codec = cfg.code.codec
         self.qam = SquareQam(cfg.qam_size)
         self.cap = cfg.capability()
         self.lut = (

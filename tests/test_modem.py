@@ -51,7 +51,7 @@ def test_sigma_validation():
 
 
 def test_qam_sizes_rejected():
-    for M in (2, 8, 32, 128, 24):
+    for M in (2, 8, 32, 128, 24, 0, -16):
         with pytest.raises(ModemError):
             SquareQam(M)
 
@@ -332,3 +332,37 @@ def test_lut_save_deterministic(tmp_path, qam16):
     UnreliabilityLut.build(qam16, 0.1, 6).save(a)
     UnreliabilityLut.build(qam16, 0.1, 6).save(b)
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("line,text,match", [
+    (1, "16 6", "line 1: expected 3 fields, got 2"),
+    (1, "16 six 0.1", "line 1: cannot read '16 six 0.1'"),
+    (1, "8 6 0.1", "line 1: M=8 is not a square QAM size"),
+    (1, "-16 6 0.1", "line 1: M=-16 is not a square QAM size"),
+    (1, "16 1 0.1", "line 1: bits_per_axis must be >= 2"),
+    (1, "256 4 0.1", "line 1: 4-bit quantization cannot resolve 16 decision regions"),
+    (1, "16 6 0", "line 1: sigma must be > 0"),
+    (1, "16 6 nan", "line 1: sigma must be > 0"),
+    (-1, "corner 9 8", "line 321: expected 4 fields, got 3"),
+    (-1, "corner 9 8 0.1 0.2", "line 321: expected 4 fields, got 5"),
+    (2, "middle 9 8 0.1", "line 2: unknown class 'middle'"),
+    (2, "corner 16 8 0.1", r"line 2: cell \(16, 8\) outside \[0, 16\)"),
+    (2, "corner 9 -1 0.1", r"line 2: cell \(9, -1\) outside \[0, 16\)"),
+    (2, "corner 9.0 8 0.1", "line 2: cannot read"),
+    (2, "corner 9 8 abc", "line 2: cannot read 'corner 9 8 abc'"),
+    (2, "corner 9 8 1.0", r"line 2: h must lie in \[0, 1\), got 1.0"),
+    (2, "corner 9 8 -0.25", r"line 2: h must lie in \[0, 1\), got -0.25"),
+    (2, "corner 9 8 nan", r"line 2: h must lie in \[0, 1\), got nan"),
+])
+def test_lut_load_rejects_bad_lines(tmp_path, qam16, line, text, match):
+    """Each header or entry line that `build` could not have written is a
+    ModemError naming its line (1 is the header), not a bare numpy or
+    tuple error, nor a negative index that wraps to another cell."""
+    path = tmp_path / "lut.txt"
+    UnreliabilityLut.build(qam16, 0.1, 6).save(path)
+    lines = path.read_text().splitlines()
+    assert len(lines) == 321
+    lines[line - 1 if line > 0 else line] = text
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ModemError, match=match):
+        UnreliabilityLut.load(path)

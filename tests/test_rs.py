@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -60,6 +61,44 @@ def test_params_reject_non_integers(n, k):
     with pytest.raises(CodeError, match="must be an integer"):
         CodeParams(GF(4), n, k)
     assert CodeParams(GF(4), np.int64(15), np.int8(7)).d_min == 9
+
+
+def test_codec_is_built_once_per_code():
+    """CodeParams.codec is one codec per code; a copy builds its own, with
+    the same tables."""
+    code = CodeParams(GF(4), 15, 7)
+    assert isinstance(code.codec, RSCodec)
+    assert code.codec is code.codec
+    assert code.codec.params is code
+    copy = replace(code)
+    assert copy == code and copy.codec is not code.codec
+    assert np.array_equal(copy.codec._parity_logs, code.codec._parity_logs)
+
+
+def test_codec_and_field_tables_are_read_only(small):
+    """Every campaign on a code shares its codec's and field's tables, so
+    none of them takes a write."""
+    codec, gf = small.codec, small.gf
+    tables = [codec._parity_logs, codec._syndrome_logs, codec._chien_logs, codec._forney_logs,
+              gf.log_table, gf.exp_table]
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[(0,) * table.ndim] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            table += 0
+
+
+@pytest.mark.parametrize("which", ["codec", "big_codec"])
+def test_parity_rows_match_long_division(which, request):
+    """Each row of the parity matrix, the codeword of a unit info word, is
+    the one the scalar codec's long division by g(x) gives."""
+    codec = request.getfixturevalue(which)
+    ref = ScalarRSCodec(codec.params)
+    k = codec.params.k
+    for i in range(k):
+        unit = [0] * k
+        unit[i] = 1
+        assert codec.encode(unit) == ref.encode(unit), i
 
 
 def test_received_word_validation():

@@ -8,9 +8,8 @@ from erasurelab import sim
 from erasurelab.dcf import DecoderCapability, DecoderKind
 from erasurelab.gf import GF
 from erasurelab.modem import SquareQam, awgn, sigma_from_ebn0
-from erasurelab.rs import CodeParams
 from erasurelab.gmd import gmd_decode
-from erasurelab.rs import ReceivedWord, erase_most_unreliable
+from erasurelab.rs import CodeParams, ReceivedWord, RSCodec, erase_most_unreliable
 from erasurelab.sim import (
     CampaignConfig,
     ConfigError,
@@ -284,6 +283,38 @@ def test_campaign_deterministic_across_threads(code):
     p1 = run_campaign(cfg, threads=1)
     p4 = run_campaign(cfg, threads=4)
     assert format_csv(p1) == format_csv(p4)
+
+
+def test_campaigns_on_one_code_build_one_codec(monkeypatch):
+    """Every grid point and every campaign on one CodeParams, in any mode,
+    decodes with the one codec that CodeParams.codec built."""
+    builds = []
+    init = RSCodec.__init__
+
+    def counting_init(self, params):
+        builds.append(params)
+        init(self, params)
+
+    monkeypatch.setattr(RSCodec, "__init__", counting_init)
+    code = CodeParams(GF(4), 15, 7)
+    for mode in ("adaptive", "gmd"):
+        cfg = make_cfg(code, ebn0_grid=(8.0, 9.0, 10.0), mode=mode, max_frames=32)
+        for _ in range(2):
+            assert len(run_campaign(cfg)) == 3
+    assert builds == [code]
+
+
+@pytest.mark.parametrize("mode", ["errors_only", "adaptive", "gmd"])
+def test_campaign_on_warmed_code_matches_fresh_code(mode):
+    """A campaign on a code whose codec earlier campaigns built writes the
+    CSV bytes of the same campaign on a fresh code."""
+    warmed = CodeParams(GF(4), 15, 7)
+    run_campaign(make_cfg(warmed, ebn0_grid=(7.0,), mode=mode, max_frames=64, seed=5))
+    grid = dict(ebn0_grid=(8.0, 9.0, 10.0), mode=mode, max_frames=300)
+    fresh = CodeParams(GF(4), 15, 7)
+    assert "codec" not in vars(fresh)
+    assert format_csv(run_campaign(make_cfg(warmed, **grid))) == \
+        format_csv(run_campaign(make_cfg(fresh, **grid)))
 
 
 def test_campaign_early_stop_on_errors(code):
