@@ -43,7 +43,6 @@ CONFIG_KEYS = {
     "seed": int,
     "unreliability": str,
     "samples": int,
-    "force_tau": int,
 }
 
 
@@ -136,7 +135,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    """Analytic-only curves: errors-only and semi-simulative adaptive."""
+    """Analytic-only curves: errors-only and semi-simulative, at tau_bar or
+    at the fixed_tau given."""
     values = collect_values(args, CONFIG_KEYS)
     if "ebn0_grid" not in values:
         raise CliError("no Eb/N0 grid given")

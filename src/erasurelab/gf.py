@@ -94,10 +94,6 @@ class GF:
 
     # -- array kernels (element arrays of dtype self.dtype or any int) --
 
-    def mul_array(self, a, b) -> np.ndarray:
-        """Elementwise product of two broadcastable element arrays."""
-        return self.exp_table[self.log_table[a] + self.log_table[b]]
-
     def div_array(self, a, b) -> np.ndarray:
         """Elementwise a / b; every entry of b must be nonzero."""
         return self.exp_table[self.log_table[a] + (self.q - 1 - self.log_table[b])]

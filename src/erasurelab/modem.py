@@ -141,6 +141,9 @@ INTERIOR = "interior"
 EDGE = "edge"
 CORNER = "corner"
 CLASSES = (INTERIOR, EDGE, CORNER)
+#: the finest quantisation a table may have: its (3, c, c) doubles stay
+#: under 7 MB at every square QAM size (c = 2^bits / L, largest at 4-QAM)
+MAX_LUT_BITS = 10
 
 
 @dataclass(eq=False)
@@ -274,9 +277,12 @@ class UnreliabilityLut:
 def _cells_per_region(L: int, bits_per_axis: int) -> int:
     """Cells per axis of each of the L decision regions per axis when the
     axis is cut into 2^bits_per_axis uniform cells; a ModemError unless
-    that is a whole number of at least 2."""
+    that is a whole number of at least 2 and bits_per_axis is at most
+    MAX_LUT_BITS."""
     if bits_per_axis < 2:
         raise ModemError("bits_per_axis must be >= 2")
+    if bits_per_axis > MAX_LUT_BITS:
+        raise ModemError(f"bits_per_axis must be <= {MAX_LUT_BITS}, got {bits_per_axis}")
     cells = (1 << bits_per_axis) // L
     if cells < 2 or cells * L != (1 << bits_per_axis):
         raise ModemError(f"{bits_per_axis}-bit quantization cannot resolve {L} decision regions per axis")

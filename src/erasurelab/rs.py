@@ -150,6 +150,10 @@ def _erasures_as_zero(symbols: list, gf: GF) -> np.ndarray:
     return _symbol_array([0 if s is None else s for s in symbols], gf)
 
 
+def _not_a_position(i, n: int) -> CodeError:
+    return CodeError(f"order entries must be integers in [0, {n}), got {i!r}")
+
+
 @dataclass
 class ErasedWord:
     """One decoder trial: a received word under one erasure set.
@@ -307,9 +311,11 @@ class RSCodec:
 
     def erasure_trials(self, symbols: list, order=(), taus=(0,)) -> list[ErasedWord]:
         """The trials of one received word, one per tau of `taus`,
-        non-negative integers in non-decreasing order (anything else is a
-        CodeError): trial tau erases the input erasures (None) and then
-        order[:tau], skipping positions already erased.
+        non-negative integers in non-decreasing order: trial tau erases the
+        input erasures (None) and then order[:tau], skipping positions
+        already erased. A tau past the input erasures plus `order`, or an
+        entry of the part of `order` read that is not a position in
+        [0, n), is a CodeError.
 
         S(y) is computed once. Each trial's Gamma/T buffer is a row of one
         array, a copy of the row before grown by one linear factor per new
@@ -343,15 +349,25 @@ class RSCodec:
             end = first + tau
             if tau < 0 or end < done:
                 raise CodeError(f"taus must be non-negative and non-decreasing, got {taus}")
+            if end > len(sequence):
+                raise CodeError(f"tau={tau} erases past the {len(sequence)} positions "
+                                "that the input erasures and order supply")
             # one shift-and-add over the whole row updates both polynomials:
             # Gamma's top coefficient spills into T's leading zero only past
             # n-k erasures, where decoding fails anyway
             out, shifted = row[1:], row[:-1]
-            for i in sequence[done:end]:
-                if not is_erased[i]:
-                    is_erased[i] = 1
-                    erased.append(i)
-                    gf.mul_linear(out, shifted, n - 1 - i)
+            try:
+                for i in sequence[done:end]:
+                    # unchecked, a negative entry would erase a locator
+                    # outside the code, and one from n on index past it
+                    if not 0 <= i < n:
+                        raise _not_a_position(i, n)
+                    if not is_erased[i]:
+                        is_erased[i] = 1
+                        erased.append(i)
+                        gf.mul_linear(out, shifted, n - 1 - i)
+            except TypeError:  # a non-integer fails the compare or the index
+                raise _not_a_position(i, n) from None
             done = end
             trials.append(ErasedWord(y, synd, erased[:], row))
         return trials

@@ -3,12 +3,17 @@
 A campaign sweeps an Eb/N0 grid with one of five decoder modes:
 
 * ``errors_only``   - decode with no erasures,
-* ``fixed_tau``     - erase a constant number of most unreliable symbols,
+* ``fixed_tau``     - erase a constant number, ``fixed_tau``, of most
+  unreliable symbols,
 * ``adaptive``      - choose tau per frame with an erasing strategy,
 * ``gmd``           - multi-trial GMD reference decoding,
 * ``semi_simulative`` - no per-frame decoding: compute tau_bar from an
   average unreliability vector and report the analytic mean of P(tau_bar)
-  over sampled unreliability vectors (an upper bound on adaptive decoding).
+  over sampled unreliability vectors (an upper bound on adaptive decoding);
+  a ``fixed_tau`` pins tau_bar.
+
+``CampaignConfig.tau`` is the erasure count each mode fixes, and a
+``fixed_tau`` that the mode would not read is a ConfigError.
 
 Per-frame random streams are derived from (seed, grid index, frame index),
 so results are reproducible for a given seed.
@@ -84,23 +89,20 @@ class CampaignConfig:
     ebn0_grid: tuple = ()
     mode: str = "errors_only"
     strategy: StrategyKind = StrategyKind.EXACT
-    fixed_tau: int = 0
+    fixed_tau: int | None = None  # modes fixed_tau (required) and semi_simulative
     max_frames: int = 10_000
     max_errors: int = 100
     seed: int = 0
     unreliability: str = "nn"
     samples: int = 10_000  # vectors averaged in semi-simulative mode
-    force_tau: int | None = None  # semi-simulative only: bypass the strategy
 
     def __post_init__(self):
         if not isinstance(self.decoder_kind, DecoderKind):
             raise ConfigError(f"decoder_kind must be a DecoderKind, got {self.decoder_kind!r}")
         if not isinstance(self.strategy, StrategyKind):
             raise ConfigError(f"strategy must be a StrategyKind, got {self.strategy!r}")
-        for name in ("ell", "fixed_tau", "max_frames", "max_errors", "samples", "seed"):
+        for name in ("ell", "max_frames", "max_errors", "samples", "seed"):
             require_integer(name, getattr(self, name), ConfigError)
-        if self.force_tau is not None:
-            require_integer("force_tau", self.force_tau, ConfigError)
         if self.code.gf.m % 2:
             raise ConfigError(f"code: square QAM needs q = 2^m with m even, got m={self.code.gf.m}")
         if self.decoder_kind is DecoderKind.IRS and self.ell < 1:
@@ -125,13 +127,27 @@ class CampaignConfig:
             raise ConfigError("samples must be >= 1")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        if self.mode == "fixed_tau" and not (0 <= self.fixed_tau <= self.code.d_min - 1):
-            raise ConfigError("fixed_tau out of [0, d_min - 1]")
-        if self.force_tau is not None and not (0 <= self.force_tau <= self.code.d_min - 1):
-            raise ConfigError("force_tau out of [0, d_min - 1]")
+        if self.fixed_tau is None:
+            if self.mode == "fixed_tau":
+                raise ConfigError("mode 'fixed_tau' needs a fixed_tau")
+        else:
+            if self.mode not in ("fixed_tau", "semi_simulative"):
+                raise ConfigError(f"mode {self.mode!r} reads no fixed_tau (got {self.fixed_tau!r}); "
+                                  "only modes 'fixed_tau' and 'semi_simulative' do")
+            require_integer("fixed_tau", self.fixed_tau, ConfigError)
+            if not 0 <= self.fixed_tau <= self.code.d_min - 1:
+                raise ConfigError("fixed_tau out of [0, d_min - 1]")
         if self.mode in ("errors_only", "fixed_tau", "adaptive", "gmd") and self.decoder_kind is not DecoderKind.BMD:
             raise ConfigError("Monte-Carlo modes require the BMD decoder; "
                               "IRS/GS capabilities are analytic only")
+
+    @property
+    def tau(self) -> int | None:
+        """The erasure count the mode fixes: 0 in errors_only, fixed_tau in
+        fixed_tau and semi_simulative, and None where it is chosen (per
+        frame in adaptive and gmd, as tau_bar in semi_simulative with no
+        fixed_tau)."""
+        return 0 if self.mode == "errors_only" else self.fixed_tau
 
     @property
     def qam_size(self) -> int:
@@ -255,7 +271,7 @@ class _FrameRunner:
                 taus = res.tau_chosen.tolist()
                 predicted = res.predicted_p.tolist()
             else:
-                tau = cfg.fixed_tau if cfg.mode == "fixed_tau" else 0
+                tau = cfg.tau
                 taus = [tau] * len(h)
                 predicted = residual_error_prob(
                     pgf_distribution(h_sorted, tau), self.cap.epsilon0(tau)
@@ -282,12 +298,11 @@ def _run_point_mc(cfg: CampaignConfig, sigma: float, point_index: int) -> FerPoi
 
     fer = errors / frames
     lo, hi = wilson_interval(errors, frames)
-    tau = cfg.fixed_tau if cfg.mode == "fixed_tau" else (0 if cfg.mode == "errors_only" else -1)
     return FerPoint(
         ebn0_db=float(cfg.ebn0_grid[point_index]),
         mode=cfg.mode,
         strategy=cfg.strategy.value,
-        tau=tau,
+        tau=-1 if cfg.tau is None else cfg.tau,
         frames=frames,
         frame_errors=errors,
         fer=fer,
@@ -298,7 +313,7 @@ def _run_point_mc(cfg: CampaignConfig, sigma: float, point_index: int) -> FerPoi
 
 
 def _run_point_semi(cfg: CampaignConfig, sigma: float, point_index: int) -> FerPoint:
-    return _semi_points(cfg, sigma, point_index, [cfg.force_tau])[0]
+    return _semi_points(cfg, sigma, point_index, [cfg.tau])[0]
 
 
 def _semi_points(cfg: CampaignConfig, sigma: float, point_index: int, taus) -> list[FerPoint]:
@@ -337,7 +352,7 @@ def predict_points(cfg: CampaignConfig) -> list[FerPoint]:
     pairs = []
     for idx, db in enumerate(cfg.ebn0_grid):
         sigma = sigma_from_ebn0(db, cfg.qam_size, cfg.code.n, cfg.code.k)
-        pairs.append(_semi_points(cfg, sigma, idx, [0, cfg.force_tau]))
+        pairs.append(_semi_points(cfg, sigma, idx, [0, cfg.tau]))
     return [errors_only for errors_only, _ in pairs] + [chosen for _, chosen in pairs]
 
 

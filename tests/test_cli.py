@@ -97,6 +97,36 @@ def test_predict_two_curves(tmp_path):
     assert taus[0] == 0 and taus[1] == 0
 
 
+@pytest.mark.parametrize("mode, extra", [
+    ("errors_only", ["--fixed-tau", "0"]),
+    ("adaptive", ["--fixed-tau", "3"]),
+    ("gmd", ["--fixed-tau", "2"]),
+    ("fixed_tau", []),
+])
+def test_simulate_rejects_fixed_tau_the_mode_ignores(tmp_path, capsys, mode, extra):
+    """A fixed_tau that the mode would not read, or none in mode
+    fixed_tau, is one `error:` line naming the mode and exit status 2."""
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        run(["simulate", "--m", "4", "--n", "15", "--k", "7", "--ebn0-grid", "9",
+             "--mode", mode, "--out", str(out)] + extra)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"mode {mode!r}" in err
+    assert not out.exists()
+
+
+def test_predict_reads_fixed_tau(tmp_path):
+    """predict pins the second curve's tau to the config's fixed_tau."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("m = 4\nn = 15\nk = 7\nebn0_grid = 8,10\nfixed_tau = 3\nsamples = 200\n")
+    out = tmp_path / "pred.csv"
+    assert run(["predict", "--config", str(cfg), "--out", str(out)]) == 0
+    data = [l for l in out.read_text().splitlines()
+            if not l.startswith("#") and not l.startswith("ebn0_db")]
+    assert [int(l.split(",")[3]) for l in data] == [0, 0, 3, 3]
+
+
 def test_lut_command(tmp_path):
     out = tmp_path / "lut.txt"
     rc = run(["lut", "--qam", "256", "--bits", "8", "--ebn0", "18",
@@ -180,7 +210,8 @@ def test_strategy_profile_at_20_db_has_no_zero_p(capsys):
     ["strategy", "--m", "4", "--n", "15", "--k", "7", "--decoder", "irs", "--ell", "0",
      "--sample", "9"],
     ["lut", "--qam", "16", "--ebn0", "9", "--n", "15", "--k", "20", "--out", "x"],  # k > n
-], ids=["field", "code", "ell", "rate"])
+    ["lut", "--qam", "16", "--bits", "14", "--ebn0", "9", "--out", "x"],  # 384 MB table
+], ids=["field", "code", "ell", "rate", "bits"])
 def test_bad_parameters_are_errors_not_tracebacks(capsys, argv):
     """strategy and lut report a bad parameter as simulate and predict do:
     one `error:` line and exit status 2."""

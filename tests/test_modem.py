@@ -230,6 +230,9 @@ def test_lut_build_validation(qam256):
         UnreliabilityLut.build(qam256, 0.05, 4)  # 16 cells for 16 regions
     with pytest.raises(ModemError):
         UnreliabilityLut.build(qam256, 0.0, 8)
+    # past MAX_LUT_BITS, before any table is allocated
+    with pytest.raises(ModemError, match="bits_per_axis must be <= 10, got 11"):
+        UnreliabilityLut.build(qam256, 0.05, 11)
 
 
 def test_lut_reconstruction_off_diagonal(qam16):
@@ -340,6 +343,8 @@ def test_lut_save_deterministic(tmp_path, qam16):
     (1, "8 6 0.1", "line 1: M=8 is not a square QAM size"),
     (1, "-16 6 0.1", "line 1: M=-16 is not a square QAM size"),
     (1, "16 1 0.1", "line 1: bits_per_axis must be >= 2"),
+    (1, "16 14 0.1", "line 1: bits_per_axis must be <= 10, got 14"),
+    (1, "16 40 0.1", "line 1: bits_per_axis must be <= 10, got 40"),
     (1, "256 4 0.1", "line 1: 4-bit quantization cannot resolve 16 decision regions"),
     (1, "16 6 0", "line 1: sigma must be > 0"),
     (1, "16 6 nan", "line 1: sigma must be > 0"),

@@ -287,6 +287,35 @@ def test_erased_word_grows_gamma_and_t(m, n, k):
     assert repeats >= 20
 
 
+@pytest.mark.parametrize("m, n, k, order, taus, inputs, match", [
+    (8, 200, 100, [-1], (1,), 0, r"integers in \[0, 200\), got -1"),
+    (4, 15, 7, [-2], (1,), 0, r"integers in \[0, 15\), got -2"),
+    (4, 15, 7, [250], (1,), 0, r"integers in \[0, 15\), got 250"),
+    (4, 15, 7, [2.5], (1,), 0, r"integers in \[0, 15\), got 2.5"),
+    (4, 15, 7, [3], (4,), 0, "tau=4 erases past the 1 positions"),
+    (4, 15, 7, [3], (0, 3), 1, "tau=3 erases past the 2 positions"),
+], ids=["negative-n200", "negative-n15", "past-n", "fraction", "tau-past-order",
+        "tau-past-inputs-and-order"])
+def test_erasure_trials_rejects_order_outside_the_code(m, n, k, order, taus, inputs, match):
+    """An entry of `order` that a trial reads and that is not a position
+    in [0, n), or a tau past the positions that the input erasures and
+    `order` supply, is a CodeError, not an erased locator outside the code
+    (a negative entry wraps around), a bare IndexError or fewer erasures
+    than asked for. Entries past the last tau's prefix are not read."""
+    params = CodeParams(GF(m), n, k)
+    codec = params.codec
+    rng = np.random.default_rng(3)
+    cw = codec.encode(rng.integers(0, params.q, k).tolist())
+    word = list(cw)
+    word[5] ^= 1
+    for i in range(inputs):
+        word[n - 1 - i] = None
+    with pytest.raises(CodeError, match=match):
+        codec.erasure_trials(word, order, taus)
+    (trial,) = codec.erasure_trials(word, [3] + order, (1,))
+    assert codec.decode_ee(trial) == cw
+
+
 def test_decode_ee_rejects_lambda_roots_at_erasures(codec, small):
     """Beyond the radius with many erasures, Lambda often has L distinct
     roots at code positions, some of them erased. Psi = Lambda Gamma then

@@ -32,9 +32,13 @@ def code():
 
 
 def make_cfg(code, **kw):
-    base = dict(code=code, ebn0_grid=(9.0,), mode="fixed_tau", fixed_tau=2,
+    """A fixed_tau campaign, at tau = 2 unless kw gives another fixed_tau
+    or another mode, with kw's fields."""
+    base = dict(code=code, ebn0_grid=(9.0,), mode="fixed_tau",
                 max_frames=512, max_errors=10_000, seed=1, unreliability="exact")
     base.update(kw)
+    if base["mode"] == "fixed_tau":
+        base.setdefault("fixed_tau", 2)
     return CampaignConfig(**base)
 
 
@@ -79,9 +83,9 @@ def test_config_validation(code):
     with pytest.raises(ConfigError):
         make_cfg(code, mode="semi_simulative", samples=0)
     with pytest.raises(ConfigError):
-        make_cfg(code, mode="semi_simulative", force_tau=9)
+        make_cfg(code, mode="semi_simulative", fixed_tau=9)
     with pytest.raises(ConfigError):
-        make_cfg(code, mode="semi_simulative", force_tau=-1)
+        make_cfg(code, mode="semi_simulative", fixed_tau=-1)
     with pytest.raises(ConfigError):
         make_cfg(code, seed=-1)
     with pytest.raises(ConfigError):
@@ -98,7 +102,32 @@ def test_config_validation(code):
     make_cfg(code, mode="semi_simulative", decoder_kind=DecoderKind.GS)
     # numpy integers are integers
     make_cfg(code, max_frames=np.int64(512), seed=np.uint32(1), fixed_tau=np.int8(2))
-    make_cfg(code, mode="semi_simulative", samples=np.int16(5), force_tau=np.intp(1))
+    make_cfg(code, mode="semi_simulative", samples=np.int16(5), fixed_tau=np.intp(1))
+
+
+@pytest.mark.parametrize("mode, fixed_tau, match", [
+    ("errors_only", 0, "mode 'errors_only' reads no fixed_tau"),
+    ("adaptive", 3, "mode 'adaptive' reads no fixed_tau"),
+    ("gmd", 2, "mode 'gmd' reads no fixed_tau"),
+    ("fixed_tau", None, "mode 'fixed_tau' needs a fixed_tau"),
+])
+def test_config_rejects_fixed_tau_the_mode_ignores(code, mode, fixed_tau, match):
+    """fixed_tau is read by modes fixed_tau, which needs it, and
+    semi_simulative alone: given to any other mode, or missing in
+    fixed_tau, it fails when the config is built, naming the mode,
+    instead of running as if it were unset or as errors-only decoding."""
+    with pytest.raises(ConfigError, match=match):
+        CampaignConfig(code, ebn0_grid=(9.0,), mode=mode, fixed_tau=fixed_tau)
+
+
+@pytest.mark.parametrize("mode, fixed_tau, tau", [
+    ("errors_only", None, 0), ("fixed_tau", 3, 3), ("adaptive", None, None),
+    ("gmd", None, None), ("semi_simulative", None, None), ("semi_simulative", 3, 3),
+])
+def test_config_tau_per_mode(code, mode, fixed_tau, tau):
+    """CampaignConfig.tau is the erasure count the mode fixes, None where
+    it is chosen."""
+    assert CampaignConfig(code, ebn0_grid=(9.0,), mode=mode, fixed_tau=fixed_tau).tau == tau
 
 
 @pytest.mark.parametrize("field, kw", [
@@ -108,7 +137,7 @@ def test_config_validation(code):
     ("max_errors", dict(max_errors=np.float64(10))),
     ("samples", dict(mode="semi_simulative", samples=2.5)),
     ("fixed_tau", dict(fixed_tau=1.5)),
-    ("force_tau", dict(mode="semi_simulative", force_tau=1.5)),
+    ("fixed_tau", dict(mode="semi_simulative", fixed_tau=1.5)),
     ("seed", dict(seed=1.5)),
     ("seed", dict(seed=np.True_)),
     ("ell", dict(mode="semi_simulative", decoder_kind=DecoderKind.IRS, ell=2.0)),
@@ -365,25 +394,39 @@ def test_semi_simulative_point(code):
     assert pts[0].fer > pts[1].fer  # lower SNR, higher residual error
 
 
-def test_semi_simulative_force_tau(code):
+def test_semi_simulative_fixed_tau(code):
     base = make_cfg(code, mode="semi_simulative", ebn0_grid=(9.0,), samples=500)
-    forced = make_cfg(code, mode="semi_simulative", ebn0_grid=(9.0,), samples=500,
-                      force_tau=0)
+    fixed = make_cfg(code, mode="semi_simulative", ebn0_grid=(9.0,), samples=500,
+                     fixed_tau=0)
     pt_a = run_campaign(base)[0]
-    pt_f = run_campaign(forced)[0]
+    pt_f = run_campaign(fixed)[0]
     assert pt_f.tau == 0
     # same sampled vectors, tau chosen adaptively cannot be worse
     assert pt_a.fer <= pt_f.fer + 1e-12
 
 
-@pytest.mark.parametrize("force_tau", [None, 2])
-def test_predict_points_draw_once(code, monkeypatch, force_tau):
-    """predict_points gives the points of an errors-only (force_tau = 0)
+@pytest.mark.parametrize("fixed_tau", [0, 3, 8])
+def test_semi_simulative_fixed_tau_pins_tau_bar(code, fixed_tau):
+    """A semi-simulative fixed_tau = k gives the point of one draw at
+    tau = k, the point of the former pinned-tau setting; on RS(16;15,7) at
+    9 dB, where tau_bar is 2, k = 3 reports tau = 3."""
+    cfg = make_cfg(code, mode="semi_simulative", ebn0_grid=(9.0,), samples=500)
+    assert run_campaign(cfg)[0].tau == 2
+    pinned = replace(cfg, fixed_tau=fixed_tau)
+    sigma = sigma_from_ebn0(9.0, 16, 15, 7)
+    (want,) = sim._semi_points(cfg, sigma, 0, [fixed_tau])
+    assert run_campaign(pinned) == [want]
+    assert want.tau == fixed_tau
+
+
+@pytest.mark.parametrize("fixed_tau", [None, 2])
+def test_predict_points_draw_once(code, monkeypatch, fixed_tau):
+    """predict_points gives the points of an errors-only (fixed_tau = 0)
     campaign and then those of the campaign itself, field for field, and
     samples each grid entry's vectors once."""
     cfg = make_cfg(code, mode="semi_simulative", ebn0_grid=(8.0, 10.0), samples=300,
-                   force_tau=force_tau)
-    want = run_campaign(replace(cfg, force_tau=0)) + run_campaign(cfg)
+                   fixed_tau=fixed_tau)
+    want = run_campaign(replace(cfg, fixed_tau=0)) + run_campaign(cfg)
     draws = []
     sample = sim.sample_unreliability_vectors
 

@@ -25,7 +25,6 @@ from erasurelab.strategy import (
     residual_error_prob,
     tail_coeffs,
     tau_star_eps0,
-    tau_star_exact,
 )
 from scalar_strategy import LOOP_STRATEGIES, loop_tail_means, loop_tau_star_exact
 
@@ -190,23 +189,6 @@ def test_residual_error_prob():
     assert residual_error_prob(dist, -1) == 1.0
     with pytest.raises(ValueError):
         residual_error_prob(dist, -2)
-
-
-def test_tau_star_exact_matches_brute_force(cap15):
-    """Exhaustive check against enumeration-based minimization."""
-    rng = np.random.default_rng(4)
-    d = cap15.code.d_min
-    for _ in range(50):
-        h = sorted_vec(rng, 15)
-        probs = []
-        for tau in range(d):
-            pmf = brute_force_pmf(h[tau:])
-            e0 = cap15.epsilon0(tau)
-            probs.append(1.0 - pmf[: e0 + 1].sum() if e0 >= 0 else 1.0)
-        want_tau = int(np.argmin(probs))
-        res = tau_star_exact(h, cap15)
-        assert res.tau_chosen == want_tau
-        assert res.predicted_p == pytest.approx(probs[want_tau], abs=1e-12)
 
 
 def test_tau_star_tie_breaks_to_smallest(cap15):
