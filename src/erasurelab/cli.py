@@ -20,6 +20,8 @@ from .gf import GF
 from .modem import SquareQam, UnreliabilityLut, sigma_from_ebn0
 from .rs import CodeParams
 from .sim import (
+    LUT_BITS,
+    UNRELIABILITY_METHODS,
     CampaignConfig,
     format_csv,
     predict_points,
@@ -28,21 +30,27 @@ from .sim import (
 )
 from .strategy import STRATEGIES, StrategyKind, p_profile
 
-CONFIG_KEYS = {
-    "m": int,
-    "n": int,
-    "k": int,
-    "decoder": str,
-    "ell": int,
-    "ebn0_grid": str,
-    "mode": str,
-    "strategy": str,
-    "fixed_tau": int,
-    "max_frames": int,
-    "max_errors": int,
-    "seed": int,
-    "unreliability": str,
-    "samples": int,
+#: the subcommands whose flags come from SETTINGS
+SETTING_COMMANDS = ("simulate", "predict", "strategy")
+CAMPAIGN_COMMANDS = ("simulate", "predict")
+#: each campaign setting once: config-file key -> (type, flag, the
+#: subcommands whose command line takes the flag, further argparse options);
+#: a flag stores its value under the key
+SETTINGS = {
+    "m": (int, "--m", SETTING_COMMANDS, {"help": "field extension degree"}),
+    "n": (int, "--n", SETTING_COMMANDS, {"help": "code length"}),
+    "k": (int, "--k", SETTING_COMMANDS, {"help": "code dimension"}),
+    "decoder": (str, "--decoder", SETTING_COMMANDS, {"choices": [kind.value for kind in DecoderKind]}),
+    "ell": (int, "--ell", SETTING_COMMANDS, {"help": "IRS interleaving parameter"}),
+    "ebn0_grid": (str, "--ebn0-grid", CAMPAIGN_COMMANDS, {"help": "comma-separated dB values"}),
+    "mode": (str, "--mode", ("simulate",), {}),
+    "strategy": (str, "--strategy", SETTING_COMMANDS, {"choices": [kind.value for kind in StrategyKind]}),
+    "fixed_tau": (int, "--fixed-tau", ("simulate",), {}),
+    "max_frames": (int, "--frames", ("simulate",), {}),
+    "max_errors": (int, "--max-errors", ("simulate",), {}),
+    "seed": (int, "--seed", SETTING_COMMANDS, {}),
+    "unreliability": (str, "--unreliability", CAMPAIGN_COMMANDS, {"choices": UNRELIABILITY_METHODS}),
+    "samples": (int, "--samples", CAMPAIGN_COMMANDS, {}),
 }
 
 
@@ -64,10 +72,10 @@ def read_config(path: str) -> dict:
             key, _, val = line.partition("=")
             key = key.strip()
             val = val.strip()
-            if key not in CONFIG_KEYS:
+            if key not in SETTINGS:
                 raise CliError(f"{path}:{lineno}: unknown key {key!r}")
             try:
-                values[key] = CONFIG_KEYS[key](val)
+                values[key] = SETTINGS[key][0](val)
             except ValueError:
                 raise CliError(f"{path}:{lineno}: bad value for {key!r}: {val!r}")
     return values
@@ -107,46 +115,33 @@ def manifest_for(values: dict, extra: dict | None = None) -> dict:
     return man
 
 
-def collect_values(args, keys) -> dict:
-    values = {}
-    if getattr(args, "config", None):
-        values.update(read_config(args.config))
-    for key in keys:
+def collect_values(args) -> dict:
+    """The config file's settings, if one is given, overridden by the
+    flags given."""
+    values = read_config(args.config) if getattr(args, "config", None) else {}
+    for key in SETTINGS:
         v = getattr(args, key, None)
         if v is not None:
             values[key] = v
     return values
 
 
-def cmd_simulate(args) -> int:
-    values = collect_values(args, CONFIG_KEYS)
+def cmd_campaign(args) -> int:
+    """`simulate` runs the campaign of the settings given; `predict` gives
+    its analytic curves (`predict_points`) in mode semi_simulative, which
+    overrides any mode in the config file. Either writes a CSV to args.out."""
+    predict = args.command == "predict"
+    values = collect_values(args)
     if "ebn0_grid" not in values:
         raise CliError("no Eb/N0 grid given (config key 'ebn0_grid' or --ebn0-grid)")
+    if predict:
+        values["mode"] = "semi_simulative"
     try:
         cfg = build_campaign(values)
     except ValueError as exc:
         raise CliError(str(exc))
-    points = run_campaign(cfg)
-    text = format_csv(points, manifest_for(values, {"command": "simulate", "out": args.out}))
-    with open(args.out, "w") as fh:
-        fh.write(text)
-    print(f"wrote {len(points)} points to {args.out}")
-    return 0
-
-
-def cmd_predict(args) -> int:
-    """Analytic-only curves: errors-only and semi-simulative, at tau_bar or
-    at the fixed_tau given."""
-    values = collect_values(args, CONFIG_KEYS)
-    if "ebn0_grid" not in values:
-        raise CliError("no Eb/N0 grid given")
-    values["mode"] = "semi_simulative"
-    try:
-        base = build_campaign(values)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    points = predict_points(base)
-    text = format_csv(points, manifest_for(values, {"command": "predict", "out": args.out}))
+    points = predict_points(cfg) if predict else run_campaign(cfg)
+    text = format_csv(points, manifest_for(values, {"command": args.command, "out": args.out}))
     with open(args.out, "w") as fh:
         fh.write(text)
     print(f"wrote {len(points)} points to {args.out}")
@@ -154,7 +149,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_strategy(args) -> int:
-    values = collect_values(args, ("m", "n", "k", "decoder", "ell"))
+    values = collect_values(args)
     try:
         code = build_code(values)
         cap = DecoderCapability(
@@ -197,10 +192,7 @@ def cmd_strategy(args) -> int:
 def cmd_lut(args) -> int:
     try:
         qam = SquareQam(args.qam)
-        if args.sigma is not None:
-            sigma = args.sigma
-        else:
-            sigma = sigma_from_ebn0(args.ebn0, args.qam, args.n, args.k)
+        sigma = args.sigma if args.ebn0 is None else sigma_from_ebn0(args.ebn0, args.qam, args.n, args.k)
         lut = UnreliabilityLut.build(qam, sigma, args.bits)
     except ValueError as exc:
         raise CliError(str(exc))
@@ -209,71 +201,49 @@ def cmd_lut(args) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="erasurelab",
         description="RS error/erasure decoding lab: simulation, strategies, LUTs",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_code_flags(p):
-        p.add_argument("--m", type=int, help="field extension degree")
-        p.add_argument("--n", type=int, help="code length")
-        p.add_argument("--k", type=int, help="code dimension")
-        p.add_argument("--decoder", choices=[k.value for k in DecoderKind])
-        p.add_argument("--ell", type=int, help="IRS interleaving parameter")
+    def add_settings(p, command):
+        for key, (type_, flag, commands, options) in SETTINGS.items():
+            if command in commands:
+                p.add_argument(flag, dest=key, type=type_, **options)
 
-    sim_p = sub.add_parser("simulate", help="run a Monte-Carlo or semi-simulative campaign")
-    sim_p.add_argument("--config", help="flat key=value configuration file")
-    add_code_flags(sim_p)
-    sim_p.add_argument("--ebn0-grid", dest="ebn0_grid", help="comma-separated dB values")
-    sim_p.add_argument("--mode")
-    sim_p.add_argument("--strategy", choices=[k.value for k in StrategyKind])
-    sim_p.add_argument("--fixed-tau", dest="fixed_tau", type=int)
-    sim_p.add_argument("--frames", dest="max_frames", type=int)
-    sim_p.add_argument("--max-errors", dest="max_errors", type=int)
-    sim_p.add_argument("--seed", type=int)
-    sim_p.add_argument("--unreliability", choices=("exact", "nn", "lut"))
-    sim_p.add_argument("--samples", type=int)
-    sim_p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; frames always run in one thread")
-    sim_p.add_argument("--out", required=True)
-    sim_p.set_defaults(func=cmd_simulate)
-
-    pred_p = sub.add_parser("predict", help="analytic errors-only and adaptive curves")
-    pred_p.add_argument("--config")
-    add_code_flags(pred_p)
-    pred_p.add_argument("--ebn0-grid", dest="ebn0_grid")
-    pred_p.add_argument("--strategy", choices=[k.value for k in StrategyKind])
-    pred_p.add_argument("--seed", type=int)
-    pred_p.add_argument("--samples", type=int)
-    pred_p.add_argument("--unreliability", choices=("exact", "nn", "lut"))
-    pred_p.add_argument("--out", required=True)
-    pred_p.set_defaults(func=cmd_predict)
+    for command, help_ in (("simulate", "run a Monte-Carlo or semi-simulative campaign"),
+                           ("predict", "analytic errors-only and adaptive curves")):
+        p = sub.add_parser(command, help=help_)
+        p.add_argument("--config", help="flat key=value configuration file")
+        add_settings(p, command)
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=cmd_campaign)
 
     str_p = sub.add_parser("strategy", help="inspect erasing strategies on one vector")
     str_p.add_argument("h_file", nargs="?", help="text file, one unreliability per line")
-    add_code_flags(str_p)
+    add_settings(str_p, "strategy")
     str_p.add_argument("--sample", type=float, metavar="EBN0_DB",
                        help="sample a random vector at this Eb/N0 instead")
-    str_p.add_argument("--seed", type=int)
-    str_p.add_argument("--strategy", choices=[k.value for k in StrategyKind])
     str_p.add_argument("--profile", action="store_true", help="print the full P(tau) profile")
     str_p.set_defaults(func=cmd_strategy)
 
     lut_p = sub.add_parser("lut", help="generate an unreliability lookup table")
     lut_p.add_argument("--qam", type=int, required=True, help="constellation size M")
-    lut_p.add_argument("--bits", type=int, default=8, help="quantizer bits per axis")
-    lut_p.add_argument("--ebn0", type=float, help="Eb/N0 in dB")
-    lut_p.add_argument("--sigma", type=float, help="noise std (overrides --ebn0)")
+    lut_p.add_argument("--bits", type=int, default=LUT_BITS, help="quantizer bits per axis")
+    noise = lut_p.add_mutually_exclusive_group(required=True)
+    noise.add_argument("--ebn0", type=float, help="Eb/N0 in dB")
+    noise.add_argument("--sigma", type=float, help="noise std")
     lut_p.add_argument("--n", type=int, default=1, help="code length for the rate factor")
     lut_p.add_argument("--k", type=int, default=1, help="code dimension for the rate factor")
     lut_p.add_argument("--out", required=True)
     lut_p.set_defaults(func=cmd_lut)
+    return parser
 
-    args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "lut" and args.sigma is None and args.ebn0 is None:
-        raise CliError("lut needs --ebn0 or --sigma")
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

@@ -23,6 +23,13 @@ class ModemError(ValueError):
     pass
 
 
+# received points per call of an unreliability kernel: few enough that each
+# call's temporaries stay under glibc's mmap threshold, so they are reused
+# from the heap instead of mapped and page-faulted afresh (the chunking also
+# bounds the exact method's (N, 2, L) arrays and a table build's peak)
+UNRELIABILITY_CHUNK = 1 << 14
+
+
 def sigma_from_ebn0(ebn0_db: float, alphabet_size: int, n: int, k: int) -> float:
     """Per-dimension AWGN standard deviation for Eb/N0 given in dB."""
     if alphabet_size < 2 or alphabet_size & (alphabet_size - 1):
@@ -208,8 +215,12 @@ class UnreliabilityLut:
         regions = ((1, 1), (1, L - 1), (L - 1, L - 1))
         pts = np.stack(
             [np.stack([qam.levels[rx] + u, qam.levels[ry] + v], axis=-1) for rx, ry in regions]
-        )
-        h = unreliability_nn(pts.reshape(-1, 2), qam, sigma).reshape(len(CLASSES), cells, cells)
+        ).reshape(-1, 2)
+        h = np.empty(len(pts))
+        for lo in range(0, len(pts), UNRELIABILITY_CHUNK):
+            chunk = pts[lo : lo + UNRELIABILITY_CHUNK]
+            h[lo : lo + len(chunk)] = unreliability_nn(chunk, qam, sigma)
+        h = h.reshape(len(CLASSES), cells, cells)
 
         i, j = np.indices((cells, cells))
         half = i >= cells // 2

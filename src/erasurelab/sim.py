@@ -34,12 +34,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .dcf import DecoderCapability, DecoderKind
 from .gmd import gmd_decode
-from .modem import SquareQam, UnreliabilityLut, awgn, sigma_from_ebn0, unreliability_exact, unreliability_nn
+from .modem import (UNRELIABILITY_CHUNK, SquareQam, UnreliabilityLut, awgn, sigma_from_ebn0,
+                    unreliability_exact, unreliability_nn)
 from .rs import CodeParams, ReceivedWord, erase_most_unreliable, require_integer
 from .strategy import (
     StrategyKind,
@@ -58,11 +60,6 @@ UNRELIABILITY_METHODS = ("exact", "nn", "lut")
 FRAME_BLOCK = 256
 #: quantisation bits per axis of the table behind the ``lut`` unreliabilities
 LUT_BITS = 8
-# symbols per call of an unreliability method in `unreliability`: few
-# enough that each call's temporaries stay under glibc's mmap threshold,
-# so they are reused from the heap instead of mapped and page-faulted
-# afresh (the chunking also bounds the exact method's (N, 2, L) arrays)
-UNRELIABILITY_CHUNK = 1 << 14
 
 
 class ConfigError(ValueError):
@@ -97,16 +94,11 @@ class CampaignConfig:
     samples: int = 10_000  # vectors averaged in semi-simulative mode
 
     def __post_init__(self):
-        if not isinstance(self.decoder_kind, DecoderKind):
-            raise ConfigError(f"decoder_kind must be a DecoderKind, got {self.decoder_kind!r}")
+        self.qam, self.cap  # built now, so that a code or decoder they reject fails here
         if not isinstance(self.strategy, StrategyKind):
             raise ConfigError(f"strategy must be a StrategyKind, got {self.strategy!r}")
-        for name in ("ell", "max_frames", "max_errors", "samples", "seed"):
+        for name in ("max_frames", "max_errors", "samples", "seed"):
             require_integer(name, getattr(self, name), ConfigError)
-        if self.code.gf.m % 2:
-            raise ConfigError(f"code: square QAM needs q = 2^m with m even, got m={self.code.gf.m}")
-        if self.decoder_kind is DecoderKind.IRS and self.ell < 1:
-            raise ConfigError("IRS parameter ell must be >= 1")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
         if self.unreliability not in UNRELIABILITY_METHODS:
@@ -149,12 +141,21 @@ class CampaignConfig:
         fixed_tau)."""
         return 0 if self.mode == "errors_only" else self.fixed_tau
 
-    @property
-    def qam_size(self) -> int:
-        return self.code.q
+    @cached_property
+    def qam(self) -> SquareQam:
+        """The square QAM of the code's q symbols, built once per config."""
+        try:
+            return SquareQam(self.code.q)
+        except ValueError as exc:
+            raise ConfigError(f"code: {exc}") from None
 
-    def capability(self) -> DecoderCapability:
-        return DecoderCapability(self.decoder_kind, self.code, self.ell)
+    @cached_property
+    def cap(self) -> DecoderCapability:
+        """The decoder's capability on the code, built once per config."""
+        try:
+            return DecoderCapability(self.decoder_kind, self.code, self.ell)
+        except ValueError as exc:
+            raise ConfigError(f"decoder: {exc}") from None
 
 
 @dataclass
@@ -237,8 +238,8 @@ class _FrameRunner:
         self.sigma = sigma
         self.point_index = point_index
         self.codec = cfg.code.codec
-        self.qam = SquareQam(cfg.qam_size)
-        self.cap = cfg.capability()
+        self.qam = cfg.qam
+        self.cap = cfg.cap
         self.lut = (
             UnreliabilityLut.build(self.qam, sigma, LUT_BITS) if cfg.unreliability == "lut" else None
         )
@@ -319,15 +320,13 @@ def _run_point_semi(cfg: CampaignConfig, sigma: float, point_index: int) -> FerP
 def _semi_points(cfg: CampaignConfig, sigma: float, point_index: int, taus) -> list[FerPoint]:
     """The semi-simulative points of one draw of sampled vectors, one per
     erasure count of `taus`, None standing for tau_bar of their mean."""
-    qam = SquareQam(cfg.qam_size)
-    cap = cfg.capability()
     rng = _frame_rng(cfg.seed, point_index, 0)
-    vecs = sample_unreliability_vectors(sigma, qam, cfg.code.n, cfg.samples, rng, cfg.unreliability)
+    vecs = sample_unreliability_vectors(sigma, cfg.qam, cfg.code.n, cfg.samples, rng, cfg.unreliability)
     points = []
     for tau in taus:
         if tau is None:
-            tau = tau_bar(vecs.mean(axis=0), cap, cfg.strategy)
-        fer = float(batch_residual_probs(vecs, tau, cap.epsilon0(tau)).mean())
+            tau = tau_bar(vecs.mean(axis=0), cfg.cap, cfg.strategy)
+        fer = float(batch_residual_probs(vecs, tau, cfg.cap.epsilon0(tau)).mean())
         points.append(
             FerPoint(
                 ebn0_db=float(cfg.ebn0_grid[point_index]),
@@ -351,7 +350,7 @@ def predict_points(cfg: CampaignConfig) -> list[FerPoint]:
     entry; cfg must be semi-simulative."""
     pairs = []
     for idx, db in enumerate(cfg.ebn0_grid):
-        sigma = sigma_from_ebn0(db, cfg.qam_size, cfg.code.n, cfg.code.k)
+        sigma = sigma_from_ebn0(db, cfg.code.q, cfg.code.n, cfg.code.k)
         pairs.append(_semi_points(cfg, sigma, idx, [0, cfg.tau]))
     return [errors_only for errors_only, _ in pairs] + [chosen for _, chosen in pairs]
 
@@ -364,7 +363,7 @@ def run_campaign(cfg: CampaignConfig, threads: int = 1) -> list[FerPoint]:
     """
     points = []
     for idx, db in enumerate(cfg.ebn0_grid):
-        sigma = sigma_from_ebn0(db, cfg.qam_size, cfg.code.n, cfg.code.k)
+        sigma = sigma_from_ebn0(db, cfg.code.q, cfg.code.n, cfg.code.k)
         if cfg.mode == "semi_simulative":
             points.append(_run_point_semi(cfg, sigma, idx))
         else:

@@ -1,8 +1,13 @@
+import argparse
+
 import numpy as np
 import pytest
 
-from erasurelab.cli import main, parse_grid, read_config
+from erasurelab.cli import build_parser, main, parse_grid, read_config
+from erasurelab.dcf import DecoderKind
 from erasurelab.modem import UnreliabilityLut
+from erasurelab.sim import UNRELIABILITY_METHODS
+from erasurelab.strategy import StrategyKind
 
 
 def run(argv, capsys=None):
@@ -72,8 +77,8 @@ def test_simulate_reruns_identically(tmp_path):
     args = ["simulate", "--m", "4", "--n", "15", "--k", "7", "--ebn0-grid", "9",
             "--mode", "errors_only", "--frames", "256", "--seed", "1"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run(args + ["--max-errors", "9999", "--out", str(a), "--threads", "1"]) == 0
-    assert run(args + ["--max-errors", "9999", "--out", str(b), "--threads", "3"]) == 0
+    assert run(args + ["--max-errors", "9999", "--out", str(a)]) == 0
+    assert run(args + ["--max-errors", "9999", "--out", str(b)]) == 0
     strip = lambda p: [l for l in p.read_text().splitlines() if "out=" not in l]
     assert strip(a) == strip(b)
 
@@ -127,6 +132,31 @@ def test_predict_reads_fixed_tau(tmp_path):
     assert [int(l.split(",")[3]) for l in data] == [0, 0, 3, 3]
 
 
+CAMPAIGN_FLAGS = {"--config", "--m", "--n", "--k", "--decoder", "--ell", "--ebn0-grid",
+                  "--strategy", "--seed", "--unreliability", "--samples", "--out"}
+CHOICES = {"decoder": [k.value for k in DecoderKind], "strategy": [k.value for k in StrategyKind],
+           "unreliability": list(UNRELIABILITY_METHODS)}
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("simulate", CAMPAIGN_FLAGS | {"--mode", "--fixed-tau", "--frames", "--max-errors"}),
+    ("predict", CAMPAIGN_FLAGS),
+    ("strategy", {"--m", "--n", "--k", "--decoder", "--ell", "--sample", "--seed",
+                  "--strategy", "--profile"}),
+    ("lut", {"--qam", "--bits", "--ebn0", "--sigma", "--n", "--k", "--out"}),
+])
+def test_flag_surface(command, flags):
+    """Each subcommand takes exactly these flags, so the settings table
+    can neither add nor drop one unnoticed; a flag with choices offers the
+    lab's decoders, strategies or unreliability methods."""
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = subparsers.choices[command]._actions
+    assert {opt for a in actions for opt in a.option_strings} == flags | {"-h", "--help"}
+    for a in actions:
+        if a.choices:
+            assert list(a.choices) == CHOICES[a.dest]
+
+
 def test_lut_command(tmp_path):
     out = tmp_path / "lut.txt"
     rc = run(["lut", "--qam", "256", "--bits", "8", "--ebn0", "18",
@@ -140,6 +170,17 @@ def test_lut_command(tmp_path):
 def test_lut_requires_noise_level(tmp_path):
     with pytest.raises(SystemExit):
         run(["lut", "--qam", "256", "--out", str(tmp_path / "x.txt")])
+
+
+def test_lut_rejects_two_noise_settings(tmp_path, capsys):
+    """--ebn0 and --sigma exclude each other: giving both is a usage error
+    (exit status 2) and writes no table."""
+    out = tmp_path / "x.txt"
+    with pytest.raises(SystemExit) as exc:
+        run(["lut", "--qam", "16", "--ebn0", "9", "--sigma", "0.1", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_strategy_command_from_file(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from erasurelab import modem
 from erasurelab.modem import (
     CLASSES,
     CORNER,
@@ -233,6 +235,22 @@ def test_lut_build_validation(qam256):
     # past MAX_LUT_BITS, before any table is allocated
     with pytest.raises(ModemError, match="bits_per_axis must be <= 10, got 11"):
         UnreliabilityLut.build(qam256, 0.05, 11)
+
+
+def test_lut_build_peak_stays_near_the_table(monkeypatch):
+    """At 4-QAM with 10 bits (786 432 cell centres, a 6.3 MB table) the
+    centres are evaluated in UNRELIABILITY_CHUNK slices, so the build's
+    traced peak stays under 6 tables (one call over all centres peaked
+    near 15), and the table is bit-identical to that one call's."""
+    tracemalloc.start()
+    try:
+        lut = UnreliabilityLut.build(SquareQam(4), 0.3, 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * lut.table.nbytes
+    monkeypatch.setattr(modem, "UNRELIABILITY_CHUNK", lut.table.size)
+    assert UnreliabilityLut.build(SquareQam(4), 0.3, 10).table.tobytes() == lut.table.tobytes()
 
 
 def test_lut_reconstruction_off_diagonal(qam16):
