@@ -10,6 +10,7 @@ from its own output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -150,11 +151,12 @@ def cmd_campaign(args) -> int:
 
 def cmd_strategy(args) -> int:
     values = collect_values(args)
+    # the decoder settings not given are CampaignConfig's defaults
+    defaults = {f.name: f.default for f in dataclasses.fields(CampaignConfig)}
     try:
         code = build_code(values)
-        cap = DecoderCapability(
-            DecoderKind(values.get("decoder", "bmd")), code, values.get("ell", 1)
-        )
+        kind = DecoderKind(values["decoder"]) if "decoder" in values else defaults["decoder_kind"]
+        cap = DecoderCapability(kind, code, values.get("ell", defaults["ell"]))
     except ValueError as exc:
         raise CliError(str(exc))
     if args.h_file:

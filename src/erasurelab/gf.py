@@ -98,16 +98,18 @@ class GF:
         """Elementwise a / b; every entry of b must be nonzero."""
         return self.exp_table[self.log_table[a] + (self.q - 1 - self.log_table[b])]
 
-    def products(self, v, log_matrix: np.ndarray) -> np.ndarray:
-        """The products v_i * M[i, j], with M given by its logarithms
-        (entries in [0, q-2], or the zero sentinel for a zero entry); rows
-        of M beyond len(v) are ignored."""
-        lv = self.log_table[v]
-        return self.exp_table[lv[:, None] + log_matrix[: len(lv)]]
-
     def vecmat(self, v, log_matrix: np.ndarray) -> np.ndarray:
-        """The vector-matrix product v·M: `products` XOR-reduced over i."""
-        return np.bitwise_xor.reduce(self.products(v, log_matrix), axis=0)
+        """The vector-matrix product v·M, with M given by its logarithms
+        (entries in [0, q-2], or the zero sentinel for a zero entry): the
+        products v_i * M[i, j] in one gather, XOR-reduced over i. Rows of
+        M beyond len(v) are ignored. A (rows, I) v gives the product of
+        each row, with one M or, for an M of shape (rows, I, J), each with
+        its own."""
+        lv = self.log_table[v]
+        if lv.ndim == 1:
+            return np.bitwise_xor.reduce(self.exp_table[lv[:, None] + log_matrix[: len(lv)]], axis=0)
+        terms = self.exp_table[lv[:, :, None] + log_matrix[..., : lv.shape[1], :]]
+        return np.bitwise_xor.reduce(terms, axis=1)
 
     def linear_factors(self, exponents) -> np.ndarray:
         """Coefficients (ascending powers) of prod_e (1 + alpha^e x) over

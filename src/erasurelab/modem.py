@@ -209,25 +209,31 @@ class UnreliabilityLut:
             raise ModemError("sigma must be > 0")
         L = qam.L
         cells = _cells_per_region(L, bits_per_axis)
-        # cell centres of the interior, top edge and top-right corner regions
         centre = (np.arange(cells) + 0.5) * (2.0 * qam.scale / cells) - qam.scale
-        u, v = np.meshgrid(centre, centre, indexing="ij")
-        regions = ((1, 1), (1, L - 1), (L - 1, L - 1))
-        pts = np.stack(
-            [np.stack([qam.levels[rx] + u, qam.levels[ry] + v], axis=-1) for rx, ry in regions]
-        ).reshape(-1, 2)
-        h = np.empty(len(pts))
-        for lo in range(0, len(pts), UNRELIABILITY_CHUNK):
-            chunk = pts[lo : lo + UNRELIABILITY_CHUNK]
-            h[lo : lo + len(chunk)] = unreliability_nn(chunk, qam, sigma)
+        # cell (k, i, j) of the table is the centre (x[k, i], y[k, j]) in the
+        # interior, top edge or top-right corner region by class k; each
+        # chunk of whole (k, i) rows forms its centres from these 3 c values
+        x = (qam.levels[[1, 1, L - 1], None] + centre).reshape(-1)
+        y = qam.levels[[1, L - 1, L - 1], None] + centre
+        h = np.empty((len(x), cells))
+        step = max(1, UNRELIABILITY_CHUNK // cells)
+        for lo in range(0, len(x), step):
+            rows = np.arange(lo, min(lo + step, len(x)))
+            chunk = np.stack([np.repeat(x[rows], cells), y[rows // cells].reshape(-1)], axis=-1)
+            h[rows] = unreliability_nn(chunk, qam, sigma).reshape(len(rows), cells)
         h = h.reshape(len(CLASSES), cells, cells)
 
-        i, j = np.indices((cells, cells))
-        half = i >= cells // 2
-        stored = np.stack([half & (j >= cells // 2), half, (i > j) | ((i == j) & (i % 2 == 1))])
+        # NaN at the cells each class does not store, in place
+        half = cells // 2
+        interior, edge, corner = h
+        interior[:half] = np.nan
+        interior[:, :half] = np.nan
+        edge[:half] = np.nan
+        corner[np.arange(cells)[:, None] < np.arange(cells)] = np.nan  # above the diagonal
+        corner.reshape(-1)[:: 2 * (cells + 1)] = np.nan  # the even diagonal cells
         if L == 2:  # 4-QAM: every region is a corner
-            stored[: CLASSES.index(CORNER)] = False
-        return cls(qam.M, bits_per_axis, sigma, cells, np.where(stored, h, np.nan))
+            h[: CLASSES.index(CORNER)] = np.nan
+        return cls(qam.M, bits_per_axis, sigma, cells, h)
 
     def lookup(self, y: np.ndarray, qam: SquareQam) -> np.ndarray:
         """Quantize received points and fetch the tabulated unreliability."""

@@ -22,43 +22,78 @@ erased. The Forney magnitudes are evaluated at the at most n-k roots of
 Psi, and the corrected word is checked by S(y) = S(e), a sum over those
 roots only.
 
+`decode_ee` also takes a block of words (a frame block of `sim`) and
+decodes it as rows: the syndromes as one (rows, n) x (n, n-k) gather;
+Gamma/T grown in lock-step, one linear factor per erasure step for the
+rows that erase that many; Lambda for the rows at once; the Chien search
+as one gather over the block's largest L + 1 coefficients; the Forney
+step at each row's roots, padded to the block's largest root count; and
+the check S(y) = S(e). Each check drops the rows it fails, a clean row
+(no erasure, zero syndrome) costs nothing past its syndrome test, and
+the gathers run in row chunks of GATHER_ENTRIES entries, which bound
+their temporaries at n = 255. A row's work is the one word's, so the
+block gives each word's result. One row costs about three words' array
+calls, though, so fewer than ROW_DECODE_MIN_WORDS words, GMD's trials
+among them, go word by word.
+
 Every step of order n*(n-k) is an array kernel of `GF` (one table gather
 and an XOR-reduce, see `erasurelab.gf`) on matrices of logarithms built
-once per code: the k x (n-k) parity matrix of the encoder, the n x (n-k)
-syndrome matrix, the Chien power table and the Forney table, its blocks
-at the roots facing the coefficients of Psi and of Omega = Lambda T mod
-x^(n-k), both read off one array product of Lambda with the trial's
-Gamma/T buffer. g(x) and Gamma are built one linear factor at a time.
-The tables are read-only, and `CodeParams.codec` builds them once per
-code: every campaign on one `CodeParams` shares its codec.
+once per code: the k x (n-k) parity matrix of the encoder, which also
+takes a (rows, k) block in one gather, the n x (n-k) syndrome matrix,
+the Chien power table and the Forney table, its blocks at the roots
+facing the coefficients of Psi and of Omega = Lambda T mod x^(n-k), both
+read off one array product of Lambda with the trial's Gamma/T buffer.
+g(x) and Gamma are built one linear factor at a time. The tables are
+read-only, and `CodeParams.codec` builds them once per code: every
+campaign on one `CodeParams` shares its codec.
 
-Berlekamp-Massey has one entry, `RSCodec.solve_locators`, and two forms
-with one state: Lambda, L, and B = beta x^(r-m) P as the log of beta, the
-inverse discrepancy of the last length change m, and the logs of P, Lambda
-as it stood then; log(delta beta) is reduced through one table round trip.
-The scalar form runs one trial on the field's zero-sentinel lists, Lambda
-kept at L + 1 coefficients. The row form steps trials in lock-step on
-(W, rows) arrays, W = (n-k)//2 + 2, at about ten array calls a step
-whatever the row count, so it runs for two or more trials from
-ROW_BM_MIN_CHECKS check symbols on. Both give the same Lambda wherever
-2L <= N, where it is unique.
+Berlekamp-Massey has two forms with one state: Lambda, L, and
+B = beta x^(r-m) P as the log of beta, the inverse discrepancy of the
+last length change m, and the logs of P, Lambda as it stood then;
+log(delta beta) is reduced through one table round trip. The scalar form
+runs one trial on the field's zero-sentinel lists, Lambda kept at L + 1
+coefficients. The row form steps trials in lock-step on (W, rows)
+arrays, W = (n-k)//2 + 2, at about ten array calls a step whatever the
+row count. Both give the same Lambda wherever 2L <= N, where it is
+unique. One rule, `RSCodec._row_form`, picks the form for the trials of
+`solve_locators` and for the rows of a block alike: the row form when
+the squared total count of Forney syndromes exceeds ROW_BM_MIN_WORK times
+the longest row's count, the steps of the row pass (for R rows of N
+syndromes, R^2 N > ROW_BM_MIN_WORK).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .gf import GF
 
-#: the number n-k of check symbols from which `RSCodec.solve_locators`
-#: solves two or more trials of a word in one row-batched Berlekamp-Massey
-#: pass. Below it the scalar pass per trial is faster: on GMD frames of
-#: RS(256;255,k) with about (n-k)/3 symbol errors the two cross between
-#: n-k = 48 and 56
-ROW_BM_MIN_CHECKS = 56
+#: the work from which `RSCodec._row_form` solves Berlekamp-Massey rows in one
+#: row-batched Berlekamp-Massey pass, not by the scalar steps per row: the
+#: row form when S^2 > ROW_BM_MIN_WORK * N, S being the rows' total count
+#: of Forney syndromes and N the longest row's, the steps of the row pass.
+#: For R rows of N syndromes that reads R^2 N > ROW_BM_MIN_WORK. Measured
+#: on the syndromes of words with about N/3 errors, R rows of N cross at
+#: R = 24, 20, 18, 15, 8 and 6 for N = 8, 12, 16, 32, 64 and 111 (R^2 N
+#: from 3900 to 7200); on the trial sets of GMD frames at n = 255, where
+#: the later trials are shorter, the row form is the faster one from
+#: S^2 / N = 6600 on and the scalar form up to 3800
+ROW_BM_MIN_WORK = 5000
+#: entries of one gather's index array in the block decoder and encoder:
+#: rows are taken in chunks that keep each gather's temporaries near
+#: 0.5 MB (an intp per entry) whatever the code length and block size. A
+#: 256-word block at n = 255 decodes as fast in chunks of 2^15 or 2^16
+#: entries and 1.6x slower in chunks of 2^18, whose temporaries leave the
+#: cache; a whole block at n = 15 is one chunk
+GATHER_ENTRIES = 1 << 16
+#: the words from which `RSCodec.decode_ee` decodes a block as rows: fewer
+#: go word by word, which costs less for one to about five words (at
+#: n = 15 one row costs about 3x a word, six break even)
+ROW_DECODE_MIN_WORDS = 6
 
 
 class CodeError(ValueError):
@@ -141,7 +176,7 @@ def _symbol_array(symbols, gf: GF) -> np.ndarray:
     y = np.asarray(symbols)
     # the OR of all entries has no bit from m up exactly when each is in
     # [0, q); a negative entry sets the sign bit
-    if y.dtype.kind not in "iu" or np.bitwise_or.reduce(y) >> gf.m:
+    if y.dtype.kind not in "iu" or np.bitwise_or.reduce(y, axis=None) >> gf.m:
         raise CodeError(f"symbols must be integers in [0, {gf.q})")
     return y
 
@@ -152,6 +187,18 @@ def _erasures_as_zero(symbols: list, gf: GF) -> np.ndarray:
 
 def _not_a_position(i, n: int) -> CodeError:
     return CodeError(f"order entries must be integers in [0, {n}), got {i!r}")
+
+
+def _flat(lists) -> np.ndarray:
+    """The entries of a list of integer lists, one after the other."""
+    return np.fromiter(chain.from_iterable(lists), dtype=np.intp)
+
+
+def _ranks(counts: np.ndarray) -> np.ndarray:
+    """For each of counts[r] entries of each row r in turn, its rank
+    0..counts[r]-1 within the row: the column that np.nonzero order or
+    `_flat` order puts it in."""
+    return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
 @dataclass
@@ -234,26 +281,46 @@ class RSCodec:
 
     # position i <-> coefficient of x^(n-1-i); info occupies positions 0..k-1
 
-    def encode(self, info: list[int]) -> list[int]:
+    def encode(self, info) -> list:
+        """The systematic codeword (n symbols) of `info`, k symbols in
+        [0, q); a (rows, k) block of info words gives the list of their
+        codewords, the parities of all rows in one gather."""
         p = self.params
-        if len(info) != p.k:
-            raise CodeError(f"info length {len(info)} != k={p.k}")
-        parity = p.gf.vecmat(_symbol_array(info, p.gf), self._parity_logs)
-        return list(info) + parity.tolist()
+        u = _symbol_array(info, p.gf)
+        if u.ndim not in (1, 2) or u.shape[-1] != p.k:
+            raise CodeError(f"info must be k={p.k} symbols or a (rows, {p.k}) block, got shape {u.shape}")
+        if u.ndim == 1:
+            parity = p.gf.vecmat(u, self._parity_logs)
+        else:
+            parity = self._row_products(u, self._parity_logs, p.n - p.k)
+        return np.concatenate([u, parity], axis=-1).tolist()
 
-    def decode_ee(self, word: ReceivedWord | ErasedWord) -> list[int] | None:
+    def decode_ee(self, word):
         """Error/erasure decode; returns a codeword or None on failure.
 
         A `ReceivedWord` is read as the one trial of its symbols; a caller
         that decodes one word under several erasure sets passes the
         trials of `erasure_trials`, solved by `solve_locators` or not: a
-        trial without a locator gets it from `solve_locators`.
+        trial without a locator gets it from `solve_locators`. Any other
+        sequence of such words is a block, and the result the list of
+        their codewords or None, decoded as rows of one set of array calls.
 
         The decoder is a BMD decoder: the trial with erased set X returns
         the codeword c exactly when 2 |{i not in X : y_i != c_i}| + |X| <=
         n - k, and None when no codeword lies that close. Within that
         radius c is unique.
         """
+        if isinstance(word, (ReceivedWord, ErasedWord)):
+            return self._decode_word(word)
+        words = list(word)
+        if len(words) < ROW_DECODE_MIN_WORDS:
+            return [self._decode_word(w) for w in words]
+        return self._decode_rows(words)
+
+    def _decode_word(self, word: ReceivedWord | ErasedWord) -> list[int] | None:
+        """`decode_ee` of one word by scalar steps and per-word array
+        calls; a block's words go through here, not through `decode_ee`,
+        so that a block is one call of it."""
         if isinstance(word, ReceivedWord):
             (word,) = self.erasure_trials(word.symbols)
         gf = self.params.gf
@@ -272,15 +339,13 @@ class RSCodec:
         if 2 * L > nsyn - tau or L != len(lam) - 1:
             return None
 
-        roots = self._error_positions(lam, erased)
-        if roots is None:
+        # the Chien search of `_error_positions` on one row
+        roots = np.flatnonzero(gf.vecmat(lam, self._chien_logs) == 0).tolist()
+        if len(roots) != L or not set(roots).isdisjoint(erased):
             return None
         roots += erased  # the roots of Psi = Lambda Gamma
 
-        # Forney at the roots of Psi only: e = X^-1 Omega(X^-1) / Psi_odd(X^-1),
-        # where Psi_odd(x) = x Psi'(x) (char 2) sums the odd-power terms
-        # deg Omega < deg Psi = len(roots), so both halves of the product
-        # are zero past index len(roots) + 1
+        # Forney at the roots of Psi only, as in `_decode_rows`
         top = len(roots) + 2
         prod = gf.poly_mul(lam, word.polys, len(word.polys)).reshape(2, nsyn + 2)
         terms = gf.exp_table[gf.log_table[prod[:, :top]] + self._forney_logs[roots, :, :top]]
@@ -294,20 +359,190 @@ class RSCodec:
         c[roots] ^= e
         return c.tolist()
 
-    def _error_positions(self, lam: list[int], erased: list[int]) -> list[int] | None:
-        """Chien search of Lambda over all positions: the positions of its
-        L = len(lam) - 1 roots, or None unless it has L distinct roots at
-        code positions and none of them is erased.
+    def _decode_rows(self, words: list) -> list:
+        """`decode_ee` of each word, the words decoded as rows.
+
+        A row is the trial that `decode_ee` reads the word as: its y, its
+        erased positions and, for an `ErasedWord` that brings one, its
+        locator; S(y) and Gamma/T, which depend on nothing else, are
+        computed afresh for all rows. A row with no erasure and a zero
+        syndrome returns y, and one with more than n-k erasures None,
+        before any further array work. The other rows are taken in order
+        of erasure count, so that those still growing Gamma/T at an erasure
+        step are a suffix and the Forney syndrome lengths are
+        non-increasing, as the row Berlekamp-Massey pass needs. Each later
+        check drops the rows it fails.
+        """
+        p = self.params
+        gf, n = p.gf, p.n
+        nsyn = n - p.k
+        log = gf.log_table
+        out = [None] * len(words)
+        if not words:
+            return out
+        ys, erased, locators = [], [], []
+        for w in words:
+            if isinstance(w, ErasedWord):
+                ys.append(w.y)
+                erased.append(w.erased)
+                locators.append(w.locator)
+                continue
+            symbols = w.symbols
+            if len(symbols) != n:
+                raise CodeError("received word length mismatch")
+            e = [i for i, s in enumerate(symbols) if s is None]
+            if e:
+                symbols = list(symbols)
+                for i in e:
+                    symbols[i] = 0
+            ys.append(symbols)
+            erased.append(e)
+            locators.append(None)
+        y = _symbol_array(ys, gf)
+        synd = self._row_products(y, self._syndrome_logs, nsyn)
+        taus = np.array([len(e) for e in erased])
+        clean = (taus == 0) & ~synd.any(axis=1)
+        for j, c in zip(np.flatnonzero(clean).tolist(), y[clean].tolist()):
+            out[j] = c
+        live = np.flatnonzero(~clean & (taus <= nsyn))  # past n-k erasures the radius is empty
+        if not len(live):
+            return out
+        live = live[np.argsort(taus[live], kind="stable")]
+        taus = taus[live]
+        erased = [erased[j] for j in live.tolist()]
+        locators = [locators[j] for j in live.tolist()]
+
+        # Gamma/T: 1 and S grown in lock-step by one linear factor per
+        # erasure step, laid out as `ErasedWord.polys`
+        polys = np.zeros((len(live), 2 * nsyn + 4), dtype=np.intp)
+        polys[:, 1] = 1
+        polys[:, nsyn + 3 : 2 * nsyn + 3] = synd[live]
+        self._erase_rows(polys, erased)
+
+        # Lambda and L: the locator given, or solved from the Forney
+        # syndromes, coefficients tau..n-k-1 of T, left-aligned
+        width = nsyn // 2 + 2
+        lam = np.zeros((len(live), width), dtype=gf.dtype)
+        L = np.zeros(len(live), dtype=np.intp)
+        solve = np.array([loc is None for loc in locators])
+        given = {}  # deg Lambda of the locators given, read as `_decode_word` reads them
+        for r in np.flatnonzero(~solve).tolist():
+            coeffs, L[r] = locators[r]
+            lam[r, : min(len(coeffs), width)] = coeffs[:width]
+            given[r] = len(coeffs) - 1
+        if solve.any():
+            t = taus[solve]
+            at = np.minimum(nsyn + 3 + t[:, None] + np.arange(nsyn), 2 * nsyn + 3)
+            forney, lengths = np.take_along_axis(polys[solve], at, axis=1), nsyn - t
+            if self._row_form(lengths.tolist()):
+                coeffs, L[solve] = self._berlekamp_massey_rows(forney, lengths)
+                lam[solve] = coeffs.T
+            else:
+                for r, f, N in zip(np.flatnonzero(solve).tolist(), forney.tolist(), lengths.tolist()):
+                    coeffs, L[r] = self._berlekamp_massey(f[:N])
+                    # a Lambda past W coefficients has 2L > N, which fails
+                    lam[r, : min(len(coeffs), width)] = coeffs[:width]
+        # Lambda_0 = 1, so the last nonzero coefficient is found
+        deg = width - 1 - np.argmax(lam[:, ::-1] != 0, axis=1)
+        deg[list(given)] = list(given.values())
+        keep = (2 * L <= nsyn - taus) & (deg == L)
+
+        live, taus, polys, lam, L = live[keep], taus[keep], polys[keep], lam[keep], L[keep]
+        erased = [e for e, k in zip(erased, keep.tolist()) if k]
+        if not len(live):
+            return out
+        is_erased = np.zeros((len(live), n), dtype=bool)
+        is_erased[np.repeat(np.arange(len(live)), taus), _flat(erased)] = True
+        at_root, keep = self._error_positions(lam, L, is_erased)
+        live, taus, polys, lam, L = live[keep], taus[keep], polys[keep], lam[keep], L[keep]
+        if not len(live):
+            return out
+        # the roots of Psi, each row's padded to the block's largest count
+        count = L + taus
+        row, pos = np.nonzero(at_root[keep] | is_erased[keep])
+        most = int(count.max())
+        roots = np.zeros((len(live), most), dtype=np.intp)
+        roots[row, _ranks(count)] = pos
+        padding = np.arange(most) >= count[:, None]
+
+        # Forney at the roots of Psi: e = X^-1 Omega(X^-1) / Psi_odd(X^-1),
+        # where Psi_odd(x) = x Psi'(x) (char 2) sums the odd-power terms.
+        # The coefficients 0..most+1 of each half of the product of Lambda
+        # with Gamma/T, one row of Lambda against the shifts of its buffer:
+        # Psi = Lambda Gamma and Omega = Lambda T mod x^(n-k) are zero past
+        # index count + 1, and Gamma's tail meets no nonzero Lambda_j
+        top = int(L.max()) + 1
+        cols = (np.arange(most + 2) + np.array([[0], [nsyn + 2]])).ravel()
+        shifts = cols + (top - 1 - np.arange(top))[:, None]
+        padded = np.full((len(live), top - 1 + polys.shape[1]), gf.zero_log, dtype=np.intp)
+        padded[:, top - 1 :] = log[polys]
+        prod = self._row_products(lam[:, :top], lambda rows: padded[rows][:, shifts], len(cols))
+        prod = log[prod.reshape(len(live), 1, 2, most + 2)]
+        terms = self._row_chunked(
+            len(live), most * 2 * (most + 2),
+            lambda rows: np.bitwise_xor.reduce(
+                gf.exp_table[prod[rows] + self._forney_logs[roots[rows], :, : most + 2]], axis=3))
+        den, num = np.moveaxis(terms, 2, 0)
+        den[padding], num[padding] = 1, 0
+        e = gf.div_array(num, den)
+
+        # the corrected word y + e is a codeword iff S(y) = S(e)
+        check = self._row_products(e, lambda rows: self._syndrome_logs[roots[rows]], nsyn)
+        keep = (check == synd[live]).all(axis=1)
+        c = y[live[keep]]
+        fix = ~padding[keep]
+        c[np.nonzero(fix)[0], roots[keep][fix]] ^= e[keep][fix]
+        for j, word in zip(live[keep].tolist(), c.tolist()):
+            out[j] = word
+        return out
+
+    def _error_positions(self, lam: np.ndarray, L: np.ndarray, is_erased: np.ndarray):
+        """Chien search of each row's Lambda, cut at the rows' largest L + 1
+        coefficients, over all positions: the (rows, n) mask of its roots,
+        and per row whether Lambda has L distinct roots at code positions
+        and none of them is erased (`is_erased`, a (rows, n) mask).
 
         That is the test that Psi = Lambda Gamma has deg Psi distinct roots
         at code positions. Psi is then squarefree, so the Forney
         denominator Psi_odd is nonzero at each of its roots.
         """
-        vals = self.params.gf.vecmat(lam, self._chien_logs)
-        roots = np.flatnonzero(vals == 0).tolist()
-        if len(roots) != len(lam) - 1 or not set(roots).isdisjoint(erased):
-            return None
-        return roots
+        top = int(L.max()) + 1
+        at_root = self._row_products(lam[:, :top], self._chien_logs, self.params.n) == 0
+        return at_root, (at_root.sum(axis=1) == L) & ~(at_root & is_erased).any(axis=1)
+
+    def _row_chunked(self, rows: int, per_row: int, kernel) -> np.ndarray:
+        """kernel(rows) over consecutive slices of `rows` rows, each small
+        enough that a gather of per_row entries a row stays within
+        GATHER_ENTRIES, concatenated along the rows."""
+        step = max(1, GATHER_ENTRIES // max(per_row, 1))
+        if rows <= step:
+            return kernel(slice(0, rows))
+        return np.concatenate([kernel(slice(lo, lo + step)) for lo in range(0, rows, step)])
+
+    def _row_products(self, v: np.ndarray, log_matrix, width: int) -> np.ndarray:
+        """`GF.vecmat` of each row of v, (rows, I), with one (I, width) log
+        matrix, or with log_matrix(rows), the (len, I, width) matrices of a
+        slice of rows; in chunks of rows (`_row_chunked`)."""
+        gf = self.params.gf
+        matrix = log_matrix if callable(log_matrix) else lambda rows: log_matrix
+        return self._row_chunked(len(v), v.shape[1] * width, lambda rows: gf.vecmat(v[rows], matrix(rows)))
+
+    def _erase_rows(self, polys: np.ndarray, erased: list) -> None:
+        """Grow the Gamma/T buffers of `polys` in place by one linear factor
+        per position of each row's `erased`, the rows in non-decreasing
+        order of erasure count: step s multiplies the rows that erase an
+        s-th position, a suffix, by (1 + X x) at once. The shift-and-add
+        runs over the whole buffer, as in `erasure_trials`."""
+        gf = self.params.gf
+        taus = np.array([len(e) for e in erased])
+        if not taus[-1]:
+            return
+        # exps[r, s] = n-1-i for the s-th erased position i of row r
+        exps = np.zeros((len(taus), taus[-1]), dtype=np.intp)
+        exps[np.repeat(np.arange(len(taus)), taus), _ranks(taus)] = self.params.n - 1 - _flat(erased)
+        for s, lo in enumerate(np.searchsorted(taus, np.arange(taus[-1]), side="right").tolist()):
+            rows = polys[lo:]
+            rows[:, 1:] ^= gf.exp_table[exps[lo:, s, None] + gf.log_table[rows[:, :-1]]]
 
     def erasure_trials(self, symbols: list, order=(), taus=(0,)) -> list[ErasedWord]:
         """The trials of one received word, one per tau of `taus`,
@@ -374,16 +609,15 @@ class RSCodec:
 
     def solve_locators(self, trials: list[ErasedWord]) -> list[ErasedWord]:
         """The trials, each with its error locator (Lambda, L) solved from
-        its Forney syndromes: in one row-batched Berlekamp-Massey pass for
-        two or more trials from ROW_BM_MIN_CHECKS check symbols on, which
-        needs them in non-decreasing order of erasure count, as
-        `erasure_trials` builds them, and by the scalar steps per trial
-        otherwise."""
+        its Forney syndromes: in one row-batched Berlekamp-Massey pass
+        where `_row_form` says so, which needs them in non-decreasing
+        order of erasure count, as `erasure_trials` builds them, and by
+        the scalar steps per trial otherwise."""
         nsyn = self.params.n - self.params.k
         # the coefficients tau..n-k-1 of T = Gamma S mod x^(n-k) are the
         # Forney syndromes, the same whatever symbols sit at the erasures
         forney = [t.gamma_s[len(t.erased) :] for t in trials]
-        if len(trials) < 2 or nsyn < ROW_BM_MIN_CHECKS:
+        if len(trials) < 2 or not self._row_form([len(f) for f in forney]):
             locators = [self._berlekamp_massey(f.tolist()) for f in forney]
         else:
             # row j: trial j's Forney syndromes, left-aligned; the columns
@@ -396,6 +630,13 @@ class RSCodec:
             deg = (len(lam) - 1 - np.argmax(lam[::-1] != 0, axis=0)).tolist()
             locators = [(c[: d + 1], l) for c, d, l in zip(lam.T.tolist(), deg, L.tolist())]
         return [ErasedWord(t.y, t.synd, t.erased, t.polys, loc) for t, loc in zip(trials, locators)]
+
+    @staticmethod
+    def _row_form(lengths) -> bool:
+        """Whether Berlekamp-Massey on rows of these Forney syndrome counts,
+        runs as one row-batched pass: where the squared total count exceeds
+        ROW_BM_MIN_WORK times the longest."""
+        return len(lengths) > 1 and sum(lengths) ** 2 > ROW_BM_MIN_WORK * max(lengths)
 
     def _berlekamp_massey_rows(self, synd: np.ndarray, lengths) -> tuple[np.ndarray, np.ndarray]:
         """Berlekamp-Massey on the rows of `synd` in lock-step.

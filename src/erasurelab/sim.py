@@ -19,15 +19,17 @@ Per-frame random streams are derived from (seed, grid index, frame index),
 so results are reproducible for a given seed.
 
 Monte-Carlo frames run in blocks of FRAME_BLOCK, the stretch between two
-checks of the error-count stop. Each frame keeps its own stream and its
-own decode: it draws its info symbols and then its noise from its stream,
-in that order, encodes, and is decoded alone (erasing its tau most
-unreliable symbols and running `decode_ee`, or `gmd_decode`). The block
-runs the rest once over all its frames: modulation, hard decision,
-unreliabilities, the row sort, the tau chooser on the (rows, n) block and,
-for errors_only and fixed_tau, the prediction. Every value is the one the
-frame would get alone, and the predictions are summed in frame order, so
-the output does not depend on the block size.
+checks of the error-count stop. Each frame keeps its own stream: it draws
+its info symbols and then its noise from it, in that order. Each frame
+also keeps its own erasure of its tau most unreliable symbols
+(`erase_most_unreliable`) and, in gmd mode, its own `gmd_decode`. The
+block runs the rest once over all its frames: one `encode` call on the
+(rows, k) info block, modulation, hard decision, unreliabilities, the row
+sort, the tau chooser on the (rows, n) block, for errors_only and
+fixed_tau the prediction, and one `decode_ee` call on the block's erased
+words, which decodes them as rows. Every value is the one the frame would
+get alone, and the predictions are summed in frame order, so the output
+does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -251,10 +253,12 @@ class _FrameRunner:
     def run_block(self, lo: int, hi: int) -> list[tuple[int, float]]:
         """(frame error indicator, per-frame analytic prediction) of each
         frame in [lo, hi), in frame order; the prediction is NaN in gmd
-        mode, which predicts nothing."""
+        mode, which predicts nothing. One `encode` call encodes the block
+        and, outside gmd mode, one `decode_ee` call decodes it; each frame
+        keeps its own stream, drawn per frame, and its own erasure call."""
         cfg, code, qam = self.cfg, self.cfg.code, self.qam
         rngs = [_frame_rng(cfg.seed, self.point_index, i) for i in range(lo, hi)]
-        sent = [self.codec.encode(rng.integers(0, code.q, size=code.k).tolist()) for rng in rngs]
+        sent = self.codec.encode(np.array([rng.integers(0, code.q, size=code.k) for rng in rngs]))
         y = qam.modulate(sent)
         for row, rng in zip(y, rngs):
             row[:] = awgn(row, self.sigma, rng)
@@ -277,10 +281,9 @@ class _FrameRunner:
                 predicted = residual_error_prob(
                     pgf_distribution(h_sorted, tau), self.cap.epsilon0(tau)
                 ).tolist()
-            out = [
-                self.codec.decode_ee(erase_most_unreliable(r, hr, tau))
-                for r, hr, tau in zip(received, h, taus)
-            ]
+            out = self.codec.decode_ee(
+                [erase_most_unreliable(r, hr, tau) for r, hr, tau in zip(received, h, taus)]
+            )
         return [(0 if o == cw else 1, p) for o, cw, p in zip(out, sent, predicted)]
 
 

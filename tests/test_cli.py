@@ -1,13 +1,17 @@
 import argparse
+import dataclasses
 
 import numpy as np
 import pytest
 
+from erasurelab import cli
 from erasurelab.cli import build_parser, main, parse_grid, read_config
 from erasurelab.dcf import DecoderKind
+from erasurelab.gf import GF
 from erasurelab.modem import UnreliabilityLut
-from erasurelab.sim import UNRELIABILITY_METHODS
-from erasurelab.strategy import StrategyKind
+from erasurelab.rs import CodeParams
+from erasurelab.sim import UNRELIABILITY_METHODS, CampaignConfig
+from erasurelab.strategy import StrategyKind, choose_tau
 
 
 def run(argv, capsys=None):
@@ -222,6 +226,35 @@ def test_strategy_command_rejects_unreadable_vector_file(tmp_path, capsys, conte
         run(["strategy", str(hfile), "--m", "4", "--n", "15", "--k", "7"])
     assert exc.value.code == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_strategy_takes_decoder_defaults_from_campaign_config(tmp_path, capsys, monkeypatch):
+    """Without decoder and ell keys, `strategy` chooses tau with the
+    capability of CampaignConfig's defaults, also when those change: here
+    IRS with ell = 2, whose tau differs from BMD's on this vector."""
+    h = np.sort(np.random.default_rng(1).uniform(0, 0.3, 15))[::-1]
+    hfile = tmp_path / "h.txt"
+    np.savetxt(hfile, h)
+    code = CodeParams(GF(4), 15, 7)
+
+    def tau_printed():
+        run(["strategy", str(hfile), "--m", "4", "--n", "15", "--k", "7", "--strategy", "exact"])
+        return int(capsys.readouterr().out.split("tau=")[1].split()[0])
+
+    def tau_of(config_cls):
+        cap = config_cls(code, ebn0_grid=(9.0,), mode="semi_simulative").cap
+        return int(choose_tau(h, cap, StrategyKind.EXACT).tau_chosen)
+
+    assert tau_printed() == tau_of(CampaignConfig)
+
+    @dataclasses.dataclass(frozen=True)
+    class IrsDefaults(CampaignConfig):
+        decoder_kind: DecoderKind = DecoderKind.IRS
+        ell: int = 2
+
+    monkeypatch.setattr(cli, "CampaignConfig", IrsDefaults)
+    assert tau_of(IrsDefaults) != tau_of(CampaignConfig)
+    assert tau_printed() == tau_of(IrsDefaults)
 
 
 def test_strategy_command_sampled(capsys):

@@ -159,7 +159,7 @@ def gmd_test_words(code, codec, dbs, frames, garbage, rng):
 
 
 #: codes and gmd_test_words arguments: RS(16;15,7), and RS(256;255,k) on
-#: both sides of rs.ROW_BM_MIN_CHECKS
+#: both sides of rs.ROW_BM_MIN_WORK for a full schedule
 GMD_CASES = [
     (4, 15, 7, (6.0, 7.0, 8.0, 9.0), 500, 40),
     (8, 255, 144, (15.0, 16.0), 4, 1),
@@ -174,9 +174,9 @@ def test_gmd_matches_per_trial_erasure(m, n, k, dbs, frames, garbage):
     codeword of the per-trial erase_most_unreliable loop on the scalar
     codec, ties and prior erasures included, also where a prior erasure
     recurs in the sorted prefix that the trials erase. RS(256;255,223) and
-    RS(256;255,191) lie on the two sides of rs.ROW_BM_MIN_CHECKS:
-    solve_locators solves the first's trials by the scalar steps, the
-    second's in one row-batched pass. Distinct candidates tie on
+    RS(256;255,191) lie on the two sides of rs.ROW_BM_MIN_WORK for a full
+    schedule: solve_locators solves the first's trials by the scalar
+    steps, the second's in one row-batched pass when enough are left. Distinct candidates tie on
     score on RS(16;15,7) and RS(256;255,144), and the smaller erasure
     count must win; the tie that gmd_decode's probe of the middle trial
     meets first is test_score_tie_goes_to_smaller_tau_found_after_the_probe."""

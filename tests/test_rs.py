@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -6,9 +7,10 @@ import pytest
 
 from erasurelab.gf import GF
 from erasurelab.rs import (
-    ROW_BM_MIN_CHECKS,
+    ROW_BM_MIN_WORK,
     CodeError,
     CodeParams,
+    ErasedWord,
     ReceivedWord,
     RSCodec,
     erase_most_unreliable,
@@ -343,13 +345,16 @@ def test_decode_ee_rejects_lambda_roots_at_erasures(codec, small):
         roots = [i for i in range(n) if poly_eval(gf, lam, alpha_pow(gf, -(n - 1 - i))) == 0]
         if len(roots) != L:
             continue
-        found = codec._error_positions(lam, set(erased))
+        is_erased = np.zeros((1, n), dtype=bool)
+        is_erased[0, erased] = True
+        at_root, ok = codec._error_positions(np.array([lam]), np.array([L]), is_erased)
+        assert np.flatnonzero(at_root[0]).tolist() == roots
         if set(roots) & set(erased):
             cases["erased root"] += 1
-            assert out is None and found is None
+            assert out is None and not ok[0]
         else:
             cases["accepted"] += 1
-            assert found == roots
+            assert ok[0]
     assert cases["erased root"] > 0 and cases["accepted"] > 0
 
 
@@ -429,14 +434,14 @@ def test_berlekamp_massey_rows_matches_scalar(m, n, k):
 @pytest.mark.parametrize("k", [223, 191, 144])
 def test_solve_locators_by_check_count(k):
     """erasure_trials builds trials without a locator, and solve_locators
-    gives every trial one, by the row-batched pass for two or more trials
-    from ROW_BM_MIN_CHECKS check symbols on and by the scalar steps per
+    gives every trial one, by the row-batched pass where the trials hold
+    enough work for it (ROW_BM_MIN_WORK) and by the scalar steps per
     trial otherwise: that of the reference Berlekamp-Massey wherever
     2L <= N, and decode_ee gives the same result from it as from the bare
     trial. RS(256;255,223) and RS(256;255,191) lie on the two sides."""
     params = CodeParams(GF(8), 255, k)
     codec, ref, nsyn = RSCodec(params), ScalarRSCodec(params), 255 - k
-    assert 32 < ROW_BM_MIN_CHECKS <= 64
+    assert (sum(range(nsyn, -1, -2)) ** 2 > ROW_BM_MIN_WORK * nsyn) == (k < 223)
     rng = np.random.default_rng(29)
     cw = codec.encode(rng.integers(0, params.q, k).tolist())
     symbols = corrupt(cw, rng, nsyn // 3, 2, params.q)
@@ -482,3 +487,128 @@ def test_out_of_range_symbols_are_code_errors(codec, small, bad):
         word[0] = cw[0]
         assert codec.decode_ee(ReceivedWord(word, np.zeros(n))) == cw
     assert codec.encode(np.arange(small.k, dtype=np.uint8)) == cw
+
+
+def decode_case(ref, trial):
+    """Which check of the decoder the trial fails, by the scalar codec's
+    steps and the trial's own locator when it has one, or "corrected"."""
+    p = ref.params
+    gf, n, nsyn = p.gf, p.n, p.n - p.k
+    tau = len(trial.erased)
+    if tau > nsyn:
+        return "tau > n-k"
+    if tau == 0 and not trial.synd.any():
+        return "clean"
+    if trial.locator is None:
+        lam, L = ref._berlekamp_massey(trial.gamma_s[tau:].tolist())
+    else:
+        lam, L = trial.locator
+    if 2 * L > nsyn - tau:
+        return "2L > N"
+    if L != len(lam) - 1:
+        return "deg != L"
+    roots = [i for i in range(n) if poly_eval(gf, lam, alpha_pow(gf, -(n - 1 - i))) == 0]
+    if len(roots) != L:
+        return "few roots"
+    if set(roots) & set(trial.erased):
+        return "erased root"
+    return "corrected"
+
+
+def block_rows(codec, rng, count):
+    """(word, scalar-codec word or None) pairs for the block decoder:
+    ReceivedWords and ErasedWords, with and without a locator, of
+    codewords with up to three errors past the radius and up to n-k+2
+    erasures, partly input erasures (None) and partly erased by `order`;
+    every tenth a clean codeword. Then ErasedWords with a locator that
+    solves no key equation: Lambda = 1 + X_b x with b not the error
+    position (S(e) != S(y)) or erased, and with L = 2 > deg Lambda; and
+    the one-error word's true Lambda with a coefficient past the row
+    decoder's (n-k)//2 + 2, which deg Lambda != L rejects."""
+    p = codec.params
+    n, k, nsyn = p.n, p.k, p.n - p.k
+    rows = []
+    for r in range(count):
+        cw = codec.encode(rng.integers(0, p.q, k).tolist())
+        if r % 10 == 0:
+            rows.append((ReceivedWord(cw, np.zeros(n)), cw))
+            continue
+        tau = int(rng.integers(0, nsyn + 3))
+        eps = int(rng.integers(0, max(nsyn - tau, 0) // 2 + 4))
+        symbols = corrupt(cw, rng, eps, tau, p.q)
+        kind = r % 3
+        if kind == 0:
+            rows.append((ReceivedWord(symbols, np.zeros(n)), symbols))
+            continue
+        (trial,) = codec.erasure_trials(symbols, rng.permutation(n).tolist(), [int(rng.integers(0, 4))])
+        if kind == 2:
+            (trial,) = codec.solve_locators([trial])
+        rows.append((trial, [None if i in trial.erased else s for i, s in enumerate(symbols)]))
+    for a, b in rng.choice(n, (3, 2), replace=False).tolist():
+        cw = codec.encode(rng.integers(0, p.q, k).tolist())
+        word = list(cw)
+        word[a] ^= 1
+        x = p.gf.exp[n - 1 - b]
+        true = [1, p.gf.exp[n - 1 - a]] + [0] * (nsyn // 2 + 2) + [1]
+        for order, locator in (([], ([1, x], 1)), ([b], ([1, x], 1)), ([], ([1, x], 2)), ([], (true, 1))):
+            (trial,) = codec.erasure_trials(word, order, [len(order)])
+            rows.append((replace(trial, locator=locator), None))
+    return rows
+
+
+@pytest.mark.parametrize("m, n, k, count", [(4, 15, 7, 600), (8, 255, 144, 60)])
+def test_decode_ee_block_matches_per_word_and_scalar(m, n, k, count):
+    """decode_ee of a block of words, in random order, gives each word's
+    decode_ee and the scalar codec's result on the word with the trial's
+    erasures as None; a six-word block takes the scalar Berlekamp-Massey
+    form, the whole block the row form. The block's rows
+    meet every exit of the decoder: clean, more than n-k erasures, 2L > N,
+    deg Lambda != L, too few Chien roots, a root at an erasure,
+    S(e) != S(y) and corrected."""
+    params = CodeParams(GF(m), n, k)
+    codec, ref = params.codec, ScalarRSCodec(params)
+    rng = np.random.default_rng(41)
+    rows = block_rows(codec, rng, count)
+    rows = [rows[i] for i in rng.permutation(len(rows))]
+    words = [w for w, _ in rows]
+    got = codec.decode_ee(words)
+    assert got == [codec.decode_ee(w) for w in words]
+    assert codec.decode_ee(words[:6]) == got[:6]
+    assert codec._row_form([n - k] * count) and not codec._row_form([n - k] * 6)
+    cases = Counter()
+    for (word, symbols), out in zip(rows, got):
+        trial = word if isinstance(word, ErasedWord) else codec.erasure_trials(word.symbols)[0]
+        case = decode_case(ref, trial)
+        if symbols is None:
+            assert out is None
+            case = "S(e) != S(y)" if case == "corrected" else case
+        else:
+            assert out == ref.decode_ee(ReceivedWord(symbols, np.zeros(n)))
+            assert (out is not None) == (case in ("clean", "corrected"))
+        cases[case] += 1
+    assert set(cases) == {"clean", "tau > n-k", "2L > N", "deg != L", "few roots",
+                          "erased root", "S(e) != S(y)", "corrected"}, cases
+    assert codec.decode_ee([]) == []
+
+
+def test_decode_block_peak_stays_bounded(big_codec):
+    """One 256-word RS(256;255,144) block of words with up to 49 errors
+    and 37 erasures decodes with a traced peak under 6 MB (it measures
+    4.4): the gathers run in row chunks of GATHER_ENTRIES entries, where
+    one gather over the whole block's syndromes alone would take 58 MB."""
+    p = big_codec.params
+    rng = np.random.default_rng(43)
+    words, sent = [], []
+    for _ in range(256):
+        cw = big_codec.encode(rng.integers(0, p.q, p.k).tolist())
+        words.append(ReceivedWord(corrupt(cw, rng, int(rng.integers(0, 50)), int(rng.integers(0, 38)), p.q),
+                                  np.zeros(p.n)))
+        sent.append(cw)
+    tracemalloc.start()
+    try:
+        out = big_codec.decode_ee(words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, peak
+    assert out.count(None) > 0 and sum(o == cw for o, cw in zip(out, sent)) > 128

@@ -298,13 +298,17 @@ def test_run_block_matches_frame_by_frame(code, mode, strategy, method):
 
 @pytest.mark.parametrize("mode", ["errors_only", "adaptive"])
 def test_run_block_matches_frame_by_frame_long_code(mode):
-    """Three RS(256;255,144) frames as one block and one by one."""
-    cfg = CampaignConfig(code=CodeParams(GF(8), 255, 144), ebn0_grid=(17.0,), mode=mode,
-                         max_frames=3, seed=3, unreliability="exact")
-    runner = _FrameRunner(cfg, sigma_from_ebn0(17.0, 256, 255, 144), 0)
-    block = runner.run_block(0, 3)
-    assert_same_frames(block, [runner.run_frame(i) for i in range(3)])
-    assert_same_frames(block, [reference_frame(runner, i) for i in range(3)])
+    """Three RS(256;255,144) frames at 17 dB, which go word by word, and
+    64 at 16 dB, which the row decoder takes and most of which fail, as
+    one block and one by one."""
+    for db, frames in ((17.0, 3), (16.0, 64)):
+        cfg = CampaignConfig(code=CodeParams(GF(8), 255, 144), ebn0_grid=(db,), mode=mode,
+                             max_frames=frames, seed=3, unreliability="exact")
+        runner = _FrameRunner(cfg, sigma_from_ebn0(db, 256, 255, 144), 0)
+        block = runner.run_block(0, frames)
+        assert_same_frames(block, [runner.run_frame(i) for i in range(frames)])
+        assert_same_frames(block, [reference_frame(runner, i) for i in range(frames)])
+        assert (sum(err for err, _ in block) > frames // 2) == (frames == 64)
 
 
 def test_campaign_deterministic_across_threads(code):
