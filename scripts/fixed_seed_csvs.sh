@@ -1,12 +1,14 @@
 #!/bin/sh
 # Write the fixed-seed CSVs of the erasurelab CLI into OUTDIR: `simulate`
 # on RS(16;15,7) in every Monte-Carlo mode and strategy with each
-# unreliability method, on RS(256;255,144) in the four Monte-Carlo modes,
-# adaptively with one-frame points (the one-row frame block) and
-# semi-simulatively with each method, and `predict` on both codes,
-# RS(256;255,144) also at 18-20 dB, where P(tau) lies far below 1e-16.
-# That is 29 CSVs. `lut` then writes two lookup-table text files, 256-QAM
-# at 8 bits and 16-QAM at 6 bits: 31 files.
+# unreliability method, and in gmd mode with five-frame points (blocks
+# whose GMD rounds decode fewer than rs.ROW_DECODE_MIN_WORDS trials); on
+# RS(256;255,144) in the four Monte-Carlo modes, adaptively and in gmd mode
+# with one-frame points (the one-row frame block) and semi-simulatively
+# with each method; and `predict` on both codes, RS(256;255,144) also at
+# 18-20 dB, where P(tau) lies far below 1e-16. That is 31 CSVs. `lut` then
+# writes two lookup-table text files, 256-QAM at 8 bits and 16-QAM at 6
+# bits: 33 files.
 #
 # Usage: sh scripts/fixed_seed_csvs.sh OUTDIR
 #
@@ -33,6 +35,8 @@ for u in exact nn lut; do
     done
     lab simulate $short --unreliability $u --mode gmd --out rs15_gmd_$u.csv
 done
+lab simulate --m 4 --n 15 --k 7 --ebn0-grid 7,9 --frames 5 --seed 1 --unreliability exact \
+    --mode gmd --out rs15_gmd_short_blocks.csv
 
 long="--ebn0-grid 16.5,17 --frames 100 --seed 1 --unreliability exact"
 lab simulate $long --mode errors_only --out rs255_errors_only.csv
@@ -41,6 +45,8 @@ lab simulate $long --mode adaptive --strategy exact --out rs255_adaptive.csv
 lab simulate $long --mode gmd --out rs255_gmd.csv
 lab simulate --ebn0-grid 16,16.5,17 --frames 1 --seed 1 --unreliability exact \
     --mode adaptive --strategy exact --out rs255_adaptive_one_frame.csv
+lab simulate --ebn0-grid 16,16.5,17 --frames 1 --seed 1 --unreliability exact \
+    --mode gmd --out rs255_gmd_one_frame.csv
 for u in exact lut nn; do
     lab simulate --ebn0-grid 16,16.5,17 --mode semi_simulative --samples 1000 --seed 1 \
         --unreliability $u --out rs255_semi_$u.csv

@@ -14,7 +14,12 @@ tau..n-k-1 are the Forney syndromes, and the error locator once
 `RSCodec.solve_locators` has solved it. Erasing one more position
 multiplies Gamma and T by one linear factor, so the trials of nested
 erasure sets (GMD) come from one pass, each trial's Gamma/T buffer a row
-of one array grown from the row before.
+of one array grown from the row before. `RSCodec.erasure_trial_rows`
+builds the nested trials of a block of words (GMD's frame block) in one
+lock-step pass of the same kernel, `_erase_rows`, that grows the Gamma/T
+of a block's received words: step s multiplies every word's buffer by
+the factor of its s-th erased position, and a snapshot is kept at each
+erasure count some trial has.
 `decode_ee` reads a `ReceivedWord` as the builder's one trial. The Chien
 search runs on Lambda alone: Psi = Lambda Gamma has deg Psi distinct
 roots iff Lambda has L distinct roots at code positions and none is
@@ -28,13 +33,15 @@ Gamma/T grown in lock-step, one linear factor per erasure step for the
 rows that erase that many; Lambda for the rows at once; the Chien search
 as one gather over the block's largest L + 1 coefficients; the Forney
 step at each row's roots, padded to the block's largest root count; and
-the check S(y) = S(e). Each check drops the rows it fails, a clean row
-(no erasure, zero syndrome) costs nothing past its syndrome test, and
-the gathers run in row chunks of GATHER_ENTRIES entries, which bound
-their temporaries at n = 255. A row's work is the one word's, so the
-block gives each word's result. One row costs about three words' array
-calls, though, so fewer than ROW_DECODE_MIN_WORDS words, GMD's trials
-among them, go word by word.
+the check S(y) = S(e). An `ErasedWord` row brings its S(y), Gamma/T
+and locator, if solved, and only the other rows compute theirs. Each
+check drops the rows it fails, a clean row (no erasure, zero syndrome)
+costs nothing past its syndrome test, and the gathers run in row chunks
+of GATHER_ENTRIES entries, which bound their temporaries at n = 255. A
+row's work is the one word's, so the block gives each word's result. One
+row costs about three words' array calls, though, so fewer than
+ROW_DECODE_MIN_WORDS words go word by word: a GMD round of fewer frames
+among them.
 
 Every step of order n*(n-k) is an array kernel of `GF` (one table gather
 and an XOR-reduce, see `erasurelab.gf`) on matrices of logarithms built
@@ -363,15 +370,15 @@ class RSCodec:
         """`decode_ee` of each word, the words decoded as rows.
 
         A row is the trial that `decode_ee` reads the word as: its y, its
-        erased positions and, for an `ErasedWord` that brings one, its
-        locator; S(y) and Gamma/T, which depend on nothing else, are
-        computed afresh for all rows. A row with no erasure and a zero
-        syndrome returns y, and one with more than n-k erasures None,
-        before any further array work. The other rows are taken in order
-        of erasure count, so that those still growing Gamma/T at an erasure
-        step are a suffix and the Forney syndrome lengths are
-        non-increasing, as the row Berlekamp-Massey pass needs. Each later
-        check drops the rows it fails.
+        erased positions and, for an `ErasedWord`, the S(y), Gamma/T and
+        locator it carries; S(y) and Gamma/T of a `ReceivedWord` are
+        computed here, Gamma/T grown in lock-step for all such rows. A row
+        with no erasure and a zero syndrome returns y, and one with more
+        than n-k erasures None, before any further array work. The other
+        rows are taken in order of erasure count, so that those still
+        growing Gamma/T at an erasure step are a suffix and the Forney
+        syndrome lengths are non-increasing, as the row Berlekamp-Massey
+        pass needs. Each later check drops the rows it fails.
         """
         p = self.params
         gf, n = p.gf, p.n
@@ -380,9 +387,10 @@ class RSCodec:
         out = [None] * len(words)
         if not words:
             return out
-        ys, erased, locators = [], [], []
+        ys, erased, locators, carried = [], [], [], []
         for w in words:
-            if isinstance(w, ErasedWord):
+            carried.append(isinstance(w, ErasedWord))
+            if carried[-1]:
                 ys.append(w.y)
                 erased.append(w.erased)
                 locators.append(w.locator)
@@ -399,7 +407,12 @@ class RSCodec:
             erased.append(e)
             locators.append(None)
         y = _symbol_array(ys, gf)
-        synd = self._row_products(y, self._syndrome_logs, nsyn)
+        carried = np.array(carried)
+        synd = np.empty((len(words), nsyn), dtype=gf.dtype)
+        if carried.any():
+            synd[carried] = [w.synd for w in words if isinstance(w, ErasedWord)]
+        if not carried.all():
+            synd[~carried] = self._row_products(y[~carried], self._syndrome_logs, nsyn)
         taus = np.array([len(e) for e in erased])
         clean = (taus == 0) & ~synd.any(axis=1)
         for j, c in zip(np.flatnonzero(clean).tolist(), y[clean].tolist()):
@@ -412,12 +425,23 @@ class RSCodec:
         erased = [erased[j] for j in live.tolist()]
         locators = [locators[j] for j in live.tolist()]
 
-        # Gamma/T: 1 and S grown in lock-step by one linear factor per
-        # erasure step, laid out as `ErasedWord.polys`
+        # Gamma/T, laid out as `ErasedWord.polys`: carried, or 1 and S grown
+        # in lock-step by one linear factor per erasure step
         polys = np.zeros((len(live), 2 * nsyn + 4), dtype=np.intp)
         polys[:, 1] = 1
         polys[:, nsyn + 3 : 2 * nsyn + 3] = synd[live]
-        self._erase_rows(polys, erased)
+        brought = carried[live]
+        if brought.any():
+            polys[brought] = [words[j].polys for j in live[brought].tolist()]
+        grow = np.flatnonzero(~brought & (taus > 0))
+        if len(grow):
+            counts = taus[grow]
+            fresh = polys[grow].T.copy()
+            positions = np.zeros((len(grow), counts[-1]), dtype=np.intp)
+            positions[np.repeat(np.arange(len(grow)), counts), _ranks(counts)] = _flat(
+                [erased[r] for r in grow.tolist()])
+            self._erase_rows(fresh, positions, counts)
+            polys[grow] = fresh.T
 
         # Lambda and L: the locator given, or solved from the Forney
         # syndromes, coefficients tau..n-k-1 of T, left-aligned
@@ -527,22 +551,45 @@ class RSCodec:
         matrix = log_matrix if callable(log_matrix) else lambda rows: log_matrix
         return self._row_chunked(len(v), v.shape[1] * width, lambda rows: gf.vecmat(v[rows], matrix(rows)))
 
-    def _erase_rows(self, polys: np.ndarray, erased: list) -> None:
-        """Grow the Gamma/T buffers of `polys` in place by one linear factor
-        per position of each row's `erased`, the rows in non-decreasing
-        order of erasure count: step s multiplies the rows that erase an
-        s-th position, a suffix, by (1 + X x) at once. The shift-and-add
-        runs over the whole buffer, as in `erasure_trials`."""
+    def _erase_rows(self, polys: np.ndarray, positions: np.ndarray, taus: np.ndarray, keep=()) -> np.ndarray:
+        """Grow the Gamma/T buffers, the columns of the (width, rows) array
+        `polys`, in place by one linear factor (1 + X x) per position,
+        column r by those of positions[r, :taus[r]], the columns in
+        non-decreasing order of taus: step s multiplies the columns that
+        erase an s-th position, a suffix, at once. The shift-and-add runs
+        over the whole buffer, as in `erasure_trials`; the buffers as
+        columns keep each step's operands contiguous.
+
+        Returns the buffers as they stand after each step count of `keep`,
+        ascending: a (len(keep), width, rows) array of field elements, its
+        entry [i, :, r] column r after min(keep[i], taus[r]) factors."""
         gf = self.params.gf
-        taus = np.array([len(e) for e in erased])
-        if not taus[-1]:
-            return
-        # exps[r, s] = n-1-i for the s-th erased position i of row r
-        exps = np.zeros((len(taus), taus[-1]), dtype=np.intp)
-        exps[np.repeat(np.arange(len(taus)), taus), _ranks(taus)] = self.params.n - 1 - _flat(erased)
-        for s, lo in enumerate(np.searchsorted(taus, np.arange(taus[-1]), side="right").tolist()):
-            rows = polys[lo:]
-            rows[:, 1:] ^= gf.exp_table[exps[lo:, s, None] + gf.log_table[rows[:, :-1]]]
+        log, exp = gf.log_table, gf.exp_table
+        steps = int(taus[-1]) if len(taus) else 0
+        keep = list(keep)
+        kept = np.empty((len(keep),) + polys.shape, dtype=gf.dtype)
+        # exps[s, r] = n-1-i for the s-th erased position i of column r
+        exps = (self.params.n - 1 - positions[:, :steps]).T
+        last = polys.shape[1] - 1
+        at, lo = 0, None
+        for s, start in enumerate(np.searchsorted(taus, np.arange(steps), side="right").tolist()):
+            while at < len(keep) and keep[at] <= s:
+                kept[at] = polys
+                at += 1
+            if start != lo:
+                lo = start
+                if lo == last:
+                    # one column: X^e times the buffer through the table
+                    # shifted by e, as `GF.mul_linear`, one array call fewer
+                    out, shifted, factors = polys[1:, lo], polys[:-1, lo], exps[:, lo].tolist()
+                else:
+                    out, shifted, factors = polys[1:, lo:], polys[:-1, lo:], exps[:, None, lo:]
+            if lo == last:
+                out ^= exp[factors[s] :][log[shifted]]
+            else:
+                out ^= exp[factors[s] + log[shifted]]
+        kept[at:] = polys
+        return kept
 
     def erasure_trials(self, symbols: list, order=(), taus=(0,)) -> list[ErasedWord]:
         """The trials of one received word, one per tau of `taus`,
@@ -606,6 +653,40 @@ class RSCodec:
             done = end
             trials.append(ErasedWord(y, synd, erased[:], row))
         return trials
+
+    def erasure_trial_rows(self, y, positions: np.ndarray, sizes: np.ndarray):
+        """The trials of a block of words: trial j of word r erases
+        positions[r, :sizes[r, j]], `y` being the (rows, n) hard words with
+        their input erasures read as 0, `positions` a (rows, n) array of
+        distinct positions per row and each row of `sizes` non-decreasing.
+        GMD's trials are those of `erasure_trials` with the positions of its
+        erasure sequence. Returns trial(r, j), that trial as an
+        `ErasedWord`, made when asked for: GMD asks for few of them.
+
+        S(y) is one gather for the block, and Gamma/T grow in one lock-step
+        pass of `_erase_rows`, which keeps a snapshot of the buffers at each
+        count that some trial erases: each trial's buffer is a column of
+        one, as field elements.
+        """
+        nsyn = self.params.n - self.params.k
+        y = _symbol_array(y, self.params.gf)
+        synd = self._row_products(y, self._syndrome_logs, nsyn)
+        polys = np.zeros((2 * nsyn + 4, len(y)), dtype=np.intp)
+        polys[1] = 1
+        polys[nsyn + 3 : 2 * nsyn + 3] = synd.T
+        # one snapshot per count; every row takes the largest count of
+        # factors, past its trials erasing positions that none reads
+        sizes = sizes.tolist()
+        keep = sorted(set(chain.from_iterable(sizes)))
+        kept = self._erase_rows(polys, positions, np.full(len(y), keep[-1] if keep else 0), keep)
+        snapshot = {c: i for i, c in enumerate(keep)}
+        y, synd, erased, columns = list(y), list(synd), positions.tolist(), kept.transpose(2, 0, 1)
+
+        def trial(r: int, j: int) -> ErasedWord:
+            size = sizes[r][j]
+            return ErasedWord(y[r], synd[r], erased[r][:size], columns[r, snapshot[size]])
+
+        return trial
 
     def solve_locators(self, trials: list[ErasedWord]) -> list[ErasedWord]:
         """The trials, each with its error locator (Lambda, L) solved from

@@ -22,14 +22,14 @@ Monte-Carlo frames run in blocks of FRAME_BLOCK, the stretch between two
 checks of the error-count stop. Each frame keeps its own stream: it draws
 its info symbols and then its noise from it, in that order. Each frame
 also keeps its own erasure of its tau most unreliable symbols
-(`erase_most_unreliable`) and, in gmd mode, its own `gmd_decode`. The
-block runs the rest once over all its frames: one `encode` call on the
-(rows, k) info block, modulation, hard decision, unreliabilities, the row
-sort, the tau chooser on the (rows, n) block, for errors_only and
-fixed_tau the prediction, and one `decode_ee` call on the block's erased
-words, which decodes them as rows. Every value is the one the frame would
-get alone, and the predictions are summed in frame order, so the output
-does not depend on the block size.
+(`erase_most_unreliable`). The block runs the rest once over all its
+frames: one `encode` call on the (rows, k) info block, modulation, hard
+decision, unreliabilities, the row sort, the tau chooser on the (rows, n)
+block, for errors_only and fixed_tau the prediction, and one `decode_ee`
+call on the block's erased words, which decodes them as rows, or in gmd
+mode one `gmd_decode` call on the block's received words. Every value is
+the one the frame would get alone, and the predictions are summed in
+frame order, so the output does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -254,8 +254,9 @@ class _FrameRunner:
         """(frame error indicator, per-frame analytic prediction) of each
         frame in [lo, hi), in frame order; the prediction is NaN in gmd
         mode, which predicts nothing. One `encode` call encodes the block
-        and, outside gmd mode, one `decode_ee` call decodes it; each frame
-        keeps its own stream, drawn per frame, and its own erasure call."""
+        and one `decode_ee` call, or in gmd mode one `gmd_decode` call,
+        decodes it; each frame keeps its own stream, drawn per frame, and
+        its own erasure call."""
         cfg, code, qam = self.cfg, self.cfg.code, self.qam
         rngs = [_frame_rng(cfg.seed, self.point_index, i) for i in range(lo, hi)]
         sent = self.codec.encode(np.array([rng.integers(0, code.q, size=code.k) for rng in rngs]))
@@ -267,7 +268,7 @@ class _FrameRunner:
         h = unreliability(points, qam, self.sigma, cfg.unreliability, self.lut).reshape(y.shape[:2])
 
         if cfg.mode == "gmd":
-            out = [gmd_decode(ReceivedWord(r, hr), self.codec) for r, hr in zip(received, h)]
+            out = gmd_decode([ReceivedWord(r, hr) for r, hr in zip(received, h)], self.codec)
             predicted = [math.nan] * len(out)
         else:
             h_sorted = np.sort(h, axis=1)[:, ::-1]

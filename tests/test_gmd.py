@@ -1,12 +1,13 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from erasurelab.gf import GF
-from erasurelab.gmd import default_schedule, gmd_decode
+from erasurelab.gmd import default_schedule, gmd_decode, trial_sequences
 from erasurelab.modem import SquareQam, awgn, sigma_from_ebn0, unreliability_exact
-from erasurelab.rs import CodeParams, ReceivedWord, RSCodec, erase_most_unreliable, erasure_order
+from erasurelab.rs import CodeError, CodeParams, ReceivedWord, RSCodec, erase_most_unreliable, erasure_order
 from scalar_rs import ScalarRSCodec
 
 
@@ -168,79 +169,10 @@ GMD_CASES = [
 ]
 
 
-@pytest.mark.parametrize("m, n, k, dbs, frames, garbage", GMD_CASES)
-def test_gmd_matches_per_trial_erasure(m, n, k, dbs, frames, garbage):
-    """Nested erasure sets built by one erasure_trials call give the
-    codeword of the per-trial erase_most_unreliable loop on the scalar
-    codec, ties and prior erasures included, also where a prior erasure
-    recurs in the sorted prefix that the trials erase. RS(256;255,223) and
-    RS(256;255,191) lie on the two sides of rs.ROW_BM_MIN_WORK for a full
-    schedule: solve_locators solves the first's trials by the scalar
-    steps, the second's in one row-batched pass when enough are left. Distinct candidates tie on
-    score on RS(16;15,7) and RS(256;255,144), and the smaller erasure
-    count must win; the tie that gmd_decode's probe of the middle trial
-    meets first is test_score_tie_goes_to_smaller_tau_found_after_the_probe."""
-    code = CodeParams(GF(m), n, k)
-    codec, ref = RSCodec(code), ScalarRSCodec(code)
-    taus = list(range((code.d_min - 1) % 2, code.d_min, 2))
-    assert default_schedule(code.d_min) == taus
-    outcomes = Counter()
-    recurring = 0
-    for r, h in gmd_test_words(code, codec, dbs, frames, garbage, np.random.default_rng(11)):
-        want = reference_gmd(ReceivedWord(r, h), ref, taus, outcomes)
-        assert gmd_decode(ReceivedWord(r, h), codec) == want
-        prefix = np.argsort(-h, kind="stable")[: code.d_min - 1]
-        recurring += any(r[i] is None for i in prefix)
-    assert outcomes[True] > 0 and outcomes[False] > 0
-    assert recurring > 0
-    if n - k in (8, 111):
-        # the 12 words of each other code give one or two candidates
-        # apiece, and none tie
-        assert outcomes["tie"] > 0
-
-
-def radius_holds(trial, cand, nsyn):
-    """The BMD radius rule: 2 |{i not erased : y_i != c_i}| + |X| <= n - k
-    for the trial with erased set X."""
-    erased = set(trial.erased)
-    wrong = sum(1 for i, (yi, ci) in enumerate(zip(trial.y.tolist(), cand)) if yi != ci and i not in erased)
-    return 2 * wrong + len(erased) <= nsyn
-
-
-@pytest.mark.parametrize("m, n, k, dbs, frames, garbage", GMD_CASES)
-def test_skip_rule_matches_decoding_every_trial(m, n, k, dbs, frames, garbage):
-    """Every schedule trial of the words of
-    test_gmd_matches_per_trial_erasure, decoded: a trial returns a
-    candidate c exactly when the radius rule holds for it against c. So a
-    trial returns an already-found candidate exactly when the rule holds
-    for it against that candidate, and then it returns that very
-    candidate, which makes gmd_decode's skipping exact; and the first
-    trial whose rule holds is the one that finds c."""
-    code = CodeParams(GF(m), n, k)
-    codec, nsyn = RSCodec(code), n - k
-    cases = Counter()
-    for r, h in gmd_test_words(code, codec, dbs, frames, garbage, np.random.default_rng(11)):
-        trials = codec.erasure_trials(r, erasure_order(h), default_schedule(code.d_min))
-        outs = [codec.decode_ee(t) for t in trials]
-        found = {tuple(out) for out in outs if out is not None}
-        for c in found:
-            holds = [radius_holds(t, c, nsyn) for t in trials]
-            assert holds == [out == list(c) for out in outs]
-            # the trials after the first that return c: gmd_decode skips them
-            cases["settled"] += sum(holds) - 1
-        cases["new"] += len(found)
-        cases["failed"] += outs.count(None)
-    assert cases["new"] > 0 and cases["failed"] > 0
-    if k != 144:
-        # at 15-16 dB each RS(256;255,144) candidate comes from one trial
-        assert cases["settled"] > 0
-
-
-def test_score_tie_goes_to_smaller_tau_found_after_the_probe(codec, code):
-    """Two codewords A and B at distance d_min = 9 tie on score; the trial
-    at tau = 2 returns A and the middle trial, tau = 4, returns B, which
-    the probe finds first. GMD must return A."""
-    assert default_schedule(code.d_min) == [0, 2, 4, 6, 8]
+def tie_word(codec, code):
+    """At RS(16;15,7): two codewords A and B at distance d_min = 9 tie on
+    score; the trial at tau = 2 returns A and the middle trial, tau = 4,
+    returns B, which GMD's probe finds first. Returns (y, h, A, B)."""
     # B - A: one information symbol and the 8 checks, weight d_min = 9
     b = codec.encode([1] + [0] * (code.k - 1))
     s = [i for i, bi in enumerate(b) if bi]
@@ -257,6 +189,191 @@ def test_score_tie_goes_to_smaller_tau_found_after_the_probe(codec, code):
     # both sum to 144/64
     h = np.zeros(code.n)
     h[s] = np.array([60, 56, 52, 48, 32, 28, 24, 23, 21]) / 64
+    return y, h, a, b
+
+
+@pytest.mark.parametrize("m, n, k, dbs, frames, garbage", GMD_CASES)
+def test_gmd_matches_per_trial_erasure(m, n, k, dbs, frames, garbage, monkeypatch):
+    """Nested erasure sets built by one erasure_trials call give the
+    codeword of the per-trial erase_most_unreliable loop on the scalar
+    codec, ties and prior erasures included, also where a prior erasure
+    recurs in the sorted prefix that the trials erase. RS(256;255,223) and
+    RS(256;255,191) lie on the two sides of rs.ROW_BM_MIN_WORK for a full
+    schedule: solve_locators solves the first's trials by the scalar
+    steps, the second's in one row-batched pass when enough are left. Distinct candidates tie on
+    score on RS(16;15,7) and RS(256;255,144), and the smaller erasure
+    count must win; the tie that gmd_decode's probe of the middle trial
+    meets first is test_score_tie_goes_to_smaller_tau_found_after_the_probe,
+    whose word sits fourth among the RS(16;15,7) words here.
+
+    The words decoded as blocks of 1, 5, 6 and 7 and all at once give the
+    same codewords: rounds of fewer than rs.ROW_DECODE_MIN_WORDS trials
+    and of more, among words with input erasures, words that decode every
+    trial and, at RS(16;15,7), words that settle at the probe."""
+    code = CodeParams(GF(m), n, k)
+    codec, ref = RSCodec(code), ScalarRSCodec(code)
+    taus = list(range((code.d_min - 1) % 2, code.d_min, 2))
+    assert default_schedule(code.d_min) == taus
+    words = [ReceivedWord(r, h) for r, h in gmd_test_words(code, codec, dbs, frames, garbage,
+                                                            np.random.default_rng(11))]
+    if n == 15:
+        y, h, a, _ = tie_word(codec, code)
+        words.insert(3, ReceivedWord(y, h))
+    decode_ee = codec.decode_ee
+    decoded = []  # the trials each word decodes alone
+    monkeypatch.setattr(codec, "decode_ee", lambda w: decoded.append(len(w)) or decode_ee(w))
+    outcomes = Counter()
+    wants, trials = [], Counter()
+    recurring = 0
+    for word in words:
+        want = reference_gmd(word, ref, taus, outcomes)
+        decoded.clear()
+        assert gmd_decode(word, codec) == want
+        wants.append(want)
+        trials[sum(decoded)] += 1
+        prefix = np.argsort(-word.unreliability, kind="stable")[: code.d_min - 1]
+        recurring += any(word.symbols[i] is None for i in prefix)
+    if n == 15:
+        assert wants[3] == a
+    assert outcomes[True] > 0 and outcomes[False] > 0
+    assert recurring > 0
+    # at 15-16 dB every RS(256;255,144) word decodes every trial
+    assert trials[len(taus)] > 0 and (n != 15 or trials[1] > 0), trials
+    if n - k in (8, 111):
+        # the 12 words of each other code give one or two candidates
+        # apiece, and none tie
+        assert outcomes["tie"] > 0
+    for size in (1, 5, 6, 7, len(words)):
+        got = [c for lo in range(0, len(words), size) for c in gmd_decode(words[lo : lo + size], codec)]
+        assert got == wants, size
+    assert gmd_decode([], codec) == []
+
+
+def test_trial_rows_match_erasure_trials():
+    """The trials of a block from one erasure_trial_rows pass over the
+    erasure sequences of trial_sequences are erasure_trials' trials of
+    each word under default_schedule, trial for trial: y, S(y), the erased
+    positions in their order and the Gamma/T buffer; words with input
+    erasures, with ties in h and a recurring input erasure among them. A
+    block with a word of the wrong length, or with a symbol outside the
+    field, is a CodeError."""
+    for m, n, k, dbs, frames, garbage in GMD_CASES[:2]:
+        code = CodeParams(GF(m), n, k)
+        codec = code.codec
+        words = [ReceivedWord(r, h) for r, h in gmd_test_words(code, codec, dbs, min(frames, 30), garbage,
+                                                                np.random.default_rng(13))]
+        y, known, sequences, sizes = trial_sequences(words, codec)
+        trial = codec.erasure_trial_rows(y, sequences, sizes)
+        inputs = 0
+        for r, (word, known_r) in enumerate(zip(words, known.tolist())):
+            want = codec.erasure_trials(word.symbols, erasure_order(word.unreliability),
+                                        default_schedule(code.d_min))
+            assert sizes.shape[1] == len(want)
+            for j, trial_j in enumerate(want):
+                got = trial(r, j)
+                assert got.erased == trial_j.erased
+                assert np.array_equal(got.polys, trial_j.polys)
+                assert np.array_equal(got.y, trial_j.y) and np.array_equal(got.synd, trial_j.synd)
+                assert got.locator is None
+            assert known_r == [-1 if s is None else s for s in word.symbols]
+            inputs += None in word.symbols
+        assert inputs > 0
+        bad = list(words[0].symbols)
+        bad[1] = code.q
+        for block in ([words[0], ReceivedWord(bad, words[0].unreliability)],
+                      [words[0], ReceivedWord(bad[:-1], words[0].unreliability[:-1])]):
+            with pytest.raises(CodeError):
+                gmd_decode(block, codec)
+
+
+def test_gmd_block_peak_stays_bounded():
+    """One 256-frame RS(256;255,144) block at 16.5 dB decodes with a traced
+    peak of at most 16 MB (it measures 10.3): gmd_decode takes it in
+    chunks of frames whose trial buffers hold gmd.TRIAL_ENTRIES entries,
+    where one chunk of all 256 frames peaks at 56 MB."""
+    code = CodeParams(GF(8), 255, 144)
+    codec, qam = code.codec, SquareQam(code.q)
+    sigma = sigma_from_ebn0(16.5, code.q, code.n, code.k)
+    rng = np.random.default_rng(17)
+    sent = codec.encode(rng.integers(0, code.q, (256, code.k)))
+    words = []
+    for cw in sent:
+        y = awgn(qam.modulate(cw), sigma, rng)
+        words.append(ReceivedWord(qam.hard_decision(y).tolist(), unreliability_exact(y, qam, sigma)))
+    tracemalloc.start()
+    try:
+        out = gmd_decode(words, codec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20, peak
+    assert 0 < sum(o == cw for o, cw in zip(out, sent)) < 256
+
+
+def radius_holds(trial, cand, nsyn):
+    """The BMD radius rule: 2 |{i not erased : y_i != c_i}| + |X| <= n - k
+    for the trial with erased set X."""
+    erased = set(trial.erased)
+    wrong = sum(1 for i, (yi, ci) in enumerate(zip(trial.y.tolist(), cand)) if yi != ci and i not in erased)
+    return 2 * wrong + len(erased) <= nsyn
+
+
+@pytest.mark.parametrize("m, n, k, dbs, frames, garbage", GMD_CASES)
+def test_skip_rule_matches_decoding_every_trial(m, n, k, dbs, frames, garbage, monkeypatch):
+    """Every schedule trial of the words of
+    test_gmd_matches_per_trial_erasure, decoded: a trial returns a
+    candidate c exactly when the radius rule holds for it against c. So a
+    trial returns an already-found candidate exactly when the rule holds
+    for it against that candidate, and then it returns that very
+    candidate, which makes gmd_decode's skipping exact; and the first
+    trial whose rule holds is the one that finds c.
+
+    gmd_decode decodes the middle trial and then, in schedule order, each
+    trial that returns no candidate found before it, and no other: word
+    by word, and in one block of all the words the same number."""
+    code = CodeParams(GF(m), n, k)
+    codec, nsyn = RSCodec(code), n - k
+    decode_ee = codec.decode_ee
+    decoded = []
+    monkeypatch.setattr(codec, "decode_ee", lambda w: decoded.extend(w) or decode_ee(w))
+    cases = Counter()
+    words, expected = [], 0
+    for r, h in gmd_test_words(code, codec, dbs, frames, garbage, np.random.default_rng(11)):
+        trials = codec.erasure_trials(r, erasure_order(h), default_schedule(code.d_min))
+        outs = [decode_ee(t) for t in trials]
+        found = {tuple(out) for out in outs if out is not None}
+        for c in found:
+            holds = [radius_holds(t, c, nsyn) for t in trials]
+            assert holds == [out == list(c) for out in outs]
+            # the trials after the first that return c: gmd_decode skips them
+            cases["settled"] += sum(holds) - 1
+        cases["new"] += len(found)
+        cases["failed"] += outs.count(None)
+        mid = len(trials) // 2
+        want = []
+        for j in [mid] + [j for j in range(len(trials)) if j != mid]:
+            if outs[j] is None or all(outs[i] != outs[j] for i in want):
+                want.append(j)
+        decoded.clear()
+        gmd_decode(ReceivedWord(r, h), codec)
+        assert [t.erased for t in decoded] == [trials[j].erased for j in want]
+        words.append(ReceivedWord(r, h))
+        expected += len(want)
+    assert cases["new"] > 0 and cases["failed"] > 0
+    if k != 144:
+        # at 15-16 dB each RS(256;255,144) candidate comes from one trial
+        assert cases["settled"] > 0
+    decoded.clear()
+    gmd_decode(words, codec)
+    assert len(decoded) == expected
+
+
+def test_score_tie_goes_to_smaller_tau_found_after_the_probe(codec, code):
+    """Two codewords A and B at distance d_min = 9 tie on score; the trial
+    at tau = 2 returns A and the middle trial, tau = 4, returns B, which
+    the probe finds first. GMD must return A."""
+    assert default_schedule(code.d_min) == [0, 2, 4, 6, 8]
+    y, h, a, b = tie_word(codec, code)
     trials = codec.erasure_trials(y, erasure_order(h), default_schedule(code.d_min))
     outs = [codec.decode_ee(t) for t in trials]
     assert outs[1] == a and outs[2] == b

@@ -591,6 +591,34 @@ def test_decode_ee_block_matches_per_word_and_scalar(m, n, k, count):
     assert codec.decode_ee([]) == []
 
 
+@pytest.mark.parametrize("m, n, k, words", [(4, 15, 7, 40), (8, 255, 144, 6)])
+def test_decode_ee_block_of_trials_matches_each_trial(m, n, k, words):
+    """A block of the trials that erasure_trials builds for GMD schedules,
+    half of them solved by solve_locators, shuffled among received words,
+    decodes as each word alone: the rows that carry S(y) and Gamma/T are
+    decoded from them, the received words' from their symbols. Words with
+    input erasures and up to twice the errors the radius takes."""
+    params = CodeParams(GF(m), n, k)
+    codec = params.codec
+    nsyn = n - k
+    rng = np.random.default_rng(47)
+    block = []
+    for _ in range(words):
+        cw = codec.encode(rng.integers(0, params.q, k).tolist())
+        symbols = corrupt(cw, rng, int(rng.integers(0, nsyn)), int(rng.integers(0, 4)), params.q)
+        trials = codec.erasure_trials(symbols, rng.permutation(n).tolist(), list(range(0, nsyn + 2, 3)))
+        solved = codec.solve_locators(trials)
+        block += [t if rng.integers(0, 2) else s for t, s in zip(trials, solved)]
+        block.append(ReceivedWord(symbols, np.zeros(n)))
+    block = [block[i] for i in rng.permutation(len(block))]
+    got = codec.decode_ee(block)
+    assert got == [codec.decode_ee(w) for w in block]
+    found = [c is not None for c in got]
+    assert any(found) and not all(found)
+    assert sum(isinstance(w, ErasedWord) and w.locator is not None for w in block) > 0
+    assert sum(isinstance(w, ErasedWord) and w.locator is None for w in block) > 0
+
+
 def test_decode_block_peak_stays_bounded(big_codec):
     """One 256-word RS(256;255,144) block of words with up to 49 errors
     and 37 erasures decodes with a traced peak under 6 MB (it measures
