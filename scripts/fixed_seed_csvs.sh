@@ -1,14 +1,16 @@
 #!/bin/sh
 # Write the fixed-seed CSVs of the erasurelab CLI into OUTDIR: `simulate`
 # on RS(16;15,7) in every Monte-Carlo mode and strategy with each
-# unreliability method, and in gmd mode with five-frame points (blocks
-# whose GMD rounds decode fewer than rs.ROW_DECODE_MIN_WORDS trials); on
+# unreliability method, in gmd mode with five-frame points (blocks whose
+# GMD rounds decode fewer than rs.ROW_DECODE_MIN_WORDS trials), and
+# adaptively with the seed 2**130 + 5, five 32-bit words, more than
+# SeedSequence's pool of four, which sim seeds its streams from; on
 # RS(256;255,144) in the four Monte-Carlo modes, adaptively and in gmd mode
 # with one-frame points (the one-row frame block) and semi-simulatively
 # with each method; and `predict` on both codes, RS(256;255,144) also at
-# 18-20 dB, where P(tau) lies far below 1e-16. That is 31 CSVs. `lut` then
+# 18-20 dB, where P(tau) lies far below 1e-16. That is 32 CSVs. `lut` then
 # writes two lookup-table text files, 256-QAM at 8 bits and 16-QAM at 6
-# bits: 33 files.
+# bits: 34 files.
 #
 # Usage: sh scripts/fixed_seed_csvs.sh OUTDIR
 #
@@ -37,6 +39,9 @@ for u in exact nn lut; do
 done
 lab simulate --m 4 --n 15 --k 7 --ebn0-grid 7,9 --frames 5 --seed 1 --unreliability exact \
     --mode gmd --out rs15_gmd_short_blocks.csv
+lab simulate --m 4 --n 15 --k 7 --ebn0-grid 7,9 --frames 300 \
+    --seed 1361129467683753853853498429727072845829 --unreliability exact \
+    --mode adaptive --strategy exact --out rs15_adaptive_big_seed.csv
 
 long="--ebn0-grid 16.5,17 --frames 100 --seed 1 --unreliability exact"
 lab simulate $long --mode errors_only --out rs255_errors_only.csv

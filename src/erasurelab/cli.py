@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 
 import numpy as np
@@ -165,9 +166,19 @@ def cmd_strategy(args) -> int:
         except (OSError, ValueError) as exc:
             raise CliError(f"cannot read unreliabilities from {args.h_file}: {exc}")
     elif args.sample is not None:
+        seed = values.get("seed", defaults["seed"])
+        if seed < 0:
+            raise CliError(f"--seed must be >= 0, got {seed}")
+        try:
+            sigma = sigma_from_ebn0(args.sample, code.q, code.n, code.k)
+        except OverflowError:  # an Eb/N0 of about -3000 dB or less
+            sigma = math.inf
+        # inf dB gives sigma 0, -inf dB an infinite sigma and nan a nan one
+        if not 0 < sigma < math.inf:
+            raise CliError(f"--sample must be a finite Eb/N0 in dB with a positive, "
+                           f"finite noise level, got {args.sample}")
         qam = SquareQam(code.q)
-        sigma = sigma_from_ebn0(args.sample, code.q, code.n, code.k)
-        rng = np.random.default_rng(args.seed or 0)
+        rng = np.random.default_rng(seed)
         h = sample_unreliability_vectors(sigma, qam, code.n, 1, rng)[0]
     else:
         raise CliError("need an h-vector file or --sample EBN0_DB")

@@ -16,11 +16,20 @@ A campaign sweeps an Eb/N0 grid with one of five decoder modes:
 ``fixed_tau`` that the mode would not read is a ConfigError.
 
 Per-frame random streams are derived from (seed, grid index, frame index),
-so results are reproducible for a given seed.
+so results are reproducible for a given seed. A frame's stream is numpy's
+`default_rng(SeedSequence(entropy=seed, spawn_key=(grid index, frame
+index)))`, but `_frame_rng` computes the PCG64 seed words itself, with
+SeedSequence's algorithm, mixing the seed and grid index once per point:
+at n = 15, building each frame's stream through a SeedSequence object
+took more than a third of a frame.
 
 Monte-Carlo frames run in blocks of FRAME_BLOCK, the stretch between two
 checks of the error-count stop. Each frame keeps its own stream: it draws
-its info symbols and then its noise from it, in that order. Each frame
+its info symbols and then its noise from it, in that order. The info
+symbols are the top m bits of the 32-bit halves of raw PCG64 outputs, cut
+for the whole block at once (`_info_symbols`): that is what
+`Generator.integers(0, 2**m)` draws, since Lemire's method never rejects
+when the range is a power of two, as q = 2**m is. Each frame
 also keeps its own erasure of its tau most unreliable symbols
 (`erase_most_unreliable`). The block runs the rest once over all its
 frames: one `encode` call on the (rows, k) info block, modulation, hard
@@ -35,8 +44,10 @@ frame order, so the output does not depend on the block size.
 from __future__ import annotations
 
 import math
+import operator
+import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -224,12 +235,176 @@ def batch_residual_probs(vectors: np.ndarray, tau: int, eps0: int) -> np.ndarray
     return tail_coeffs(vectors, e + 1, tau, tau)[0][e]
 
 
+#: SeedSequence's pool size and hash constants (numpy.random.bit_generator)
+_POOL_SIZE = 4
+_M32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _output_hashes() -> tuple[tuple[int, int, int], ...]:
+    """(pool index, xor constant, multiplier) of each of the eight 32-bit
+    words of `generate_state(4, np.uint64)`: its hash constants do not
+    depend on the pool."""
+    hashes, hash_const = [], _INIT_B
+    for i in range(2 * _POOL_SIZE):
+        xor = hash_const
+        hash_const = (hash_const * _MULT_B) & _M32
+        hashes.append((i % _POOL_SIZE, xor, hash_const))
+    return tuple(hashes)
+
+
+_OUTPUT_HASHES = _output_hashes()
+#: packs the eight output words, low word of each uint64 first
+_PACK_STATE = struct.Struct("<8I").pack
+
+
+def _uint32_words(value) -> list[int]:
+    """The 32-bit words, least significant first, that SeedSequence makes
+    of a non-negative integer; [0] for 0."""
+    value = operator.index(value)
+    if value < 0:
+        raise ValueError(f"expected non-negative integer, got {value}")
+    words = [value & _M32]
+    value >>= 32
+    while value:
+        words.append(value & _M32)
+        value >>= 32
+    return words
+
+
+def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
+    """SeedSequence's hashmix: (the hashed value, the advanced hash constant)."""
+    value ^= hash_const
+    hash_const = (hash_const * _MULT_A) & _M32
+    value = (value * hash_const) & _M32
+    return value ^ (value >> 16), hash_const
+
+
+def _mix(x: int, y: int) -> int:
+    """SeedSequence's mix of two 32-bit words."""
+    mixed = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _M32
+    return mixed ^ (mixed >> 16)
+
+
+def _mix_words(pool: list[int], hash_const: int, words) -> int:
+    """Mixes each word into every pool word in place, as SeedSequence does
+    with the entropy past its pool; returns the advanced hash constant."""
+    for word in words:
+        for i in range(_POOL_SIZE):
+            hashed, hash_const = _hashmix(word, hash_const)
+            pool[i] = _mix(pool[i], hashed)
+    return hash_const
+
+
+def _point_pool(seed: int, point_index: int) -> tuple[list[int], int]:
+    """SeedSequence's pool and hash constant once it has mixed the run
+    entropy (the seed's words, zero-padded to the pool size) and the point
+    index, the part of the spawn key that all frames of a point share."""
+    run = _uint32_words(seed)
+    run += [0] * (_POOL_SIZE - len(run))
+    hash_const = _INIT_A
+    pool = []
+    for word in run[:_POOL_SIZE]:
+        hashed, hash_const = _hashmix(word, hash_const)
+        pool.append(hashed)
+    # every pool word into every other, so that late words reach early ones
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                hashed, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], hashed)
+    hash_const = _mix_words(pool, hash_const, run[_POOL_SIZE:] + _uint32_words(point_index))
+    return pool, hash_const
+
+
+@lru_cache(maxsize=64)
+def _frame_mixer(seed: int, point_index: int) -> tuple[tuple[tuple[int, int, int], ...], int]:
+    """What the frames of a point share of the mix of their frame index:
+    per pool word, (_MIX_MULT_L * word, xor constant, multiplier) of mixing
+    the index's low 32-bit word into it, then the hash constant after that
+    mix, which the index's higher words (frames >= 2**32) continue from."""
+    pool, hash_const = _point_pool(seed, point_index)
+    steps = []
+    for word in pool:
+        xor = hash_const
+        hash_const = (hash_const * _MULT_A) & _M32
+        steps.append(((_MIX_MULT_L * word) & _M32, xor, hash_const))
+    return tuple(steps), hash_const
+
+
+@cache
+def _stream_types():
+    """(SeedWords, PCG64, Generator), built on first use: importing the lab
+    does not import numpy.random."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedWords(ISeedSequence):
+        """The seed sequence that hands PCG64, its one user, the four uint64
+        words of `generate_state(4, np.uint64)`, computed beforehand."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return SeedWords, PCG64, Generator
+
+
 def _frame_rng(seed: int, point_index: int, frame_index: int) -> np.random.Generator:
-    """The stream of one frame: what `np.random.default_rng` gives for this
-    SeedSequence, built without its argument dispatch."""
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(entropy=seed, spawn_key=(point_index, frame_index))
-    ))
+    """The stream of one frame: a fresh Generator equal to
+    `default_rng(SeedSequence(entropy=seed, spawn_key=(point_index,
+    frame_index)))`.
+
+    The seed words that SeedSequence would give PCG64 are computed here,
+    by its algorithm on Python ints masked to 32 bits. The pool after the
+    seed and the point index is mixed once per point (`_frame_mixer`);
+    each call mixes in the frame index (its low word with the constants
+    `_frame_mixer` keeps), hashes the pool out to eight 32-bit words and
+    hands PCG64 their four uint64 pairs, low word first. Building a
+    SeedSequence per frame and hashing its state out on numpy scalars
+    cost about a fifth of an n = 15 frame."""
+    steps, hash_const = _frame_mixer(operator.index(seed), operator.index(point_index))
+    frame_index = operator.index(frame_index)
+    if frame_index < 0:
+        raise ValueError(f"expected non-negative integer, got {frame_index}")
+    word = frame_index & _M32
+    pool = []
+    # _hashmix and _mix inlined, on the constants kept per point
+    for left, xor, mult in steps:
+        mixed = ((word ^ xor) * mult) & _M32
+        mixed = (left - _MIX_MULT_R * (mixed ^ (mixed >> 16))) & _M32
+        pool.append(mixed ^ (mixed >> 16))
+    if frame_index > _M32:
+        _mix_words(pool, hash_const, _uint32_words(frame_index >> 32))
+    state = []
+    for i, xor, mult in _OUTPUT_HASHES:
+        out = ((pool[i] ^ xor) * mult) & _M32
+        state.append(out ^ (out >> 16))
+    # native uint64 words, as generate_state returns them on any host
+    words = np.frombuffer(_PACK_STATE(*state), "<u8").astype(np.uint64, copy=False)
+    seed_words, pcg64, generator = _stream_types()
+    return generator(pcg64(seed_words(words)))
+
+
+def _info_symbols(rngs, k: int, m: int) -> np.ndarray:
+    """The (len(rngs), k) info block whose row i is what
+    `rngs[i].integers(0, 2**m, size=k)` would draw. The normals that each
+    stream draws next are the ones they would be after that call: for odd
+    k, `integers` keeps the unused high half buffered, which normal draws
+    never read.
+
+    `integers` draws 32-bit halves of the raw 64-bit outputs, low half
+    first, and maps each half x to (x * 2**m) >> 32 by Lemire's method,
+    which never rejects when the range is a power of two: the symbol is
+    the top m bits of x. So each frame takes ceil(k / 2) raw outputs and
+    the block is cut in one array step."""
+    raw = np.array([rng.bit_generator.random_raw((k + 1) // 2) for rng in rngs])
+    halves = np.stack([raw & _M32, raw >> 32], axis=2).reshape(len(rngs), -1)[:, :k]
+    return (halves >> (32 - m)).astype(np.int64)
 
 
 class _FrameRunner:
@@ -259,7 +434,7 @@ class _FrameRunner:
         its own erasure call."""
         cfg, code, qam = self.cfg, self.cfg.code, self.qam
         rngs = [_frame_rng(cfg.seed, self.point_index, i) for i in range(lo, hi)]
-        sent = self.codec.encode(np.array([rng.integers(0, code.q, size=code.k) for rng in rngs]))
+        sent = self.codec.encode(_info_symbols(rngs, code.k, code.gf.m))
         y = qam.modulate(sent)
         for row, rng in zip(y, rngs):
             row[:] = awgn(row, self.sigma, rng)

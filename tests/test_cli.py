@@ -265,6 +265,26 @@ def test_strategy_command_sampled(capsys):
     assert out.startswith("exact: tau=")
 
 
+@pytest.mark.parametrize("flag, argv", [
+    ("--seed", ["--sample", "9", "--seed", "-1"]),
+    ("--sample", ["--sample=inf"]),  # sigma 0
+    ("--sample", ["--sample=-inf"]),  # an infinite sigma
+    ("--sample", ["--sample=nan"]),
+    ("--sample", ["--sample=-1e300"]),  # sigma overflows
+], ids=["negative-seed", "inf", "minus-inf", "nan", "overflow"])
+def test_strategy_sample_rejects_bad_inputs(capsys, flag, argv):
+    """A sampled vector needs a non-negative seed and an Eb/N0 with a
+    positive, finite noise level: anything else is one `error:` line naming
+    the flag and exit status 2, not a traceback or a complaint about the
+    unreliabilities."""
+    with pytest.raises(SystemExit) as exc:
+        run(["strategy", "--m", "4", "--n", "15", "--k", "7", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ")
+    assert "Traceback" not in err
+
+
 def test_strategy_profile_at_20_db_has_no_zero_p(capsys):
     """On the default RS(256;255,144) at 20 dB most P(tau) lie far below
     1e-16, and every one is positive, since each is read from a tail mass."""

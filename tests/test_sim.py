@@ -22,6 +22,7 @@ from erasurelab.sim import (
     wilson_interval,
     _frame_rng,
     _FrameRunner,
+    _info_symbols,
 )
 from erasurelab.strategy import StrategyKind, choose_tau, pgf_distribution, residual_error_prob
 
@@ -224,14 +225,46 @@ def test_frame_rng_independence():
     assert np.array_equal(a, d)
 
 
-@pytest.mark.parametrize("seed, point, frame", [(0, 0, 0), (1, 0, 255), (7, 3, 1), (2**40, 11, 70_000)])
+@pytest.mark.parametrize("seed, point, frame", [
+    (0, 0, 0), (1, 0, 255), (7, 3, 1), (2**40, 11, 70_000),
+    (2**32 - 1, 2, 9), (2**32, 2, 9),  # the largest one-word seed, the smallest two-word one
+    (2**130 + 5, 1, 3),  # five words, more than the pool holds: no padding
+    (5, 2**33, 4),  # a two-word point index
+    (5, 1, 2**32), (5, 1, 2**40 + 3),  # two-word frame indices
+    (np.uint64(2**63 + 1), 1, 2), (np.int64(12345), 1, 2),  # numpy-integer seeds
+])
 def test_frame_rng_is_default_rng_stream(seed, point, frame):
     """_frame_rng builds the Generator that default_rng gives for the same
-    SeedSequence: equal integers and normal draws, in the frames' order."""
+    SeedSequence: equal bit-generator state, and equal integers and normal
+    draws, in the frames' order."""
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(point, frame))
     got, want = _frame_rng(seed, point, frame), np.random.default_rng(seq)
+    assert got.bit_generator.state == want.bit_generator.state
     assert np.array_equal(got.integers(0, 256, size=144), want.integers(0, 256, size=144))
     assert np.array_equal(got.normal(0.0, 0.3, size=(255, 2)), want.normal(0.0, 0.3, size=(255, 2)))
+
+
+@pytest.mark.parametrize("seed, point, frame", [(-1, 0, 0), (0, -1, 0), (0, 0, -1)])
+def test_frame_rng_rejects_negative_indices(seed, point, frame):
+    """A negative seed, point or frame is an error, as it is to SeedSequence."""
+    with pytest.raises(ValueError, match="non-negative"):
+        _frame_rng(seed, point, frame)
+
+
+@pytest.mark.parametrize("m", [2, 4, 6, 8])
+@pytest.mark.parametrize("k", [1, 6, 7, 144])
+def test_info_symbols_are_generator_integers(m, k):
+    """The info block cut from raw draws holds, row for row, what
+    `integers(0, 2**m, size=k)` draws from the same stream, and the
+    normals each stream draws next are equal too."""
+    rows = 5
+    got = [_frame_rng(3, 1, i) for i in range(rows)]
+    want = [_frame_rng(3, 1, i) for i in range(rows)]
+    info = _info_symbols(got, k, m)
+    assert info.dtype == np.int64 and info.shape == (rows, k)
+    assert np.array_equal(info, [rng.integers(0, 2**m, size=k) for rng in want])
+    for g, w in zip(got, want):
+        assert np.array_equal(g.normal(0.0, 0.3, size=(15, 2)), w.normal(0.0, 0.3, size=(15, 2)))
 
 
 def reference_frame(runner, i):
