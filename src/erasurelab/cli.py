@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import math
 import sys
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from . import __version__
 from .dcf import DecoderCapability, DecoderKind
 from .gf import GF
-from .modem import SquareQam, UnreliabilityLut, sigma_from_ebn0
+from .modem import ModemError, SquareQam, UnreliabilityLut, sigma_from_ebn0
 from .rs import CodeParams
 from .sim import (
     LUT_BITS,
@@ -171,12 +170,8 @@ def cmd_strategy(args) -> int:
             raise CliError(f"--seed must be >= 0, got {seed}")
         try:
             sigma = sigma_from_ebn0(args.sample, code.q, code.n, code.k)
-        except OverflowError:  # an Eb/N0 of about -3000 dB or less
-            sigma = math.inf
-        # inf dB gives sigma 0, -inf dB an infinite sigma and nan a nan one
-        if not 0 < sigma < math.inf:
-            raise CliError(f"--sample must be a finite Eb/N0 in dB with a positive, "
-                           f"finite noise level, got {args.sample}")
+        except ModemError as exc:
+            raise CliError(f"--sample {args.sample}: {exc}")
         qam = SquareQam(code.q)
         rng = np.random.default_rng(seed)
         h = sample_unreliability_vectors(sigma, qam, code.n, 1, rng)[0]

@@ -118,16 +118,9 @@ class GF:
         buf[1] = 1
         out, shifted = buf[1:], buf[:-1]
         for e in exponents:
-            self.mul_linear(out, shifted, e)
+            # exp_table[e:] maps the log of b to alpha^e * b, 0 included
+            out ^= self.exp_table[e:][self.log_table[shifted]]
         return out
-
-    def mul_linear(self, out: np.ndarray, shifted: np.ndarray, e: int) -> None:
-        """out ^= alpha^e * shifted, e in [0, q-2]. With out = buf[1:] and
-        shifted = buf[:-1] of one buffer with buf[0] = 0, this multiplies
-        the polynomial with coefficient t at buf[t + 1] in place by
-        (1 + alpha^e x), dropping the top coefficient of the product."""
-        # exp_table[e:] maps the log of b to alpha^e * b, 0 included
-        out ^= self.exp_table[e:][self.log_table[shifted]]
 
     # -- polynomial helpers (coefficient sequences, index = power of x) --
 

@@ -31,14 +31,19 @@ UNRELIABILITY_CHUNK = 1 << 14
 
 
 def sigma_from_ebn0(ebn0_db: float, alphabet_size: int, n: int, k: int) -> float:
-    """Per-dimension AWGN standard deviation for Eb/N0 given in dB."""
+    """Per-dimension AWGN standard deviation for Eb/N0 given in dB; a
+    ModemError unless positive and finite (past about +-3000 dB it is not)."""
     if alphabet_size < 2 or alphabet_size & (alphabet_size - 1):
         raise ModemError("alphabet_size must be a power of two >= 2")
     if not (n >= k >= 1):
         raise ModemError("need n >= k >= 1")
-    return math.sqrt(
-        1.0 / math.log2(alphabet_size) * (n / k) * 10.0 ** (-ebn0_db / 10.0) / 2.0
-    )
+    try:
+        sigma = math.sqrt(1.0 / math.log2(alphabet_size) * (n / k) * 10.0 ** (-ebn0_db / 10.0) / 2.0)
+    except OverflowError:
+        sigma = math.inf
+    if not 0 < sigma < math.inf:
+        raise ModemError(f"Eb/N0 {ebn0_db} dB gives noise level {sigma}; it must be positive and finite")
+    return sigma
 
 
 class SquareQam:
@@ -205,8 +210,8 @@ class UnreliabilityLut:
 
     @classmethod
     def build(cls, qam: SquareQam, sigma: float, bits_per_axis: int) -> "UnreliabilityLut":
-        if sigma <= 0:
-            raise ModemError("sigma must be > 0")
+        if not 0 < sigma < math.inf:
+            raise ModemError(f"sigma must be positive and finite, got {sigma}")
         L = qam.L
         cells = _cells_per_region(L, bits_per_axis)
         centre = (np.arange(cells) + 0.5) * (2.0 * qam.scale / cells) - qam.scale

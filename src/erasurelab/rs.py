@@ -12,14 +12,12 @@ its syndromes S(y), computed once, the erased positions, the erasure
 locator Gamma(x) and T(x) = Gamma(x) S(x) mod x^(n-k), whose coefficients
 tau..n-k-1 are the Forney syndromes, and the error locator once
 `RSCodec.solve_locators` has solved it. Erasing one more position
-multiplies Gamma and T by one linear factor, so the trials of nested
-erasure sets (GMD) come from one pass, each trial's Gamma/T buffer a row
-of one array grown from the row before. `RSCodec.erasure_trial_rows`
-builds the nested trials of a block of words (GMD's frame block) in one
-lock-step pass of the same kernel, `_erase_rows`, that grows the Gamma/T
-of a block's received words: step s multiplies every word's buffer by
-the factor of its s-th erased position, and a snapshot is kept at each
-erasure count some trial has.
+multiplies Gamma and T by one linear factor. One kernel, `_erase_rows`,
+grows every Gamma/T, the buffers of a block's words in lock-step (step s
+multiplies each by the factor of its s-th erased position) with a
+snapshot at each erasure count some trial has: the nested trials of one
+word (`erasure_trials`) or of a block (`erasure_trial_rows`, GMD's) come
+from one pass of it.
 `decode_ee` reads a `ReceivedWord` as the builder's one trial. The Chien
 search runs on Lambda alone: Psi = Lambda Gamma has deg Psi distinct
 roots iff Lambda has L distinct roots at code positions and none is
@@ -27,21 +25,23 @@ erased. The Forney magnitudes are evaluated at the at most n-k roots of
 Psi, and the corrected word is checked by S(y) = S(e), a sum over those
 roots only.
 
-`decode_ee` also takes a block of words (a frame block of `sim`) and
-decodes it as rows: the syndromes as one (rows, n) x (n, n-k) gather;
+`decode_ee` also takes a block of words, a list or the `ErasedBlock`
+that `erase_most_unreliable` gives for a (rows, n) frame block of `sim`
+(the hard words, each row's erasure order from one stable argsort, and
+its erasure count). A list is turned into the same arrays, with the
+S(y), Gamma/T and locator that an `ErasedWord` row carries, and one row
+kernel decodes both: the syndromes as one (rows, n) x (n, n-k) gather;
 Gamma/T grown in lock-step, one linear factor per erasure step for the
 rows that erase that many; Lambda for the rows at once; the Chien search
 as one gather over the block's largest L + 1 coefficients; the Forney
 step at each row's roots, padded to the block's largest root count; and
-the check S(y) = S(e). An `ErasedWord` row brings its S(y), Gamma/T
-and locator, if solved, and only the other rows compute theirs. Each
-check drops the rows it fails, a clean row (no erasure, zero syndrome)
+the check S(y) = S(e). Each check drops the rows it fails, a clean row
 costs nothing past its syndrome test, and the gathers run in row chunks
 of GATHER_ENTRIES entries, which bound their temporaries at n = 255. A
 row's work is the one word's, so the block gives each word's result. One
 row costs about three words' array calls, though, so fewer than
-ROW_DECODE_MIN_WORDS words go word by word: a GMD round of fewer frames
-among them.
+ROW_DECODE_MIN_WORDS words go word by word, an `ErasedBlock`'s trials
+built in one `erasure_trial_rows` pass.
 
 Every step of order n*(n-k) is an array kernel of `GF` (one table gather
 and an XOR-reduce, see `erasurelab.gf`) on matrices of logarithms built
@@ -167,14 +167,38 @@ def erasure_order(h: np.ndarray) -> list[int]:
     return np.argsort(-h, kind="stable").tolist()
 
 
-def erase_most_unreliable(symbols: list, unreliability: np.ndarray, tau: int) -> ReceivedWord:
-    """Erase the first tau positions of `erasure_order`."""
+def erase_most_unreliable(symbols, unreliability, tau):
+    """Erase the first tau positions of `erasure_order`: a `ReceivedWord`
+    with None there; for (rows, n) symbols and unreliabilities, with one
+    tau or one a row, the `ErasedBlock` of one stable argsort."""
     h = np.asarray(unreliability, dtype=float)
+    if h.ndim == 2:
+        y, taus = np.asarray(symbols), np.asarray(tau)
+        if y.shape != h.shape or taus.dtype.kind not in "iu" or taus.shape not in ((), (len(h),)):
+            raise CodeError(f"need symbols and unreliabilities of one (rows, n) shape and an integer "
+                            f"tau or one a row, got shapes {y.shape} and {h.shape} and tau {tau!r}")
+        # NaN fails both comparisons, +-inf one of them
+        if not ((h >= 0) & (h < 1)).all():
+            raise CodeError("unreliability entries must be finite and lie in [0, 1)")
+        # a tau past n erases every position, and one below 0 none, as for one word
+        taus = np.minimum(np.maximum(np.broadcast_to(taus, len(h)), 0), h.shape[1])
+        return ErasedBlock(y, np.argsort(-h, axis=1, kind="stable"), taus)
     out = list(symbols)
     if tau > 0:
         for i in erasure_order(h)[:tau]:
             out[i] = None
     return ReceivedWord(out, h)
+
+
+@dataclass
+class ErasedBlock:
+    """Row r of the (rows, n) hard symbols `y` with order[r, :taus[r]]
+    erased, order[r] its positions from the most to the least unreliable:
+    `decode_ee` reads it as the list of each row's `erase_most_unreliable`."""
+
+    y: np.ndarray
+    order: np.ndarray
+    taus: np.ndarray
 
 
 def _symbol_array(symbols, gf: GF) -> np.ndarray:
@@ -186,10 +210,6 @@ def _symbol_array(symbols, gf: GF) -> np.ndarray:
     if y.dtype.kind not in "iu" or np.bitwise_or.reduce(y, axis=None) >> gf.m:
         raise CodeError(f"symbols must be integers in [0, {gf.q})")
     return y
-
-
-def _erasures_as_zero(symbols: list, gf: GF) -> np.ndarray:
-    return _symbol_array([0 if s is None else s for s in symbols], gf)
 
 
 def _not_a_position(i, n: int) -> CodeError:
@@ -308,9 +328,9 @@ class RSCodec:
         A `ReceivedWord` is read as the one trial of its symbols; a caller
         that decodes one word under several erasure sets passes the
         trials of `erasure_trials`, solved by `solve_locators` or not: a
-        trial without a locator gets it from `solve_locators`. Any other
-        sequence of such words is a block, and the result the list of
-        their codewords or None, decoded as rows of one set of array calls.
+        trial without a locator gets it from `solve_locators`. An
+        `ErasedBlock` or any other sequence of such words is a block, and
+        the result the list of their codewords or None, decoded as rows.
 
         The decoder is a BMD decoder: the trial with erased set X returns
         the codeword c exactly when 2 |{i not in X : y_i != c_i}| + |X| <=
@@ -319,10 +339,15 @@ class RSCodec:
         """
         if isinstance(word, (ReceivedWord, ErasedWord)):
             return self._decode_word(word)
+        if isinstance(word, ErasedBlock):
+            if len(word.taus) < ROW_DECODE_MIN_WORDS:
+                trial = self.erasure_trial_rows(word.y, word.order, word.taus[:, None])
+                return [self._decode_word(trial(r, 0)) for r in range(len(word.taus))]
+            return self._decode_rows(word.y, word.order, word.taus)
         words = list(word)
         if len(words) < ROW_DECODE_MIN_WORDS:
             return [self._decode_word(w) for w in words]
-        return self._decode_rows(words)
+        return self._decode_rows(*self._word_rows(words))
 
     def _decode_word(self, word: ReceivedWord | ErasedWord) -> list[int] | None:
         """`decode_ee` of one word by scalar steps and per-word array
@@ -366,54 +391,59 @@ class RSCodec:
         c[roots] ^= e
         return c.tolist()
 
-    def _decode_rows(self, words: list) -> list:
-        """`decode_ee` of each word, the words decoded as rows.
-
-        A row is the trial that `decode_ee` reads the word as: its y, its
-        erased positions and, for an `ErasedWord`, the S(y), Gamma/T and
-        locator it carries; S(y) and Gamma/T of a `ReceivedWord` are
-        computed here, Gamma/T grown in lock-step for all such rows. A row
-        with no erasure and a zero syndrome returns y, and one with more
-        than n-k erasures None, before any further array work. The other
-        rows are taken in order of erasure count, so that those still
-        growing Gamma/T at an erasure step are a suffix and the Forney
-        syndrome lengths are non-increasing, as the row Berlekamp-Massey
-        pass needs. Each later check drops the rows it fails.
-        """
-        p = self.params
-        gf, n = p.gf, p.n
-        nsyn = n - p.k
-        log = gf.log_table
-        out = [None] * len(words)
-        if not words:
-            return out
-        ys, erased, locators, carried = [], [], [], []
+    def _word_rows(self, words: list) -> tuple:
+        """The arguments of `_decode_rows` for a list of words, input
+        erasures (None) read as 0."""
+        n = self.params.n
+        ys, erased, carried = [], [], []
         for w in words:
             carried.append(isinstance(w, ErasedWord))
             if carried[-1]:
                 ys.append(w.y)
                 erased.append(w.erased)
-                locators.append(w.locator)
                 continue
-            symbols = w.symbols
-            if len(symbols) != n:
+            if len(w.symbols) != n:
                 raise CodeError("received word length mismatch")
-            e = [i for i, s in enumerate(symbols) if s is None]
-            if e:
-                symbols = list(symbols)
-                for i in e:
-                    symbols[i] = 0
-            ys.append(symbols)
-            erased.append(e)
-            locators.append(None)
-        y = _symbol_array(ys, gf)
-        carried = np.array(carried)
-        synd = np.empty((len(words), nsyn), dtype=gf.dtype)
-        if carried.any():
-            synd[carried] = [w.synd for w in words if isinstance(w, ErasedWord)]
-        if not carried.all():
-            synd[~carried] = self._row_products(y[~carried], self._syndrome_logs, nsyn)
+            ys.append([0 if s is None else s for s in w.symbols])
+            erased.append([i for i, s in enumerate(w.symbols) if s is None])
         taus = np.array([len(e) for e in erased])
+        positions = np.zeros((len(words), taus.max(initial=0)), dtype=np.intp)
+        positions[np.repeat(np.arange(len(words)), taus), _ranks(taus)] = _flat(erased)
+        brought = [w for w in words if isinstance(w, ErasedWord)]
+        return ys, positions, taus, (np.array(carried, dtype=bool), np.array([w.synd for w in brought]),
+                                     np.array([w.polys for w in brought]), [w.locator for w in brought])
+
+    def _decode_rows(self, y, erased: np.ndarray, taus: np.ndarray, carried=None) -> list:
+        """`decode_ee` of a block of words decoded as rows: row r the hard
+        word y[r] with erased[r, :taus[r]] erased, in that order. `carried`
+        is None or the mask, then in row order the S(y), Gamma/T and
+        locators (None where unsolved), of a list's `ErasedWord` rows; the
+        other rows' S(y) and Gamma/T are computed here. A clean row (no
+        erasure, zero syndrome) returns y, and one with more than n-k
+        erasures None, before any further array work. The other rows go in
+        order of erasure count: those still growing Gamma/T at an erasure
+        step are a suffix, and the Forney syndrome lengths non-increasing,
+        as the row Berlekamp-Massey pass needs. Each later check drops the
+        rows it fails.
+        """
+        p = self.params
+        gf, n = p.gf, p.n
+        nsyn = n - p.k
+        log = gf.log_table
+        out = [None] * len(taus)
+        if not len(taus):
+            return out
+        y = _symbol_array(y, gf)
+        if y.shape != (len(taus), n):
+            raise CodeError("received word length mismatch")
+        if carried is None:  # no row brings anything
+            carried = np.zeros(len(taus), dtype=bool), None, None, []
+        brought, brought_synd, brought_polys, brought_locators = carried
+        synd = np.empty((len(taus), nsyn), dtype=gf.dtype)
+        if brought.any():
+            synd[brought] = brought_synd
+        if not brought.all():
+            synd[~brought] = self._row_products(y[~brought], self._syndrome_logs, nsyn)
         clean = (taus == 0) & ~synd.any(axis=1)
         for j, c in zip(np.flatnonzero(clean).tolist(), y[clean].tolist()):
             out[j] = c
@@ -422,25 +452,22 @@ class RSCodec:
             return out
         live = live[np.argsort(taus[live], kind="stable")]
         taus = taus[live]
-        erased = [erased[j] for j in live.tolist()]
-        locators = [locators[j] for j in live.tolist()]
+        erased = erased[live, : taus[-1]]
 
         # Gamma/T, laid out as `ErasedWord.polys`: carried, or 1 and S grown
         # in lock-step by one linear factor per erasure step
         polys = np.zeros((len(live), 2 * nsyn + 4), dtype=np.intp)
         polys[:, 1] = 1
         polys[:, nsyn + 3 : 2 * nsyn + 3] = synd[live]
-        brought = carried[live]
-        if brought.any():
-            polys[brought] = [words[j].polys for j in live[brought].tolist()]
-        grow = np.flatnonzero(~brought & (taus > 0))
+        came = brought[live]
+        # the index in carried's arrays of each live row that came with them
+        index = (np.cumsum(brought) - 1)[live[came]]
+        if len(index):
+            polys[came] = brought_polys[index]
+        grow = np.flatnonzero(~came & (taus > 0))
         if len(grow):
-            counts = taus[grow]
             fresh = polys[grow].T.copy()
-            positions = np.zeros((len(grow), counts[-1]), dtype=np.intp)
-            positions[np.repeat(np.arange(len(grow)), counts), _ranks(counts)] = _flat(
-                [erased[r] for r in grow.tolist()])
-            self._erase_rows(fresh, positions, counts)
+            self._erase_rows(fresh, erased[grow], taus[grow])
             polys[grow] = fresh.T
 
         # Lambda and L: the locator given, or solved from the Forney
@@ -448,12 +475,14 @@ class RSCodec:
         width = nsyn // 2 + 2
         lam = np.zeros((len(live), width), dtype=gf.dtype)
         L = np.zeros(len(live), dtype=np.intp)
-        solve = np.array([loc is None for loc in locators])
+        solve = np.ones(len(live), dtype=bool)
         given = {}  # deg Lambda of the locators given, read as `_decode_word` reads them
-        for r in np.flatnonzero(~solve).tolist():
-            coeffs, L[r] = locators[r]
-            lam[r, : min(len(coeffs), width)] = coeffs[:width]
-            given[r] = len(coeffs) - 1
+        for r, j in zip(np.flatnonzero(came).tolist(), index.tolist()):
+            if brought_locators[j] is not None:
+                coeffs, L[r] = brought_locators[j]
+                lam[r, : min(len(coeffs), width)] = coeffs[:width]
+                given[r] = len(coeffs) - 1
+                solve[r] = False
         if solve.any():
             t = taus[solve]
             at = np.minimum(nsyn + 3 + t[:, None] + np.arange(nsyn), 2 * nsyn + 3)
@@ -471,12 +500,12 @@ class RSCodec:
         deg[list(given)] = list(given.values())
         keep = (2 * L <= nsyn - taus) & (deg == L)
 
-        live, taus, polys, lam, L = live[keep], taus[keep], polys[keep], lam[keep], L[keep]
-        erased = [e for e, k in zip(erased, keep.tolist()) if k]
+        live, taus, polys, lam, L, erased = live[keep], taus[keep], polys[keep], lam[keep], L[keep], erased[keep]
         if not len(live):
             return out
         is_erased = np.zeros((len(live), n), dtype=bool)
-        is_erased[np.repeat(np.arange(len(live)), taus), _flat(erased)] = True
+        among = np.arange(erased.shape[1]) < taus[:, None]
+        is_erased[np.nonzero(among)[0], erased[among]] = True
         at_root, keep = self._error_positions(lam, L, is_erased)
         live, taus, polys, lam, L = live[keep], taus[keep], polys[keep], lam[keep], L[keep]
         if not len(live):
@@ -557,8 +586,10 @@ class RSCodec:
         column r by those of positions[r, :taus[r]], the columns in
         non-decreasing order of taus: step s multiplies the columns that
         erase an s-th position, a suffix, at once. The shift-and-add runs
-        over the whole buffer, as in `erasure_trials`; the buffers as
-        columns keep each step's operands contiguous.
+        over the whole buffer, which updates both polynomials: Gamma's top
+        coefficient spills into T's leading zero only past n-k erasures,
+        where decoding fails anyway. The buffers as columns keep each
+        step's operands contiguous.
 
         Returns the buffers as they stand after each step count of `keep`,
         ascending: a (len(keep), width, rows) array of field elements, its
@@ -580,7 +611,7 @@ class RSCodec:
                 lo = start
                 if lo == last:
                     # one column: X^e times the buffer through the table
-                    # shifted by e, as `GF.mul_linear`, one array call fewer
+                    # shifted by e, one array call fewer
                     out, shifted, factors = polys[1:, lo], polys[:-1, lo], exps[:, lo].tolist()
                 else:
                     out, shifted, factors = polys[1:, lo:], polys[:-1, lo:], exps[:, None, lo:]
@@ -599,45 +630,28 @@ class RSCodec:
         entry of the part of `order` read that is not a position in
         [0, n), is a CodeError.
 
-        S(y) is computed once. Each trial's Gamma/T buffer is a row of one
-        array, a copy of the row before grown by one linear factor per new
-        position. The trials carry no locator: `solve_locators` gives
-        them theirs.
+        The trials are those of `erasure_trial_rows` on the one word and its
+        distinct erased positions. They carry no locator: `solve_locators`
+        gives them theirs.
         """
-        p = self.params
-        n, gf = p.n, p.gf
+        n = self.params.n
         if len(symbols) != n:
             raise CodeError("received word length mismatch")
-        y = _erasures_as_zero(symbols, gf)
-        synd = gf.vecmat(y, self._syndrome_logs)
-        nsyn = len(synd)
         sequence = [i for i, s in enumerate(symbols) if s is None]
         first = len(sequence)
         sequence += order
-        # intp: a log-table gather indexed by it needs no cast
-        rows = np.zeros((len(taus), 2 * nsyn + 4), dtype=np.intp)
-        trials: list[ErasedWord] = []
-        erased: list[int] = []
+        # the distinct positions in the order erased, and each trial's count of them
+        erased, counts = [], []
         is_erased = bytearray(n)
         done = 0
         for tau in taus:
             require_integer("tau", tau, CodeError)
-            row = rows[len(trials)]
-            if trials:
-                row[:] = trials[-1].polys
-            else:
-                row[1] = 1
-                row[nsyn + 3 : 2 * nsyn + 3] = synd
             end = first + tau
             if tau < 0 or end < done:
                 raise CodeError(f"taus must be non-negative and non-decreasing, got {taus}")
             if end > len(sequence):
                 raise CodeError(f"tau={tau} erases past the {len(sequence)} positions "
                                 "that the input erasures and order supply")
-            # one shift-and-add over the whole row updates both polynomials:
-            # Gamma's top coefficient spills into T's leading zero only past
-            # n-k erasures, where decoding fails anyway
-            out, shifted = row[1:], row[:-1]
             try:
                 for i in sequence[done:end]:
                     # unchecked, a negative entry would erase a locator
@@ -647,20 +661,22 @@ class RSCodec:
                     if not is_erased[i]:
                         is_erased[i] = 1
                         erased.append(i)
-                        gf.mul_linear(out, shifted, n - 1 - i)
             except TypeError:  # a non-integer fails the compare or the index
                 raise _not_a_position(i, n) from None
             done = end
-            trials.append(ErasedWord(y, synd, erased[:], row))
-        return trials
+            counts.append(len(erased))
+        y = [[0 if s is None else s for s in symbols]]
+        trial = self.erasure_trial_rows(y, np.array([erased], dtype=np.intp), np.array([counts]))
+        return [trial(0, j) for j in range(len(counts))]
 
     def erasure_trial_rows(self, y, positions: np.ndarray, sizes: np.ndarray):
         """The trials of a block of words: trial j of word r erases
         positions[r, :sizes[r, j]], `y` being the (rows, n) hard words with
         their input erasures read as 0, `positions` a (rows, n) array of
-        distinct positions per row and each row of `sizes` non-decreasing.
-        GMD's trials are those of `erasure_trials` with the positions of its
-        erasure sequence. Returns trial(r, j), that trial as an
+        distinct positions per row, at least as many as the row's largest
+        size, and each row of `sizes` non-decreasing. GMD's trials are
+        those of `erasure_trials` with the positions of its erasure
+        sequence. Returns trial(r, j), that trial as an
         `ErasedWord`, made when asked for: GMD asks for few of them.
 
         S(y) is one gather for the block, and Gamma/T grow in one lock-step

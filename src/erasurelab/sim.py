@@ -19,9 +19,9 @@ Per-frame random streams are derived from (seed, grid index, frame index),
 so results are reproducible for a given seed. A frame's stream is numpy's
 `default_rng(SeedSequence(entropy=seed, spawn_key=(grid index, frame
 index)))`, but `_frame_rng` computes the PCG64 seed words itself, with
-SeedSequence's algorithm, mixing the seed and grid index once per point:
-at n = 15, building each frame's stream through a SeedSequence object
-took more than a third of a frame.
+SeedSequence's algorithm, the seed and grid index once per point and a
+block's frame indices as one array: at n = 15, a SeedSequence object per
+frame took more than a third of a frame.
 
 Monte-Carlo frames run in blocks of FRAME_BLOCK, the stretch between two
 checks of the error-count stop. Each frame keeps its own stream: it draws
@@ -29,23 +29,21 @@ its info symbols and then its noise from it, in that order. The info
 symbols are the top m bits of the 32-bit halves of raw PCG64 outputs, cut
 for the whole block at once (`_info_symbols`): that is what
 `Generator.integers(0, 2**m)` draws, since Lemire's method never rejects
-when the range is a power of two, as q = 2**m is. Each frame
-also keeps its own erasure of its tau most unreliable symbols
-(`erase_most_unreliable`). The block runs the rest once over all its
-frames: one `encode` call on the (rows, k) info block, modulation, hard
-decision, unreliabilities, the row sort, the tau chooser on the (rows, n)
-block, for errors_only and fixed_tau the prediction, and one `decode_ee`
-call on the block's erased words, which decodes them as rows, or in gmd
-mode one `gmd_decode` call on the block's received words. Every value is
-the one the frame would get alone, and the predictions are summed in
-frame order, so the output does not depend on the block size.
+when the range is a power of two, as q = 2**m is. The block runs the rest
+once over all its frames, as arrays: one `_frame_rng` call, one `encode`
+call on the (rows, k) info block, modulation, hard decision,
+unreliabilities, the row sort, the tau chooser on the (rows, n) block,
+for errors_only and fixed_tau the prediction, one `erase_most_unreliable`
+call (one stable argsort) and one `decode_ee` call on the erased block;
+in gmd mode one `gmd_decode` call on the block's `ReceivedWord`s. Every
+value is the one the frame would get alone, and the predictions are
+summed in frame order, so the output does not depend on the block size.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import struct
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 
@@ -53,7 +51,7 @@ import numpy as np
 
 from .dcf import DecoderCapability, DecoderKind
 from .gmd import gmd_decode
-from .modem import (UNRELIABILITY_CHUNK, SquareQam, UnreliabilityLut, awgn, sigma_from_ebn0,
+from .modem import (UNRELIABILITY_CHUNK, ModemError, SquareQam, UnreliabilityLut, awgn, sigma_from_ebn0,
                     unreliability_exact, unreliability_nn)
 from .rs import CodeParams, ReceivedWord, erase_most_unreliable, require_integer
 from .strategy import (
@@ -117,13 +115,14 @@ class CampaignConfig:
         if self.unreliability not in UNRELIABILITY_METHODS:
             raise ConfigError(f"unknown unreliability method {self.unreliability!r}")
         try:
-            finite = [math.isfinite(db) for db in self.ebn0_grid]
+            for db in self.ebn0_grid:  # each entry's noise level is positive and finite
+                sigma_from_ebn0(db, self.code.q, self.code.n, self.code.k)
         except TypeError:
             raise ConfigError(f"ebn0_grid must be a sequence of numbers, got {self.ebn0_grid!r}") from None
-        if not finite:
+        except ModemError as exc:
+            raise ConfigError(f"ebn0_grid entry {db}: {exc}") from None
+        if not len(self.ebn0_grid):
             raise ConfigError("ebn0_grid must be non-empty")
-        if not all(finite):
-            raise ConfigError(f"ebn0_grid must be finite, got {self.ebn0_grid}")
         if self.max_frames < 1:
             raise ConfigError("max_frames must be >= 1")
         if self.max_errors < 1:
@@ -243,21 +242,15 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 
-def _output_hashes() -> tuple[tuple[int, int, int], ...]:
-    """(pool index, xor constant, multiplier) of each of the eight 32-bit
-    words of `generate_state(4, np.uint64)`: its hash constants do not
-    depend on the pool."""
-    hashes, hash_const = [], _INIT_B
-    for i in range(2 * _POOL_SIZE):
-        xor = hash_const
-        hash_const = (hash_const * _MULT_B) & _M32
-        hashes.append((i % _POOL_SIZE, xor, hash_const))
-    return tuple(hashes)
+def _hash_powers(hash_const: int, mult: int, count: int) -> list[int]:
+    """hash_const * mult**i mod 2**32 for i < count: the hash constants
+    that SeedSequence steps through, each the one before times mult."""
+    return [(hash_const * mult**i) & _M32 for i in range(count)]
 
 
-_OUTPUT_HASHES = _output_hashes()
-#: packs the eight output words, low word of each uint64 first
-_PACK_STATE = struct.Struct("<8I").pack
+#: the hash constants of `generate_state`'s eight output words: word i
+#: (pool word i mod 4) is xor-ed with entry i and multiplied by entry i + 1
+_OUTPUT_HASHES = np.array(_hash_powers(_INIT_B, _MULT_B, 2 * _POOL_SIZE + 1), dtype=np.uint32)
 
 
 def _uint32_words(value) -> list[int]:
@@ -320,18 +313,15 @@ def _point_pool(seed: int, point_index: int) -> tuple[list[int], int]:
 
 
 @lru_cache(maxsize=64)
-def _frame_mixer(seed: int, point_index: int) -> tuple[tuple[tuple[int, int, int], ...], int]:
+def _frame_mixer(seed: int, point_index: int) -> tuple[np.ndarray, int]:
     """What the frames of a point share of the mix of their frame index:
-    per pool word, (_MIX_MULT_L * word, xor constant, multiplier) of mixing
-    the index's low 32-bit word into it, then the hash constant after that
-    mix, which the index's higher words (frames >= 2**32) continue from."""
+    per pool word (column), _MIX_MULT_L * word and the xor constant and
+    multiplier of mixing the index's low word into it; and the hash
+    constant that any higher words of the index continue from."""
     pool, hash_const = _point_pool(seed, point_index)
-    steps = []
-    for word in pool:
-        xor = hash_const
-        hash_const = (hash_const * _MULT_A) & _M32
-        steps.append(((_MIX_MULT_L * word) & _M32, xor, hash_const))
-    return tuple(steps), hash_const
+    consts = _hash_powers(hash_const, _MULT_A, _POOL_SIZE + 1)
+    left = [(_MIX_MULT_L * word) & _M32 for word in pool]
+    return np.array([left, consts[:-1], consts[1:]], dtype=np.uint32), consts[-1]
 
 
 @cache
@@ -354,40 +344,45 @@ def _stream_types():
     return SeedWords, PCG64, Generator
 
 
-def _frame_rng(seed: int, point_index: int, frame_index: int) -> np.random.Generator:
+def _frame_rng(seed: int, point_index: int, frame_index):
     """The stream of one frame: a fresh Generator equal to
     `default_rng(SeedSequence(entropy=seed, spawn_key=(point_index,
-    frame_index)))`.
+    frame_index)))`; for a range of frame indices, the list of the
+    streams of its frames.
 
-    The seed words that SeedSequence would give PCG64 are computed here,
-    by its algorithm on Python ints masked to 32 bits. The pool after the
-    seed and the point index is mixed once per point (`_frame_mixer`);
-    each call mixes in the frame index (its low word with the constants
-    `_frame_mixer` keeps), hashes the pool out to eight 32-bit words and
-    hands PCG64 their four uint64 pairs, low word first. Building a
-    SeedSequence per frame and hashing its state out on numpy scalars
-    cost about a fifth of an n = 15 frame."""
+    The seed words that SeedSequence would give PCG64 are computed here by
+    its algorithm, on uint32 arrays with one row per frame: they wrap
+    around as SeedSequence's words do, with no overflow warning. The seed
+    and the point index are mixed once per point (`_frame_mixer`), and
+    each frame's PCG64 gets its four uint64 words, low half first. A
+    256-frame block costs about 1.5 us a frame, one frame about 15 us."""
     steps, hash_const = _frame_mixer(operator.index(seed), operator.index(point_index))
-    frame_index = operator.index(frame_index)
-    if frame_index < 0:
-        raise ValueError(f"expected non-negative integer, got {frame_index}")
-    word = frame_index & _M32
-    pool = []
-    # _hashmix and _mix inlined, on the constants kept per point
-    for left, xor, mult in steps:
-        mixed = ((word ^ xor) * mult) & _M32
-        mixed = (left - _MIX_MULT_R * (mixed ^ (mixed >> 16))) & _M32
-        pool.append(mixed ^ (mixed >> 16))
-    if frame_index > _M32:
-        _mix_words(pool, hash_const, _uint32_words(frame_index >> 32))
-    state = []
-    for i, xor, mult in _OUTPUT_HASHES:
-        out = ((pool[i] ^ xor) * mult) & _M32
-        state.append(out ^ (out >> 16))
-    # native uint64 words, as generate_state returns them on any host
-    words = np.frombuffer(_PACK_STATE(*state), "<u8").astype(np.uint64, copy=False)
+    one = not isinstance(frame_index, range)
+    frames = range(operator.index(frame_index), operator.index(frame_index) + 1) if one else frame_index
+    if frames and min(frames[0], frames[-1]) < 0:
+        raise ValueError(f"expected non-negative integer, got {min(frames[0], frames[-1])}")
+    left, xor, mult = steps
+    # _hashmix and _mix of the low words, one row per frame and one column
+    # per pool word, in uint32 arrays, which wrap as SeedSequence's words do
+    mixed = (np.array([frame & _M32 for frame in frames], dtype=np.uint32)[:, None] ^ xor) * mult
+    mixed ^= mixed >> 16
+    mixed *= _MIX_MULT_R
+    pool = left - mixed
+    pool ^= pool >> 16
+    if frames and max(frames[0], frames[-1]) > _M32:
+        for row, frame in zip(pool, frames):
+            if frame > _M32:
+                row_words = row.tolist()
+                _mix_words(row_words, hash_const, _uint32_words(frame >> 32))
+                row[:] = row_words
+    out = (np.concatenate([pool, pool], axis=1) ^ _OUTPUT_HASHES[:-1]) * _OUTPUT_HASHES[1:]
+    out ^= out >> 16
+    # each row's four uint64 words, low word first, in the native order
+    # that generate_state returns them in on any host
+    words = out.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
     seed_words, pcg64, generator = _stream_types()
-    return generator(pcg64(seed_words(words)))
+    rngs = [generator(pcg64(seed_words(row))) for row in words]
+    return rngs[0] if one else rngs
 
 
 def _info_symbols(rngs, k: int, m: int) -> np.ndarray:
@@ -428,38 +423,34 @@ class _FrameRunner:
     def run_block(self, lo: int, hi: int) -> list[tuple[int, float]]:
         """(frame error indicator, per-frame analytic prediction) of each
         frame in [lo, hi), in frame order; the prediction is NaN in gmd
-        mode, which predicts nothing. One `encode` call encodes the block
-        and one `decode_ee` call, or in gmd mode one `gmd_decode` call,
-        decodes it; each frame keeps its own stream, drawn per frame, and
-        its own erasure call."""
+        mode, which predicts nothing. One `_frame_rng` call seeds the
+        block's streams, each drawn per frame; one `encode` call encodes
+        the block, one `erase_most_unreliable` call erases each frame's tau
+        most unreliable symbols and one `decode_ee` call decodes the
+        result, or in gmd mode one `gmd_decode` call the received words."""
         cfg, code, qam = self.cfg, self.cfg.code, self.qam
-        rngs = [_frame_rng(cfg.seed, self.point_index, i) for i in range(lo, hi)]
+        rngs = _frame_rng(cfg.seed, self.point_index, range(lo, hi))
         sent = self.codec.encode(_info_symbols(rngs, code.k, code.gf.m))
         y = qam.modulate(sent)
         for row, rng in zip(y, rngs):
             row[:] = awgn(row, self.sigma, rng)
         points = y.reshape(-1, 2)
-        received = qam.hard_decision(points).reshape(y.shape[:2]).tolist()
+        received = qam.hard_decision(points).reshape(y.shape[:2])
         h = unreliability(points, qam, self.sigma, cfg.unreliability, self.lut).reshape(y.shape[:2])
 
         if cfg.mode == "gmd":
-            out = gmd_decode([ReceivedWord(r, hr) for r, hr in zip(received, h)], self.codec)
+            out = gmd_decode([ReceivedWord(r, hr) for r, hr in zip(received.tolist(), h)], self.codec)
             predicted = [math.nan] * len(out)
         else:
             h_sorted = np.sort(h, axis=1)[:, ::-1]
             if cfg.mode == "adaptive":
                 res = choose_tau(h_sorted, self.cap, cfg.strategy)
-                taus = res.tau_chosen.tolist()
+                taus = res.tau_chosen
                 predicted = res.predicted_p.tolist()
             else:
-                tau = cfg.tau
-                taus = [tau] * len(h)
-                predicted = residual_error_prob(
-                    pgf_distribution(h_sorted, tau), self.cap.epsilon0(tau)
-                ).tolist()
-            out = self.codec.decode_ee(
-                [erase_most_unreliable(r, hr, tau) for r, hr, tau in zip(received, h, taus)]
-            )
+                taus = cfg.tau
+                predicted = residual_error_prob(pgf_distribution(h_sorted, taus), self.cap.epsilon0(taus)).tolist()
+            out = self.codec.decode_ee(erase_most_unreliable(received, h, taus))
         return [(0 if o == cw else 1, p) for o, cw, p in zip(out, sent, predicted)]
 
 

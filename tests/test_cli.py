@@ -285,6 +285,29 @@ def test_strategy_sample_rejects_bad_inputs(capsys, flag, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, shown", [
+    (["lut", "--qam", "16", "--ebn0=-1e300"], "noise level inf"),  # sigma overflows
+    (["lut", "--qam", "16", "--ebn0=1e300"], "noise level 0.0"),
+    (["lut", "--qam", "16", "--sigma=nan"], "got nan"),
+    (["lut", "--qam", "16", "--sigma=inf"], "got inf"),
+    (["simulate", "--m", "4", "--n", "15", "--k", "7", "--frames", "1", "--ebn0-grid=9,-1e300"],
+     "ebn0_grid entry -1e+300"),
+    (["predict", "--m", "4", "--n", "15", "--k", "7", "--ebn0-grid=1e300"], "ebn0_grid entry 1e+300"),
+], ids=["lut-overflow", "lut-zero", "lut-sigma-nan", "lut-sigma-inf", "simulate", "predict"])
+def test_noise_level_out_of_range_is_an_error(tmp_path, capsys, argv, shown):
+    """An Eb/N0 whose noise level is 0 or overflows, or a nan or infinite
+    sigma, is one `error:` line and exit status 2 before any work: no
+    traceback and no file."""
+    out = tmp_path / "x.txt"
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and shown in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_strategy_profile_at_20_db_has_no_zero_p(capsys):
     """On the default RS(256;255,144) at 20 dB most P(tau) lie far below
     1e-16, and every one is positive, since each is read from a tail mass."""

@@ -10,10 +10,12 @@ from erasurelab.rs import (
     ROW_BM_MIN_WORK,
     CodeError,
     CodeParams,
+    ErasedBlock,
     ErasedWord,
     ReceivedWord,
     RSCodec,
     erase_most_unreliable,
+    erasure_order,
 )
 from erasurelab.gmd import gmd_decode
 from scalar_rs import ScalarRSCodec, alpha_pow, poly_eval, scalar_poly_mul
@@ -119,6 +121,58 @@ def test_erase_most_unreliable_stable():
     # 0.9 first, then the earlier of the tied 0.5 entries
     assert w.symbols == [None, None, 3, 4]
     assert erase_most_unreliable([1, 2, 3, 4], h, 0).symbols == [1, 2, 3, 4]
+
+
+@pytest.mark.parametrize("m, n, k, rows", [(4, 15, 7, 300), (4, 15, 7, 5), (4, 15, 7, 1),
+                                          (8, 255, 144, 40), (8, 255, 144, 1)])
+def test_erase_block_decodes_as_each_word(m, n, k, rows):
+    """erase_most_unreliable of a (rows, n) block, with a tau per row
+    (0, n-k, n-k+1 and past n among them) and unreliabilities on six
+    levels, so that ties are common, erases in each row the positions it
+    erases in the row alone, in the stable order of `erasure_order`; and
+    decode_ee of the block gives each row's decode_ee of its own
+    erase_most_unreliable word, as rows and, below ROW_DECODE_MIN_WORDS
+    rows, word by word. One tau for the block is that tau in each row."""
+    params = CodeParams(GF(m), n, k)
+    codec = params.codec
+    nsyn = n - k
+    rng = np.random.default_rng(59 + rows)
+    y = np.array([codec.encode(rng.integers(0, params.q, k).tolist()) for _ in range(rows)])
+    h = rng.integers(0, 6, size=(rows, n)) / 8
+    for r in range(rows):
+        # errors, most of them on the most unreliable level
+        eps = int(rng.integers(0, nsyn))
+        pos = rng.choice(n, eps, replace=False)
+        y[r, pos] ^= rng.integers(1, params.q, eps)
+        h[r, pos[: 2 * eps // 3]] = 5 / 8
+    taus = rng.integers(0, nsyn + 1, rows)
+    for at, tau in enumerate((0, nsyn, nsyn + 1, n + 5)):
+        taus[at::7] = tau
+    block = erase_most_unreliable(y, h, taus)
+    assert isinstance(block, ErasedBlock)
+    assert np.array_equal(block.order, [erasure_order(hr) for hr in h])
+    words = [erase_most_unreliable(r, hr, tau) for r, hr, tau in zip(y.tolist(), h, taus.tolist())]
+    for word, order, tau in zip(words, block.order, block.taus):
+        assert [i for i, s in enumerate(word.symbols) if s is None] == sorted(order[:tau])
+    got = codec.decode_ee(block)
+    assert got == [codec.decode_ee(w) for w in words]
+    if rows > 1:
+        assert 0 < got.count(None) < rows
+    tau = nsyn // 2
+    assert codec.decode_ee(erase_most_unreliable(y, h, tau)) == [
+        codec.decode_ee(erase_most_unreliable(r, hr, tau)) for r, hr in zip(y.tolist(), h)]
+
+
+def test_erase_block_rejects_bad_input(small):
+    """A block whose symbols and unreliabilities differ in shape, an
+    unreliability outside [0, 1) or a tau that is not an integer, or not
+    one per row, is a CodeError."""
+    y, h = np.zeros((3, small.n), dtype=np.int64), np.zeros((3, small.n))
+    erase_most_unreliable(y, h, np.int8(2))
+    for args in ((y[:, 1:], h, 2), (y, np.full((3, small.n), np.nan), 2), (y, h + 1, 2),
+                 (y, h, 2.0), (y, h, [1, 2]), (y, h, np.ones((3, 1), dtype=int))):
+        with pytest.raises(CodeError):
+            erase_most_unreliable(*args)
 
 
 def test_encode_systematic_and_valid(codec, small):
@@ -287,6 +341,31 @@ def test_erased_word_grows_gamma_and_t(m, n, k):
                 codec.erasure_trials(symbols, order, taus)
         assert len(codec.erasure_trials(symbols, order, [np.int64(0), 2])) == 2
     assert repeats >= 20
+
+
+@pytest.mark.parametrize("m, n, k, words", [(4, 15, 7, 40), (8, 255, 144, 6)])
+def test_erasure_trials_decode_as_scalar_codec(m, n, k, words):
+    """Every trial of erasure_trials, its Gamma/T grown as one column of
+    the block kernel, decodes to the scalar codec's result on the word with
+    the trial's erased positions as None: schedules from no erasure to past
+    n-k, over input erasures and orders with repeated positions."""
+    params = CodeParams(GF(m), n, k)
+    codec, ref = params.codec, ScalarRSCodec(params)
+    nsyn = n - k
+    rng = np.random.default_rng(53)
+    found = Counter()
+    for _ in range(words):
+        cw = codec.encode(rng.integers(0, params.q, k).tolist())
+        symbols = corrupt(cw, rng, int(rng.integers(0, nsyn // 2 + 2)), int(rng.integers(0, 3)), params.q)
+        order = rng.choice(n, nsyn + 2).tolist()
+        taus = [0] + sorted(rng.integers(0, len(order) + 1, 5).tolist())
+        for trial in codec.erasure_trials(symbols, order, taus):
+            erased = set(trial.erased)
+            want = ref.decode_ee(ReceivedWord([None if i in erased else s for i, s in enumerate(symbols)],
+                                              np.zeros(n)))
+            assert codec.decode_ee(trial) == want
+            found[want is not None] += 1
+    assert found[True] > 0 and found[False] > 0
 
 
 @pytest.mark.parametrize("m, n, k, order, taus, inputs, match", [

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -104,6 +105,17 @@ def test_config_validation(code):
     # numpy integers are integers
     make_cfg(code, max_frames=np.int64(512), seed=np.uint32(1), fixed_tau=np.int8(2))
     make_cfg(code, mode="semi_simulative", samples=np.int16(5), fixed_tau=np.intp(1))
+
+
+@pytest.mark.parametrize("mode", ["errors_only", "semi_simulative"])
+@pytest.mark.parametrize("db, level", [(-1e300, "inf"), (1e300, "0.0"), (-3100.0, "inf"), (3300.0, "0.0")])
+def test_config_rejects_noise_level_out_of_range(code, mode, db, level):
+    """An Eb/N0 entry whose noise level overflows (below about -3000 dB)
+    or is 0 (above about +3200 dB) fails when the config is built, naming
+    the entry, not as an OverflowError or a ModemError deep in the run."""
+    with pytest.raises(ConfigError, match=re.escape(f"ebn0_grid entry {db}: ") + ".* noise level " + level):
+        CampaignConfig(code, ebn0_grid=(9.0, db), mode=mode)
+    assert 0 < sigma_from_ebn0(3000.0, 16, 15, 7) and math.isfinite(sigma_from_ebn0(-3000.0, 16, 15, 7))
 
 
 @pytest.mark.parametrize("mode, fixed_tau, match", [
@@ -249,6 +261,26 @@ def test_frame_rng_rejects_negative_indices(seed, point, frame):
     """A negative seed, point or frame is an error, as it is to SeedSequence."""
     with pytest.raises(ValueError, match="non-negative"):
         _frame_rng(seed, point, frame)
+
+
+@pytest.mark.parametrize("seed, frames", [
+    (7, range(0, 300)),
+    (5, range(2**32 - 3, 2**32 + 3)),  # one-word, then two-word frame indices
+    (2**130 + 5, range(0, 20)),  # five words, more than the pool holds
+    (3, range(10, 100, 9)), (3, range(40, 0, -13)), (3, range(5, 5)),
+], ids=["300", "across-2**32", "five-word-seed", "step", "negative-step", "empty"])
+def test_frame_rng_block_matches_per_frame(seed, frames):
+    """_frame_rng of a range of frames gives, frame for frame, the
+    Generator of the one-frame call and of default_rng on the frame's
+    SeedSequence: equal bit-generator states."""
+    got = _frame_rng(seed, 2, frames)
+    assert len(got) == len(frames)
+    for rng, frame in zip(got, frames):
+        assert rng.bit_generator.state == _frame_rng(seed, 2, frame).bit_generator.state
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(2, frame))
+        assert rng.bit_generator.state == np.random.default_rng(seq).bit_generator.state
+    with pytest.raises(ValueError, match="non-negative"):
+        _frame_rng(seed, 2, range(-1, 3))
 
 
 @pytest.mark.parametrize("m", [2, 4, 6, 8])
