@@ -9,9 +9,15 @@
 #     rev|tree PAIR RESULT_JSON
 #
 # RESULT_JSON being the run's last line of standard output (correctness,
-# operation counts and end-to-end metrics). A failing run prints its
-# standard error and stops the script. The temporary directory is removed
-# on exit. Runs take SECONDS plus a few seconds of checks and set-up each.
+# operation counts and end-to-end metrics). Two lines come first:
+#
+#     machine {"cores": ..., "python": ..., "numpy": ..., "platform": ...}
+#     revisions {"parent": SHA, "change": SHA, "change_dirty": true|false}
+#
+# the change being this tree's HEAD, dirty when its src/ or bench/ differ
+# from HEAD or hold untracked files. A failing run prints its standard
+# error and stops the script. The temporary directory is removed on exit.
+# Runs take SECONDS plus a few seconds of checks and set-up each.
 #
 # Usage: sh scripts/ab_bench.sh REV WORKLOAD PAIRS SECONDS
 set -eu
@@ -26,6 +32,14 @@ mkdir -p "$tmp/rev"
 git -C "$here" archive "$rev" -- src | tar -x -C "$tmp/rev"
 cp -R "$here/bench" "$tmp/rev/bench"
 rm -rf "$tmp/rev/bench/out"
+
+python3 -c 'import json, os, platform, numpy
+print("machine", json.dumps({"cores": os.cpu_count(), "python": platform.python_version(),
+                             "numpy": numpy.__version__, "platform": platform.platform()}))'
+dirty=false
+[ -z "$(git -C "$here" status --porcelain -- src bench)" ] || dirty=true
+printf 'revisions {"parent": "%s", "change": "%s", "change_dirty": %s}\n' \
+    "$(git -C "$here" rev-parse "$rev")" "$(git -C "$here" rev-parse HEAD)" "$dirty"
 
 run() {  # run SIDE PAIR
     case $1 in rev) root=$tmp/rev ;; tree) root=$here ;; esac

@@ -4,14 +4,15 @@
     python3 scripts/ab_summary.py --json < pairs.txt
 
 Reads the `rev|tree PAIR RESULT_JSON` lines of one workload's pairs on
-standard input; other lines are ignored. For each end-to-end metric of
+standard input, and the `machine JSON` and `revisions JSON` lines that
+ab_bench.sh prints first; other lines are ignored. For each end-to-end metric of
 BENCHMARK.json it prints each side's median and quartiles
 (statistics.quantiles, n=4, as bench/steady.py computes them), the
 change/parent ratio of the medians, `rev` being the parent and `tree` the
 change, and in how many of the pairs that have both values the change
 did better in the metric's direction. With --json it prints the same
 figures as one JSON object, in the layout of a BENCH_*.json workload
-entry.
+entry, with the machine and the revisions as ab_bench.sh recorded them.
 """
 
 from __future__ import annotations
@@ -24,18 +25,23 @@ from pathlib import Path
 
 SPEC = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 SIDES = {"rev": "parent", "tree": "change"}
+#: the lines that ab_bench.sh prints before the pairs, each a JSON object
+FACTS = ("machine", "revisions")
 
 
-def read_pairs(lines) -> dict:
-    """{pair: {side: result}} from the `rev|tree PAIR RESULT_JSON` lines."""
+def read_pairs(lines) -> tuple[dict, dict]:
+    """{pair: {side: result}} from the `rev|tree PAIR RESULT_JSON` lines,
+    and {kind: facts} from the `machine|revisions JSON` lines."""
     pairs: dict = {}
+    facts: dict = {}
     for line in lines:
         side, _, rest = line.strip().partition(" ")
-        if side not in SIDES:
-            continue
-        pair, _, result = rest.partition(" ")
-        pairs.setdefault(int(pair), {})[side] = json.loads(result)
-    return pairs
+        if side in FACTS:
+            facts[side] = json.loads(rest)
+        elif side in SIDES:
+            pair, _, result = rest.partition(" ")
+            pairs.setdefault(int(pair), {})[side] = json.loads(result)
+    return pairs, facts
 
 
 def spread(values: list) -> dict:
@@ -83,11 +89,16 @@ def main(argv=None) -> int:
     ap.add_argument("--json", action="store_true", help="print the summary as JSON")
     args = ap.parse_args(argv)
     metrics = json.loads(SPEC.read_text())["end_to_end"]
-    summary = summarise(read_pairs(sys.stdin), metrics)
+    pairs, facts = read_pairs(sys.stdin)
+    summary = summarise(pairs, metrics)
     if args.json:
-        print(json.dumps(summary, indent=1))
+        print(json.dumps({**summary, **{kind: facts.get(kind) for kind in FACTS}}, indent=1))
         return 0
     parent, change = summary["parent"], summary["change"]
+    if "revisions" in facts:
+        revisions = facts["revisions"]
+        print(f"parent {revisions['parent']}, change {revisions['change']}"
+              + (" with uncommitted changes" if revisions["change_dirty"] else ""))
     print(f"{summary['pairs']} pairs; parent: {parent['runs']} runs, {parent['failed']} failed; "
           f"change: {change['runs']} runs, {change['failed']} failed")
     print(f"{'metric':26} {'parent q1':>11} {'median':>11} {'q3':>11} "

@@ -25,30 +25,30 @@ that no candidate found by then settles. No trial whose result could
 differ from a known candidate is skipped, so the output is that of
 decoding every trial.
 
-`gmd_decode` runs a block of words (a frame block of `sim`) through
-these steps together, in chunks of frames whose trial buffers stay
-within TRIAL_ENTRIES: one stable argsort of the unreliabilities, every
-trial of every word from one `RSCodec.erasure_trial_rows` pass, the
-probes of all words in one `RSCodec.decode_ee` call, the locators of
-all unsettled trials in one `RSCodec.solve_locators` call, and then
-rounds, each one `decode_ee` call on every word's next unsettled trial.
-A word decodes the trials it would decode alone, and its candidates are
-scored as alone, so the block gives each word's result.
+`gmd_decode` runs the (rows, n) hard symbols and unreliabilities of a
+frame block of `sim` through these steps as arrays, in chunks of frames
+whose trial buffers stay within TRIAL_ENTRIES: one stable argsort, the
+S(y) and Gamma/T of every trial from one `RSCodec.erasure_trial_rows`
+pass, the probes in one `RSCodec.decode_ee` call, the locators of the
+unsettled trials in one `RSCodec.locator_rows` call, then rounds, each
+one `decode_ee` call on every word's next unsettled trial. A (words,
+trials) mask holds the unsettled trials, and each call gets an
+`ErasedBlock` of its trials with their S(y), Gamma/T and locators. A word
+decodes and scores the trials it would alone, so the block gives each
+word's result.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .rs import CodeError, RSCodec, ReceivedWord
+from .rs import ErasedBlock, RSCodec, ReceivedWord, received_arrays, received_block
 
-#: Gamma/T entries of the trials of one chunk of frames: `gmd_decode` takes
-#: a block in chunks of as many frames as hold this many, which bounds the
-#: chunk's trial buffers and decoding temporaries. RS(256;255,144) decodes
-#: 41 frames a chunk, and a 256-frame block at 16.5 dB peaks at 10 MB
-#: traced (5 MB in chunks of half as many frames, which decode about 1.2x
-#: slower; 19 MB in chunks of twice as many, about as fast); RS(16;15,7)
-#: decodes a 256-frame block in one chunk
+#: Gamma/T entries of the trials of one chunk of frames, which bounds its
+#: buffers and temporaries: RS(256;255,144) decodes 41 frames a chunk, and
+#: a 256-frame block at 16.5 dB peaks at 10 MB traced (5 MB in chunks half
+#: as large, 1.2x slower; 19 MB in chunks twice as large, as fast);
+#: RS(16;15,7) decodes a 256-frame block in one chunk
 TRIAL_ENTRIES = 1 << 19
 
 
@@ -59,116 +59,122 @@ def default_schedule(d_min: int) -> list[int]:
     return list(range(start, d_min, 2))
 
 
-def gmd_decode(words, codec: RSCodec):
+def gmd_decode(words, codec: RSCodec, unreliability=None):
     """Multi-trial error/erasure decoding with candidate selection, one
-    trial per tau of `default_schedule`: the codeword or None of a
-    `ReceivedWord`, and the list of them of any other sequence of words
-    (a block), decoded together.
+    trial per tau of `default_schedule`: each row's codeword or None for
+    (rows, n) hard symbols and `unreliability` (`rs.received_block`), and
+    likewise for a sequence of `ReceivedWord`s, whose input erasures
+    (None) every trial erases; for one `ReceivedWord` its codeword or None.
 
     Candidates are scored by the sum of (1 - h_i) over positions where the
     candidate matches the hard decision; ties go to the candidate produced
     by the smaller erasure count.
     """
-    if isinstance(words, ReceivedWord):
-        return _decode_chunk([words], codec)[0]
-    words = list(words)
-    nsyn = codec.params.n - codec.params.k
-    step = max(1, TRIAL_ENTRIES // (len(default_schedule(codec.params.d_min)) * (2 * nsyn + 4)))
-    return [c for lo in range(0, len(words), step) for c in _decode_chunk(words[lo : lo + step], codec)]
+    p = codec.params
+    inputs = None
+    if unreliability is None:
+        if isinstance(words, ReceivedWord):
+            return gmd_decode([words], codec)[0]
+        words = list(words)
+        if not words:
+            return []
+        y, inputs = received_arrays(words, p.n)
+        words, unreliability = y, np.array([w.unreliability for w in words])
+    y, h = received_block(words, unreliability, p.gf)
+    step = max(1, TRIAL_ENTRIES // (len(default_schedule(p.d_min)) * (2 * (p.n - p.k) + 4)))
+    return [c for lo in range(0, len(y), step)
+            for c in _decode_chunk(y[lo : lo + step], h[lo : lo + step],
+                                   None if inputs is None else inputs[lo : lo + step], codec)]
 
 
-def trial_sequences(words: list, codec: RSCodec):
-    """The arrays of a block of received words that GMD reads: the hard
-    words y, their input erasures (None) read as 0; the same with -1 at
-    the input erasures, which no codeword symbol matches; each word's
-    erasure sequence, a (rows, n) permutation of the positions: its input
-    erasures in position order, then the other positions from the most to
-    the least unreliable (`rs.erasure_order`); and the number of positions
-    that each trial of `default_schedule` erases, a prefix of the
-    sequence. Trial tau erases the input erasures and the other positions
-    of erasure_order[:tau], as `RSCodec.erasure_trials` does."""
-    n = codec.params.n
-    if any(len(w.symbols) != n for w in words):
-        raise CodeError("received word length mismatch")
-    rows = len(words)
-    order = np.argsort(-np.array([w.unreliability for w in words]).reshape(rows, n), axis=1, kind="stable")
-    schedule = np.array(default_schedule(codec.params.d_min))
-    y = np.array([w.symbols for w in words]).reshape(rows, n)
-    if y.dtype != object:
-        return y, y, order, np.repeat(schedule[None], rows, axis=0)
-    inputs = np.equal(y, None)
-    y[inputs] = 0
-    y = np.array(y.tolist()).reshape(rows, n)
+def trial_sequences(y: np.ndarray, h: np.ndarray, inputs, d_min: int):
+    """What GMD reads of (rows, n) hard words `y`, input erasures read as
+    0, with unreliabilities `h` and `inputs`, None or the input erasures'
+    mask: y with -1 at the input erasures, which no codeword symbol
+    matches; each word's erasure sequence, its input erasures in position
+    order, then the others from the most to the least unreliable; and how
+    many of its first positions each trial erases, as
+    `RSCodec.erasure_trials` does for tau of `default_schedule`."""
+    rows, n = y.shape
+    order = np.argsort(-h, axis=1, kind="stable")
+    schedule = np.array(default_schedule(d_min))
+    if inputs is None or not inputs.any():
+        return y, order, np.repeat(schedule[None], rows, axis=0)
     rank = np.empty_like(order)
     np.put_along_axis(rank, order, np.arange(n), axis=1)
     sequences = np.argsort(np.where(inputs, np.arange(n) - n, rank), axis=1)
     # the input erasures among order[:tau]
     recur = np.zeros((rows, n + 1), dtype=np.intp)
     np.cumsum(np.take_along_axis(inputs, order, axis=1), axis=1, out=recur[:, 1:])
-    return y, np.where(inputs, -1, y), sequences, inputs.sum(axis=1)[:, None] + schedule - recur[:, schedule]
+    return np.where(inputs, -1, y), sequences, inputs.sum(axis=1)[:, None] + schedule - recur[:, schedule]
 
 
-def _decode_chunk(words: list, codec: RSCodec) -> list:
+def _decode_chunk(y: np.ndarray, h: np.ndarray, inputs, codec: RSCodec) -> list:
     """`gmd_decode` of a block of words that is one chunk."""
     n, nsyn = codec.params.n, codec.params.n - codec.params.k
-    rows = len(words)
-    if not rows:
-        return []
-    y, known, positions, sizes = trial_sequences(words, codec)
-    trial = codec.erasure_trial_rows(y, positions, sizes)
+    rows = len(y)
+    known, positions, sizes = trial_sequences(y, h, inputs, codec.params.d_min)
+    synd, polys = codec.erasure_trial_rows(y, positions, sizes)
     count = sizes.shape[1]
     mid = count // 2
-    found = [[] for _ in range(rows)]  # per word: (the first trial that returns it, candidate, as an array)
-    # per word: the trials no candidate settles yet, the last in schedule order first
-    pending = [[j for j in range(count - 1, -1, -1) if j != mid] for _ in range(rows)]
+    # the trials not decoded and not settled; trial j of word r is entry
+    # r * count + j of the flat views
+    pending = np.ones((rows, count), dtype=bool)
+    pending[:, mid] = False
+    flat_pending, flat_sizes, flat_polys = pending.reshape(-1), sizes.reshape(-1), polys.reshape(rows * count, -1)
+    out, best = [None] * rows, {}  # per word: its codeword, and (score, -first trial)
 
-    def decode(at: list, batch: list) -> None:
-        """Decode one trial per word of `at`, record each candidate found
-        and settle the word's trials whose radius holds it."""
-        hits = [(r, c) for r, c in zip(at, codec.decode_ee(batch)) if c is not None]
-        if not hits:
+    def pick(a: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """Rows `at` of a, ascending: a itself for all."""
+        return a if len(at) == rows else a[at]
+
+    def decode(at: np.ndarray, trials, lam=None, L=None) -> None:
+        """Decode the trials, flat indices or a slice, one of each word of
+        `at`; keep each word's best candidate and settle the word's trials
+        whose radius holds one."""
+        got = codec.decode_ee(ErasedBlock(pick(y, at), pick(positions, at), flat_sizes[trials], pick(synd, at),
+                                          flat_polys[trials], lam, L))
+        hit = [i for i, c in enumerate(got) if c is not None]
+        if not hit:
             return
-        at = np.array([r for r, _ in hits])
-        cands = np.array([c for _, c in hits], dtype=np.intp)
+        at = at[hit]
+        match = np.array([got[i] for i in hit]) == pick(known, at)
         lines = np.arange(len(at))[:, None]
         # inside[i, s]: the word's wrong positions among the first s of its
         # erasure sequence, those that the trials erasing s positions erase
         inside = np.zeros((len(at), n + 1), dtype=np.intp)
-        np.cumsum((cands != known[at])[lines, positions[at]], axis=1, out=inside[:, 1:])
-        size = sizes[at]
-        holds = (2 * (inside[:, -1:] - inside[lines, size]) + size <= nsyn).tolist()
-        for (r, c), a, holds_r in zip(hits, cands, holds):
-            found[r].append((holds_r.index(True), c, a))
-            pending[r] = [j for j in pending[r] if not holds_r[j]]
+        np.cumsum(~match[lines, pick(positions, at)], axis=1, out=inside[:, 1:])
+        size = pick(sizes, at)
+        holds = 2 * (inside[:, -1:] - inside[lines, size]) + size <= nsyn
+        pending[at] &= ~holds
+        # the score, 1 - h_i summed left to right where the candidate
+        # matches the word's symbols; ties go to the trial that finds the
+        # candidate first, the smaller erasure count
+        score = np.cumsum(np.where(match, 1.0 - pick(h, at), 0.0), axis=1)[:, -1]
+        for r, j, s, i in zip(at.tolist(), holds.argmax(axis=1).tolist(), score.tolist(), hit):
+            if (s, -j) > best.get(r, (-1.0, 0)):
+                best[r], out[r] = (s, -j), got[i]
 
-    decode(range(rows), [trial(r, mid) for r in range(rows)])
-    # the locators of the trials left unsettled, in order of erasure count
-    counts = sizes.tolist()
-    left = sorted(((r, j) for r in range(rows) for j in reversed(pending[r])),
-                  key=lambda rj: counts[rj[0]][rj[1]])
-    solved = [[None] * count for _ in range(rows)]
-    for (r, j), t in zip(left, codec.solve_locators([trial(r, j) for r, j in left])):
-        solved[r][j] = t
+    decode(np.arange(rows), np.arange(mid, rows * count, count))
+    # the locators of the trials left unsettled, solved in order of erasure
+    # count, and kept by trial
+    left = np.flatnonzero(flat_pending)
+    left = left[np.argsort(flat_sizes[left], kind="stable")]
+    lam, L = codec.locator_rows(flat_polys[left], flat_sizes[left])
+    lams, Ls = np.zeros((rows * count, lam.shape[1]), dtype=lam.dtype), np.zeros(rows * count, dtype=np.intp)
+    lams[left], Ls[left] = lam, L
     # rounds: each word's next unsettled trial, in schedule order
-    live = [r for r in range(rows) if pending[r]]
-    while live:
-        decode(live, [solved[r][pending[r].pop()] for r in live])
-        live = [r for r in live if pending[r]]
+    live = np.flatnonzero(pending.any(axis=1))
+    while len(live) > 1:
+        trials = live * count + pick(pending, live).argmax(axis=1)
+        flat_pending[trials] = False
+        decode(live, trials, lams[trials], Ls[trials])
+        live = live[pick(pending, live).any(axis=1)]
+    # the last live word's rounds, if any, its trials read as views
+    for r in live.tolist():
+        while pending[r].any():
+            j = r * count + int(pending[r].argmax())
+            flat_pending[j] = False
+            decode(live, slice(j, j + 1), lams[j : j + 1], Ls[j : j + 1])
 
-    # a word with several candidates scores each by the sum of 1 - h_i
-    # where it matches the word's symbols, added left to right
-    out = [c[0][1] if len(c) == 1 else None for c in found]
-    many = [r for r, c in enumerate(found) if len(c) > 1]
-    if many:
-        ranked = [sorted(found[r], key=lambda f: f[0]) for r in many]
-        at = [r for r, cands in zip(many, ranked) for _ in cands]
-        match = known[at] == np.array([a for cands in ranked for _, _, a in cands])
-        h = np.array([words[r].unreliability for r in at])
-        scores = iter(np.cumsum(np.where(match, 1.0 - h, 0.0), axis=1)[:, -1].tolist())
-        for r, cands in zip(many, ranked):
-            best = -1.0
-            for (_, cand, _), score in zip(cands, scores):
-                # strict inequality keeps the earlier (smaller tau) candidate on ties
-                if score > best:
-                    best, out[r] = score, cand
     return out

@@ -28,11 +28,15 @@ class ModemError(ValueError):
 # from the heap instead of mapped and page-faulted afresh (the chunking also
 # bounds the exact method's (N, 2, L) arrays and a table build's peak)
 UNRELIABILITY_CHUNK = 1 << 14
+#: the noise levels the channel keeps finite, with a factor 1000 to spare
+#: (about -245 to +2990 dB): above SIGMA_MAX a hard decision's index
+#: overflows int64, below SIGMA_MIN a squared distance over 2 sigma^2
+SIGMA_MIN, SIGMA_MAX = 1e-150, 1e12
 
 
 def sigma_from_ebn0(ebn0_db: float, alphabet_size: int, n: int, k: int) -> float:
     """Per-dimension AWGN standard deviation for Eb/N0 given in dB; a
-    ModemError unless positive and finite (past about +-3000 dB it is not)."""
+    ModemError unless it lies in [SIGMA_MIN, SIGMA_MAX]."""
     if alphabet_size < 2 or alphabet_size & (alphabet_size - 1):
         raise ModemError("alphabet_size must be a power of two >= 2")
     if not (n >= k >= 1):
@@ -41,8 +45,9 @@ def sigma_from_ebn0(ebn0_db: float, alphabet_size: int, n: int, k: int) -> float
         sigma = math.sqrt(1.0 / math.log2(alphabet_size) * (n / k) * 10.0 ** (-ebn0_db / 10.0) / 2.0)
     except OverflowError:
         sigma = math.inf
-    if not 0 < sigma < math.inf:
-        raise ModemError(f"Eb/N0 {ebn0_db} dB gives noise level {sigma}; it must be positive and finite")
+    if not SIGMA_MIN <= sigma <= SIGMA_MAX:
+        raise ModemError(f"Eb/N0 {ebn0_db} dB gives noise level {sigma}; "
+                         f"it must lie in [{SIGMA_MIN:g}, {SIGMA_MAX:g}]")
     return sigma
 
 
@@ -210,8 +215,8 @@ class UnreliabilityLut:
 
     @classmethod
     def build(cls, qam: SquareQam, sigma: float, bits_per_axis: int) -> "UnreliabilityLut":
-        if not 0 < sigma < math.inf:
-            raise ModemError(f"sigma must be positive and finite, got {sigma}")
+        if not SIGMA_MIN <= sigma <= SIGMA_MAX:
+            raise ModemError(f"sigma must lie in [{SIGMA_MIN:g}, {SIGMA_MAX:g}], got {sigma}")
         L = qam.L
         cells = _cells_per_region(L, bits_per_axis)
         centre = (np.arange(cells) + 0.5) * (2.0 * qam.scale / cells) - qam.scale

@@ -6,42 +6,36 @@ Berlekamp-Massey for the error locator Lambda, Chien search and the
 Forney magnitude formula. A word with eps errors and tau erasures is
 recovered whenever 2*eps + tau <= d_min - 1.
 
-The decoder works on trials, `ErasedWord` values that
-`RSCodec.erasure_trials` builds from a received word: the hard word y,
-its syndromes S(y), computed once, the erased positions, the erasure
+The decoder works on trials, a received word under one erasure set: the
+hard word y, its syndromes S(y), the erased positions, the erasure
 locator Gamma(x) and T(x) = Gamma(x) S(x) mod x^(n-k), whose coefficients
-tau..n-k-1 are the Forney syndromes, and the error locator once
-`RSCodec.solve_locators` has solved it. Erasing one more position
-multiplies Gamma and T by one linear factor. One kernel, `_erase_rows`,
-grows every Gamma/T, the buffers of a block's words in lock-step (step s
-multiplies each by the factor of its s-th erased position) with a
-snapshot at each erasure count some trial has: the nested trials of one
-word (`erasure_trials`) or of a block (`erasure_trial_rows`, GMD's) come
-from one pass of it.
-`decode_ee` reads a `ReceivedWord` as the builder's one trial. The Chien
-search runs on Lambda alone: Psi = Lambda Gamma has deg Psi distinct
-roots iff Lambda has L distinct roots at code positions and none is
-erased. The Forney magnitudes are evaluated at the at most n-k roots of
-Psi, and the corrected word is checked by S(y) = S(e), a sum over those
-roots only.
+tau..n-k-1 are the Forney syndromes, and the error locator once solved.
+Erasing one more position multiplies Gamma and T by one linear factor.
+One kernel, `_erase_rows`, grows the Gamma/T of a block's words in
+lock-step (step s multiplies each by the factor of its s-th erased
+position), with a snapshot at each erasure count some trial has: the
+nested trials of one word (`erasure_trials`, as `ErasedWord`s) or of a
+block (`erasure_trial_rows`, GMD's, as arrays) come from one pass of it.
+The Chien search runs on Lambda alone: Psi = Lambda Gamma has deg Psi
+distinct roots iff Lambda has L distinct roots at code positions and
+none is erased. The Forney magnitudes are evaluated at the at most n-k
+roots of Psi, and the corrected word is checked by S(y) = S(e), a sum
+over those roots only.
 
-`decode_ee` also takes a block of words, a list or the `ErasedBlock`
-that `erase_most_unreliable` gives for a (rows, n) frame block of `sim`
-(the hard words, each row's erasure order from one stable argsort, and
-its erasure count). A list is turned into the same arrays, with the
-S(y), Gamma/T and locator that an `ErasedWord` row carries, and one row
-kernel decodes both: the syndromes as one (rows, n) x (n, n-k) gather;
-Gamma/T grown in lock-step, one linear factor per erasure step for the
-rows that erase that many; Lambda for the rows at once; the Chien search
-as one gather over the block's largest L + 1 coefficients; the Forney
-step at each row's roots, padded to the block's largest root count; and
-the check S(y) = S(e). Each check drops the rows it fails, a clean row
-costs nothing past its syndrome test, and the gathers run in row chunks
-of GATHER_ENTRIES entries, which bound their temporaries at n = 255. A
-row's work is the one word's, so the block gives each word's result. One
-row costs about three words' array calls, though, so fewer than
-ROW_DECODE_MIN_WORDS words go word by word, an `ErasedBlock`'s trials
-built in one `erasure_trial_rows` pass.
+`decode_ee` takes a word, a trial or a block: a list of words or an
+`ErasedBlock`, the (rows, n) hard words with each row's erasure order
+and count (`erase_most_unreliable`), and for GMD's trials each row's
+S(y), Gamma/T and locator. One row kernel decodes a block: the syndromes
+as one (rows, n) x (n, n-k) gather; Gamma/T grown in lock-step; Lambda
+for the rows at once; the Chien search as one gather over the block's
+largest L + 1 coefficients; the Forney step at each row's roots, padded
+to the block's largest root count; and the check S(y) = S(e). Each check
+drops the rows it fails, a clean row costs nothing past its syndrome
+test, and the gathers run in row chunks of GATHER_ENTRIES entries, which
+bound their temporaries at n = 255. A row's work is the one word's, so
+the block gives each word's result. One row costs about three words'
+array calls, though, so a block of fewer than ROW_DECODE_MIN_WORDS rows
+goes word by word, read off its arrays.
 
 Every step of order n*(n-k) is an array kernel of `GF` (one table gather
 and an XOR-reduce, see `erasurelab.gf`) on matrices of logarithms built
@@ -62,18 +56,17 @@ runs one trial on the field's zero-sentinel lists, Lambda kept at L + 1
 coefficients. The row form steps trials in lock-step on (W, rows)
 arrays, W = (n-k)//2 + 2, at about ten array calls a step whatever the
 row count. Both give the same Lambda wherever 2L <= N, where it is
-unique. One rule, `RSCodec._row_form`, picks the form for the trials of
-`solve_locators` and for the rows of a block alike: the row form when
-the squared total count of Forney syndromes exceeds ROW_BM_MIN_WORK times
-the longest row's count, the steps of the row pass (for R rows of N
-syndromes, R^2 N > ROW_BM_MIN_WORK).
+unique. One rule, `RSCodec._row_form`, picks the form in
+`RSCodec.locator_rows`: the row form when the squared total count of
+Forney syndromes exceeds ROW_BM_MIN_WORK times the longest row's count,
+the steps of the row pass (for R rows of N syndromes,
+R^2 N > ROW_BM_MIN_WORK).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -156,9 +149,35 @@ class ReceivedWord:
         u = self.unreliability = np.asarray(self.unreliability, dtype=float)
         if len(self.symbols) != len(u):
             raise CodeError("symbols and unreliability lengths differ")
-        # NaN fails both comparisons, +-inf one of them
-        if not ((u >= 0) & (u < 1)).all():
-            raise CodeError("unreliability entries must be finite and lie in [0, 1)")
+        _check_unreliability(u)
+
+
+def _check_unreliability(h: np.ndarray) -> None:
+    # NaN fails both comparisons, +-inf one of them
+    if not ((h >= 0) & (h < 1)).all():
+        raise CodeError("unreliability entries must be finite and lie in [0, 1)")
+
+
+def received_arrays(words: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The hard symbols of `ReceivedWord`s as a (rows, n) array, input
+    erasures (None) read as 0, and the input erasures' mask."""
+    if any(len(w.symbols) != n for w in words):
+        raise CodeError("received word length mismatch")
+    symbols = np.array([w.symbols for w in words], dtype=object).reshape(len(words), n)
+    inputs = np.equal(symbols, None)
+    symbols[inputs] = 0
+    return np.array(symbols.tolist()).reshape(len(words), n), inputs
+
+
+def received_block(symbols, unreliability, gf: GF | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, n) hard symbols and unreliabilities as arrays; a CodeError
+    unless they share one (rows, n) shape, each unreliability in [0, 1)
+    and, given the field, each symbol an integer in [0, q)."""
+    y, h = np.asarray(symbols), np.asarray(unreliability, dtype=float)
+    if h.ndim != 2 or y.shape != h.shape:
+        raise CodeError(f"need symbols and unreliabilities of one (rows, n) shape, got {y.shape} and {h.shape}")
+    _check_unreliability(h)
+    return (y if gf is None else _symbol_array(y, gf)), h
 
 
 def erasure_order(h: np.ndarray) -> list[int]:
@@ -169,17 +188,15 @@ def erasure_order(h: np.ndarray) -> list[int]:
 
 def erase_most_unreliable(symbols, unreliability, tau):
     """Erase the first tau positions of `erasure_order`: a `ReceivedWord`
-    with None there; for (rows, n) symbols and unreliabilities, with one
-    tau or one a row, the `ErasedBlock` of one stable argsort."""
+    with None there; for (rows, n) symbols and unreliabilities
+    (`received_block`), with one tau or one a row, the `ErasedBlock` of one
+    stable argsort."""
     h = np.asarray(unreliability, dtype=float)
     if h.ndim == 2:
-        y, taus = np.asarray(symbols), np.asarray(tau)
-        if y.shape != h.shape or taus.dtype.kind not in "iu" or taus.shape not in ((), (len(h),)):
-            raise CodeError(f"need symbols and unreliabilities of one (rows, n) shape and an integer "
-                            f"tau or one a row, got shapes {y.shape} and {h.shape} and tau {tau!r}")
-        # NaN fails both comparisons, +-inf one of them
-        if not ((h >= 0) & (h < 1)).all():
-            raise CodeError("unreliability entries must be finite and lie in [0, 1)")
+        y, h = received_block(symbols, h)
+        taus = np.asarray(tau)
+        if taus.dtype.kind not in "iu" or taus.shape not in ((), (len(h),)):
+            raise CodeError(f"need an integer tau or one a row, got {tau!r}")
         # a tau past n erases every position, and one below 0 none, as for one word
         taus = np.minimum(np.maximum(np.broadcast_to(taus, len(h)), 0), h.shape[1])
         return ErasedBlock(y, np.argsort(-h, axis=1, kind="stable"), taus)
@@ -194,11 +211,20 @@ def erase_most_unreliable(symbols, unreliability, tau):
 class ErasedBlock:
     """Row r of the (rows, n) hard symbols `y` with order[r, :taus[r]]
     erased, order[r] its positions from the most to the least unreliable:
-    `decode_ee` reads it as the list of each row's `erase_most_unreliable`."""
+    `decode_ee` reads it as the list of each row's `erase_most_unreliable`.
+
+    A block of trials also carries each row's S(y) in `synd`, Gamma/T in
+    `polys`, laid out as `ErasedWord.polys`, and error locator, Lambda in
+    `lam` and L, as `RSCodec.locator_rows` solves them: no coefficient past
+    L where 2L <= n-k-tau, the only locators that decoding reads."""
 
     y: np.ndarray
     order: np.ndarray
     taus: np.ndarray
+    synd: np.ndarray | None = None
+    polys: np.ndarray | None = None
+    lam: np.ndarray | None = None
+    L: np.ndarray | None = None
 
 
 def _symbol_array(symbols, gf: GF) -> np.ndarray:
@@ -216,15 +242,10 @@ def _not_a_position(i, n: int) -> CodeError:
     return CodeError(f"order entries must be integers in [0, {n}), got {i!r}")
 
 
-def _flat(lists) -> np.ndarray:
-    """The entries of a list of integer lists, one after the other."""
-    return np.fromiter(chain.from_iterable(lists), dtype=np.intp)
-
-
 def _ranks(counts: np.ndarray) -> np.ndarray:
     """For each of counts[r] entries of each row r in turn, its rank
-    0..counts[r]-1 within the row: the column that np.nonzero order or
-    `_flat` order puts it in."""
+    0..counts[r]-1 within the row: the column that np.nonzero order puts it
+    in."""
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
@@ -328,9 +349,10 @@ class RSCodec:
         A `ReceivedWord` is read as the one trial of its symbols; a caller
         that decodes one word under several erasure sets passes the
         trials of `erasure_trials`, solved by `solve_locators` or not: a
-        trial without a locator gets it from `solve_locators`. An
+        trial without a locator gets it by the scalar steps. An
         `ErasedBlock` or any other sequence of such words is a block, and
-        the result the list of their codewords or None, decoded as rows.
+        the result the list of their codewords or None, decoded as rows
+        (`ReceivedWord`s and a block's rows) or word by word.
 
         The decoder is a BMD decoder: the trial with erased set X returns
         the codeword c exactly when 2 |{i not in X : y_i != c_i}| + |X| <=
@@ -339,47 +361,68 @@ class RSCodec:
         """
         if isinstance(word, (ReceivedWord, ErasedWord)):
             return self._decode_word(word)
-        if isinstance(word, ErasedBlock):
-            if len(word.taus) < ROW_DECODE_MIN_WORDS:
-                trial = self.erasure_trial_rows(word.y, word.order, word.taus[:, None])
-                return [self._decode_word(trial(r, 0)) for r in range(len(word.taus))]
-            return self._decode_rows(word.y, word.order, word.taus)
-        words = list(word)
-        if len(words) < ROW_DECODE_MIN_WORDS:
-            return [self._decode_word(w) for w in words]
-        return self._decode_rows(*self._word_rows(words))
+        if not isinstance(word, ErasedBlock):
+            words = list(word)
+            if len(words) < ROW_DECODE_MIN_WORDS or any(isinstance(w, ErasedWord) for w in words):
+                return [self._decode_word(w) for w in words]
+            # each row erases the word's input erasures, in position order
+            y, inputs = received_arrays(words, self.params.n)
+            word = ErasedBlock(y, np.argsort(~inputs, axis=1, kind="stable"), inputs.sum(axis=1))
+        if len(word.taus) < ROW_DECODE_MIN_WORDS:
+            return self._decode_each(word)
+        return self._decode_rows(word)
 
     def _decode_word(self, word: ReceivedWord | ErasedWord) -> list[int] | None:
-        """`decode_ee` of one word by scalar steps and per-word array
-        calls; a block's words go through here, not through `decode_ee`,
-        so that a block is one call of it."""
+        """`decode_ee` of one word, which a block's words bypass."""
         if isinstance(word, ReceivedWord):
             (word,) = self.erasure_trials(word.symbols)
+        return self._decode_trial(word.y, word.synd, word.erased, word.polys, word.locator)
+
+    def _decode_each(self, block: ErasedBlock) -> list:
+        """`decode_ee` of a block word by word, from the S(y), Gamma/T and
+        locators it carries or one `erasure_trial_rows` pass."""
+        y = self._block_symbols(block)
+        order, taus = block.order, block.taus.tolist()
+        if block.polys is None:
+            synd, polys = self.erasure_trial_rows(y, order, block.taus[:, None])
+            polys = polys[:, 0]
+        else:
+            synd, polys = block.synd, block.polys
+        Ls = [None] * len(taus) if block.L is None else block.L.tolist()
+        return [self._decode_trial(y[r], synd[r], order[r, :tau], polys[r],
+                                   None if L is None else (block.lam[r, : L + 1], L))
+                for r, (tau, L) in enumerate(zip(taus, Ls))]
+
+    def _decode_trial(self, y: np.ndarray, synd: np.ndarray, erased, polys: np.ndarray, locator) -> list | None:
+        """One trial by scalar steps and per-word array calls, from the
+        fields of an `ErasedWord`; a Lambda of other than L + 1
+        coefficients, or a zero last one, has a degree other than L."""
         gf = self.params.gf
-        nsyn = len(word.synd)
-        erased = word.erased
+        nsyn = len(synd)
         tau = len(erased)
         if tau > nsyn:
             return None  # radius empty
-        synd = word.synd
         if tau == 0 and not synd.any():
-            return word.y.tolist()
+            return y.tolist()
 
-        if word.locator is None:
-            (word,) = self.solve_locators([word])
-        lam, L = word.locator
-        if 2 * L > nsyn - tau or L != len(lam) - 1:
+        # the locator given, or solved by the scalar steps
+        lam, L = locator or self._berlekamp_massey(polys[nsyn + 3 + tau : 2 * nsyn + 3].tolist())
+        if 2 * L > nsyn - tau or len(lam) != L + 1 or not lam[L]:
             return None
 
         # the Chien search of `_error_positions` on one row
-        roots = np.flatnonzero(gf.vecmat(lam, self._chien_logs) == 0).tolist()
-        if len(roots) != L or not set(roots).isdisjoint(erased):
+        roots = np.flatnonzero(gf.vecmat(lam, self._chien_logs) == 0)
+        if len(roots) != L:
             return None
-        roots += erased  # the roots of Psi = Lambda Gamma
+        is_erased = np.zeros(self.params.n, dtype=bool)
+        is_erased[erased] = True
+        if is_erased[roots].any():
+            return None
+        roots = np.concatenate([roots, erased]).astype(np.intp)  # the roots of Psi = Lambda Gamma
 
         # Forney at the roots of Psi only, as in `_decode_rows`
         top = len(roots) + 2
-        prod = gf.poly_mul(lam, word.polys, len(word.polys)).reshape(2, nsyn + 2)
+        prod = gf.poly_mul(lam, polys, len(polys)).reshape(2, nsyn + 2)
         terms = gf.exp_table[gf.log_table[prod[:, :top]] + self._forney_logs[roots, :, :top]]
         den, num = np.bitwise_xor.reduce(terms, axis=2).T
         e = gf.div_array(num, den)
@@ -387,63 +430,39 @@ class RSCodec:
         # the corrected word y + e is a codeword iff S(y) = S(e)
         if (gf.vecmat(e, self._syndrome_logs[roots]) != synd).any():
             return None
-        c = word.y.copy()
+        c = y.copy()
         c[roots] ^= e
         return c.tolist()
 
-    def _word_rows(self, words: list) -> tuple:
-        """The arguments of `_decode_rows` for a list of words, input
-        erasures (None) read as 0."""
-        n = self.params.n
-        ys, erased, carried = [], [], []
-        for w in words:
-            carried.append(isinstance(w, ErasedWord))
-            if carried[-1]:
-                ys.append(w.y)
-                erased.append(w.erased)
-                continue
-            if len(w.symbols) != n:
-                raise CodeError("received word length mismatch")
-            ys.append([0 if s is None else s for s in w.symbols])
-            erased.append([i for i, s in enumerate(w.symbols) if s is None])
-        taus = np.array([len(e) for e in erased])
-        positions = np.zeros((len(words), taus.max(initial=0)), dtype=np.intp)
-        positions[np.repeat(np.arange(len(words)), taus), _ranks(taus)] = _flat(erased)
-        brought = [w for w in words if isinstance(w, ErasedWord)]
-        return ys, positions, taus, (np.array(carried, dtype=bool), np.array([w.synd for w in brought]),
-                                     np.array([w.polys for w in brought]), [w.locator for w in brought])
+    def _block_symbols(self, block: ErasedBlock) -> np.ndarray:
+        """The block's hard words; a CodeError unless they are (rows, n)
+        integers in [0, q), checked where S(y) was if the block carries it."""
+        y = _symbol_array(block.y, self.params.gf) if block.synd is None else np.asarray(block.y)
+        if y.shape != (len(block.taus), self.params.n):
+            raise CodeError("received word length mismatch")
+        return y
 
-    def _decode_rows(self, y, erased: np.ndarray, taus: np.ndarray, carried=None) -> list:
-        """`decode_ee` of a block of words decoded as rows: row r the hard
-        word y[r] with erased[r, :taus[r]] erased, in that order. `carried`
-        is None or the mask, then in row order the S(y), Gamma/T and
-        locators (None where unsolved), of a list's `ErasedWord` rows; the
-        other rows' S(y) and Gamma/T are computed here. A clean row (no
-        erasure, zero syndrome) returns y, and one with more than n-k
-        erasures None, before any further array work. The other rows go in
-        order of erasure count: those still growing Gamma/T at an erasure
-        step are a suffix, and the Forney syndrome lengths non-increasing,
-        as the row Berlekamp-Massey pass needs. Each later check drops the
-        rows it fails.
+    def _decode_rows(self, block: ErasedBlock) -> list:
+        """`decode_ee` of a block decoded as rows: row r the hard word y[r]
+        with order[r, :taus[r]] erased, in that order, from the S(y),
+        Gamma/T and locators that the block carries, or else ones computed
+        here. A clean row (no erasure, zero syndrome) returns y, and one
+        with more than n-k erasures None, before any further array work.
+        The other rows go in order of erasure count: those still growing
+        Gamma/T at an erasure step are a suffix, and the Forney syndrome
+        lengths non-increasing, as the row Berlekamp-Massey pass needs.
+        Each later check drops the rows it fails.
         """
         p = self.params
         gf, n = p.gf, p.n
         nsyn = n - p.k
         log = gf.log_table
+        taus = block.taus
         out = [None] * len(taus)
         if not len(taus):
             return out
-        y = _symbol_array(y, gf)
-        if y.shape != (len(taus), n):
-            raise CodeError("received word length mismatch")
-        if carried is None:  # no row brings anything
-            carried = np.zeros(len(taus), dtype=bool), None, None, []
-        brought, brought_synd, brought_polys, brought_locators = carried
-        synd = np.empty((len(taus), nsyn), dtype=gf.dtype)
-        if brought.any():
-            synd[brought] = brought_synd
-        if not brought.all():
-            synd[~brought] = self._row_products(y[~brought], self._syndrome_logs, nsyn)
+        y = self._block_symbols(block)
+        synd = self._row_products(y, self._syndrome_logs, nsyn) if block.synd is None else block.synd
         clean = (taus == 0) & ~synd.any(axis=1)
         for j, c in zip(np.flatnonzero(clean).tolist(), y[clean].tolist()):
             out[j] = c
@@ -452,52 +471,23 @@ class RSCodec:
             return out
         live = live[np.argsort(taus[live], kind="stable")]
         taus = taus[live]
-        erased = erased[live, : taus[-1]]
+        erased = block.order[live, : taus[-1]]
 
         # Gamma/T, laid out as `ErasedWord.polys`: carried, or 1 and S grown
         # in lock-step by one linear factor per erasure step
-        polys = np.zeros((len(live), 2 * nsyn + 4), dtype=np.intp)
-        polys[:, 1] = 1
-        polys[:, nsyn + 3 : 2 * nsyn + 3] = synd[live]
-        came = brought[live]
-        # the index in carried's arrays of each live row that came with them
-        index = (np.cumsum(brought) - 1)[live[came]]
-        if len(index):
-            polys[came] = brought_polys[index]
-        grow = np.flatnonzero(~came & (taus > 0))
-        if len(grow):
-            fresh = polys[grow].T.copy()
-            self._erase_rows(fresh, erased[grow], taus[grow])
-            polys[grow] = fresh.T
+        if block.polys is None:
+            polys = np.zeros((2 * nsyn + 4, len(live)), dtype=np.intp)
+            polys[1] = 1
+            polys[nsyn + 3 : 2 * nsyn + 3] = synd[live].T
+            self._erase_rows(polys, erased, taus)
+            polys = polys.T
+        else:
+            polys = block.polys[live]
 
-        # Lambda and L: the locator given, or solved from the Forney
-        # syndromes, coefficients tau..n-k-1 of T, left-aligned
-        width = nsyn // 2 + 2
-        lam = np.zeros((len(live), width), dtype=gf.dtype)
-        L = np.zeros(len(live), dtype=np.intp)
-        solve = np.ones(len(live), dtype=bool)
-        given = {}  # deg Lambda of the locators given, read as `_decode_word` reads them
-        for r, j in zip(np.flatnonzero(came).tolist(), index.tolist()):
-            if brought_locators[j] is not None:
-                coeffs, L[r] = brought_locators[j]
-                lam[r, : min(len(coeffs), width)] = coeffs[:width]
-                given[r] = len(coeffs) - 1
-                solve[r] = False
-        if solve.any():
-            t = taus[solve]
-            at = np.minimum(nsyn + 3 + t[:, None] + np.arange(nsyn), 2 * nsyn + 3)
-            forney, lengths = np.take_along_axis(polys[solve], at, axis=1), nsyn - t
-            if self._row_form(lengths.tolist()):
-                coeffs, L[solve] = self._berlekamp_massey_rows(forney, lengths)
-                lam[solve] = coeffs.T
-            else:
-                for r, f, N in zip(np.flatnonzero(solve).tolist(), forney.tolist(), lengths.tolist()):
-                    coeffs, L[r] = self._berlekamp_massey(f[:N])
-                    # a Lambda past W coefficients has 2L > N, which fails
-                    lam[r, : min(len(coeffs), width)] = coeffs[:width]
+        # Lambda and L: carried, or solved
+        lam, L = self.locator_rows(polys, taus) if block.L is None else (block.lam[live], block.L[live])
         # Lambda_0 = 1, so the last nonzero coefficient is found
-        deg = width - 1 - np.argmax(lam[:, ::-1] != 0, axis=1)
-        deg[list(given)] = list(given.values())
+        deg = lam.shape[1] - 1 - np.argmax(lam[:, ::-1] != 0, axis=1)
         keep = (2 * L <= nsyn - taus) & (deg == L)
 
         live, taus, polys, lam, L, erased = live[keep], taus[keep], polys[keep], lam[keep], L[keep], erased[keep]
@@ -582,18 +572,16 @@ class RSCodec:
 
     def _erase_rows(self, polys: np.ndarray, positions: np.ndarray, taus: np.ndarray, keep=()) -> np.ndarray:
         """Grow the Gamma/T buffers, the columns of the (width, rows) array
-        `polys`, in place by one linear factor (1 + X x) per position,
-        column r by those of positions[r, :taus[r]], the columns in
-        non-decreasing order of taus: step s multiplies the columns that
-        erase an s-th position, a suffix, at once. The shift-and-add runs
-        over the whole buffer, which updates both polynomials: Gamma's top
-        coefficient spills into T's leading zero only past n-k erasures,
-        where decoding fails anyway. The buffers as columns keep each
-        step's operands contiguous.
-
-        Returns the buffers as they stand after each step count of `keep`,
-        ascending: a (len(keep), width, rows) array of field elements, its
-        entry [i, :, r] column r after min(keep[i], taus[r]) factors."""
+        `polys`, in place by one linear factor (1 + X x) per position of
+        positions[r, :taus[r]] for column r, taus non-decreasing: step s
+        multiplies the columns that erase an s-th position, a suffix, at
+        once, and the columns keep its operands contiguous. The
+        shift-and-add over the whole buffer updates both polynomials:
+        Gamma's top coefficient spills into T's leading zero only past n-k
+        erasures, where decoding fails anyway. Returns the buffers after
+        each step count of `keep`, ascending: a (len(keep), width, rows)
+        array of field elements, [i, :, r] column r after
+        min(keep[i], taus[r]) factors."""
         gf = self.params.gf
         log, exp = gf.log_table, gf.exp_table
         steps = int(taus[-1]) if len(taus) else 0
@@ -623,17 +611,13 @@ class RSCodec:
         return kept
 
     def erasure_trials(self, symbols: list, order=(), taus=(0,)) -> list[ErasedWord]:
-        """The trials of one received word, one per tau of `taus`,
-        non-negative integers in non-decreasing order: trial tau erases the
-        input erasures (None) and then order[:tau], skipping positions
-        already erased. A tau past the input erasures plus `order`, or an
-        entry of the part of `order` read that is not a position in
-        [0, n), is a CodeError.
-
-        The trials are those of `erasure_trial_rows` on the one word and its
-        distinct erased positions. They carry no locator: `solve_locators`
-        gives them theirs.
-        """
+        """The trials of one received word, those of `erasure_trial_rows`
+        on its distinct erased positions, one per tau of `taus`, integers
+        from 0 in non-decreasing order: trial tau erases the input erasures
+        (None) and then order[:tau], skipping positions already erased. A
+        tau past the input erasures plus `order`, or an entry of `order`
+        read that is not a position in [0, n), is a CodeError. They carry
+        no locator: `solve_locators` gives them theirs."""
         n = self.params.n
         if len(symbols) != n:
             raise CodeError("received word length mismatch")
@@ -665,68 +649,63 @@ class RSCodec:
                 raise _not_a_position(i, n) from None
             done = end
             counts.append(len(erased))
-        y = [[0 if s is None else s for s in symbols]]
-        trial = self.erasure_trial_rows(y, np.array([erased], dtype=np.intp), np.array([counts]))
-        return [trial(0, j) for j in range(len(counts))]
+        y = _symbol_array([[0 if s is None else s for s in symbols]], self.params.gf)
+        synd, polys = self.erasure_trial_rows(y, np.array([erased], dtype=np.intp), np.array([counts]))
+        return [ErasedWord(y[0], synd[0], erased[:count], polys[0, j]) for j, count in enumerate(counts)]
 
-    def erasure_trial_rows(self, y, positions: np.ndarray, sizes: np.ndarray):
+    def erasure_trial_rows(self, y: np.ndarray, positions: np.ndarray, sizes: np.ndarray):
         """The trials of a block of words: trial j of word r erases
-        positions[r, :sizes[r, j]], `y` being the (rows, n) hard words with
-        their input erasures read as 0, `positions` a (rows, n) array of
-        distinct positions per row, at least as many as the row's largest
-        size, and each row of `sizes` non-decreasing. GMD's trials are
-        those of `erasure_trials` with the positions of its erasure
-        sequence. Returns trial(r, j), that trial as an
-        `ErasedWord`, made when asked for: GMD asks for few of them.
-
-        S(y) is one gather for the block, and Gamma/T grow in one lock-step
-        pass of `_erase_rows`, which keeps a snapshot of the buffers at each
-        count that some trial erases: each trial's buffer is a column of
-        one, as field elements.
-        """
+        positions[r, :sizes[r, j]], `y` being the (rows, n) hard words,
+        integers in [0, q) with their input erasures read as 0, `positions`
+        distinct positions per row, and each row of `sizes` non-decreasing.
+        Returns S(y), (rows, n-k), one gather, and the trials' Gamma/T
+        buffers, laid out as `ErasedWord.polys`, a (rows, trials, 2(n-k)+4)
+        array of field elements, from one lock-step pass of `_erase_rows`
+        with a snapshot at each count that some trial erases."""
         nsyn = self.params.n - self.params.k
-        y = _symbol_array(y, self.params.gf)
         synd = self._row_products(y, self._syndrome_logs, nsyn)
         polys = np.zeros((2 * nsyn + 4, len(y)), dtype=np.intp)
         polys[1] = 1
         polys[nsyn + 3 : 2 * nsyn + 3] = synd.T
         # one snapshot per count; every row takes the largest count of
         # factors, past its trials erasing positions that none reads
-        sizes = sizes.tolist()
-        keep = sorted(set(chain.from_iterable(sizes)))
+        keep = sorted(set(sizes.ravel().tolist()))
         kept = self._erase_rows(polys, positions, np.full(len(y), keep[-1] if keep else 0), keep)
-        snapshot = {c: i for i, c in enumerate(keep)}
-        y, synd, erased, columns = list(y), list(synd), positions.tolist(), kept.transpose(2, 0, 1)
-
-        def trial(r: int, j: int) -> ErasedWord:
-            size = sizes[r][j]
-            return ErasedWord(y[r], synd[r], erased[r][:size], columns[r, snapshot[size]])
-
-        return trial
+        return synd, kept.transpose(2, 0, 1)[np.arange(len(y))[:, None], np.searchsorted(keep, sizes)]
 
     def solve_locators(self, trials: list[ErasedWord]) -> list[ErasedWord]:
-        """The trials, each with its error locator (Lambda, L) solved from
-        its Forney syndromes: in one row-batched Berlekamp-Massey pass
-        where `_row_form` says so, which needs them in non-decreasing
-        order of erasure count, as `erasure_trials` builds them, and by
-        the scalar steps per trial otherwise."""
-        nsyn = self.params.n - self.params.k
-        # the coefficients tau..n-k-1 of T = Gamma S mod x^(n-k) are the
-        # Forney syndromes, the same whatever symbols sit at the erasures
-        forney = [t.gamma_s[len(t.erased) :] for t in trials]
-        if len(trials) < 2 or not self._row_form([len(f) for f in forney]):
-            locators = [self._berlekamp_massey(f.tolist()) for f in forney]
-        else:
-            # row j: trial j's Forney syndromes, left-aligned; the columns
-            # past them are never read
-            synd = np.zeros((len(trials), nsyn), dtype=np.intp)
-            for row, f in zip(synd, forney):
-                row[: len(f)] = f
-            lam, L = self._berlekamp_massey_rows(synd, [len(f) for f in forney])
-            # deg Lambda: the index of the last nonzero coefficient
-            deg = (len(lam) - 1 - np.argmax(lam[::-1] != 0, axis=0)).tolist()
-            locators = [(c[: d + 1], l) for c, d, l in zip(lam.T.tolist(), deg, L.tolist())]
-        return [ErasedWord(t.y, t.synd, t.erased, t.polys, loc) for t, loc in zip(trials, locators)]
+        """The trials, each with its error locator (Lambda, L) from
+        `locator_rows`, which needs them in non-decreasing order of erasure
+        count, as `erasure_trials` builds them."""
+        if not trials:
+            return []
+        lam, L = self.locator_rows(np.array([t.polys for t in trials]), np.array([len(t.erased) for t in trials]))
+        deg = (lam.shape[1] - 1 - np.argmax(lam[:, ::-1] != 0, axis=1)).tolist()
+        return [replace(t, locator=(c[: d + 1], l)) for t, c, d, l in zip(trials, lam.tolist(), deg, L.tolist())]
+
+    def locator_rows(self, polys: np.ndarray, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The error locators of trials given by their Gamma/T buffers, the
+        rows of `polys`, and erasure counts `taus`, non-decreasing: Lambda
+        as the rows of a (trials, (n-k)//2 + 2) array, and L. They are
+        solved from the Forney syndromes, coefficients tau..n-k-1 of T,
+        the same whatever symbols sit at the erasures: in one row-batched
+        Berlekamp-Massey pass where `_row_form` says so, and by the scalar
+        steps per trial otherwise."""
+        gf, nsyn = self.params.gf, self.params.n - self.params.k
+        width = nsyn // 2 + 2
+        # left-aligned; the columns past a row's count are never read
+        at = np.minimum(nsyn + 3 + taus[:, None] + np.arange(nsyn), 2 * nsyn + 3)
+        forney, lengths = np.take_along_axis(polys, at, axis=1), np.maximum(nsyn - taus, 0)
+        if self._row_form(lengths.tolist()):
+            lam, L = self._berlekamp_massey_rows(forney, lengths)
+            return lam.T, L
+        lam = np.zeros((len(taus), width), dtype=gf.dtype)
+        L = np.zeros(len(taus), dtype=np.intp)
+        for r, (f, N) in enumerate(zip(forney.tolist(), lengths.tolist())):
+            coeffs, L[r] = self._berlekamp_massey(f[:N])
+            # a Lambda past W coefficients has 2L > N, which fails
+            lam[r, : min(len(coeffs), width)] = coeffs[:width]
+        return lam, L
 
     @staticmethod
     def _row_form(lengths) -> bool:

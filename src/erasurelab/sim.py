@@ -35,9 +35,10 @@ call on the (rows, k) info block, modulation, hard decision,
 unreliabilities, the row sort, the tau chooser on the (rows, n) block,
 for errors_only and fixed_tau the prediction, one `erase_most_unreliable`
 call (one stable argsort) and one `decode_ee` call on the erased block;
-in gmd mode one `gmd_decode` call on the block's `ReceivedWord`s. Every
-value is the one the frame would get alone, and the predictions are
-summed in frame order, so the output does not depend on the block size.
+in gmd mode one `gmd_decode` call on the hard symbols and
+unreliabilities. Every value is the one the frame would get alone, and
+the predictions are summed in frame order, so the output does not
+depend on the block size.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .dcf import DecoderCapability, DecoderKind
 from .gmd import gmd_decode
 from .modem import (UNRELIABILITY_CHUNK, ModemError, SquareQam, UnreliabilityLut, awgn, sigma_from_ebn0,
                     unreliability_exact, unreliability_nn)
-from .rs import CodeParams, ReceivedWord, erase_most_unreliable, require_integer
+from .rs import CodeParams, erase_most_unreliable, require_integer
 from .strategy import (
     StrategyKind,
     choose_tau,
@@ -115,7 +116,7 @@ class CampaignConfig:
         if self.unreliability not in UNRELIABILITY_METHODS:
             raise ConfigError(f"unknown unreliability method {self.unreliability!r}")
         try:
-            for db in self.ebn0_grid:  # each entry's noise level is positive and finite
+            for db in self.ebn0_grid:  # each entry's noise level is one the channel keeps finite
                 sigma_from_ebn0(db, self.code.q, self.code.n, self.code.k)
         except TypeError:
             raise ConfigError(f"ebn0_grid must be a sequence of numbers, got {self.ebn0_grid!r}") from None
@@ -427,7 +428,8 @@ class _FrameRunner:
         block's streams, each drawn per frame; one `encode` call encodes
         the block, one `erase_most_unreliable` call erases each frame's tau
         most unreliable symbols and one `decode_ee` call decodes the
-        result, or in gmd mode one `gmd_decode` call the received words."""
+        result, or in gmd mode one `gmd_decode` call the hard symbols and
+        unreliabilities."""
         cfg, code, qam = self.cfg, self.cfg.code, self.qam
         rngs = _frame_rng(cfg.seed, self.point_index, range(lo, hi))
         sent = self.codec.encode(_info_symbols(rngs, code.k, code.gf.m))
@@ -439,7 +441,7 @@ class _FrameRunner:
         h = unreliability(points, qam, self.sigma, cfg.unreliability, self.lut).reshape(y.shape[:2])
 
         if cfg.mode == "gmd":
-            out = gmd_decode([ReceivedWord(r, hr) for r, hr in zip(received.tolist(), h)], self.codec)
+            out = gmd_decode(received, self.codec, h)
             predicted = [math.nan] * len(out)
         else:
             h_sorted = np.sort(h, axis=1)[:, ::-1]

@@ -15,9 +15,14 @@ def result(fps: float, rss: float, failed: int = 0) -> str:
     }})
 
 
-#: four pairs, each side first in turn as ab_bench.sh runs them, and a
-#: line that is not a pair
+MACHINE = {"cores": 2, "python": "3.11.7", "numpy": "2.4.6", "platform": "Linux-x86_64"}
+REVISIONS = {"parent": "a" * 40, "change": "b" * 40, "change_dirty": True}
+
+#: the machine and revisions lines, then four pairs, each side first in
+#: turn as ab_bench.sh runs them, and a line that is not a pair
 CANNED = [
+    f"machine {json.dumps(MACHINE)}",
+    f"revisions {json.dumps(REVISIONS)}",
     f"rev 1 {result(100.0, 50.0)}",
     f"tree 1 {result(150.0, 51.0)}",
     f"tree 2 {result(160.0, 49.0)}",
@@ -30,8 +35,8 @@ CANNED = [
 ]
 
 
-def summary(*args):
-    out = subprocess.run([sys.executable, str(SCRIPT), *args], input="\n".join(CANNED) + "\n",
+def summary(*args, lines=CANNED):
+    out = subprocess.run([sys.executable, str(SCRIPT), *args], input="\n".join(lines) + "\n",
                          capture_output=True, text=True, check=True)
     return out.stdout
 
@@ -53,13 +58,23 @@ def test_ab_summary_json():
     assert s["change_over_parent_median"]["frames_per_s.adaptive"] == 155.0 / 105.0
     assert s["change_wins_of_pairs"] == {"frames_per_s.adaptive": 3, "peak_rss_mb": 2}
     assert "vectors_per_s.nn" not in s["change_over_parent_median"]
+    assert s["machine"] == MACHINE and s["revisions"] == REVISIONS
+
+
+def test_ab_summary_without_facts():
+    """Pairs without the machine and revisions lines summarise the same,
+    the facts null."""
+    s = json.loads(summary("--json", lines=CANNED[2:]))
+    assert s["machine"] is None and s["revisions"] is None
+    assert s["change_wins_of_pairs"] == json.loads(summary("--json"))["change_wins_of_pairs"]
 
 
 def test_ab_summary_table():
     """The text form prints one row per metric with the ratio and the
     wins out of the pairs."""
     lines = summary().splitlines()
-    assert lines[0].startswith("4 pairs;")
+    assert lines[0] == f"parent {'a' * 40}, change {'b' * 40} with uncommitted changes"
+    assert lines[1].startswith("4 pairs;")
     row = next(line for line in lines if line.startswith("frames_per_s.adaptive"))
     assert row.split()[-2:] == ["1.476", "3/4"]
     assert any(line.startswith("peak_rss_mb") and line.endswith(" 2/4") for line in lines)

@@ -271,7 +271,10 @@ def test_strategy_command_sampled(capsys):
     ("--sample", ["--sample=-inf"]),  # an infinite sigma
     ("--sample", ["--sample=nan"]),
     ("--sample", ["--sample=-1e300"]),  # sigma overflows
-], ids=["negative-seed", "inf", "minus-inf", "nan", "overflow"])
+    ("--sample", ["--sample=-2900"]),  # sigma past SIGMA_MAX
+    ("--sample", ["--sample=-400"]),
+    ("--sample", ["--sample=3200"]),  # sigma below SIGMA_MIN
+], ids=["negative-seed", "inf", "minus-inf", "nan", "overflow", "-2900dB", "-400dB", "3200dB"])
 def test_strategy_sample_rejects_bad_inputs(capsys, flag, argv):
     """A sampled vector needs a non-negative seed and an Eb/N0 with a
     positive, finite noise level: anything else is one `error:` line naming
@@ -293,10 +296,16 @@ def test_strategy_sample_rejects_bad_inputs(capsys, flag, argv):
     (["simulate", "--m", "4", "--n", "15", "--k", "7", "--frames", "1", "--ebn0-grid=9,-1e300"],
      "ebn0_grid entry -1e+300"),
     (["predict", "--m", "4", "--n", "15", "--k", "7", "--ebn0-grid=1e300"], "ebn0_grid entry 1e+300"),
-], ids=["lut-overflow", "lut-zero", "lut-sigma-nan", "lut-sigma-inf", "simulate", "predict"])
+    (["lut", "--qam", "16", "--ebn0=-2900"], "Eb/N0 -2900.0 dB gives noise level "),  # past SIGMA_MAX
+    (["lut", "--qam", "16", "--ebn0=-400"], "Eb/N0 -400.0 dB gives noise level "),
+    (["lut", "--qam", "16", "--ebn0=3200"], "Eb/N0 3200.0 dB gives noise level "),  # below SIGMA_MIN
+    (["lut", "--qam", "16", "--sigma=1e-200"], "got 1e-200"),
+], ids=["lut-overflow", "lut-zero", "lut-sigma-nan", "lut-sigma-inf", "simulate", "predict",
+        "lut--2900dB", "lut--400dB", "lut-3200dB", "lut-sigma-tiny"])
 def test_noise_level_out_of_range_is_an_error(tmp_path, capsys, argv, shown):
-    """An Eb/N0 whose noise level is 0 or overflows, or a nan or infinite
-    sigma, is one `error:` line and exit status 2 before any work: no
+    """An Eb/N0 whose noise level is 0, overflows or lies outside the range
+    the channel keeps finite, [SIGMA_MIN, SIGMA_MAX], or a sigma outside
+    it, is one `error:` line and exit status 2 before any work: no
     traceback and no file."""
     out = tmp_path / "x.txt"
     with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from erasurelab import gmd
 from erasurelab.gf import GF
 from erasurelab.gmd import default_schedule, gmd_decode, trial_sequences
 from erasurelab.modem import SquareQam, awgn, sigma_from_ebn0, unreliability_exact
@@ -221,7 +222,7 @@ def test_gmd_matches_per_trial_erasure(m, n, k, dbs, frames, garbage, monkeypatc
         words.insert(3, ReceivedWord(y, h))
     decode_ee = codec.decode_ee
     decoded = []  # the trials each word decodes alone
-    monkeypatch.setattr(codec, "decode_ee", lambda w: decoded.append(len(w)) or decode_ee(w))
+    monkeypatch.setattr(codec, "decode_ee", lambda w: decoded.append(len(w.taus)) or decode_ee(w))
     outcomes = Counter()
     wants, trials = [], Counter()
     recurring = 0
@@ -262,19 +263,20 @@ def test_trial_rows_match_erasure_trials():
         codec = code.codec
         words = [ReceivedWord(r, h) for r, h in gmd_test_words(code, codec, dbs, min(frames, 30), garbage,
                                                                 np.random.default_rng(13))]
-        y, known, sequences, sizes = trial_sequences(words, codec)
-        trial = codec.erasure_trial_rows(y, sequences, sizes)
+        y = np.array([[0 if s is None else s for s in word.symbols] for word in words])
+        h = np.array([word.unreliability for word in words])
+        known, sequences, sizes = trial_sequences(y, h, np.equal([word.symbols for word in words], None),
+                                                  code.d_min)
+        synd, polys = codec.erasure_trial_rows(y, sequences, sizes)
         inputs = 0
         for r, (word, known_r) in enumerate(zip(words, known.tolist())):
             want = codec.erasure_trials(word.symbols, erasure_order(word.unreliability),
                                         default_schedule(code.d_min))
             assert sizes.shape[1] == len(want)
             for j, trial_j in enumerate(want):
-                got = trial(r, j)
-                assert got.erased == trial_j.erased
-                assert np.array_equal(got.polys, trial_j.polys)
-                assert np.array_equal(got.y, trial_j.y) and np.array_equal(got.synd, trial_j.synd)
-                assert got.locator is None
+                assert sequences[r, : sizes[r, j]].tolist() == trial_j.erased
+                assert np.array_equal(polys[r, j], trial_j.polys)
+                assert np.array_equal(y[r], trial_j.y) and np.array_equal(synd[r], trial_j.synd)
             assert known_r == [-1 if s is None else s for s in word.symbols]
             inputs += None in word.symbols
         assert inputs > 0
@@ -310,6 +312,81 @@ def test_gmd_block_peak_stays_bounded():
     assert 0 < sum(o == cw for o, cw in zip(out, sent)) < 256
 
 
+@pytest.mark.parametrize("m, n, k, dbs, frames, garbage", [GMD_CASES[0], (8, 255, 144, (15.0, 16.0), 2, 1)])
+def test_array_entry_matches_words_and_reference(m, n, k, dbs, frames, garbage, monkeypatch):
+    """gmd_decode of (rows, n) symbols and unreliabilities gives the
+    codewords of reference_gmd, the per-trial loop on the scalar codec, and
+    of the same words as ReceivedWords: words with ties in h, h all zero
+    and garbage, and at RS(16;15,7) the score tie of tie_word; in blocks of
+    1, 5, 6 and 7 rows and all at once, and in chunks of 3 frames
+    (gmd.TRIAL_ENTRIES made small), where the words with input erasures
+    (None) go as ReceivedWords."""
+    code = CodeParams(GF(m), n, k)
+    codec, ref = RSCodec(code), ScalarRSCodec(code)
+    taus = default_schedule(code.d_min)
+    words = [ReceivedWord(r, h) for r, h in gmd_test_words(code, codec, dbs, frames, garbage,
+                                                            np.random.default_rng(19))]
+    if n == 15:
+        y, h, a, _ = tie_word(codec, code)
+        words.insert(2, ReceivedWord(y, h))
+    outcomes = Counter()
+    want = [reference_gmd(word, ref, taus, outcomes) for word in words]
+    assert n != 15 or (want[2] == a and outcomes["tie"] > 0)
+    whole = [w for w in words if None not in w.symbols]
+    y, h = np.array([w.symbols for w in whole]), np.array([w.unreliability for w in whole])
+    want_whole = [c for w, c in zip(words, want) if None not in w.symbols]
+    assert len(whole) < len(words)
+    for size in (1, 5, 6, 7, len(y)):
+        got = [c for lo in range(0, len(y), size)
+               for c in gmd_decode(y[lo : lo + size], codec, h[lo : lo + size])]
+        assert got == want_whole, size
+    assert gmd_decode(whole, codec) == want_whole
+    monkeypatch.setattr(gmd, "TRIAL_ENTRIES", 3 * len(taus) * (2 * (n - k) + 4))
+    assert gmd_decode(y, codec, h) == want_whole
+    assert gmd_decode(words, codec) == want
+
+
+@pytest.mark.parametrize("y, h", [
+    (np.zeros((2, 14), dtype=int), np.zeros((2, 15))),  # shapes differ
+    (np.zeros((1, 15), dtype=int), np.zeros((2, 15))),
+    (np.zeros(15, dtype=int), np.zeros(15)),  # not a block
+    (np.full((2, 15), 16), np.zeros((2, 15))),  # a symbol past q - 1
+    (np.full((2, 15), -1), np.zeros((2, 15))),
+    (np.full((2, 15), 1.0), np.zeros((2, 15))),  # not integers
+    (np.zeros((2, 15), dtype=int), np.full((2, 15), np.nan)),
+    (np.zeros((2, 15), dtype=int), np.full((2, 15), -0.1)),
+    (np.zeros((2, 15), dtype=int), np.full((2, 15), 1.0)),
+], ids=["columns", "rows", "one-word", "symbol-q", "symbol-negative", "symbol-float", "h-nan", "h-negative",
+        "h-one"])
+def test_array_entry_rejects_bad_blocks(codec, y, h):
+    """The array entry takes (rows, n) integer symbols in [0, q) and
+    unreliabilities in [0, 1) of the same shape, and anything else is a
+    CodeError before any decoding; a clean block decodes to itself."""
+    with pytest.raises(CodeError):
+        gmd_decode(y, codec, h)
+    assert gmd_decode(np.zeros((2, 15), dtype=np.uint8), codec, np.zeros((2, 15))) == [[0] * 15] * 2
+
+
+def test_gmd_short_block_peak_stays_bounded(code, codec):
+    """One 256-frame RS(16;15,7) block at 9 dB decodes from its arrays with
+    a traced peak under 0.9 MB (it measures 0.66; the same block as
+    ReceivedWords took 1.05 MB when each trial was an ErasedWord)."""
+    qam, rng = SquareQam(code.q), np.random.default_rng(23)
+    sigma = sigma_from_ebn0(9.0, code.q, code.n, code.k)
+    sent = codec.encode(rng.integers(0, code.q, (256, code.k)))
+    points = awgn(qam.modulate(sent), sigma, rng).reshape(-1, 2)
+    y = qam.hard_decision(points).reshape(256, code.n)
+    h = unreliability_exact(points, qam, sigma).reshape(256, code.n)
+    tracemalloc.start()
+    try:
+        out = gmd_decode(y, codec, h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.9 * 2**20, peak
+    assert 200 < sum(o == cw for o, cw in zip(out, sent)) < 256
+
+
 def radius_holds(trial, cand, nsyn):
     """The BMD radius rule: 2 |{i not erased : y_i != c_i}| + |X| <= n - k
     for the trial with erased set X."""
@@ -334,8 +411,9 @@ def test_skip_rule_matches_decoding_every_trial(m, n, k, dbs, frames, garbage, m
     code = CodeParams(GF(m), n, k)
     codec, nsyn = RSCodec(code), n - k
     decode_ee = codec.decode_ee
-    decoded = []
-    monkeypatch.setattr(codec, "decode_ee", lambda w: decoded.extend(w) or decode_ee(w))
+    decoded = []  # the erased positions of each trial decoded, a row of a block
+    monkeypatch.setattr(codec, "decode_ee", lambda w: decoded.extend(
+        w.order[r, :tau].tolist() for r, tau in enumerate(w.taus.tolist())) or decode_ee(w))
     cases = Counter()
     words, expected = [], 0
     for r, h in gmd_test_words(code, codec, dbs, frames, garbage, np.random.default_rng(11)):
@@ -356,7 +434,7 @@ def test_skip_rule_matches_decoding_every_trial(m, n, k, dbs, frames, garbage, m
                 want.append(j)
         decoded.clear()
         gmd_decode(ReceivedWord(r, h), codec)
-        assert [t.erased for t in decoded] == [trials[j].erased for j in want]
+        assert decoded == [trials[j].erased for j in want]
         words.append(ReceivedWord(r, h))
         expected += len(want)
     assert cases["new"] > 0 and cases["failed"] > 0

@@ -635,12 +635,31 @@ def block_rows(codec, rng, count):
     return rows
 
 
+def trial_block(codec, words) -> ErasedBlock:
+    """The ErasedBlock of a list of trials and received words, a received
+    word read as its one trial: each row carries its S(y), Gamma/T and
+    locator, solved by solve_locators where the trial has none, the
+    locators' columns as many as the longest needs."""
+    trials = [w if isinstance(w, ErasedWord) else codec.erasure_trials(w.symbols)[0] for w in words]
+    trials = [t if t.locator else codec.solve_locators([t])[0] for t in trials]
+    taus = np.array([len(t.erased) for t in trials])
+    order = np.zeros((len(trials), taus.max(initial=0)), dtype=np.intp)
+    lam = np.zeros((len(trials), max(len(t.locator[0]) for t in trials)), dtype=np.intp)
+    for r, t in enumerate(trials):
+        order[r, : len(t.erased)] = t.erased
+        lam[r, : len(t.locator[0])] = t.locator[0]
+    return ErasedBlock(np.array([t.y for t in trials]), order, taus, np.array([t.synd for t in trials]),
+                       np.array([t.polys for t in trials]), lam, np.array([t.locator[1] for t in trials]))
+
+
 @pytest.mark.parametrize("m, n, k, count", [(4, 15, 7, 600), (8, 255, 144, 60)])
 def test_decode_ee_block_matches_per_word_and_scalar(m, n, k, count):
-    """decode_ee of a block of words, in random order, gives each word's
-    decode_ee and the scalar codec's result on the word with the trial's
-    erasures as None; a six-word block takes the scalar Berlekamp-Massey
-    form, the whole block the row form. The block's rows
+    """decode_ee of a block of words, in random order, as an ErasedBlock of
+    trials that carry S(y), Gamma/T and locators (trial_block), gives each
+    word's decode_ee and the scalar codec's result on the word with the
+    trial's erasures as None; so does the list of them, word by word. A
+    six-word block takes the scalar Berlekamp-Massey form, the whole block
+    the row form. The block's rows
     meet every exit of the decoder: clean, more than n-k erasures, 2L > N,
     deg Lambda != L, too few Chien roots, a root at an erasure,
     S(e) != S(y) and corrected."""
@@ -650,9 +669,9 @@ def test_decode_ee_block_matches_per_word_and_scalar(m, n, k, count):
     rows = block_rows(codec, rng, count)
     rows = [rows[i] for i in rng.permutation(len(rows))]
     words = [w for w, _ in rows]
-    got = codec.decode_ee(words)
-    assert got == [codec.decode_ee(w) for w in words]
-    assert codec.decode_ee(words[:6]) == got[:6]
+    got = codec.decode_ee(trial_block(codec, words))
+    assert got == [codec.decode_ee(w) for w in words] == codec.decode_ee(words)
+    assert codec.decode_ee(trial_block(codec, words[:6])) == got[:6]
     assert codec._row_form([n - k] * count) and not codec._row_form([n - k] * 6)
     cases = Counter()
     for (word, symbols), out in zip(rows, got):
@@ -674,8 +693,8 @@ def test_decode_ee_block_matches_per_word_and_scalar(m, n, k, count):
 def test_decode_ee_block_of_trials_matches_each_trial(m, n, k, words):
     """A block of the trials that erasure_trials builds for GMD schedules,
     half of them solved by solve_locators, shuffled among received words,
-    decodes as each word alone: the rows that carry S(y) and Gamma/T are
-    decoded from them, the received words' from their symbols. Words with
+    decodes as each word alone, as an ErasedBlock (trial_block) of rows
+    that carry S(y), Gamma/T and the locator, and as a list word by word. Words with
     input erasures and up to twice the errors the radius takes."""
     params = CodeParams(GF(m), n, k)
     codec = params.codec
@@ -690,8 +709,8 @@ def test_decode_ee_block_of_trials_matches_each_trial(m, n, k, words):
         block += [t if rng.integers(0, 2) else s for t, s in zip(trials, solved)]
         block.append(ReceivedWord(symbols, np.zeros(n)))
     block = [block[i] for i in rng.permutation(len(block))]
-    got = codec.decode_ee(block)
-    assert got == [codec.decode_ee(w) for w in block]
+    got = codec.decode_ee(trial_block(codec, block))
+    assert got == [codec.decode_ee(w) for w in block] == codec.decode_ee(block)
     found = [c is not None for c in got]
     assert any(found) and not all(found)
     assert sum(isinstance(w, ErasedWord) and w.locator is not None for w in block) > 0

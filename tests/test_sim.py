@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from erasurelab import sim
 from erasurelab.dcf import DecoderCapability, DecoderKind
 from erasurelab.gf import GF
-from erasurelab.modem import SquareQam, awgn, sigma_from_ebn0
+from erasurelab.modem import SIGMA_MAX, SIGMA_MIN, SquareQam, awgn, sigma_from_ebn0
 from erasurelab.gmd import gmd_decode
 from erasurelab.rs import CodeParams, ReceivedWord, RSCodec, erase_most_unreliable
 from erasurelab.sim import (
@@ -108,14 +109,34 @@ def test_config_validation(code):
 
 
 @pytest.mark.parametrize("mode", ["errors_only", "semi_simulative"])
-@pytest.mark.parametrize("db, level", [(-1e300, "inf"), (1e300, "0.0"), (-3100.0, "inf"), (3300.0, "0.0")])
+@pytest.mark.parametrize("db, level", [(-1e300, "inf"), (1e300, "0.0"), (-3100.0, "inf"), (3300.0, "0.0"),
+                                       (-2900.0, "5.17"), (-400.0, "5.17"), (3200.0, "5.17")])
 def test_config_rejects_noise_level_out_of_range(code, mode, db, level):
-    """An Eb/N0 entry whose noise level overflows (below about -3000 dB)
-    or is 0 (above about +3200 dB) fails when the config is built, naming
-    the entry, not as an OverflowError or a ModemError deep in the run."""
+    """An Eb/N0 entry whose noise level overflows (below about -3000 dB),
+    is 0 (above about +3200 dB) or lies outside [SIGMA_MIN, SIGMA_MAX]
+    (below about -245 dB or above about +2990 dB at RS(16;15,7)) fails when
+    the config is built, naming the entry and the level, not as an
+    OverflowError, a ModemError or a floating-point warning deep in the
+    run."""
     with pytest.raises(ConfigError, match=re.escape(f"ebn0_grid entry {db}: ") + ".* noise level " + level):
         CampaignConfig(code, ebn0_grid=(9.0, db), mode=mode)
-    assert 0 < sigma_from_ebn0(3000.0, 16, 15, 7) and math.isfinite(sigma_from_ebn0(-3000.0, 16, 15, 7))
+    assert SIGMA_MIN <= sigma_from_ebn0(2990.0, 16, 15, 7) < sigma_from_ebn0(-245.0, 16, 15, 7) <= SIGMA_MAX
+
+
+@pytest.mark.parametrize("db", [-245.0, 2990.0])
+@pytest.mark.parametrize("mode, method", [("errors_only", "exact"), ("adaptive", "lut"), ("gmd", "nn"),
+                                          ("semi_simulative", "exact"), ("semi_simulative", "lut")])
+def test_noise_level_range_keeps_the_channel_finite(code, db, mode, method):
+    """At the two ends of the Eb/N0 range that sigma_from_ebn0 accepts,
+    all noise and none, every mode and unreliability method runs with no
+    floating-point warning (the hard decision's cast to int64, the
+    squared distances over 2 sigma^2) and every frame or vector fails or
+    decodes."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (point,) = run_campaign(make_cfg(code, ebn0_grid=(db,), mode=mode, unreliability=method,
+                                         max_frames=256, samples=64))
+    assert point.fer > 0.99 if db < 0 else point.fer == 0.0
 
 
 @pytest.mark.parametrize("mode, fixed_tau, match", [
