@@ -8,6 +8,15 @@ axis-adjacent neighbors). Both sum the off-decision likelihoods s relative
 to the hard decision's and return s / (1 + s), so tiny unreliabilities keep
 their precision. The nearest-neighbor values can be tabulated in a small
 symmetry-reduced lookup table.
+
+The exact kernel sorts no array. Its squared distances are levels-major,
+one row per level and one column per received coordinate, and each column
+falls and then rises along the levels (V-shaped), so a bitonic merger of
+log2 L min/max layers sorts it. Its off-decision likelihoods are then added
+row by row in the order numpy's add.reduce uses along a contiguous axis, so
+every h equals, bit for bit, the sort-and-sum form it replaced. Both rest on
+numpy: a numpy that changes its reduction order or its exp loops fails the
+differential test against that form (tests/scalar_modem.py), not silently.
 """
 
 from __future__ import annotations
@@ -26,12 +35,24 @@ class ModemError(ValueError):
 # received points per call of an unreliability kernel: few enough that each
 # call's temporaries stay under glibc's mmap threshold, so they are reused
 # from the heap instead of mapped and page-faulted afresh (the chunking also
-# bounds the exact method's (N, 2, L) arrays and a table build's peak)
+# bounds a table build's peak)
 UNRELIABILITY_CHUNK = 1 << 14
+# squared distances (levels x coordinates) per block of the exact kernel:
+# its two (L, C) blocks of distance rows take 128 kB each and stay in the
+# core's cache through the merge layers; at a whole chunk they would take
+# 4 MB each at 256-QAM and stream through memory on every layer
+EXACT_BLOCK = 1 << 14
 #: the noise levels the channel keeps finite, with a factor 1000 to spare
 #: (about -245 to +2990 dB): above SIGMA_MAX a hard decision's index
 #: overflows int64, below SIGMA_MIN a squared distance over 2 sigma^2
 SIGMA_MIN, SIGMA_MAX = 1e-150, 1e12
+
+
+def check_sigma(sigma: float) -> None:
+    """A ModemError unless the noise level lies in [SIGMA_MIN, SIGMA_MAX]
+    (NaN fails too); every unreliability kernel and table build calls it."""
+    if not SIGMA_MIN <= sigma <= SIGMA_MAX:
+        raise ModemError(f"sigma must lie in [{SIGMA_MIN:g}, {SIGMA_MAX:g}], got {sigma}")
 
 
 def sigma_from_ebn0(ebn0_db: float, alphabet_size: int, n: int, k: int) -> float:
@@ -121,21 +142,77 @@ def unreliability_exact(y: np.ndarray, qam: SquareQam, sigma: float) -> np.ndarr
     The Gaussian likelihood factors per axis, so the total mass relative to
     the nearest point is (1 + Sx)(1 + Sy), where S sums an axis's other
     levels: O(L) per symbol and no hard decision needed.
+
+    The squared distances form (L, C) blocks, a row per level and a column
+    per received coordinate (x and y of each point in turn), EXACT_BLOCK
+    entries each. fl(v - l_j) is monotone in j and fl(x^2) monotone in |x|,
+    so every column is V-shaped and `_merge_levels` sorts it without a sort.
+    The likelihoods of rows 1 .. L-1 relative to row 0 are added in numpy's
+    reduction order (`_add_rows`), so h is bit-identical to sorting each
+    (point, axis) row of distances and summing its likelihoods along it.
     """
-    if sigma <= 0:
-        raise ModemError("sigma must be > 0")
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    d = np.sort((y[:, :, None] - qam.levels) ** 2, axis=-1)  # (N, 2, L)
-    s_axis = np.exp((d[:, :, :1] - d[:, :, 1:]) / (2.0 * sigma * sigma)).sum(axis=-1)
-    sx, sy = s_axis[:, 0], s_axis[:, 1]
+    check_sigma(sigma)
+    v = np.asarray(y, dtype=float).reshape(-1)
+    s = np.empty(len(v))
+    levels = qam.levels[:, None]
+    two_s2 = 2.0 * sigma * sigma
+    step = EXACT_BLOCK // qam.L
+    for lo in range(0, len(v), step):
+        d = v[lo : lo + step] - levels
+        np.square(d, out=d)
+        d = _merge_levels(d)
+        e = d[1:]
+        np.subtract(d[0], e, out=e)
+        np.divide(e, two_s2, out=e)
+        np.exp(e, out=e)
+        _add_rows(e, out=s[lo : lo + step])
+    sx, sy = s[0::2], s[1::2]
     return _posterior(sx + sy + sx * sy)
+
+
+def _merge_levels(d: np.ndarray) -> np.ndarray:
+    """The columns of the (L, C) array d sorted ascending, each column being
+    bitonic (here V-shaped): Batcher's bitonic merger in Stone's
+    perfect-shuffle form. Every layer compares row p with row p + L/2 and
+    writes the min to row 2p and the max to row 2p + 1 of the other of two
+    blocks, so a layer is one np.minimum and one np.maximum on slices; after
+    log2 L layers the rows are back in order. Overwrites d."""
+    half = len(d) // 2
+    other = np.empty_like(d)
+    for _ in range(half.bit_length()):
+        np.minimum(d[:half], d[half:], out=other[0::2])
+        np.maximum(d[:half], d[half:], out=other[1::2])
+        d, other = other, d
+    return d
+
+
+def _add_rows(e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The column sums of the n rows of e, added as numpy's pairwise sum adds
+    n contiguous terms: in turn below 8 terms (a reduce along axis 0 adds
+    the rows one by one); up to 128, 8 running sums of every eighth term,
+    joined pairwise, then the rest in turn; above 128, the sums of two parts
+    split at a multiple of 8 near the middle. Overwrites the rows."""
+    n = len(e)
+    if n < 8:
+        return np.add.reduce(e, axis=0, out=out)
+    if n <= 128:
+        r = e[:8]
+        top = n - n % 8
+        for i in range(8, top, 8):
+            np.add(r, e[i : i + 8], out=r)
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), into row top - 1
+        np.add(r[0::2], r[1::2], out=r[1::2])
+        np.add(r[1::4], r[3::4], out=r[3::4])
+        np.add(r[3], r[7], out=e[top - 1])
+        return np.add.reduce(e[top - 1 :], axis=0, out=out)
+    half = n // 2 - n // 2 % 8
+    return np.add(_add_rows(e[:half]), _add_rows(e[half:]), out=out)
 
 
 def unreliability_nn(y: np.ndarray, qam: SquareQam, sigma: float) -> np.ndarray:
     """Approximate unreliability: denominator over the hard decision and
     its axis-adjacent neighbors only."""
-    if sigma <= 0:
-        raise ModemError("sigma must be > 0")
+    check_sigma(sigma)
     y = np.atleast_2d(np.asarray(y, dtype=float))
     ix, iy = qam.hard_decision_indices(y)
     lx = qam.levels[ix]
@@ -215,8 +292,7 @@ class UnreliabilityLut:
 
     @classmethod
     def build(cls, qam: SquareQam, sigma: float, bits_per_axis: int) -> "UnreliabilityLut":
-        if not SIGMA_MIN <= sigma <= SIGMA_MAX:
-            raise ModemError(f"sigma must lie in [{SIGMA_MIN:g}, {SIGMA_MAX:g}], got {sigma}")
+        check_sigma(sigma)
         L = qam.L
         cells = _cells_per_region(L, bits_per_axis)
         centre = (np.arange(cells) + 0.5) * (2.0 * qam.scale / cells) - qam.scale

@@ -52,8 +52,8 @@ import numpy as np
 
 from .dcf import DecoderCapability, DecoderKind
 from .gmd import gmd_decode
-from .modem import (UNRELIABILITY_CHUNK, ModemError, SquareQam, UnreliabilityLut, awgn, sigma_from_ebn0,
-                    unreliability_exact, unreliability_nn)
+from .modem import (UNRELIABILITY_CHUNK, ModemError, SquareQam, UnreliabilityLut, awgn, check_sigma,
+                    sigma_from_ebn0, unreliability_exact, unreliability_nn)
 from .rs import CodeParams, erase_most_unreliable, require_integer
 from .strategy import (
     StrategyKind,
@@ -211,9 +211,9 @@ def sample_unreliability_vectors(
     rng: np.random.Generator,
     method: str = "nn",
 ) -> np.ndarray:
-    """Sorted (non-increasing) unreliability vectors of random transmissions."""
-    if sigma <= 0:
-        raise ValueError("sigma must be > 0")
+    """Sorted (non-increasing) unreliability vectors of random transmissions;
+    a ModemError, before anything is drawn, for a sigma that no kernel takes."""
+    check_sigma(sigma)
     sym = rng.integers(0, qam.M, size=count * n)
     y = awgn(qam.modulate(sym), sigma, rng)
     lut = UnreliabilityLut.build(qam, sigma, LUT_BITS) if method == "lut" else None

@@ -5,6 +5,10 @@ lookup table replaced, kept verbatim apart from their names:
 
 * `tensor_unreliability_exact` - the exact posterior over an (N, L, L)
   tensor of squared distances, normalized by its maximum exponent;
+* `sorted_unreliability_exact` - the separable exact posterior that sorts
+  each (point, axis) row of squared distances and sums its exponentials
+  along that row, which the sort-free levels-major kernel reproduces bit
+  for bit;
 * `scalar_h_nn` - the scalar nearest-neighbor posterior of one cell centre,
   with the three neighbor lists of the interior, edge and corner regions;
 * `scalar_lut_entries` - the table that `UnreliabilityLut.build` filled
@@ -21,7 +25,7 @@ import math
 
 import numpy as np
 
-from erasurelab.modem import CORNER, EDGE, INTERIOR, SquareQam
+from erasurelab.modem import CORNER, EDGE, INTERIOR, ModemError, SquareQam, _posterior
 
 
 def tensor_unreliability_exact(y: np.ndarray, qam: SquareQam, sigma: float) -> np.ndarray:
@@ -36,6 +40,22 @@ def tensor_unreliability_exact(y: np.ndarray, qam: SquareQam, sigma: float) -> n
     denom = np.exp(e - m).sum(axis=(1, 2))
     # the hard decision achieves the max exponent, so its shifted likelihood is 1
     return 1.0 - 1.0 / denom
+
+
+def sorted_unreliability_exact(y: np.ndarray, qam: SquareQam, sigma: float) -> np.ndarray:
+    """Exact unreliability: posterior over the full constellation.
+
+    The Gaussian likelihood factors per axis, so the total mass relative to
+    the nearest point is (1 + Sx)(1 + Sy), where S sums an axis's other
+    levels: O(L) per symbol and no hard decision needed.
+    """
+    if sigma <= 0:
+        raise ModemError("sigma must be > 0")
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    d = np.sort((y[:, :, None] - qam.levels) ** 2, axis=-1)  # (N, 2, L)
+    s_axis = np.exp((d[:, :, :1] - d[:, :, 1:]) / (2.0 * sigma * sigma)).sum(axis=-1)
+    sx, sy = s_axis[:, 0], s_axis[:, 1]
+    return _posterior(sx + sy + sx * sy)
 
 
 def scalar_h_nn(u: float, v: float, nbrs: list[tuple[float, float]], two_s2: float) -> float:

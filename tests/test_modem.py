@@ -10,6 +10,8 @@ from erasurelab.modem import (
     CORNER,
     EDGE,
     INTERIOR,
+    SIGMA_MAX,
+    SIGMA_MIN,
     ModemError,
     SquareQam,
     UnreliabilityLut,
@@ -18,8 +20,15 @@ from erasurelab.modem import (
     unreliability_exact,
     unreliability_nn,
 )
+from erasurelab.sim import sample_unreliability_vectors
 
-from scalar_modem import canonical_key, loop_label_maps, scalar_lut_entries, tensor_unreliability_exact
+from scalar_modem import (
+    canonical_key,
+    loop_label_maps,
+    scalar_lut_entries,
+    sorted_unreliability_exact,
+    tensor_unreliability_exact,
+)
 
 #: (M, bits per axis) of the lookup-table differential tests
 LUT_CASES = [(4, 8), (16, 6), (16, 8), (64, 8), (256, 8), (256, 9)]
@@ -146,6 +155,78 @@ def test_exact_matches_tensor_reference(M, ebn0_db):
     pts = np.concatenate([y, both, one])
     diff = np.abs(unreliability_exact(pts, qam, sigma) - tensor_unreliability_exact(pts, qam, sigma))
     assert diff.max() <= 1e-15
+
+
+def _exact_inputs(qam: SquareQam, sigma: float, rng: np.random.Generator) -> dict:
+    """Received points of every kind the exact kernel's merge and sum must
+    get right: ties (midpoints), their neighbours one ulp away, points on
+    the levels, far outside the constellation, a lone point, none, and
+    enough noisy points to fill several blocks and part of another."""
+    L = qam.L
+    mids = (qam.levels[:-1] + qam.levels[1:]) / 2.0
+    on_mid = mids[rng.integers(0, L - 1, (400, 2))]
+    far = rng.uniform(10.0, 1000.0, (400, 2)) * rng.choice([-1.0, 1.0], (400, 2))
+    return {
+        "noisy": awgn(qam.modulate(rng.integers(0, qam.M, 5000)), sigma, rng),
+        "uniform": rng.uniform(-2.0, 2.0, (2000, 2)),
+        "levels": qam.levels[rng.integers(0, L, (400, 2))],
+        "midpoints": on_mid,
+        "above_midpoints": np.nextafter(on_mid, np.inf),
+        "below_midpoints": np.nextafter(on_mid, -np.inf),
+        "midpoint_and_level": np.stack([on_mid[:, 0], qam.levels[rng.integers(0, L, 400)]], -1),
+        "far_out": far,
+        "one_point": rng.uniform(-1.0, 1.0, (1, 2)),
+        "empty": np.empty((0, 2)),
+    }
+
+
+@pytest.mark.parametrize("M", [4, 16, 64, 256, 1024, 65536])
+@pytest.mark.parametrize("sigma", [
+    SIGMA_MIN, 1e-3, 0.05, 3.0, SIGMA_MAX,
+    sigma_from_ebn0(9.0, 16, 15, 7), sigma_from_ebn0(17.0, 256, 255, 144),
+    sigma_from_ebn0(30.0, 1024, 255, 223),
+], ids=["sigma_min", "1e-3", "0.05", "3", "sigma_max", "9dB_16qam", "17dB_256qam", "30dB_1024qam"])
+def test_exact_bit_identical_to_sorted_reference(M, sigma):
+    """The sort-free kernel (levels-major rows, a bitonic merge, the sum in
+    numpy's reduction order) gives every h exactly as the kernel that sorted
+    each (point, axis) row: at L = 8 the sum is 7 terms in turn, at L = 16
+    and 32 (15 and 31 terms) it is numpy's 8-way pairwise sum, and at
+    L = 256 (255 terms) that sum over two parts of 120 and 135 terms. A
+    numpy whose reduction order or exp loops differ fails here."""
+    qam = SquareQam(M)
+    rng = np.random.default_rng(M)
+    for kind, y in _exact_inputs(qam, sigma, rng).items():
+        h = unreliability_exact(y, qam, sigma)
+        assert h.shape == (len(y),), kind
+        assert np.array_equal(h, sorted_unreliability_exact(y, qam, sigma)), kind
+
+
+@pytest.mark.parametrize("sigma", [math.nan, 0.0, 1e-200, math.inf, -0.1, SIGMA_MAX * 1.001])
+@pytest.mark.parametrize("kernel", ["exact", "nn", "lut"])
+def test_every_kernel_rejects_sigma_out_of_range(qam16, kernel, sigma):
+    """One check for every unreliability kernel: a sigma outside [SIGMA_MIN,
+    SIGMA_MAX], NaN included, is a ModemError, not NaN h, a divide-by-zero
+    warning or an invalid cast."""
+    y = np.zeros((3, 2))
+    run = {
+        "exact": lambda: unreliability_exact(y, qam16, sigma),
+        "nn": lambda: unreliability_nn(y, qam16, sigma),
+        "lut": lambda: UnreliabilityLut.build(qam16, sigma, 6),
+    }[kernel]
+    with pytest.raises(ModemError, match="sigma must lie in"):
+        run()
+
+
+@pytest.mark.parametrize("sigma", [math.nan, 0.0, 1e-200, math.inf])
+@pytest.mark.parametrize("method", ["exact", "nn", "lut"])
+def test_sampled_vectors_reject_sigma_before_drawing(qam16, method, sigma):
+    """Every method rejects a bad sigma the same way, before the generator
+    draws a symbol."""
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    with pytest.raises(ModemError, match="sigma must lie in"):
+        sample_unreliability_vectors(sigma, qam16, 15, 4, rng, method)
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.parametrize("qam", [SquareQam(16), SquareQam(256)], ids=["16", "256"])
