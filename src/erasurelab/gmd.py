@@ -93,8 +93,9 @@ def trial_sequences(y: np.ndarray, h: np.ndarray, inputs, d_min: int):
     mask: y with -1 at the input erasures, which no codeword symbol
     matches; each word's erasure sequence, its input erasures in position
     order, then the others from the most to the least unreliable; and how
-    many of its first positions each trial erases, as
-    `RSCodec.erasure_trials` does for tau of `default_schedule`."""
+    many of its first positions each trial erases: the trial at tau of
+    `default_schedule` erases the input erasures and the first tau of
+    `rs.erasure_order`, as `erase_most_unreliable` does, each once."""
     rows, n = y.shape
     order = np.argsort(-h, axis=1, kind="stable")
     schedule = np.array(default_schedule(d_min))

@@ -14,18 +14,19 @@ Erasing one more position multiplies Gamma and T by one linear factor.
 One kernel, `_erase_rows`, grows the Gamma/T of a block's words in
 lock-step (step s multiplies each by the factor of its s-th erased
 position), with a snapshot at each erasure count some trial has: the
-nested trials of one word (`erasure_trials`, as `ErasedWord`s) or of a
-block (`erasure_trial_rows`, GMD's, as arrays) come from one pass of it.
+nested trials of a block (`erasure_trial_rows`, GMD's) come from one pass
+of it.
 The Chien search runs on Lambda alone: Psi = Lambda Gamma has deg Psi
 distinct roots iff Lambda has L distinct roots at code positions and
 none is erased. The Forney magnitudes are evaluated at the at most n-k
 roots of Psi, and the corrected word is checked by S(y) = S(e), a sum
 over those roots only.
 
-`decode_ee` takes a word, a trial or a block: a list of words or an
-`ErasedBlock`, the (rows, n) hard words with each row's erasure order
-and count (`erase_most_unreliable`), and for GMD's trials each row's
-S(y), Gamma/T and locator. One row kernel decodes a block: the syndromes
+`decode_ee` takes a word or a block: a list of words, read as the block
+whose rows erase their input erasures, or an `ErasedBlock`, the (rows, n)
+hard words with each row's erasure order and count
+(`erase_most_unreliable`), and for GMD's trials each row's S(y),
+Gamma/T and locator. One row kernel decodes a block: the syndromes
 as one (rows, n) x (n, n-k) gather; Gamma/T grown in lock-step; Lambda
 for the rows at once; the Chien search as one gather over the block's
 largest L + 1 coefficients; the Forney step at each row's roots, padded
@@ -65,7 +66,7 @@ R^2 N > ROW_BM_MIN_WORK).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -166,7 +167,8 @@ def received_arrays(words: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     symbols = np.array([w.symbols for w in words], dtype=object).reshape(len(words), n)
     inputs = np.equal(symbols, None)
     symbols[inputs] = 0
-    return np.array(symbols.tolist()).reshape(len(words), n), inputs
+    # no words give an integer (0, n) block, not numpy's float empty array
+    return np.array(symbols.tolist(), dtype=None if words else np.intp).reshape(len(words), n), inputs
 
 
 def received_block(symbols, unreliability, gf: GF | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -200,6 +202,7 @@ def erase_most_unreliable(symbols, unreliability, tau):
         # a tau past n erases every position, and one below 0 none, as for one word
         taus = np.minimum(np.maximum(np.broadcast_to(taus, len(h)), 0), h.shape[1])
         return ErasedBlock(y, np.argsort(-h, axis=1, kind="stable"), taus)
+    require_integer("tau", tau, CodeError)
     out = list(symbols)
     if tau > 0:
         for i in erasure_order(h)[:tau]:
@@ -214,9 +217,18 @@ class ErasedBlock:
     `decode_ee` reads it as the list of each row's `erase_most_unreliable`.
 
     A block of trials also carries each row's S(y) in `synd`, Gamma/T in
-    `polys`, laid out as `ErasedWord.polys`, and error locator, Lambda in
-    `lam` and L, as `RSCodec.locator_rows` solves them: no coefficient past
-    L where 2L <= n-k-tau, the only locators that decoding reads."""
+    `polys` and error locator, Lambda in `lam` and L, as
+    `RSCodec.locator_rows` solves them: no coefficient past L where
+    2L <= n-k-tau, the only locators that decoding reads. Row r of `polys`
+    holds the erasure locator Gamma(x) = prod (1 + X_i x) over the erased
+    positions and T(x) = Gamma(x) S(x) mod x^(n-k) as
+    [0, Gamma_0..Gamma_(n-k), 0, T_0..T_(n-k)], T_(n-k) being a spare
+    slot.
+
+    The symbols of y at the erased positions stay as they are: the Forney
+    syndromes do not depend on them, and the Forney magnitudes are linear
+    in S, so the decoder corrects y to the codeword it would find with
+    them read as 0."""
 
     y: np.ndarray
     order: np.ndarray
@@ -238,49 +250,11 @@ def _symbol_array(symbols, gf: GF) -> np.ndarray:
     return y
 
 
-def _not_a_position(i, n: int) -> CodeError:
-    return CodeError(f"order entries must be integers in [0, {n}), got {i!r}")
-
-
 def _ranks(counts: np.ndarray) -> np.ndarray:
     """For each of counts[r] entries of each row r in turn, its rank
     0..counts[r]-1 within the row: the column that np.nonzero order puts it
     in."""
     return np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-
-
-@dataclass
-class ErasedWord:
-    """One decoder trial: a received word under one erasure set.
-
-    `y` is the hard word with the input erasures (None) read as 0 and
-    `synd` = S(y). `erased` lists the erased positions in the order they
-    were erased. `polys` holds the erasure locator
-    Gamma(x) = prod (1 + X_i x) over them and T(x) = Gamma(x) S(x) mod
-    x^(n-k) as [0, Gamma_0..Gamma_(n-k), 0, T_0..T_(n-k)], T_(n-k) being a
-    spare slot. `locator` is None or the (Lambda, L) that
-    `RSCodec.solve_locators` solved.
-
-    The symbols of y at the erasures past the input ones stay as they
-    are: the Forney syndromes do not depend on them, and the Forney
-    magnitudes are linear in S, so the decoder corrects y to the codeword
-    it would find with them read as 0.
-    """
-
-    y: np.ndarray
-    synd: np.ndarray
-    erased: list[int]
-    polys: np.ndarray
-    locator: tuple[list[int], int] | None = None
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return self.polys[1 : len(self.erased) + 2]
-
-    @property
-    def gamma_s(self) -> np.ndarray:
-        nsyn = len(self.synd)
-        return self.polys[nsyn + 3 : 2 * nsyn + 3]
 
 
 class RSCodec:
@@ -313,7 +287,7 @@ class RSCodec:
         self._syndrome_logs = np.outer(powers, np.arange(1, nsyn + 1)) % order
         # Psi(X_i^-1) = sum_t Psi_t X_i^-t for deg Psi <= n-k
         self._chien_logs = np.outer(np.arange(nsyn + 1), -powers) % order
-        # Forney terms facing the product of Lambda(x) with ErasedWord.polys,
+        # Forney terms facing the product of Lambda(x) with ErasedBlock.polys,
         # one (2, n-k+2) block per position. As deg Psi = L + tau <= n-k,
         # the product's two halves are Psi = Lambda Gamma and
         # Omega = Lambda T mod x^(n-k), coefficient s at index s + 1: the
@@ -346,41 +320,35 @@ class RSCodec:
     def decode_ee(self, word):
         """Error/erasure decode; returns a codeword or None on failure.
 
-        A `ReceivedWord` is read as the one trial of its symbols; a caller
-        that decodes one word under several erasure sets passes the
-        trials of `erasure_trials`, solved by `solve_locators` or not: a
-        trial without a locator gets it by the scalar steps. An
-        `ErasedBlock` or any other sequence of such words is a block, and
-        the result the list of their codewords or None, decoded as rows
-        (`ReceivedWord`s and a block's rows) or word by word.
+        A `ReceivedWord` is read as the one trial of its symbols, erasing
+        its input erasures (None). An `ErasedBlock` or a sequence of
+        `ReceivedWord`s is a block, and the result the list of their
+        codewords or None; a caller that decodes one word under several
+        erasure sets passes the list of its `erase_most_unreliable` words,
+        one per set. A block of ROW_DECODE_MIN_WORDS rows or more decodes
+        as rows, a smaller one word by word.
 
         The decoder is a BMD decoder: the trial with erased set X returns
         the codeword c exactly when 2 |{i not in X : y_i != c_i}| + |X| <=
         n - k, and None when no codeword lies that close. Within that
         radius c is unique.
         """
-        if isinstance(word, (ReceivedWord, ErasedWord)):
-            return self._decode_word(word)
+        one = isinstance(word, ReceivedWord)
         if not isinstance(word, ErasedBlock):
-            words = list(word)
-            if len(words) < ROW_DECODE_MIN_WORDS or any(isinstance(w, ErasedWord) for w in words):
-                return [self._decode_word(w) for w in words]
             # each row erases the word's input erasures, in position order
-            y, inputs = received_arrays(words, self.params.n)
+            y, inputs = received_arrays([word] if one else list(word), self.params.n)
             word = ErasedBlock(y, np.argsort(~inputs, axis=1, kind="stable"), inputs.sum(axis=1))
-        if len(word.taus) < ROW_DECODE_MIN_WORDS:
-            return self._decode_each(word)
-        return self._decode_rows(word)
-
-    def _decode_word(self, word: ReceivedWord | ErasedWord) -> list[int] | None:
-        """`decode_ee` of one word, which a block's words bypass."""
-        if isinstance(word, ReceivedWord):
-            (word,) = self.erasure_trials(word.symbols)
-        return self._decode_trial(word.y, word.synd, word.erased, word.polys, word.locator)
+        out = self._decode_each(word) if len(word.taus) < ROW_DECODE_MIN_WORDS else self._decode_rows(word)
+        return out[0] if one else out
 
     def _decode_each(self, block: ErasedBlock) -> list:
         """`decode_ee` of a block word by word, from the S(y), Gamma/T and
-        locators it carries or one `erasure_trial_rows` pass."""
+        locators it carries or one `erasure_trial_rows` pass: each row by
+        scalar steps and per-word array calls. A carried Lambda of other
+        than L + 1 coefficients, or a zero last one, has a degree other
+        than L."""
+        gf = self.params.gf
+        nsyn = self.params.n - self.params.k
         y = self._block_symbols(block)
         order, taus = block.order, block.taus.tolist()
         if block.polys is None:
@@ -389,50 +357,47 @@ class RSCodec:
         else:
             synd, polys = block.synd, block.polys
         Ls = [None] * len(taus) if block.L is None else block.L.tolist()
-        return [self._decode_trial(y[r], synd[r], order[r, :tau], polys[r],
-                                   None if L is None else (block.lam[r, : L + 1], L))
-                for r, (tau, L) in enumerate(zip(taus, Ls))]
+        out = [None] * len(taus)
+        for r, (tau, L) in enumerate(zip(taus, Ls)):
+            if tau > nsyn:
+                continue  # radius empty
+            if tau == 0 and not synd[r].any():
+                out[r] = y[r].tolist()
+                continue
 
-    def _decode_trial(self, y: np.ndarray, synd: np.ndarray, erased, polys: np.ndarray, locator) -> list | None:
-        """One trial by scalar steps and per-word array calls, from the
-        fields of an `ErasedWord`; a Lambda of other than L + 1
-        coefficients, or a zero last one, has a degree other than L."""
-        gf = self.params.gf
-        nsyn = len(synd)
-        tau = len(erased)
-        if tau > nsyn:
-            return None  # radius empty
-        if tau == 0 and not synd.any():
-            return y.tolist()
+            # the locator carried, or solved by the scalar steps
+            if L is None:
+                lam, L = self._berlekamp_massey(polys[r, nsyn + 3 + tau : 2 * nsyn + 3].tolist())
+            else:
+                lam = block.lam[r, : L + 1]
+            if 2 * L > nsyn - tau or len(lam) != L + 1 or not lam[L]:
+                continue
 
-        # the locator given, or solved by the scalar steps
-        lam, L = locator or self._berlekamp_massey(polys[nsyn + 3 + tau : 2 * nsyn + 3].tolist())
-        if 2 * L > nsyn - tau or len(lam) != L + 1 or not lam[L]:
-            return None
+            # the Chien search of `_error_positions` on one row
+            roots = np.flatnonzero(gf.vecmat(lam, self._chien_logs) == 0)
+            if len(roots) != L:
+                continue
+            erased = order[r, :tau]
+            is_erased = np.zeros(self.params.n, dtype=bool)
+            is_erased[erased] = True
+            if is_erased[roots].any():
+                continue
+            roots = np.concatenate([roots, erased]).astype(np.intp)  # the roots of Psi = Lambda Gamma
 
-        # the Chien search of `_error_positions` on one row
-        roots = np.flatnonzero(gf.vecmat(lam, self._chien_logs) == 0)
-        if len(roots) != L:
-            return None
-        is_erased = np.zeros(self.params.n, dtype=bool)
-        is_erased[erased] = True
-        if is_erased[roots].any():
-            return None
-        roots = np.concatenate([roots, erased]).astype(np.intp)  # the roots of Psi = Lambda Gamma
+            # Forney at the roots of Psi only, as in `_decode_rows`
+            top = len(roots) + 2
+            prod = gf.poly_mul(lam, polys[r], polys.shape[1]).reshape(2, nsyn + 2)
+            terms = gf.exp_table[gf.log_table[prod[:, :top]] + self._forney_logs[roots, :, :top]]
+            den, num = np.bitwise_xor.reduce(terms, axis=2).T
+            e = gf.div_array(num, den)
 
-        # Forney at the roots of Psi only, as in `_decode_rows`
-        top = len(roots) + 2
-        prod = gf.poly_mul(lam, polys, len(polys)).reshape(2, nsyn + 2)
-        terms = gf.exp_table[gf.log_table[prod[:, :top]] + self._forney_logs[roots, :, :top]]
-        den, num = np.bitwise_xor.reduce(terms, axis=2).T
-        e = gf.div_array(num, den)
-
-        # the corrected word y + e is a codeword iff S(y) = S(e)
-        if (gf.vecmat(e, self._syndrome_logs[roots]) != synd).any():
-            return None
-        c = y.copy()
-        c[roots] ^= e
-        return c.tolist()
+            # the corrected word y + e is a codeword iff S(y) = S(e)
+            if (gf.vecmat(e, self._syndrome_logs[roots]) != synd[r]).any():
+                continue
+            c = y[r].copy()
+            c[roots] ^= e
+            out[r] = c.tolist()
+        return out
 
     def _block_symbols(self, block: ErasedBlock) -> np.ndarray:
         """The block's hard words; a CodeError unless they are (rows, n)
@@ -473,7 +438,7 @@ class RSCodec:
         taus = taus[live]
         erased = block.order[live, : taus[-1]]
 
-        # Gamma/T, laid out as `ErasedWord.polys`: carried, or 1 and S grown
+        # Gamma/T, laid out as `ErasedBlock.polys`: carried, or 1 and S grown
         # in lock-step by one linear factor per erasure step
         if block.polys is None:
             polys = np.zeros((2 * nsyn + 4, len(live)), dtype=np.intp)
@@ -610,56 +575,13 @@ class RSCodec:
         kept[at:] = polys
         return kept
 
-    def erasure_trials(self, symbols: list, order=(), taus=(0,)) -> list[ErasedWord]:
-        """The trials of one received word, those of `erasure_trial_rows`
-        on its distinct erased positions, one per tau of `taus`, integers
-        from 0 in non-decreasing order: trial tau erases the input erasures
-        (None) and then order[:tau], skipping positions already erased. A
-        tau past the input erasures plus `order`, or an entry of `order`
-        read that is not a position in [0, n), is a CodeError. They carry
-        no locator: `solve_locators` gives them theirs."""
-        n = self.params.n
-        if len(symbols) != n:
-            raise CodeError("received word length mismatch")
-        sequence = [i for i, s in enumerate(symbols) if s is None]
-        first = len(sequence)
-        sequence += order
-        # the distinct positions in the order erased, and each trial's count of them
-        erased, counts = [], []
-        is_erased = bytearray(n)
-        done = 0
-        for tau in taus:
-            require_integer("tau", tau, CodeError)
-            end = first + tau
-            if tau < 0 or end < done:
-                raise CodeError(f"taus must be non-negative and non-decreasing, got {taus}")
-            if end > len(sequence):
-                raise CodeError(f"tau={tau} erases past the {len(sequence)} positions "
-                                "that the input erasures and order supply")
-            try:
-                for i in sequence[done:end]:
-                    # unchecked, a negative entry would erase a locator
-                    # outside the code, and one from n on index past it
-                    if not 0 <= i < n:
-                        raise _not_a_position(i, n)
-                    if not is_erased[i]:
-                        is_erased[i] = 1
-                        erased.append(i)
-            except TypeError:  # a non-integer fails the compare or the index
-                raise _not_a_position(i, n) from None
-            done = end
-            counts.append(len(erased))
-        y = _symbol_array([[0 if s is None else s for s in symbols]], self.params.gf)
-        synd, polys = self.erasure_trial_rows(y, np.array([erased], dtype=np.intp), np.array([counts]))
-        return [ErasedWord(y[0], synd[0], erased[:count], polys[0, j]) for j, count in enumerate(counts)]
-
     def erasure_trial_rows(self, y: np.ndarray, positions: np.ndarray, sizes: np.ndarray):
         """The trials of a block of words: trial j of word r erases
         positions[r, :sizes[r, j]], `y` being the (rows, n) hard words,
         integers in [0, q) with their input erasures read as 0, `positions`
         distinct positions per row, and each row of `sizes` non-decreasing.
         Returns S(y), (rows, n-k), one gather, and the trials' Gamma/T
-        buffers, laid out as `ErasedWord.polys`, a (rows, trials, 2(n-k)+4)
+        buffers, laid out as `ErasedBlock.polys`, a (rows, trials, 2(n-k)+4)
         array of field elements, from one lock-step pass of `_erase_rows`
         with a snapshot at each count that some trial erases."""
         nsyn = self.params.n - self.params.k
@@ -672,16 +594,6 @@ class RSCodec:
         keep = sorted(set(sizes.ravel().tolist()))
         kept = self._erase_rows(polys, positions, np.full(len(y), keep[-1] if keep else 0), keep)
         return synd, kept.transpose(2, 0, 1)[np.arange(len(y))[:, None], np.searchsorted(keep, sizes)]
-
-    def solve_locators(self, trials: list[ErasedWord]) -> list[ErasedWord]:
-        """The trials, each with its error locator (Lambda, L) from
-        `locator_rows`, which needs them in non-decreasing order of erasure
-        count, as `erasure_trials` builds them."""
-        if not trials:
-            return []
-        lam, L = self.locator_rows(np.array([t.polys for t in trials]), np.array([len(t.erased) for t in trials]))
-        deg = (lam.shape[1] - 1 - np.argmax(lam[:, ::-1] != 0, axis=1)).tolist()
-        return [replace(t, locator=(c[: d + 1], l)) for t, c, d, l in zip(trials, lam.tolist(), deg, L.tolist())]
 
     def locator_rows(self, polys: np.ndarray, taus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The error locators of trials given by their Gamma/T buffers, the

@@ -82,8 +82,8 @@ def test_gmd_output_is_codeword_or_none(codec, code):
         h = rng.uniform(0.4, 0.6, code.n)
         out = gmd_decode(ReceivedWord(word, h), codec)
         assert out is not None and ref.is_codeword(out)
-        for trial in codec.erasure_trials(word, erasure_order(h), [0, 2]):
-            short = codec.decode_ee(trial)
+        for tau in (0, 2):
+            short = codec.decode_ee(erase_most_unreliable(word, h, tau))
             if short is None:
                 nones_short += 1
             else:
@@ -195,13 +195,13 @@ def tie_word(codec, code):
 
 @pytest.mark.parametrize("m, n, k, dbs, frames, garbage", GMD_CASES)
 def test_gmd_matches_per_trial_erasure(m, n, k, dbs, frames, garbage, monkeypatch):
-    """Nested erasure sets built by one erasure_trials call give the
+    """Nested erasure sets built by one erasure_trial_rows pass give the
     codeword of the per-trial erase_most_unreliable loop on the scalar
     codec, ties and prior erasures included, also where a prior erasure
     recurs in the sorted prefix that the trials erase. RS(256;255,223) and
     RS(256;255,191) lie on the two sides of rs.ROW_BM_MIN_WORK for a full
-    schedule: solve_locators solves the first's trials by the scalar
-    steps, the second's in one row-batched pass when enough are left. Distinct candidates tie on
+    schedule: locator_rows solves the first's trials by the scalar steps,
+    the second's in one row-batched pass when enough are left. Distinct candidates tie on
     score on RS(16;15,7) and RS(256;255,144), and the smaller erasure
     count must win; the tie that gmd_decode's probe of the middle trial
     meets first is test_score_tie_goes_to_smaller_tau_found_after_the_probe,
@@ -250,17 +250,20 @@ def test_gmd_matches_per_trial_erasure(m, n, k, dbs, frames, garbage, monkeypatc
     assert gmd_decode([], codec) == []
 
 
-def test_trial_rows_match_erasure_trials():
+def test_trial_rows_match_each_words_trials():
     """The trials of a block from one erasure_trial_rows pass over the
-    erasure sequences of trial_sequences are erasure_trials' trials of
-    each word under default_schedule, trial for trial: y, S(y), the erased
-    positions in their order and the Gamma/T buffer; words with input
-    erasures, with ties in h and a recurring input erasure among them. A
-    block with a word of the wrong length, or with a symbol outside the
-    field, is a CodeError."""
+    erasure sequences of trial_sequences are those of each word alone
+    under default_schedule, trial for trial: the erased positions, those
+    of its erase_most_unreliable word, in the order erased (the input
+    erasures in position order, then the others from the most to the
+    least unreliable, each once), and the S(y) and Gamma/T buffers of a
+    one-word pass over them; words with input erasures, with ties in h and
+    a recurring input erasure among them. A block with a word of the wrong
+    length, or with a symbol outside the field, is a CodeError."""
     for m, n, k, dbs, frames, garbage in GMD_CASES[:2]:
         code = CodeParams(GF(m), n, k)
         codec = code.codec
+        schedule = default_schedule(code.d_min)
         words = [ReceivedWord(r, h) for r, h in gmd_test_words(code, codec, dbs, min(frames, 30), garbage,
                                                                 np.random.default_rng(13))]
         y = np.array([[0 if s is None else s for s in word.symbols] for word in words])
@@ -268,18 +271,22 @@ def test_trial_rows_match_erasure_trials():
         known, sequences, sizes = trial_sequences(y, h, np.equal([word.symbols for word in words], None),
                                                   code.d_min)
         synd, polys = codec.erasure_trial_rows(y, sequences, sizes)
-        inputs = 0
+        inputs = recurring = 0
         for r, (word, known_r) in enumerate(zip(words, known.tolist())):
-            want = codec.erasure_trials(word.symbols, erasure_order(word.unreliability),
-                                        default_schedule(code.d_min))
-            assert sizes.shape[1] == len(want)
-            for j, trial_j in enumerate(want):
-                assert sequences[r, : sizes[r, j]].tolist() == trial_j.erased
-                assert np.array_equal(polys[r, j], trial_j.polys)
-                assert np.array_equal(y[r], trial_j.y) and np.array_equal(synd[r], trial_j.synd)
+            assert sizes.shape[1] == len(schedule)
+            first = [i for i, s in enumerate(word.symbols) if s is None]
+            order = erasure_order(word.unreliability)
+            for j, tau in enumerate(schedule):
+                erased = list(dict.fromkeys(first + order[:tau]))
+                trial = erase_most_unreliable(word.symbols, word.unreliability, tau)
+                assert sorted(erased) == [i for i, s in enumerate(trial.symbols) if s is None]
+                assert sequences[r, : sizes[r, j]].tolist() == erased
+            alone = codec.erasure_trial_rows(y[r : r + 1], sequences[r : r + 1], sizes[r : r + 1])
+            assert np.array_equal(synd[r], alone[0][0]) and np.array_equal(polys[r], alone[1][0])
             assert known_r == [-1 if s is None else s for s in word.symbols]
-            inputs += None in word.symbols
-        assert inputs > 0
+            inputs += bool(first)
+            recurring += bool(set(first) & set(order[: schedule[-1]]))
+        assert inputs > 0 and recurring > 0
         bad = list(words[0].symbols)
         bad[1] = code.q
         for block in ([words[0], ReceivedWord(bad, words[0].unreliability)],
@@ -370,7 +377,8 @@ def test_array_entry_rejects_bad_blocks(codec, y, h):
 def test_gmd_short_block_peak_stays_bounded(code, codec):
     """One 256-frame RS(16;15,7) block at 9 dB decodes from its arrays with
     a traced peak under 0.9 MB (it measures 0.66; the same block as
-    ReceivedWords took 1.05 MB when each trial was an ErasedWord)."""
+    ReceivedWords took 1.05 MB when each trial was a word object of its
+    own)."""
     qam, rng = SquareQam(code.q), np.random.default_rng(23)
     sigma = sigma_from_ebn0(9.0, code.q, code.n, code.k)
     sent = codec.encode(rng.integers(0, code.q, (256, code.k)))
@@ -387,11 +395,11 @@ def test_gmd_short_block_peak_stays_bounded(code, codec):
     assert 200 < sum(o == cw for o, cw in zip(out, sent)) < 256
 
 
-def radius_holds(trial, cand, nsyn):
+def radius_holds(symbols, erased, cand, nsyn):
     """The BMD radius rule: 2 |{i not erased : y_i != c_i}| + |X| <= n - k
-    for the trial with erased set X."""
-    erased = set(trial.erased)
-    wrong = sum(1 for i, (yi, ci) in enumerate(zip(trial.y.tolist(), cand)) if yi != ci and i not in erased)
+    for the trial of the word `symbols` with erased set X, `erased`."""
+    erased = set(erased)
+    wrong = sum(1 for i, (yi, ci) in enumerate(zip(symbols, cand)) if yi != ci and i not in erased)
     return 2 * wrong + len(erased) <= nsyn
 
 
@@ -417,11 +425,15 @@ def test_skip_rule_matches_decoding_every_trial(m, n, k, dbs, frames, garbage, m
     cases = Counter()
     words, expected = [], 0
     for r, h in gmd_test_words(code, codec, dbs, frames, garbage, np.random.default_rng(11)):
-        trials = codec.erasure_trials(r, erasure_order(h), default_schedule(code.d_min))
-        outs = [decode_ee(t) for t in trials]
+        # each trial's erased positions in the order GMD erases them: the
+        # input erasures in position order, then the prefix of erasure_order
+        inputs, order = [i for i, s in enumerate(r) if s is None], erasure_order(h)
+        schedule = default_schedule(code.d_min)
+        trials = [list(dict.fromkeys(inputs + order[:tau])) for tau in schedule]
+        outs = [decode_ee(erase_most_unreliable(r, h, tau)) for tau in schedule]
         found = {tuple(out) for out in outs if out is not None}
         for c in found:
-            holds = [radius_holds(t, c, nsyn) for t in trials]
+            holds = [radius_holds(r, t, c, nsyn) for t in trials]
             assert holds == [out == list(c) for out in outs]
             # the trials after the first that return c: gmd_decode skips them
             cases["settled"] += sum(holds) - 1
@@ -434,7 +446,7 @@ def test_skip_rule_matches_decoding_every_trial(m, n, k, dbs, frames, garbage, m
                 want.append(j)
         decoded.clear()
         gmd_decode(ReceivedWord(r, h), codec)
-        assert decoded == [trials[j].erased for j in want]
+        assert decoded == [trials[j] for j in want]
         words.append(ReceivedWord(r, h))
         expected += len(want)
     assert cases["new"] > 0 and cases["failed"] > 0
@@ -452,8 +464,7 @@ def test_score_tie_goes_to_smaller_tau_found_after_the_probe(codec, code):
     the probe finds first. GMD must return A."""
     assert default_schedule(code.d_min) == [0, 2, 4, 6, 8]
     y, h, a, b = tie_word(codec, code)
-    trials = codec.erasure_trials(y, erasure_order(h), default_schedule(code.d_min))
-    outs = [codec.decode_ee(t) for t in trials]
+    outs = [codec.decode_ee(erase_most_unreliable(y, h, tau)) for tau in default_schedule(code.d_min)]
     assert outs[1] == a and outs[2] == b
     score = [sum(1.0 - hi for hi, yi, ci in zip(h, y, c) if yi == ci) for c in (a, b)]
     assert score[0] == score[1]

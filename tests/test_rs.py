@@ -1,6 +1,6 @@
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -10,14 +10,14 @@ from erasurelab.rs import (
     ROW_BM_MIN_WORK,
     CodeError,
     CodeParams,
+    ROW_DECODE_MIN_WORDS,
     ErasedBlock,
-    ErasedWord,
     ReceivedWord,
     RSCodec,
     erase_most_unreliable,
     erasure_order,
 )
-from erasurelab.gmd import gmd_decode
+from erasurelab.gmd import default_schedule, gmd_decode, trial_sequences
 from scalar_rs import ScalarRSCodec, alpha_pow, poly_eval, scalar_poly_mul
 
 
@@ -46,6 +46,13 @@ def corrupt(cw, rng, n_errors, n_erasures, q):
     for i in pos[n_errors:]:
         out[i] = None
     return out
+
+
+def syndromes(codec, y) -> np.ndarray:
+    """S(y) of the (rows, n) words y by erasure_trial_rows, each the one
+    trial that erases nothing."""
+    y = np.array(y)
+    return codec.erasure_trial_rows(y, np.zeros((len(y), 0), dtype=np.intp), np.zeros((len(y), 1), dtype=np.intp))[0]
 
 
 def test_params_validation():
@@ -121,6 +128,12 @@ def test_erase_most_unreliable_stable():
     # 0.9 first, then the earlier of the tied 0.5 entries
     assert w.symbols == [None, None, 3, 4]
     assert erase_most_unreliable([1, 2, 3, 4], h, 0).symbols == [1, 2, 3, 4]
+    assert erase_most_unreliable([1, 2, 3, 4], h, np.int8(1)).symbols == [1, None, 3, 4]
+    # a tau that is not an integer is a CodeError, as for a block: a bool
+    # (an int, but never a count), a float of integer value and a string
+    for tau in (True, 2.0, np.float64(1.0), "1"):
+        with pytest.raises(CodeError, match="tau must be an integer"):
+            erase_most_unreliable([1, 2, 3, 4], h, tau)
 
 
 @pytest.mark.parametrize("m, n, k, rows", [(4, 15, 7, 300), (4, 15, 7, 5), (4, 15, 7, 1),
@@ -182,8 +195,7 @@ def test_encode_systematic_and_valid(codec, small):
         cw = codec.encode(info)
         assert cw[: small.k] == info
         assert len(cw) == small.n
-        (trial,) = codec.erasure_trials(cw)
-        assert trial.synd.tolist() == [0] * (small.n - small.k)
+        assert syndromes(codec, [cw]).tolist() == [[0] * (small.n - small.k)]
 
 
 def test_encode_generator_roots(codec, small):
@@ -261,7 +273,7 @@ def test_decode_at_exact_radius_boundary(big_codec):
 
 @pytest.mark.parametrize("m, n, k, count", [(4, 15, 7, 1000), (8, 255, 144, 100)])
 def test_array_codec_matches_scalar_codec(m, n, k, count):
-    """encode, the syndromes of `erasure_trials` and decode_ee equal the
+    """encode, the syndromes of `erasure_trial_rows` and decode_ee equal the
     scalar codec they replaced, None included, on seeded patterns inside and beyond the
     decoding radius (up to three errors past it, or d_min erasures)."""
     params = CodeParams(GF(m), n, k)
@@ -279,7 +291,7 @@ def test_array_codec_matches_scalar_codec(m, n, k, count):
         received = ReceivedWord(word, np.zeros(n))
         out = codec.decode_ee(received)
         assert out == ref.decode_ee(received), (eps, tau)
-        assert codec.erasure_trials(word)[0].synd.tolist() == ref.syndromes(word)
+        assert syndromes(codec, [[0 if s is None else s for s in word]])[0].tolist() == ref.syndromes(word)
         inside += 2 * eps + tau <= d - 1
         failed += out is None
         decoded += out == cw
@@ -295,106 +307,186 @@ def scalar_erasure_locator(gf, n, erased):
     return gamma
 
 
+def erased_sets(symbols, order, taus) -> list[list[int]]:
+    """The erased positions of a word's trial for each tau of `taus`, in
+    the order erased: its input erasures (None), then order[:tau], each
+    position once. Each set is a prefix of the next for taus
+    non-decreasing."""
+    inputs = [i for i, s in enumerate(symbols) if s is None]
+    return [list(dict.fromkeys(inputs + list(order[:tau]))) for tau in taus]
+
+
+def as_erased(symbols, erased) -> list:
+    """The word with its erased positions as None."""
+    erased = set(erased)
+    return [None if i in erased else s for i, s in enumerate(symbols)]
+
+
+def trial_block(codec, trials, locators=True) -> ErasedBlock:
+    """The ErasedBlock of trials, (symbols, erased, locator) triples, the
+    symbols with None at the input erasures: row r erases the positions
+    `erased`, and its order runs on through the others. With `locators`
+    each row carries S(y) and Gamma/T from one erasure_trial_rows pass and
+    its locator as lam/L rows, solved by locator_rows where the trial's is
+    None; without, the block is the bare rows."""
+    n = codec.params.n
+    y = np.array([[0 if s is None else s for s in symbols] for symbols, _, _ in trials])
+    taus = np.array([len(erased) for _, erased, _ in trials], dtype=np.intp)
+    order = np.array([erased + [i for i in range(n) if i not in set(erased)] for _, erased, _ in trials],
+                     dtype=np.intp)
+    if not locators:
+        return ErasedBlock(y, order, taus)
+    synd, polys = codec.erasure_trial_rows(y, order, taus[:, None])
+    polys = polys[:, 0]
+    by_tau = np.argsort(taus, kind="stable")
+    solved, solved_L = codec.locator_rows(polys[by_tau], taus[by_tau])
+    given = [locator for _, _, locator in trials if locator is not None]
+    lam = np.zeros((len(trials), max([solved.shape[1]] + [len(c) for c, _ in given])), dtype=np.intp)
+    L = np.zeros(len(trials), dtype=np.intp)
+    lam[by_tau, : solved.shape[1]], L[by_tau] = solved, solved_L
+    for r, (_, _, locator) in enumerate(trials):
+        if locator is not None:
+            lam[r], L[r] = 0, locator[1]
+            lam[r, : len(locator[0])] = locator[0]
+    return ErasedBlock(y, order, taus, synd, polys, lam, L)
+
+
+def take(block: ErasedBlock, rows) -> ErasedBlock:
+    """The rows `rows` of a block, with what it carries of them."""
+    return ErasedBlock(*(None if getattr(block, f.name) is None else getattr(block, f.name)[rows]
+                         for f in fields(block)))
+
+
 @pytest.mark.parametrize("m, n, k", [(4, 15, 7), (8, 255, 144)])
 def test_erased_word_grows_gamma_and_t(m, n, k):
-    """Trial tau of erasure_trials erases the input erasures and then
-    order[:tau], skipping positions already erased, input erasures and
-    repeats in `order` included: its Gamma and T = Gamma S mod x^(n-k)
-    equal the scalar products over the distinct erased positions, `erased`
-    lists those in the order they were erased, and y and S(y) are those of
-    the received word. The taus are cumulative, equal ones included; a
-    tau that is not a non-negative integer, or a decreasing one, is a
-    CodeError."""
+    """Over the erasure sequences of trial_sequences, trial j of a word in
+    erasure_trial_rows erases its input erasures and then the first tau of
+    erasure_order for tau of default_schedule, an input erasure that
+    recurs in that prefix once: its Gamma and T = Gamma S mod x^(n-k)
+    equal the scalar products over those positions, and S(y) is the
+    received word's, input erasures read as 0. Every trial's count comes
+    twice, so the counts are cumulative with equal ones; only the trials
+    of at most n-k positions have a Gamma that fits its slots."""
     params = CodeParams(GF(m), n, k)
-    codec, ref = RSCodec(params), ScalarRSCodec(params)
+    codec, ref = params.codec, ScalarRSCodec(params)
     gf, nsyn = params.gf, n - k
     rng = np.random.default_rng(5)
-    repeats = 0
-    for _ in range(10):
-        symbols = rng.integers(0, params.q, n).tolist()
-        inputs = rng.choice(n, 3, replace=False).tolist()
-        for i in inputs:
-            symbols[i] = None
-        # at most n-k distinct positions in all, drawn with replacement,
-        # plus one repeat and one input erasure
-        draws = rng.choice(n, nsyn - 3).tolist()
-        order = draws + [draws[0], inputs[1]]
-        rng.shuffle(order)
-        taus = [0] + sorted(rng.integers(0, len(order) + 1, 4).tolist()) + [len(order)]
-        y = [0 if s is None else s for s in symbols]
-        synd = ref.syndromes(symbols)
-        trials = codec.erasure_trials(symbols, order, taus)
-        assert len(trials) == len(taus)
-        for tau, trial in zip(taus, trials):
-            expected = list(dict.fromkeys(sorted(inputs) + order[:tau]))
-            assert trial.erased == expected
+    rows = 10
+    y = rng.integers(0, params.q, (rows, n))
+    h = rng.integers(0, 7, (rows, n)) / 8
+    inputs = np.zeros((rows, n), dtype=bool)
+    for r in range(rows):
+        at = rng.choice(n, 3, replace=False)
+        inputs[r, at] = True
+        # the first input erasure sits on the most unreliable level, so it
+        # recurs in the prefix that the trials erase
+        h[r, at[0]] = 7 / 8
+    y[inputs] = 0
+    _, sequences, sizes = trial_sequences(y, h, inputs, params.d_min)
+    sizes = np.repeat(sizes, 2, axis=1)
+    synd, polys = codec.erasure_trial_rows(y, sequences, sizes)
+    schedule = np.repeat(default_schedule(params.d_min), 2)
+    compared = repeats = 0
+    for r in range(rows):
+        symbols = [None if i else s for i, s in zip(inputs[r], y[r].tolist())]
+        assert synd[r].tolist() == ref.syndromes(symbols)
+        order = erasure_order(h[r])
+        for j, (tau, size) in enumerate(zip(schedule.tolist(), sizes[r].tolist())):
+            (expected,) = erased_sets(symbols, order, [tau])
+            assert sequences[r, :size].tolist() == expected
+            if size > nsyn:
+                continue
             gamma = scalar_erasure_locator(gf, n, expected)
-            assert trial.gamma.tolist() == gamma
-            assert trial.gamma_s.tolist() == scalar_poly_mul(gf, gamma, synd)[:nsyn]
-            assert trial.y.tolist() == y and trial.synd.tolist() == synd
-        repeats += len(order) + 3 - len(trials[-1].erased)
-        assert codec.erasure_trials(symbols, order, []) == []
-        # decreasing, negative, a bool (an int, but never a count) and a
-        # fraction
-        for taus in ([2, 1], [-1], [True, 2], [0.5], [0, np.float64(2.0)]):
-            with pytest.raises(CodeError):
-                codec.erasure_trials(symbols, order, taus)
-        assert len(codec.erasure_trials(symbols, order, [np.int64(0), 2])) == 2
-    assert repeats >= 20
+            assert polys[r, j, 1 : size + 2].tolist() == gamma
+            assert polys[r, j, nsyn + 3 : 2 * nsyn + 3].tolist() == scalar_poly_mul(gf, gamma, synd[r].tolist())[:nsyn]
+            compared += 1
+        repeats += inputs[r, order[: schedule[-1]]].any()
+    assert repeats == rows and compared >= rows * len(schedule) // 2
 
 
 @pytest.mark.parametrize("m, n, k, words", [(4, 15, 7, 40), (8, 255, 144, 6)])
-def test_erasure_trials_decode_as_scalar_codec(m, n, k, words):
-    """Every trial of erasure_trials, its Gamma/T grown as one column of
-    the block kernel, decodes to the scalar codec's result on the word with
-    the trial's erased positions as None: schedules from no erasure to past
-    n-k, over input erasures and orders with repeated positions."""
+def test_trial_rows_decode_as_scalar_codec(m, n, k, words):
+    """Every trial of a word, its S(y), Gamma/T and locator carried by an
+    ErasedBlock row from one erasure_trial_rows pass and one locator_rows
+    call (trial_block), decodes to the scalar codec's result on the word
+    with the trial's erased positions as None, in the block and as a row
+    alone: schedules from no erasure to past n-k (at RS(16;15,7)), over
+    input erasures and orders with repeated positions."""
     params = CodeParams(GF(m), n, k)
     codec, ref = params.codec, ScalarRSCodec(params)
     nsyn = n - k
     rng = np.random.default_rng(53)
-    found = Counter()
+    trials = []
     for _ in range(words):
         cw = codec.encode(rng.integers(0, params.q, k).tolist())
         symbols = corrupt(cw, rng, int(rng.integers(0, nsyn // 2 + 2)), int(rng.integers(0, 3)), params.q)
         order = rng.choice(n, nsyn + 2).tolist()
         taus = [0] + sorted(rng.integers(0, len(order) + 1, 5).tolist())
-        for trial in codec.erasure_trials(symbols, order, taus):
-            erased = set(trial.erased)
-            want = ref.decode_ee(ReceivedWord([None if i in erased else s for i, s in enumerate(symbols)],
-                                              np.zeros(n)))
-            assert codec.decode_ee(trial) == want
-            found[want is not None] += 1
+        trials += [(symbols, erased, None) for erased in erased_sets(symbols, order, taus)]
+    block = trial_block(codec, trials)
+    got = codec.decode_ee(block)
+    found = Counter()
+    for r, (symbols, erased, _) in enumerate(trials):
+        want = ref.decode_ee(ReceivedWord(as_erased(symbols, erased), np.zeros(n)))
+        assert got[r] == want == codec.decode_ee(take(block, [r]))[0]
+        found[want is not None] += 1
     assert found[True] > 0 and found[False] > 0
+    # at n = 255 the draws with replacement leave about 90 distinct positions
+    assert n != 15 or max(len(erased) for _, erased, _ in trials) > nsyn
 
 
-@pytest.mark.parametrize("m, n, k, order, taus, inputs, match", [
-    (8, 200, 100, [-1], (1,), 0, r"integers in \[0, 200\), got -1"),
-    (4, 15, 7, [-2], (1,), 0, r"integers in \[0, 15\), got -2"),
-    (4, 15, 7, [250], (1,), 0, r"integers in \[0, 15\), got 250"),
-    (4, 15, 7, [2.5], (1,), 0, r"integers in \[0, 15\), got 2.5"),
-    (4, 15, 7, [3], (4,), 0, "tau=4 erases past the 1 positions"),
-    (4, 15, 7, [3], (0, 3), 1, "tau=3 erases past the 2 positions"),
-], ids=["negative-n200", "negative-n15", "past-n", "fraction", "tau-past-order",
-        "tau-past-inputs-and-order"])
-def test_erasure_trials_rejects_order_outside_the_code(m, n, k, order, taus, inputs, match):
-    """An entry of `order` that a trial reads and that is not a position
-    in [0, n), or a tau past the positions that the input erasures and
-    `order` supply, is a CodeError, not an erased locator outside the code
-    (a negative entry wraps around), a bare IndexError or fewer erasures
-    than asked for. Entries past the last tau's prefix are not read."""
+@pytest.mark.parametrize("m, n, k", [(4, 15, 7), (8, 255, 144)])
+def test_decode_ee_entries_match_scalar_codec(m, n, k, monkeypatch):
+    """decode_ee of one ReceivedWord, of lists of 1, 5, 6 and 7 of them
+    (word by word below ROW_DECODE_MIN_WORDS, as rows from it) and of the
+    equal erase_most_unreliable blocks gives the scalar codec's result on
+    each word, with one public decode_ee call each: words with input
+    erasures, which their tau erases first, and with up to n-k+2 erasures.
+    An empty list decodes to []."""
     params = CodeParams(GF(m), n, k)
-    codec = params.codec
-    rng = np.random.default_rng(3)
-    cw = codec.encode(rng.integers(0, params.q, k).tolist())
-    word = list(cw)
-    word[5] ^= 1
-    for i in range(inputs):
-        word[n - 1 - i] = None
-    with pytest.raises(CodeError, match=match):
-        codec.erasure_trials(word, order, taus)
-    (trial,) = codec.erasure_trials(word, [3] + order, (1,))
-    assert codec.decode_ee(trial) == cw
+    codec, ref = RSCodec(params), ScalarRSCodec(params)
+    nsyn = n - k
+    rng = np.random.default_rng(61)
+    sizes = [1, 5, 6, 7]
+    count = sum(sizes)
+    y = np.array(codec.encode(rng.integers(0, params.q, (count, k))))
+    h = rng.uniform(0, 0.9, (count, n))
+    taus = rng.integers(0, nsyn + 3, count)
+    taus[::5] = nsyn + 1
+    words = []
+    for r, tau in enumerate(taus.tolist()):
+        eps = int(rng.integers(0, max(nsyn - tau, 0) // 2 + 3))
+        y[r, rng.choice(n, eps, replace=False)] ^= rng.integers(1, params.q, eps)
+        inputs = rng.choice(n, min(int(rng.integers(0, 4)), tau), replace=False)
+        h[r, inputs] = 0.95
+        symbols = y[r].tolist()
+        for i in inputs:
+            symbols[i] = None
+        words.append(erase_most_unreliable(symbols, h[r], tau))
+    want = [ref.decode_ee(w) for w in words]
+    assert 0 < want.count(None) < count and sum(None in w.symbols for w in words) > count // 2
+
+    calls, paths = [], []
+    decode_ee, decode_each, decode_rows = codec.decode_ee, codec._decode_each, codec._decode_rows
+    monkeypatch.setattr(codec, "decode_ee", lambda w: calls.append(w) or decode_ee(w))
+    monkeypatch.setattr(codec, "_decode_each", lambda b: paths.append(("each", len(b.taus))) or decode_each(b))
+    monkeypatch.setattr(codec, "_decode_rows", lambda b: paths.append(("rows", len(b.taus))) or decode_rows(b))
+    assert [codec.decode_ee(w) for w in words] == want
+    assert codec.decode_ee(erase_most_unreliable(y, h, taus)) == want
+    lo = 0
+    for size in sizes:
+        assert codec.decode_ee(words[lo : lo + size]) == want[lo : lo + size]
+        assert codec.decode_ee(erase_most_unreliable(y[lo : lo + size], h[lo : lo + size], taus[lo : lo + size])) \
+            == want[lo : lo + size]
+        lo += size
+    assert codec.decode_ee([]) == []
+    assert len(calls) == count + 2 + 2 * len(sizes)
+    assert sizes[1] < ROW_DECODE_MIN_WORDS <= sizes[2]
+
+    def via(size):
+        return ("each" if size < ROW_DECODE_MIN_WORDS else "rows", size)
+
+    assert paths == [via(1)] * count + [via(count)] + [via(size) for size in sizes for _ in (0, 1)] + [via(0)]
 
 
 def test_decode_ee_rejects_lambda_roots_at_erasures(codec, small):
@@ -470,9 +562,12 @@ def gmd_forney_rows(codec, rng, count):
         order = rng.permutation(p.n).tolist()
         for i in [order[2]] + order[-2:]:
             symbols[i] = None
-        for trial in codec.erasure_trials(symbols, order, taus):
-            tau = len(trial.erased)
-            rows.append((trial.gamma_s[tau:].tolist() + [0] * min(tau, nsyn), max(nsyn - tau, 0)))
+        erased = erased_sets(symbols, order, taus)
+        y = np.array([[0 if s is None else s for s in symbols]])
+        _, polys = codec.erasure_trial_rows(y, np.array(erased[-1:]), np.array([[len(e) for e in erased]]))
+        for e, buffer in zip(erased, polys[0]):
+            tau = len(e)
+            rows.append((buffer[nsyn + 3 + tau : 2 * nsyn + 3].tolist() + [0] * min(tau, nsyn), max(nsyn - tau, 0)))
     return rows
 
 
@@ -511,13 +606,13 @@ def test_berlekamp_massey_rows_matches_scalar(m, n, k):
 
 
 @pytest.mark.parametrize("k", [223, 191, 144])
-def test_solve_locators_by_check_count(k):
-    """erasure_trials builds trials without a locator, and solve_locators
-    gives every trial one, by the row-batched pass where the trials hold
-    enough work for it (ROW_BM_MIN_WORK) and by the scalar steps per
-    trial otherwise: that of the reference Berlekamp-Massey wherever
-    2L <= N, and decode_ee gives the same result from it as from the bare
-    trial. RS(256;255,223) and RS(256;255,191) lie on the two sides."""
+def test_locator_rows_by_check_count(k):
+    """locator_rows solves the trials of a word from their Gamma/T rows,
+    by the row-batched pass where the trials hold enough work for it
+    (ROW_BM_MIN_WORK) and by the scalar steps per trial otherwise: that of
+    the reference Berlekamp-Massey wherever 2L <= N, and decode_ee gives
+    the same result from a block that carries these locators as from the
+    bare rows. RS(256;255,223) and RS(256;255,191) lie on the two sides."""
     params = CodeParams(GF(8), 255, k)
     codec, ref, nsyn = RSCodec(params), ScalarRSCodec(params), 255 - k
     assert (sum(range(nsyn, -1, -2)) ** 2 > ROW_BM_MIN_WORK * nsyn) == (k < 223)
@@ -527,19 +622,19 @@ def test_solve_locators_by_check_count(k):
     order = rng.permutation(255).tolist()
     decoded = compared = 0
     for taus in ([0], [nsyn // 2], [3, 3], list(range(0, params.d_min, 2))):
-        trials = codec.erasure_trials(symbols, order, taus)
-        assert all(t.locator is None for t in trials)
-        for t, bare in zip(codec.solve_locators(trials), trials):
-            assert t.locator is not None
-            assert t.y is bare.y and t.synd is bare.synd and t.erased is bare.erased and t.polys is bare.polys
-            tau = len(t.erased)
-            want = ref._berlekamp_massey(t.gamma_s[tau:].tolist())
-            if 2 * want[1] <= nsyn - tau:
-                assert t.locator == want
+        trials = [(symbols, erased, None) for erased in erased_sets(symbols, order, taus)]
+        block = trial_block(codec, trials)
+        sizes = block.taus
+        lam, L = codec.locator_rows(block.polys, sizes)
+        assert np.array_equal(lam, block.lam) and np.array_equal(L, block.L)
+        for coeffs, got_l, buffer, tau in zip(lam.tolist(), L.tolist(), block.polys, sizes.tolist()):
+            want, want_l = ref._berlekamp_massey(buffer[nsyn + 3 + tau : 2 * nsyn + 3].tolist())
+            if 2 * want_l <= nsyn - tau:
+                assert (coeffs, got_l) == (want + [0] * (len(coeffs) - len(want)), want_l)
                 compared += 1
-            out = codec.decode_ee(t)
-            assert out == codec.decode_ee(bare)
-            decoded += out == cw
+        out = codec.decode_ee(block)
+        assert out == codec.decode_ee(trial_block(codec, trials, locators=False))
+        decoded += out.count(cw)
     assert decoded > 0 and compared > 0
 
 
@@ -568,20 +663,22 @@ def test_out_of_range_symbols_are_code_errors(codec, small, bad):
     assert codec.encode(np.arange(small.k, dtype=np.uint8)) == cw
 
 
-def decode_case(ref, trial):
+def decode_case(ref, symbols, erased, locator):
     """Which check of the decoder the trial fails, by the scalar codec's
     steps and the trial's own locator when it has one, or "corrected"."""
     p = ref.params
     gf, n, nsyn = p.gf, p.n, p.n - p.k
-    tau = len(trial.erased)
+    tau = len(erased)
+    synd = ref.syndromes(symbols)
     if tau > nsyn:
         return "tau > n-k"
-    if tau == 0 and not trial.synd.any():
+    if tau == 0 and not any(synd):
         return "clean"
-    if trial.locator is None:
-        lam, L = ref._berlekamp_massey(trial.gamma_s[tau:].tolist())
+    if locator is None:
+        gamma = scalar_erasure_locator(gf, n, erased)
+        lam, L = ref._berlekamp_massey(scalar_poly_mul(gf, gamma, synd)[tau:nsyn])
     else:
-        lam, L = trial.locator
+        lam, L = locator
     if 2 * L > nsyn - tau:
         return "2L > N"
     if L != len(lam) - 1:
@@ -589,99 +686,86 @@ def decode_case(ref, trial):
     roots = [i for i in range(n) if poly_eval(gf, lam, alpha_pow(gf, -(n - 1 - i))) == 0]
     if len(roots) != L:
         return "few roots"
-    if set(roots) & set(trial.erased):
+    if set(roots) & set(erased):
         return "erased root"
     return "corrected"
 
 
 def block_rows(codec, rng, count):
-    """(word, scalar-codec word or None) pairs for the block decoder:
-    ReceivedWords and ErasedWords, with and without a locator, of
-    codewords with up to three errors past the radius and up to n-k+2
-    erasures, partly input erasures (None) and partly erased by `order`;
-    every tenth a clean codeword. Then ErasedWords with a locator that
-    solves no key equation: Lambda = 1 + X_b x with b not the error
-    position (S(e) != S(y)) or erased, and with L = 2 > deg Lambda; and
-    the one-error word's true Lambda with a coefficient past the row
-    decoder's (n-k)//2 + 2, which deg Lambda != L rejects."""
+    """(symbols, erased, locator, word) rows for the block decoder: the
+    trials of codewords with up to three errors past the radius and up to
+    n-k+2 erasures, partly input erasures (None) and partly erased by a
+    random order, and the scalar codec's word for each, the trial's
+    erasures as None; every tenth a clean codeword, and every third erasing
+    its input erasures alone. Then trials with a locator that solves no key
+    equation, whose word is None: Lambda = 1 + X_b x with b not the error
+    position (S(e) != S(y)) or erased, and with L = 2 > deg Lambda; and the
+    one-error word's true Lambda with a coefficient past the row decoder's
+    (n-k)//2 + 2, which deg Lambda != L rejects."""
     p = codec.params
     n, k, nsyn = p.n, p.k, p.n - p.k
     rows = []
     for r in range(count):
         cw = codec.encode(rng.integers(0, p.q, k).tolist())
         if r % 10 == 0:
-            rows.append((ReceivedWord(cw, np.zeros(n)), cw))
+            rows.append((cw, [], None, cw))
             continue
         tau = int(rng.integers(0, nsyn + 3))
         eps = int(rng.integers(0, max(nsyn - tau, 0) // 2 + 4))
         symbols = corrupt(cw, rng, eps, tau, p.q)
-        kind = r % 3
-        if kind == 0:
-            rows.append((ReceivedWord(symbols, np.zeros(n)), symbols))
-            continue
-        (trial,) = codec.erasure_trials(symbols, rng.permutation(n).tolist(), [int(rng.integers(0, 4))])
-        if kind == 2:
-            (trial,) = codec.solve_locators([trial])
-        rows.append((trial, [None if i in trial.erased else s for i, s in enumerate(symbols)]))
+        order = [] if r % 3 == 0 else rng.permutation(n).tolist()
+        (erased,) = erased_sets(symbols, order, [int(rng.integers(0, 4))])
+        rows.append((symbols, erased, None, as_erased(symbols, erased)))
     for a, b in rng.choice(n, (3, 2), replace=False).tolist():
         cw = codec.encode(rng.integers(0, p.q, k).tolist())
         word = list(cw)
         word[a] ^= 1
         x = p.gf.exp[n - 1 - b]
         true = [1, p.gf.exp[n - 1 - a]] + [0] * (nsyn // 2 + 2) + [1]
-        for order, locator in (([], ([1, x], 1)), ([b], ([1, x], 1)), ([], ([1, x], 2)), ([], (true, 1))):
-            (trial,) = codec.erasure_trials(word, order, [len(order)])
-            rows.append((replace(trial, locator=locator), None))
+        for erased, locator in (([], ([1, x], 1)), ([b], ([1, x], 1)), ([], ([1, x], 2)), ([], (true, 1))):
+            rows.append((word, erased, locator, None))
     return rows
-
-
-def trial_block(codec, words) -> ErasedBlock:
-    """The ErasedBlock of a list of trials and received words, a received
-    word read as its one trial: each row carries its S(y), Gamma/T and
-    locator, solved by solve_locators where the trial has none, the
-    locators' columns as many as the longest needs."""
-    trials = [w if isinstance(w, ErasedWord) else codec.erasure_trials(w.symbols)[0] for w in words]
-    trials = [t if t.locator else codec.solve_locators([t])[0] for t in trials]
-    taus = np.array([len(t.erased) for t in trials])
-    order = np.zeros((len(trials), taus.max(initial=0)), dtype=np.intp)
-    lam = np.zeros((len(trials), max(len(t.locator[0]) for t in trials)), dtype=np.intp)
-    for r, t in enumerate(trials):
-        order[r, : len(t.erased)] = t.erased
-        lam[r, : len(t.locator[0])] = t.locator[0]
-    return ErasedBlock(np.array([t.y for t in trials]), order, taus, np.array([t.synd for t in trials]),
-                       np.array([t.polys for t in trials]), lam, np.array([t.locator[1] for t in trials]))
 
 
 @pytest.mark.parametrize("m, n, k, count", [(4, 15, 7, 600), (8, 255, 144, 60)])
 def test_decode_ee_block_matches_per_word_and_scalar(m, n, k, count):
-    """decode_ee of a block of words, in random order, as an ErasedBlock of
-    trials that carry S(y), Gamma/T and locators (trial_block), gives each
-    word's decode_ee and the scalar codec's result on the word with the
-    trial's erasures as None; so does the list of them, word by word. A
-    six-word block takes the scalar Berlekamp-Massey form, the whole block
-    the row form. The block's rows
-    meet every exit of the decoder: clean, more than n-k erasures, 2L > N,
+    """decode_ee of a block of trials, in random order, as an ErasedBlock
+    whose rows carry S(y), Gamma/T and locators (trial_block), gives each
+    row's decode_ee alone and the scalar codec's result on the trial's
+    word, its erasures as None; the trials without a locator of their own
+    decode alike from the bare rows, and as ReceivedWords, one by one and
+    as a list. Six rows of the bare block take the scalar
+    Berlekamp-Massey form, the whole block the row form. The rows meet
+    every exit of the decoder: clean, more than n-k erasures, 2L > N,
     deg Lambda != L, too few Chien roots, a root at an erasure,
-    S(e) != S(y) and corrected."""
+    S(e) != S(y) and corrected. A carried Lambda has no coefficient past L
+    (ErasedBlock), so only the rows decoder meets the one that has."""
     params = CodeParams(GF(m), n, k)
     codec, ref = params.codec, ScalarRSCodec(params)
     rng = np.random.default_rng(41)
     rows = block_rows(codec, rng, count)
     rows = [rows[i] for i in rng.permutation(len(rows))]
-    words = [w for w, _ in rows]
-    got = codec.decode_ee(trial_block(codec, words))
-    assert got == [codec.decode_ee(w) for w in words] == codec.decode_ee(words)
-    assert codec.decode_ee(trial_block(codec, words[:6])) == got[:6]
+    trials = [(symbols, erased, locator) for symbols, erased, locator, _ in rows]
+    block = trial_block(codec, trials)
+    got = codec.decode_ee(block)
+    alone = [r for r, (_, _, locator) in enumerate(trials) if locator is None or len(locator[0]) <= locator[1] + 1]
+    assert [got[r] for r in alone] == [codec.decode_ee(take(block, [r]))[0] for r in alone]
+    assert codec.decode_ee(take(block, slice(0, 6))) == got[:6]
+    plain = [r for r, (_, _, locator) in enumerate(trials) if locator is None]
+    bare = take(trial_block(codec, trials, locators=False), plain)
+    words = [ReceivedWord(rows[r][3], np.zeros(n)) for r in plain]
+    assert [got[r] for r in plain] == codec.decode_ee(bare) == codec.decode_ee(words) == [
+        codec.decode_ee(w) for w in words]
+    assert codec.decode_ee(take(bare, slice(0, 6))) == [got[r] for r in plain[:6]]
     assert codec._row_form([n - k] * count) and not codec._row_form([n - k] * 6)
     cases = Counter()
-    for (word, symbols), out in zip(rows, got):
-        trial = word if isinstance(word, ErasedWord) else codec.erasure_trials(word.symbols)[0]
-        case = decode_case(ref, trial)
-        if symbols is None:
+    for (symbols, erased, locator, word), out in zip(rows, got):
+        case = decode_case(ref, as_erased(symbols, erased), erased, locator)
+        if word is None:
             assert out is None
             case = "S(e) != S(y)" if case == "corrected" else case
         else:
-            assert out == ref.decode_ee(ReceivedWord(symbols, np.zeros(n)))
+            assert out == ref.decode_ee(ReceivedWord(word, np.zeros(n)))
             assert (out is not None) == (case in ("clean", "corrected"))
         cases[case] += 1
     assert set(cases) == {"clean", "tau > n-k", "2L > N", "deg != L", "few roots",
@@ -691,30 +775,32 @@ def test_decode_ee_block_matches_per_word_and_scalar(m, n, k, count):
 
 @pytest.mark.parametrize("m, n, k, words", [(4, 15, 7, 40), (8, 255, 144, 6)])
 def test_decode_ee_block_of_trials_matches_each_trial(m, n, k, words):
-    """A block of the trials that erasure_trials builds for GMD schedules,
-    half of them solved by solve_locators, shuffled among received words,
-    decodes as each word alone, as an ErasedBlock (trial_block) of rows
-    that carry S(y), Gamma/T and the locator, and as a list word by word. Words with
-    input erasures and up to twice the errors the radius takes."""
+    """A block of the trials of GMD-like schedules, shuffled among received
+    words, decodes as an ErasedBlock (trial_block) of rows that carry S(y),
+    Gamma/T and the locator, as the bare rows, as each row alone, carrying
+    or bare in turn, and as the trials' words, each alone and as a list.
+    Words with input erasures and up to twice the errors the radius
+    takes."""
     params = CodeParams(GF(m), n, k)
     codec = params.codec
     nsyn = n - k
     rng = np.random.default_rng(47)
-    block = []
+    trials = []
     for _ in range(words):
         cw = codec.encode(rng.integers(0, params.q, k).tolist())
         symbols = corrupt(cw, rng, int(rng.integers(0, nsyn)), int(rng.integers(0, 4)), params.q)
-        trials = codec.erasure_trials(symbols, rng.permutation(n).tolist(), list(range(0, nsyn + 2, 3)))
-        solved = codec.solve_locators(trials)
-        block += [t if rng.integers(0, 2) else s for t, s in zip(trials, solved)]
-        block.append(ReceivedWord(symbols, np.zeros(n)))
-    block = [block[i] for i in rng.permutation(len(block))]
-    got = codec.decode_ee(trial_block(codec, block))
-    assert got == [codec.decode_ee(w) for w in block] == codec.decode_ee(block)
+        # tau = 0 erases the input erasures alone: the received word
+        taus = range(0, nsyn + 2, 3)
+        trials += [(symbols, erased, None) for erased in erased_sets(symbols, rng.permutation(n).tolist(), taus)]
+    trials = [trials[i] for i in rng.permutation(len(trials))]
+    solved, bare = trial_block(codec, trials), trial_block(codec, trials, locators=False)
+    got = codec.decode_ee(solved)
+    assert got == codec.decode_ee(bare)
+    assert got == [codec.decode_ee(take((solved, bare)[r % 2], [r]))[0] for r in range(len(trials))]
+    received = [ReceivedWord(as_erased(symbols, erased), np.zeros(n)) for symbols, erased, _ in trials]
+    assert got == [codec.decode_ee(w) for w in received] == codec.decode_ee(received)
     found = [c is not None for c in got]
     assert any(found) and not all(found)
-    assert sum(isinstance(w, ErasedWord) and w.locator is not None for w in block) > 0
-    assert sum(isinstance(w, ErasedWord) and w.locator is None for w in block) > 0
 
 
 def test_decode_block_peak_stays_bounded(big_codec):
