@@ -30,19 +30,19 @@ frame block of `sim` through these steps as arrays, in chunks of frames
 whose trial buffers stay within TRIAL_ENTRIES: one stable argsort, the
 S(y) and Gamma/T of every trial from one `RSCodec.erasure_trial_rows`
 pass, the probes in one `RSCodec.decode_ee` call, the locators of the
-unsettled trials in one `RSCodec.locator_rows` call, then rounds, each
-one `decode_ee` call on every word's next unsettled trial. A (words,
-trials) mask holds the unsettled trials, and each call gets an
-`ErasedBlock` of its trials with their S(y), Gamma/T and locators. A word
-decodes and scores the trials it would alone, so the block gives each
-word's result.
+unsettled trials in one `RSCodec.locator_rows` call, then a pass per
+schedule index with a trial left, one `decode_ee` call on that trial of
+each word that has it unsettled; each call gets an `ErasedBlock` of its
+trials with their S(y), Gamma/T and locators. The passes run in schedule
+order and a word's own candidates settle its trials, so it decodes and
+scores the trials it would alone, and the block gives each word's result.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .rs import ErasedBlock, RSCodec, ReceivedWord, received_arrays, received_block
+from .rs import CodeError, ErasedBlock, RSCodec, ReceivedWord, received_arrays, received_block
 
 #: Gamma/T entries of the trials of one chunk of frames, which bounds its
 #: buffers and temporaries: RS(256;255,144) decodes 41 frames a chunk, and
@@ -81,6 +81,8 @@ def gmd_decode(words, codec: RSCodec, unreliability=None):
         y, inputs = received_arrays(words, p.n)
         words, unreliability = y, np.array([w.unreliability for w in words])
     y, h = received_block(words, unreliability, p.gf)
+    if y.shape[1] != p.n:
+        raise CodeError("received word length mismatch")
     step = max(1, TRIAL_ENTRIES // (len(default_schedule(p.d_min)) * (2 * (p.n - p.k) + 4)))
     return [c for lo in range(0, len(y), step)
             for c in _decode_chunk(y[lo : lo + step], h[lo : lo + step],
@@ -111,30 +113,32 @@ def trial_sequences(y: np.ndarray, h: np.ndarray, inputs, d_min: int):
 
 
 def _decode_chunk(y: np.ndarray, h: np.ndarray, inputs, codec: RSCodec) -> list:
-    """`gmd_decode` of a block of words that is one chunk."""
+    """`gmd_decode` of a block of words that is one chunk: the probe, one
+    `locator_rows` call, then a `decode_ee` call per schedule index with a
+    trial left."""
     n, nsyn = codec.params.n, codec.params.n - codec.params.k
     rows = len(y)
     known, positions, sizes = trial_sequences(y, h, inputs, codec.params.d_min)
     synd, polys = codec.erasure_trial_rows(y, positions, sizes)
     count = sizes.shape[1]
     mid = count // 2
-    # the trials not decoded and not settled; trial j of word r is entry
-    # r * count + j of the flat views
-    pending = np.ones((rows, count), dtype=bool)
-    pending[:, mid] = False
-    flat_pending, flat_sizes, flat_polys = pending.reshape(-1), sizes.reshape(-1), polys.reshape(rows * count, -1)
+    # trial-major views: [j, r] is trial j of word r, so that a pass on
+    # trial j reads rows of [j]
+    sizes_by_trial, polys_by_trial = sizes.T, polys.transpose(1, 0, 2)
+    # the trials not settled, nor decoded before the current pass
+    pending = np.ones((count, rows), dtype=bool)
+    pending[mid] = False
     out, best = [None] * rows, {}  # per word: its codeword, and (score, -first trial)
 
     def pick(a: np.ndarray, at: np.ndarray) -> np.ndarray:
         """Rows `at` of a, ascending: a itself for all."""
         return a if len(at) == rows else a[at]
 
-    def decode(at: np.ndarray, trials, lam=None, L=None) -> None:
-        """Decode the trials, flat indices or a slice, one of each word of
-        `at`; keep each word's best candidate and settle the word's trials
-        whose radius holds one."""
-        got = codec.decode_ee(ErasedBlock(pick(y, at), pick(positions, at), flat_sizes[trials], pick(synd, at),
-                                          flat_polys[trials], lam, L))
+    def decode(at: np.ndarray, j: int, lam=None, L=None) -> None:
+        """Decode trial j of each word of `at`; keep each word's best
+        candidate and settle the word's trials whose radius holds one."""
+        got = codec.decode_ee(ErasedBlock(pick(y, at), pick(positions, at), pick(sizes_by_trial[j], at),
+                                          pick(synd, at), pick(polys_by_trial[j], at), lam, L))
         hit = [i for i, c in enumerate(got) if c is not None]
         if not hit:
             return
@@ -147,35 +151,28 @@ def _decode_chunk(y: np.ndarray, h: np.ndarray, inputs, codec: RSCodec) -> list:
         np.cumsum(~match[lines, pick(positions, at)], axis=1, out=inside[:, 1:])
         size = pick(sizes, at)
         holds = 2 * (inside[:, -1:] - inside[lines, size]) + size <= nsyn
-        pending[at] &= ~holds
+        pending[:, at] &= ~holds.T
         # the score, 1 - h_i summed left to right where the candidate
         # matches the word's symbols; ties go to the trial that finds the
         # candidate first, the smaller erasure count
         score = np.cumsum(np.where(match, 1.0 - pick(h, at), 0.0), axis=1)[:, -1]
-        for r, j, s, i in zip(at.tolist(), holds.argmax(axis=1).tolist(), score.tolist(), hit):
-            if (s, -j) > best.get(r, (-1.0, 0)):
-                best[r], out[r] = (s, -j), got[i]
+        for r, first, s, i in zip(at.tolist(), holds.argmax(axis=1).tolist(), score.tolist(), hit):
+            if (s, -first) > best.get(r, (-1.0, 0)):
+                best[r], out[r] = (s, -first), got[i]
 
-    decode(np.arange(rows), np.arange(mid, rows * count, count))
+    decode(np.arange(rows), mid)
     # the locators of the trials left unsettled, solved in order of erasure
     # count, and kept by trial
-    left = np.flatnonzero(flat_pending)
-    left = left[np.argsort(flat_sizes[left], kind="stable")]
-    lam, L = codec.locator_rows(flat_polys[left], flat_sizes[left])
-    lams, Ls = np.zeros((rows * count, lam.shape[1]), dtype=lam.dtype), np.zeros(rows * count, dtype=np.intp)
+    left = np.nonzero(pending)
+    left = tuple(i[np.argsort(sizes_by_trial[left], kind="stable")] for i in left)
+    lam, L = codec.locator_rows(polys_by_trial[left], sizes_by_trial[left])
+    lams, Ls = np.zeros((count, rows, lam.shape[1]), dtype=lam.dtype), np.zeros((count, rows), dtype=np.intp)
     lams[left], Ls[left] = lam, L
-    # rounds: each word's next unsettled trial, in schedule order
-    live = np.flatnonzero(pending.any(axis=1))
-    while len(live) > 1:
-        trials = live * count + pick(pending, live).argmax(axis=1)
-        flat_pending[trials] = False
-        decode(live, trials, lams[trials], Ls[trials])
-        live = live[pick(pending, live).any(axis=1)]
-    # the last live word's rounds, if any, its trials read as views
-    for r in live.tolist():
-        while pending[r].any():
-            j = r * count + int(pending[r].argmax())
-            flat_pending[j] = False
-            decode(live, slice(j, j + 1), lams[j : j + 1], Ls[j : j + 1])
-
+    # one pass per schedule index with a trial left: trial j of each word
+    # that has it pending, so every word decodes its trials in schedule
+    # order and settles them by its own candidates alone
+    for j in np.flatnonzero(pending.any(axis=1)).tolist():
+        at = np.flatnonzero(pending[j])
+        if len(at):
+            decode(at, j, pick(lams[j], at), pick(Ls[j], at))
     return out

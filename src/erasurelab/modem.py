@@ -360,10 +360,9 @@ class UnreliabilityLut:
             M, bits, sigma = _read_fields(path, 1, fh.readline(), (int, int, float))
             try:
                 cells = _cells_per_region(SquareQam(M).L, bits)
+                check_sigma(sigma)
             except ModemError as exc:
                 raise ModemError(f"{path}, line 1: {exc}") from None
-            if not sigma > 0:
-                raise ModemError(f"{path}, line 1: sigma must be > 0, got {sigma}")
             table = np.full((len(CLASSES), cells, cells), np.nan)
             for lineno, line in enumerate(fh, 2):
                 name, i, j, h = _read_fields(path, lineno, line, (str, int, int, float))

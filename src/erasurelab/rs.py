@@ -218,8 +218,8 @@ class ErasedBlock:
 
     A block of trials also carries each row's S(y) in `synd`, Gamma/T in
     `polys` and error locator, Lambda in `lam` and L, as
-    `RSCodec.locator_rows` solves them: no coefficient past L where
-    2L <= n-k-tau, the only locators that decoding reads. Row r of `polys`
+    `RSCodec.locator_rows` solves them; decoding reads Lambda to its first
+    L + 1 coefficients, and only where 2L <= n-k-tau. Row r of `polys`
     holds the erasure locator Gamma(x) = prod (1 + X_i x) over the erased
     positions and T(x) = Gamma(x) S(x) mod x^(n-k) as
     [0, Gamma_0..Gamma_(n-k), 0, T_0..T_(n-k)], T_(n-k) being a spare
@@ -449,11 +449,11 @@ class RSCodec:
         else:
             polys = block.polys[live]
 
-        # Lambda and L: carried, or solved
+        # Lambda and L: carried, or solved; read to its first L + 1
+        # coefficients, as `_decode_each` does (an L past the row has 2L > N)
         lam, L = self.locator_rows(polys, taus) if block.L is None else (block.lam[live], block.L[live])
-        # Lambda_0 = 1, so the last nonzero coefficient is found
-        deg = lam.shape[1] - 1 - np.argmax(lam[:, ::-1] != 0, axis=1)
-        keep = (2 * L <= nsyn - taus) & (deg == L)
+        lam = np.where(np.arange(lam.shape[1]) <= L[:, None], lam, 0)
+        keep = (2 * L <= nsyn - taus) & (lam[np.arange(len(L)), np.minimum(L, lam.shape[1] - 1)] != 0)
 
         live, taus, polys, lam, L, erased = live[keep], taus[keep], polys[keep], lam[keep], L[keep], erased[keep]
         if not len(live):

@@ -208,7 +208,7 @@ def test_gmd_matches_per_trial_erasure(m, n, k, dbs, frames, garbage, monkeypatc
     whose word sits fourth among the RS(16;15,7) words here.
 
     The words decoded as blocks of 1, 5, 6 and 7 and all at once give the
-    same codewords: rounds of fewer than rs.ROW_DECODE_MIN_WORDS trials
+    same codewords: passes of fewer than rs.ROW_DECODE_MIN_WORDS trials
     and of more, among words with input erasures, words that decode every
     trial and, at RS(16;15,7), words that settle at the probe."""
     code = CodeParams(GF(m), n, k)
@@ -374,6 +374,17 @@ def test_array_entry_rejects_bad_blocks(codec, y, h):
     assert gmd_decode(np.zeros((2, 15), dtype=np.uint8), codec, np.zeros((2, 15))) == [[0] * 15] * 2
 
 
+@pytest.mark.parametrize("columns", [14, 16])
+def test_array_entry_rejects_rows_of_another_length(codec, columns, monkeypatch):
+    """A block whose rows are one symbol short of n or one past it is the
+    CodeError of a word of the wrong length at entry, before any trial's
+    syndromes: not numpy's broadcasting error nor decode_ee's rejection
+    after the trials are built."""
+    monkeypatch.setattr(codec, "erasure_trial_rows", lambda *args: pytest.fail("trials built"))
+    with pytest.raises(CodeError, match="received word length mismatch"):
+        gmd_decode(np.zeros((2, columns), dtype=int), codec, np.zeros((2, columns)))
+
+
 def test_gmd_short_block_peak_stays_bounded(code, codec):
     """One 256-frame RS(16;15,7) block at 9 dB decodes from its arrays with
     a traced peak under 0.9 MB (it measures 0.66; the same block as
@@ -415,15 +426,17 @@ def test_skip_rule_matches_decoding_every_trial(m, n, k, dbs, frames, garbage, m
 
     gmd_decode decodes the middle trial and then, in schedule order, each
     trial that returns no candidate found before it, and no other: word
-    by word, and in one block of all the words the same number."""
+    by word, and in one block of all the words the same trials, in at most
+    one decode_ee call per schedule index."""
     code = CodeParams(GF(m), n, k)
     codec, nsyn = RSCodec(code), n - k
     decode_ee = codec.decode_ee
     decoded = []  # the erased positions of each trial decoded, a row of a block
-    monkeypatch.setattr(codec, "decode_ee", lambda w: decoded.extend(
+    calls = []
+    monkeypatch.setattr(codec, "decode_ee", lambda w: calls.append(len(w.taus)) or decoded.extend(
         w.order[r, :tau].tolist() for r, tau in enumerate(w.taus.tolist())) or decode_ee(w))
     cases = Counter()
-    words, expected = [], 0
+    words, expected = [], Counter()
     for r, h in gmd_test_words(code, codec, dbs, frames, garbage, np.random.default_rng(11)):
         # each trial's erased positions in the order GMD erases them: the
         # input erasures in position order, then the prefix of erasure_order
@@ -448,14 +461,19 @@ def test_skip_rule_matches_decoding_every_trial(m, n, k, dbs, frames, garbage, m
         gmd_decode(ReceivedWord(r, h), codec)
         assert decoded == [trials[j] for j in want]
         words.append(ReceivedWord(r, h))
-        expected += len(want)
+        expected.update(tuple(trials[j]) for j in want)
     assert cases["new"] > 0 and cases["failed"] > 0
     if k != 144:
         # at 15-16 dB each RS(256;255,144) candidate comes from one trial
         assert cases["settled"] > 0
+    schedule = default_schedule(code.d_min)
+    # the words are one chunk: the probe and one call per later pass
+    assert len(words) * len(schedule) * (2 * nsyn + 4) <= gmd.TRIAL_ENTRIES
     decoded.clear()
+    calls.clear()
     gmd_decode(words, codec)
-    assert len(decoded) == expected
+    assert Counter(map(tuple, decoded)) == expected
+    assert len(calls) <= len(schedule), len(calls)
 
 
 def test_score_tie_goes_to_smaller_tau_found_after_the_probe(codec, code):

@@ -446,8 +446,11 @@ def test_lut_save_deterministic(tmp_path, qam16):
     (1, "16 14 0.1", "line 1: bits_per_axis must be <= 10, got 14"),
     (1, "16 40 0.1", "line 1: bits_per_axis must be <= 10, got 40"),
     (1, "256 4 0.1", "line 1: 4-bit quantization cannot resolve 16 decision regions"),
-    (1, "16 6 0", "line 1: sigma must be > 0"),
-    (1, "16 6 nan", "line 1: sigma must be > 0"),
+    (1, "16 6 0", "line 1: sigma must lie in"),
+    (1, "16 6 nan", "line 1: sigma must lie in"),
+    (1, "16 6 inf", "line 1: sigma must lie in"),
+    (1, "16 6 1e-200", "line 1: sigma must lie in"),
+    (1, "16 6 1e13", "line 1: sigma must lie in"),
     (-1, "corner 9 8", "line 321: expected 4 fields, got 3"),
     (-1, "corner 9 8 0.1 0.2", "line 321: expected 4 fields, got 5"),
     (2, "middle 9 8 0.1", "line 2: unknown class 'middle'"),

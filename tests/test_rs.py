@@ -678,10 +678,11 @@ def decode_case(ref, symbols, erased, locator):
         gamma = scalar_erasure_locator(gf, n, erased)
         lam, L = ref._berlekamp_massey(scalar_poly_mul(gf, gamma, synd)[tau:nsyn])
     else:
-        lam, L = locator
+        # a carried Lambda is read to its first L + 1 coefficients
+        lam, L = locator[0][: locator[1] + 1], locator[1]
     if 2 * L > nsyn - tau:
         return "2L > N"
-    if L != len(lam) - 1:
+    if L != len(lam) - 1 or not lam[L]:
         return "deg != L"
     roots = [i for i in range(n) if poly_eval(gf, lam, alpha_pow(gf, -(n - 1 - i))) == 0]
     if len(roots) != L:
@@ -700,8 +701,9 @@ def block_rows(codec, rng, count):
     its input erasures alone. Then trials with a locator that solves no key
     equation, whose word is None: Lambda = 1 + X_b x with b not the error
     position (S(e) != S(y)) or erased, and with L = 2 > deg Lambda; and the
-    one-error word's true Lambda with a coefficient past the row decoder's
-    (n-k)//2 + 2, which deg Lambda != L rejects."""
+    one-error word's true Lambda with a coefficient past L, and past the
+    row decoder's (n-k)//2 + 2, whose word is the one-error word: decoding
+    reads Lambda to its first L + 1 coefficients."""
     p = codec.params
     n, k, nsyn = p.n, p.k, p.n - p.k
     rows = []
@@ -722,8 +724,9 @@ def block_rows(codec, rng, count):
         word[a] ^= 1
         x = p.gf.exp[n - 1 - b]
         true = [1, p.gf.exp[n - 1 - a]] + [0] * (nsyn // 2 + 2) + [1]
-        for erased, locator in (([], ([1, x], 1)), ([b], ([1, x], 1)), ([], ([1, x], 2)), ([], (true, 1))):
-            rows.append((word, erased, locator, None))
+        for erased, locator, out in (([], ([1, x], 1), None), ([b], ([1, x], 1), None), ([], ([1, x], 2), None),
+                                     ([], (true, 1), word)):
+            rows.append((word, erased, locator, out))
     return rows
 
 
@@ -738,8 +741,8 @@ def test_decode_ee_block_matches_per_word_and_scalar(m, n, k, count):
     Berlekamp-Massey form, the whole block the row form. The rows meet
     every exit of the decoder: clean, more than n-k erasures, 2L > N,
     deg Lambda != L, too few Chien roots, a root at an erasure,
-    S(e) != S(y) and corrected. A carried Lambda has no coefficient past L
-    (ErasedBlock), so only the rows decoder meets the one that has."""
+    S(e) != S(y) and corrected. A carried Lambda with a coefficient past L
+    decodes alike alone and in the block: both read its first L + 1."""
     params = CodeParams(GF(m), n, k)
     codec, ref = params.codec, ScalarRSCodec(params)
     rng = np.random.default_rng(41)
@@ -748,8 +751,7 @@ def test_decode_ee_block_matches_per_word_and_scalar(m, n, k, count):
     trials = [(symbols, erased, locator) for symbols, erased, locator, _ in rows]
     block = trial_block(codec, trials)
     got = codec.decode_ee(block)
-    alone = [r for r, (_, _, locator) in enumerate(trials) if locator is None or len(locator[0]) <= locator[1] + 1]
-    assert [got[r] for r in alone] == [codec.decode_ee(take(block, [r]))[0] for r in alone]
+    assert got == [codec.decode_ee(take(block, [r]))[0] for r in range(len(trials))]
     assert codec.decode_ee(take(block, slice(0, 6))) == got[:6]
     plain = [r for r, (_, _, locator) in enumerate(trials) if locator is None]
     bare = take(trial_block(codec, trials, locators=False), plain)
