@@ -4,13 +4,15 @@
 # unreliability method, in gmd mode with five-frame points (blocks whose
 # GMD rounds decode fewer than rs.ROW_DECODE_MIN_WORDS trials), and
 # adaptively with the seed 2**130 + 5, five 32-bit words, more than
-# SeedSequence's pool of four, which sim seeds its streams from; on
-# RS(256;255,144) in the four Monte-Carlo modes, adaptively and in gmd mode
-# with one-frame points (the one-row frame block) and semi-simulatively
-# with each method; and `predict` on both codes, RS(256;255,144) also at
-# 18-20 dB, where P(tau) lies far below 1e-16. That is 32 CSVs. `lut` then
-# writes two lookup-table text files, 256-QAM at 8 bits and 16-QAM at 6
-# bits: 34 files.
+# SeedSequence's pool of four, which sim seeds its streams from, and
+# semi-simulatively with each method (1500 vectors, 22 500 points, so that
+# a boundary of the sampler's UNRELIABILITY_CHUNK falls inside a vector);
+# on RS(256;255,144) in the four Monte-Carlo modes, adaptively and in gmd
+# mode with one-frame points (the one-row frame block) and
+# semi-simulatively with each method; and `predict` on both codes,
+# RS(256;255,144) also at 18-20 dB, where P(tau) lies far below 1e-16.
+# That is 35 CSVs. `lut` then writes two lookup-table text files, 256-QAM
+# at 8 bits and 16-QAM at 6 bits: 37 files.
 #
 # Usage: sh scripts/fixed_seed_csvs.sh OUTDIR
 #
@@ -42,6 +44,10 @@ lab simulate --m 4 --n 15 --k 7 --ebn0-grid 7,9 --frames 5 --seed 1 --unreliabil
 lab simulate --m 4 --n 15 --k 7 --ebn0-grid 7,9 --frames 300 \
     --seed 1361129467683753853853498429727072845829 --unreliability exact \
     --mode adaptive --strategy exact --out rs15_adaptive_big_seed.csv
+for u in exact lut nn; do
+    lab simulate --m 4 --n 15 --k 7 --ebn0-grid 7,9 --mode semi_simulative --samples 1500 --seed 1 \
+        --unreliability $u --out rs15_semi_$u.csv
+done
 
 long="--ebn0-grid 16.5,17 --frames 100 --seed 1 --unreliability exact"
 lab simulate $long --mode errors_only --out rs255_errors_only.csv

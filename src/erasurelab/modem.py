@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -35,7 +35,8 @@ class ModemError(ValueError):
 # received points per call of an unreliability kernel: few enough that each
 # call's temporaries stay under glibc's mmap threshold, so they are reused
 # from the heap instead of mapped and page-faulted afresh (the chunking also
-# bounds a table build's peak)
+# bounds a table build's peak); the semi-simulative sampler modulates, adds
+# noise to and scores this many points at a time
 UNRELIABILITY_CHUNK = 1 << 14
 # squared distances (levels x coordinates) per block of the exact kernel:
 # its two (L, C) blocks of distance rows take 128 kB each and stay in the
@@ -108,7 +109,11 @@ class SquareQam:
     # -- mapping / channel --
 
     def modulate(self, symbols) -> np.ndarray:
-        return self.points[np.asarray(symbols, dtype=np.int64)]
+        """The (..., 2) points of an array of symbols: one 1-D gather of
+        the points viewed as complex numbers, each an (I, Q) pair."""
+        sym = np.asarray(symbols, dtype=np.int64)
+        z = self.points.view(np.complex128).reshape(-1).take(sym.reshape(-1))
+        return z.view(np.float64).reshape(sym.shape + (2,))
 
     def hard_decision_indices(self, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-axis nearest level indices (ties resolved toward the lower index)."""
@@ -211,21 +216,39 @@ def _add_rows(e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def unreliability_nn(y: np.ndarray, qam: SquareQam, sigma: float) -> np.ndarray:
     """Approximate unreliability: denominator over the hard decision and
-    its axis-adjacent neighbors only."""
+    its axis-adjacent neighbors only.
+
+    A neighbor differs from the decision on one axis, and l + 0 * step = l
+    exactly, so the squared offset on the other axis is the decision's own,
+    computed once. A neighbor lies in the constellation exactly when the
+    decision's index on the moved axis is not at that end: one compare."""
     check_sigma(sigma)
     y = np.atleast_2d(np.asarray(y, dtype=float))
     ix, iy = qam.hard_decision_indices(y)
     lx = qam.levels[ix]
     ly = qam.levels[iy]
-    d0 = (y[:, 0] - lx) ** 2 + (y[:, 1] - ly) ** 2
-    s = np.zeros(len(y))
     step = 2.0 * qam.scale
-    for dxi, dyi in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-        nx = ix + dxi
-        ny = iy + dyi
-        ok = (nx >= 0) & (nx < qam.L) & (ny >= 0) & (ny < qam.L)
-        dn = (y[:, 0] - (lx + dxi * step)) ** 2 + (y[:, 1] - (ly + dyi * step)) ** 2
-        s += np.where(ok, np.exp(-(dn - d0) / (2.0 * sigma * sigma)), 0.0)
+    two_s2 = 2.0 * sigma * sigma
+    dx = y[:, 0] - lx
+    np.square(dx, out=dx)
+    dy = y[:, 1] - ly
+    np.square(dy, out=dy)
+    d0 = dx + dy
+    s = np.zeros(len(y))
+    e = np.empty(len(y))
+    # (moved coordinate, its decision level, moved axis's index, the other
+    # axis's squared offset, shift), in the order the terms are added
+    for v, lv, iv, rest, shift in ((y[:, 0], lx, ix, dy, -step), (y[:, 0], lx, ix, dy, step),
+                                   (y[:, 1], ly, iy, dx, -step), (y[:, 1], ly, iy, dx, step)):
+        ok = iv > 0 if shift < 0 else iv < qam.L - 1
+        np.add(lv, shift, out=e)
+        np.subtract(v, e, out=e)
+        np.square(e, out=e)
+        e += rest
+        # d0 - dn is -(dn - d0) exactly: rounding is symmetric in sign
+        np.subtract(d0, e, out=e)
+        e /= two_s2
+        s += np.where(ok, np.exp(e, out=e), 0.0)
     return _posterior(s)
 
 
@@ -268,8 +291,11 @@ class UnreliabilityLut:
     the number of border axes. An edge cell keys (along-edge, outward), so
     the offsets swap when the border axis is x; a corner cell keys
     (max, min) of its two outward offsets, and an even diagonal corner cell
-    moves to its odd neighbor (p+1, p+1). One gather then reads the entry
-    from the dense (3, c, c) ``table``, the only store of the values.
+    moves to its odd neighbor (p+1, p+1). That fold depends only on the
+    geometry (L, c), so it is tabulated once per geometry in two small
+    integer maps (`_lut_maps`): axis cell -> (border, folded offset) key,
+    and key pair -> flat index into the dense (3, c, c) ``table``, the only
+    store of the values. A lookup quantizes, then makes three gathers.
     """
 
     M: int
@@ -327,20 +353,15 @@ class UnreliabilityLut:
         c = self.cells_per_region
         L = qam.L
         w = 2.0 * qam.scale / c
-        gi = np.floor((y + L * qam.scale) / w).astype(np.int64)
+        t = y + L * qam.scale
+        t /= w
+        np.floor(t, out=t)
+        gi = t.astype(np.int64)
         np.clip(gi, 0, L * c - 1, out=gi)
-        # mirror each axis onto its lower half: region 0 is then the border
-        r, o = np.divmod(np.minimum(gi, L * c - 1 - gi), c)
-        border = r == 0
-        u = np.where(border, c - 1 - o, np.maximum(o, c - 1 - o))
-        ux, uy = u[:, 0], u[:, 1]
-        bx, by = border[:, 0], border[:, 1]
-        cls_ix = bx.astype(np.int64) + by
-        swap = bx & (~by | (ux < uy))
-        i = np.where(swap, uy, ux)
-        j = np.where(swap, ux, uy)
-        diag = (cls_ix == 2) & (i == j) & (i % 2 == 0)
-        return self.table[cls_ix, i + diag, j + diag]
+        x_key, y_key, pair_index = _lut_maps(L, c)
+        k = x_key.take(gi[:, 0])
+        k += y_key.take(gi[:, 1])
+        return self.table.reshape(-1).take(pair_index.take(k))
 
     # -- flat text export / import --
 
@@ -374,6 +395,37 @@ class UnreliabilityLut:
                     raise ModemError(f"{path}, line {lineno}: h must lie in [0, 1), got {h}")
                 table[CLASSES.index(name), i, j] = h
         return cls(M, bits, sigma, cells, table)
+
+
+@cache
+def _lut_maps(L: int, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fold of `UnreliabilityLut.lookup` for L regions of c cells per
+    axis, as two small maps built on first use: axis cell -> key, a key
+    being a (border, folded offset) pair, given as (x_key, y_key) = (K key,
+    key) for K keys; and key pair x_key + y_key -> flat index into the
+    (3, c, c) table. Only keys that occur are numbered, so at 4-QAM with 10
+    bits the pair map holds 512^2 entries."""
+    g = np.arange(L * c)
+    # mirror each axis onto its lower half: region 0 is then the border
+    r, o = np.divmod(np.minimum(g, L * c - 1 - g), c)
+    border = r == 0
+    u = np.where(border, c - 1 - o, np.maximum(o, c - 1 - o))
+    keys, key = np.unique(border * c + u, return_inverse=True)
+    b, u = np.divmod(keys.astype(np.int32), c)
+    bx, by = b[:, None] == 1, b == 1
+    ux, uy = u[:, None], u
+    cls_ix = b[:, None] + b
+    swap = bx & (~by | (ux < uy))
+    i = np.where(swap, uy, ux)
+    j = np.where(swap, ux, uy)
+    diag = (cls_ix == 2) & (i == j) & (i % 2 == 0)
+    i += diag
+    j += diag
+    cls_ix *= c
+    cls_ix += i
+    cls_ix *= c
+    cls_ix += j
+    return key * len(keys), key, cls_ix.reshape(-1).astype(np.intp)
 
 
 def _cells_per_region(L: int, bits_per_axis: int) -> int:

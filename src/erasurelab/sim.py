@@ -194,13 +194,19 @@ def unreliability(
     h = np.empty(len(y))
     for lo in range(0, len(y), UNRELIABILITY_CHUNK):
         chunk = y[lo : lo + UNRELIABILITY_CHUNK]
-        if method == "exact":
-            h[lo : lo + len(chunk)] = unreliability_exact(chunk, qam, sigma)
-        elif method == "lut":
-            h[lo : lo + len(chunk)] = lut.lookup(chunk, qam)
-        else:
-            h[lo : lo + len(chunk)] = unreliability_nn(chunk, qam, sigma)
+        h[lo : lo + len(chunk)] = _chunk_unreliability(chunk, qam, sigma, method, lut)
     return h
+
+
+def _chunk_unreliability(
+    y: np.ndarray, qam: SquareQam, sigma: float, method: str, lut: UnreliabilityLut | None
+) -> np.ndarray:
+    """`unreliability` of at most UNRELIABILITY_CHUNK points, in one call."""
+    if method == "exact":
+        return unreliability_exact(y, qam, sigma)
+    if method == "lut":
+        return lut.lookup(y, qam)
+    return unreliability_nn(y, qam, sigma)
 
 
 def sample_unreliability_vectors(
@@ -212,12 +218,23 @@ def sample_unreliability_vectors(
     method: str = "nn",
 ) -> np.ndarray:
     """Sorted (non-increasing) unreliability vectors of random transmissions;
-    a ModemError, before anything is drawn, for a sigma that no kernel takes."""
+    a ModemError, before anything is drawn, for a sigma that no kernel takes.
+
+    All count * n symbols come from one `integers` call. Then, for each
+    UNRELIABILITY_CHUNK of them in turn, the chunk is modulated, its noise
+    drawn and added in place, and its unreliabilities written into one
+    array, which is sorted at the end. Normal draws in chunks continue one
+    stream, so every vector is the one a single draw of all the noise gives,
+    while the temporaries stay chunk-sized."""
     check_sigma(sigma)
     sym = rng.integers(0, qam.M, size=count * n)
-    y = awgn(qam.modulate(sym), sigma, rng)
     lut = UnreliabilityLut.build(qam, sigma, LUT_BITS) if method == "lut" else None
-    h = unreliability(y, qam, sigma, method, lut).reshape(count, n)
+    h = np.empty(count * n)
+    for lo in range(0, len(sym), UNRELIABILITY_CHUNK):
+        y = qam.modulate(sym[lo : lo + UNRELIABILITY_CHUNK])
+        y += rng.normal(0.0, sigma, size=y.shape)
+        h[lo : lo + len(y)] = _chunk_unreliability(y, qam, sigma, method, lut)
+    h = h.reshape(count, n)
     h.sort(axis=1)
     return h[:, ::-1]
 

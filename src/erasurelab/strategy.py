@@ -108,11 +108,13 @@ def tail_coeffs(h, width: int, tau_lo: int, tau_hi: int) -> np.ndarray:
     out = np.empty((tau_hi - tau_lo + 1,) + upper.shape)
     if tau_hi == n:
         out[-1] = upper
-    columns = h.T
+    # each column and its complement contiguous, read once; one carry buffer
+    columns = np.ascontiguousarray(h.T)
+    complements = 1.0 - columns
+    carry = np.empty_like(lower)
     for i in range(n - 1, tau_lo - 1, -1):
-        p = columns[i]
-        carry = lower * p  # read before `upper`, which overlaps it, changes
-        upper *= 1.0 - p
+        np.multiply(lower, columns[i], out=carry)  # before `upper`, which overlaps it, changes
+        upper *= complements[i]
         upper += carry
         if i <= tau_hi:
             out[i - tau_lo] = upper

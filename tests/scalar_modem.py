@@ -1,7 +1,9 @@
 """Reference unreliability code for the differential tests of `erasurelab.modem`.
 
-These are the implementations that the separable posterior and the array
-lookup table replaced, kept verbatim apart from their names:
+These are the implementations that the separable posterior, the array
+lookup table, its per-geometry fold maps, the one-compare nearest-neighbor
+masks and the chunked sampler replaced, kept verbatim apart from their
+names:
 
 * `tensor_unreliability_exact` - the exact posterior over an (N, L, L)
   tensor of squared distances, normalized by its maximum exponent;
@@ -16,7 +18,14 @@ lookup table replaced, kept verbatim apart from their names:
 * `canonical_key` - the per-point fold of a (region, cell offset) pair
   onto its stored entry key;
 * `loop_label_maps` - the L x L loop that filled `SquareQam`'s label maps
-  from the per-axis Gray codes.
+  from the per-axis Gray codes;
+* `masked_unreliability_nn` - the nearest-neighbor posterior with both
+  axes' squared offsets recomputed for each neighbor and its mask made of
+  four compares;
+* `fold_lookup` - `UnreliabilityLut.lookup` folding each point's cells onto
+  the table's key with array passes, then one three-array gather;
+* `one_shot_unreliability_vectors` - the sampler that drew, modulated and
+  scored all count x n points in one go.
 """
 
 from __future__ import annotations
@@ -25,7 +34,9 @@ import math
 
 import numpy as np
 
-from erasurelab.modem import CORNER, EDGE, INTERIOR, ModemError, SquareQam, _posterior
+from erasurelab.modem import (CORNER, EDGE, INTERIOR, ModemError, SquareQam, UnreliabilityLut, _posterior, awgn,
+                              check_sigma)
+from erasurelab.sim import LUT_BITS, unreliability
 
 
 def tensor_unreliability_exact(y: np.ndarray, qam: SquareQam, sigma: float) -> np.ndarray:
@@ -139,3 +150,64 @@ def loop_label_maps(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     index_symbol = np.empty((L, L), dtype=np.int64)
     index_symbol[symbol_ix, symbol_iy] = np.arange(L * L)
     return symbol_ix, symbol_iy, index_symbol
+
+
+def masked_unreliability_nn(y: np.ndarray, qam: SquareQam, sigma: float) -> np.ndarray:
+    """Approximate unreliability: denominator over the hard decision and
+    its axis-adjacent neighbors only."""
+    check_sigma(sigma)
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    ix, iy = qam.hard_decision_indices(y)
+    lx = qam.levels[ix]
+    ly = qam.levels[iy]
+    d0 = (y[:, 0] - lx) ** 2 + (y[:, 1] - ly) ** 2
+    s = np.zeros(len(y))
+    step = 2.0 * qam.scale
+    for dxi, dyi in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+        nx = ix + dxi
+        ny = iy + dyi
+        ok = (nx >= 0) & (nx < qam.L) & (ny >= 0) & (ny < qam.L)
+        dn = (y[:, 0] - (lx + dxi * step)) ** 2 + (y[:, 1] - (ly + dyi * step)) ** 2
+        s += np.where(ok, np.exp(-(dn - d0) / (2.0 * sigma * sigma)), 0.0)
+    return _posterior(s)
+
+
+def fold_lookup(lut: UnreliabilityLut, y: np.ndarray, qam: SquareQam) -> np.ndarray:
+    """Quantize received points and fetch the tabulated unreliability."""
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    c = lut.cells_per_region
+    L = qam.L
+    w = 2.0 * qam.scale / c
+    gi = np.floor((y + L * qam.scale) / w).astype(np.int64)
+    np.clip(gi, 0, L * c - 1, out=gi)
+    # mirror each axis onto its lower half: region 0 is then the border
+    r, o = np.divmod(np.minimum(gi, L * c - 1 - gi), c)
+    border = r == 0
+    u = np.where(border, c - 1 - o, np.maximum(o, c - 1 - o))
+    ux, uy = u[:, 0], u[:, 1]
+    bx, by = border[:, 0], border[:, 1]
+    cls_ix = bx.astype(np.int64) + by
+    swap = bx & (~by | (ux < uy))
+    i = np.where(swap, uy, ux)
+    j = np.where(swap, ux, uy)
+    diag = (cls_ix == 2) & (i == j) & (i % 2 == 0)
+    return lut.table[cls_ix, i + diag, j + diag]
+
+
+def one_shot_unreliability_vectors(
+    sigma: float,
+    qam: SquareQam,
+    n: int,
+    count: int,
+    rng: np.random.Generator,
+    method: str = "nn",
+) -> np.ndarray:
+    """Sorted (non-increasing) unreliability vectors of random transmissions;
+    a ModemError, before anything is drawn, for a sigma that no kernel takes."""
+    check_sigma(sigma)
+    sym = rng.integers(0, qam.M, size=count * n)
+    y = awgn(qam.modulate(sym), sigma, rng)
+    lut = UnreliabilityLut.build(qam, sigma, LUT_BITS) if method == "lut" else None
+    h = unreliability(y, qam, sigma, method, lut).reshape(count, n)
+    h.sort(axis=1)
+    return h[:, ::-1]

@@ -24,7 +24,10 @@ from erasurelab.sim import sample_unreliability_vectors
 
 from scalar_modem import (
     canonical_key,
+    fold_lookup,
     loop_label_maps,
+    masked_unreliability_nn,
+    one_shot_unreliability_vectors,
     scalar_lut_entries,
     sorted_unreliability_exact,
     tensor_unreliability_exact,
@@ -32,6 +35,9 @@ from scalar_modem import (
 
 #: (M, bits per axis) of the lookup-table differential tests
 LUT_CASES = [(4, 8), (16, 6), (16, 8), (64, 8), (256, 8), (256, 9)]
+#: noise levels of the bit-identity tests, over the whole range the kernels take
+SIGMAS = [SIGMA_MIN, 1e-3, 0.05, 3.0, SIGMA_MAX]
+SIGMA_IDS = ["sigma_min", "1e-3", "0.05", "3", "sigma_max"]
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +101,18 @@ def test_label_maps_match_loop_reference(M):
     qam = SquareQam(M)
     for got, want in zip((qam.symbol_ix, qam.symbol_iy, qam.index_symbol), loop_label_maps(qam.L)):
         assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("symbols", [
+    np.arange(16), np.arange(16).reshape(4, 4)[:, ::-1], [3, 0, 15, 7], [[1, 2], [3, 4]], [], np.empty((0, 15), int),
+], ids=["1d", "2d_strided", "list", "nested_list", "empty_list", "empty_2d"])
+def test_modulate_matches_point_gather(qam16, symbols):
+    """The complex-view gather gives the (..., 2) points that indexing the
+    point table gives, for arrays of any shape, lists and no symbols."""
+    got = qam16.modulate(symbols)
+    want = qam16.points[np.asarray(symbols, dtype=np.int64)]
+    assert got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+    assert got.flags.writeable
 
 
 def test_modulate_demap_roundtrip(qam256):
@@ -201,6 +219,24 @@ def test_exact_bit_identical_to_sorted_reference(M, sigma):
         assert np.array_equal(h, sorted_unreliability_exact(y, qam, sigma)), kind
 
 
+@pytest.mark.parametrize("M", [4, 16, 64, 256])
+@pytest.mark.parametrize("sigma", SIGMAS, ids=SIGMA_IDS)
+def test_nn_bit_identical_to_masked_reference(M, sigma):
+    """Reusing each axis's own squared offset and one compare per neighbor
+    mask gives every h exactly as the kernel that recomputed both offsets
+    and built each mask from four compares: on ties, ulp neighbours of
+    ties, level points and far out. At the smallest sigma both overflow
+    exp, and a tie's h is NaN in both (a fault of the approximation that
+    the reference shares), so NaN compares equal here."""
+    qam = SquareQam(M)
+    for kind, y in _exact_inputs(qam, sigma, np.random.default_rng(M)).items():
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = unreliability_nn(y, qam, sigma)
+            want = masked_unreliability_nn(y, qam, sigma)
+        assert got.shape == (len(y),), kind
+        assert np.array_equal(got, want, equal_nan=True), kind
+
+
 @pytest.mark.parametrize("sigma", [math.nan, 0.0, 1e-200, math.inf, -0.1, SIGMA_MAX * 1.001])
 @pytest.mark.parametrize("kernel", ["exact", "nn", "lut"])
 def test_every_kernel_rejects_sigma_out_of_range(qam16, kernel, sigma):
@@ -227,6 +263,40 @@ def test_sampled_vectors_reject_sigma_before_drawing(qam16, method, sigma):
     with pytest.raises(ModemError, match="sigma must lie in"):
         sample_unreliability_vectors(sigma, qam16, 15, 4, rng, method)
     assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("method", ["exact", "nn", "lut"])
+@pytest.mark.parametrize("M,n,count", [(16, 15, 1), (16, 15, 1093), (256, 255, 1), (256, 255, 70)])
+def test_chunked_sampling_matches_one_shot(method, M, n, count):
+    """Modulating, drawing noise and scoring UNRELIABILITY_CHUNK points at
+    a time continues the one stream: the vectors equal those of the
+    sampler that drew all the noise at once, bit for bit, and the generator
+    ends in the same state. 1093 x 15 and 70 x 255 points are not whole
+    chunks, and a chunk boundary falls inside a vector."""
+    qam = SquareQam(M)
+    sigma = sigma_from_ebn0(8.0 if M == 16 else 16.5, M, n, 7 if M == 16 else 144)
+    rng, ref_rng = np.random.default_rng(count), np.random.default_rng(count)
+    got = sample_unreliability_vectors(sigma, qam, n, count, rng, method)
+    want = one_shot_unreliability_vectors(sigma, qam, n, count, ref_rng, method)
+    assert got.shape == (count, n) and np.array_equal(got, want)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("method", ["exact", "nn", "lut"])
+def test_sampling_peak_stays_near_its_arrays(qam256, method):
+    """A default semi-simulative point, 10^4 vectors at n = 255, keeps two
+    arrays of count x n: the drawn symbols and the vectors. Every other
+    temporary is chunk-sized, so the traced peak stays within 4 MB of the
+    two (it measures 1.2 to 1.8 MB over them; the one-shot sampler's was
+    61 MB over)."""
+    sigma = sigma_from_ebn0(16.5, 256, 255, 144)
+    tracemalloc.start()
+    try:
+        h = sample_unreliability_vectors(sigma, qam256, 255, 10_000, np.random.default_rng(1), method)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * h.nbytes + 4e6
 
 
 @pytest.mark.parametrize("qam", [SquareQam(16), SquareQam(256)], ids=["16", "256"])
@@ -335,6 +405,25 @@ def test_lut_build_peak_stays_near_the_table(monkeypatch):
     assert UnreliabilityLut.build(SquareQam(4), 0.3, 10).table.tobytes() == lut.table.tobytes()
 
 
+def test_first_lookup_peak_stays_near_the_table():
+    """The first 4-QAM lookup with 10 bits (a 6.3 MB table) builds the fold
+    maps of that geometry, one entry per axis cell and per key pair, and
+    its traced peak stays under 1.5 tables (it measures 0.93; a map over
+    the whole (L c)^2 plane of cells peaked near 3.5)."""
+    qam = SquareQam(4)
+    lut = UnreliabilityLut.build(qam, 0.3, 10)
+    y = np.random.default_rng(4).normal(0.0, 1.0, (1000, 2))
+    modem._lut_maps.cache_clear()
+    tracemalloc.start()
+    try:
+        lut.lookup(y, qam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert modem._lut_maps.cache_info().currsize == 1
+    assert peak < 1.5 * lut.table.nbytes
+
+
 def test_lut_reconstruction_off_diagonal(qam16):
     """Cell-center reconstruction is lossless except on corner diagonals,
     where storage is at half resolution."""
@@ -407,6 +496,28 @@ def test_lut_lookup_matches_canonical_key(M, bits):
     want = [lut.entries[canonical_key(gx // c, gy // c, gx % c, gy % c, L, c)]
             for gx, gy in gi.tolist()]
     assert np.array_equal(lut.lookup(pts, qam), want)
+
+
+@pytest.mark.parametrize("M,bits", LUT_CASES + [(4, 10)])
+def test_lut_lookup_bit_identical_to_fold_reference(M, bits):
+    """Reading the table through the per-geometry maps gives exactly what
+    folding each point with array passes gave: on every cell, its edges
+    one ulp either side, and points far outside the grid."""
+    qam = SquareQam(M)
+    lut = UnreliabilityLut.build(qam, 0.6 * qam.scale, bits)
+    c, L = lut.cells_per_region, qam.L
+    w = 2.0 * qam.scale / c
+    half_span = L * qam.scale
+    centres = (np.arange(L * c) + 0.5) * w - half_span
+    edges = np.arange(L * c + 1) * w - half_span
+    axis = np.concatenate([centres, edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+                           [-1e9, -4.0 * half_span, 4.0 * half_span, 1e9]])
+    # every pair of axis values, a block of rows of the plane at a time
+    step = max(1, (1 << 16) // len(axis))
+    for lo in range(0, len(axis), step):
+        xs, ys = np.meshgrid(axis[lo : lo + step], axis, indexing="ij")
+        pts = np.stack([xs.ravel(), ys.ravel()], axis=-1)
+        assert np.array_equal(lut.lookup(pts, qam), fold_lookup(lut, pts, qam))
 
 
 def test_lut_save_load_roundtrip(tmp_path):
