@@ -404,13 +404,16 @@ def _lut_maps(L: int, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     being a (border, folded offset) pair, given as (x_key, y_key) = (K key,
     key) for K keys; and key pair x_key + y_key -> flat index into the
     (3, c, c) table. Only keys that occur are numbered, so at 4-QAM with 10
-    bits the pair map holds 512^2 entries."""
+    bits the pair map holds 512^2 entries. The maps are read-only, since
+    every lookup of the geometry shares them."""
     g = np.arange(L * c)
     # mirror each axis onto its lower half: region 0 is then the border
     r, o = np.divmod(np.minimum(g, L * c - 1 - g), c)
     border = r == 0
     u = np.where(border, c - 1 - o, np.maximum(o, c - 1 - o))
     keys, key = np.unique(border * c + u, return_inverse=True)
+    # the (K, K) key-pair arrays in int32 keep the build's peak near the
+    # finished map's size
     b, u = np.divmod(keys.astype(np.int32), c)
     bx, by = b[:, None] == 1, b == 1
     ux, uy = u[:, None], u
@@ -425,7 +428,10 @@ def _lut_maps(L: int, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cls_ix += i
     cls_ix *= c
     cls_ix += j
-    return key * len(keys), key, cls_ix.reshape(-1).astype(np.intp)
+    maps = key * len(keys), key, cls_ix.reshape(-1).astype(np.intp)
+    for m in maps:
+        m.setflags(write=False)
+    return maps
 
 
 def _cells_per_region(L: int, bits_per_axis: int) -> int:

@@ -194,19 +194,13 @@ def unreliability(
     h = np.empty(len(y))
     for lo in range(0, len(y), UNRELIABILITY_CHUNK):
         chunk = y[lo : lo + UNRELIABILITY_CHUNK]
-        h[lo : lo + len(chunk)] = _chunk_unreliability(chunk, qam, sigma, method, lut)
+        if method == "exact":
+            h[lo : lo + len(chunk)] = unreliability_exact(chunk, qam, sigma)
+        elif method == "lut":
+            h[lo : lo + len(chunk)] = lut.lookup(chunk, qam)
+        else:
+            h[lo : lo + len(chunk)] = unreliability_nn(chunk, qam, sigma)
     return h
-
-
-def _chunk_unreliability(
-    y: np.ndarray, qam: SquareQam, sigma: float, method: str, lut: UnreliabilityLut | None
-) -> np.ndarray:
-    """`unreliability` of at most UNRELIABILITY_CHUNK points, in one call."""
-    if method == "exact":
-        return unreliability_exact(y, qam, sigma)
-    if method == "lut":
-        return lut.lookup(y, qam)
-    return unreliability_nn(y, qam, sigma)
 
 
 def sample_unreliability_vectors(
@@ -233,7 +227,7 @@ def sample_unreliability_vectors(
     for lo in range(0, len(sym), UNRELIABILITY_CHUNK):
         y = qam.modulate(sym[lo : lo + UNRELIABILITY_CHUNK])
         y += rng.normal(0.0, sigma, size=y.shape)
-        h[lo : lo + len(y)] = _chunk_unreliability(y, qam, sigma, method, lut)
+        h[lo : lo + len(y)] = unreliability(y, qam, sigma, method, lut)
     h = h.reshape(count, n)
     h.sort(axis=1)
     return h[:, ::-1]
