@@ -287,7 +287,7 @@ def test_sampling_peak_stays_near_its_arrays(qam256, method):
     """A default semi-simulative point, 10^4 vectors at n = 255, keeps two
     arrays of count x n: the drawn symbols and the vectors. Every other
     temporary is chunk-sized, so the traced peak stays within 4 MB of the
-    two (it measures 1.2 to 1.8 MB over them; the one-shot sampler's was
+    two (it measures 1.2 to 1.9 MB over them; the one-shot sampler's was
     61 MB over)."""
     sigma = sigma_from_ebn0(16.5, 256, 255, 144)
     tracemalloc.start()
