@@ -36,7 +36,8 @@ class ModemError(ValueError):
 # call's temporaries stay under glibc's mmap threshold, so they are reused
 # from the heap instead of mapped and page-faulted afresh (the chunking also
 # bounds a table build's peak); the semi-simulative sampler modulates, adds
-# noise to and scores this many points at a time
+# noise to and scores this many points at a time, and `strategy.tail_coeffs`
+# copies the unreliabilities it reads about this many at a time
 UNRELIABILITY_CHUNK = 1 << 14
 # squared distances (levels x coordinates) per block of the exact kernel:
 # its two (L, C) blocks of distance rows take 128 kB each and stay in the

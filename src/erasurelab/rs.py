@@ -164,15 +164,11 @@ def received_arrays(words: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     erasures (None) read as 0, and the input erasures' mask."""
     if any(len(w.symbols) != n for w in words):
         raise CodeError("received word length mismatch")
-    symbols = np.array([w.symbols for w in words]).reshape(len(words), n)
-    if symbols.dtype == object:  # some input erasure
-        inputs = np.equal(symbols, None)
-        symbols[inputs] = 0
-        symbols = np.array(symbols.tolist())
-    else:
-        inputs = np.zeros(symbols.shape, dtype=bool)
+    symbols = np.array([w.symbols for w in words], dtype=object).reshape(len(words), n)
+    inputs = np.equal(symbols, None)
+    symbols[inputs] = 0
     # no words give an integer (0, n) block, not numpy's float empty array
-    return (symbols if words else symbols.astype(np.intp)).reshape(len(words), n), inputs
+    return np.array(symbols.tolist(), dtype=None if words else np.intp).reshape(len(words), n), inputs
 
 
 def received_block(symbols, unreliability, gf: GF | None = None) -> tuple[np.ndarray, np.ndarray]:

@@ -216,8 +216,8 @@ def sample_unreliability_vectors(
 
     All count * n symbols come from one `integers` call. Then, for each
     UNRELIABILITY_CHUNK of them in turn, the chunk is modulated, its noise
-    drawn and added in place, and its unreliabilities written into one
-    array, which is sorted at the end. Normal draws in chunks continue one
+    drawn and added, and its unreliabilities written into one array,
+    which is sorted at the end. Normal draws in chunks continue one
     stream, so every vector is the one a single draw of all the noise gives,
     while the temporaries stay chunk-sized."""
     check_sigma(sigma)
@@ -225,8 +225,7 @@ def sample_unreliability_vectors(
     lut = UnreliabilityLut.build(qam, sigma, LUT_BITS) if method == "lut" else None
     h = np.empty(count * n)
     for lo in range(0, len(sym), UNRELIABILITY_CHUNK):
-        y = qam.modulate(sym[lo : lo + UNRELIABILITY_CHUNK])
-        y += rng.normal(0.0, sigma, size=y.shape)
+        y = awgn(qam.modulate(sym[lo : lo + UNRELIABILITY_CHUNK]), sigma, rng)
         h[lo : lo + len(y)] = unreliability(y, qam, sigma, method, lut)
     h = h.reshape(count, n)
     h.sort(axis=1)

@@ -30,6 +30,7 @@ from enum import Enum
 import numpy as np
 
 from .dcf import NO_CAPABILITY, DecoderCapability
+from .modem import UNRELIABILITY_CHUNK
 
 
 class StrategyKind(Enum):
@@ -108,16 +109,21 @@ def tail_coeffs(h, width: int, tau_lo: int, tau_hi: int) -> np.ndarray:
     out = np.empty((tau_hi - tau_lo + 1,) + upper.shape)
     if tau_hi == n:
         out[-1] = upper
-    # each column and its complement contiguous, read once; one carry buffer
-    columns = np.ascontiguousarray(h.T)
-    complements = 1.0 - columns
+    # the columns are copied contiguous with their complements, a span of
+    # about UNRELIABILITY_CHUNK values at a time, so that each product reads
+    # them at unit stride while the copies stay chunk-sized
     carry = np.empty_like(lower)
-    for i in range(n - 1, tau_lo - 1, -1):
-        np.multiply(lower, columns[i], out=carry)  # before `upper`, which overlaps it, changes
-        upper *= complements[i]
-        upper += carry
-        if i <= tau_hi:
-            out[i - tau_lo] = upper
+    span = max(1, UNRELIABILITY_CHUNK // math.prod(h.shape[:-1]))
+    for hi in range(n, tau_lo, -span):
+        lo = max(hi - span, tau_lo)
+        columns = np.ascontiguousarray(h[..., lo:hi].T)
+        complements = 1.0 - columns
+        for i in range(hi - 1, lo - 1, -1):
+            np.multiply(lower, columns[i - lo], carry)  # before `upper`, which overlaps it, changes
+            upper *= complements[i - lo]
+            upper += carry
+            if i <= tau_hi:
+                out[i - tau_lo] = upper
     return out.reshape(out.shape[:2] + rows)
 
 

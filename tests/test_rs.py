@@ -123,11 +123,11 @@ def test_received_word_validation():
     assert sum(s is None for s in w.symbols) == 1
 
 
-def test_received_arrays_without_erasures_match_object_path():
-    """Words with no input erasure skip the object array and give what it
-    gave: the symbols' own integer dtype and an all-False mask; words with
-    one read it as 0 and mark it; no words are an integer (0, n) block; a
-    word of another length is a CodeError."""
+def test_received_arrays_dtypes_mask_and_length_check():
+    """Words with no input erasure keep the symbols' own integer dtype and
+    give an all-False mask; words with one read it as 0 and mark it; no
+    words are an integer (0, n) block; a word of another length is a
+    CodeError."""
     h = np.zeros(4)
     y, inputs = received_arrays([ReceivedWord([1, 2, 3, 4], h), ReceivedWord([5, 6, 7, 8], h)], 4)
     assert y.dtype == np.int64 and y.tolist() == [[1, 2, 3, 4], [5, 6, 7, 8]] and not inputs.any()

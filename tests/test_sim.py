@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -229,6 +230,26 @@ def test_batch_residual_probs_matches_pgf(code):
         )
         assert np.max(np.abs(got - want)) < 1e-12
     assert np.all(batch_residual_probs(vecs, 0, -1) == 1.0)
+
+
+def test_semi_point_peak_stays_near_the_sampler():
+    """A default semi-simulative point at RS(256;255,144), 10^4 vectors,
+    peaks while sampling: the int64 symbols and the vectors, 20 MB each,
+    plus chunk-sized temporaries. `batch_residual_probs` then holds the
+    vectors, its (width, rows) tail masses and carry, and chunk-sized
+    copies of their columns, so the traced peak stays within 4 MB of two
+    count x n arrays; a full copy of the vectors in either step would add
+    20 MB."""
+    cfg = CampaignConfig(code=CodeParams(GF(8), 255, 144), ebn0_grid=(16.5,),
+                         mode="semi_simulative", unreliability="lut", seed=1)
+    assert cfg.samples == 10_000
+    tracemalloc.start()
+    try:
+        sim._semi_points(cfg, sigma_from_ebn0(16.5, 256, 255, 144), 0, [0, cfg.tau])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * cfg.samples * 255 * 8 + 4e6
 
 
 @pytest.mark.parametrize("ebn0_db, want_tau", [(19.0, 27), (20.0, 23)])
