@@ -16,7 +16,6 @@ from erasurelab.rs import (
     RSCodec,
     erase_most_unreliable,
     erasure_order,
-    received_arrays,
 )
 from erasurelab.gmd import default_schedule, gmd_decode, trial_sequences
 from scalar_rs import ScalarRSCodec, alpha_pow, poly_eval, scalar_poly_mul
@@ -121,25 +120,6 @@ def test_received_word_validation():
             ReceivedWord([1, 2], np.array([0.1, bad]))
     w = ReceivedWord([1, None, 3], np.array([0.1, 0.9, 0.0]))
     assert sum(s is None for s in w.symbols) == 1
-
-
-def test_received_arrays_dtypes_mask_and_length_check():
-    """Words with no input erasure keep the symbols' own integer dtype and
-    give an all-False mask; words with one read it as 0 and mark it; no
-    words are an integer (0, n) block; a word of another length is a
-    CodeError."""
-    h = np.zeros(4)
-    y, inputs = received_arrays([ReceivedWord([1, 2, 3, 4], h), ReceivedWord([5, 6, 7, 8], h)], 4)
-    assert y.dtype == np.int64 and y.tolist() == [[1, 2, 3, 4], [5, 6, 7, 8]] and not inputs.any()
-    y, inputs = received_arrays([ReceivedWord(list(np.arange(4, dtype=np.uint8)), h)], 4)
-    assert y.dtype == np.uint8 and y.tolist() == [[0, 1, 2, 3]] and inputs.shape == (1, 4)
-    y, inputs = received_arrays([ReceivedWord([1, None, 3, 4], h), ReceivedWord([5, 6, 7, 8], h)], 4)
-    assert y.dtype == np.int64 and y.tolist() == [[1, 0, 3, 4], [5, 6, 7, 8]]
-    assert inputs.tolist() == [[False, True, False, False], [False] * 4]
-    y, inputs = received_arrays([], 4)
-    assert y.shape == inputs.shape == (0, 4) and y.dtype == np.intp
-    with pytest.raises(CodeError, match="received word length mismatch"):
-        received_arrays([ReceivedWord([1, 2, 3, 4], h), ReceivedWord([1, 2, 3], h[:3])], 4)
 
 
 def test_erase_most_unreliable_stable():
