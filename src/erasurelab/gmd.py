@@ -6,10 +6,10 @@ trials (G. D. Forney, "Generalized minimum distance decoding", IEEE
 Trans. IT 12(2), 1966), erasing the most unreliable positions each time;
 collects the distinct codeword candidates, and returns the one with the
 largest reliability-weighted agreement with the hard-decision word. The
-erasure sets are nested prefixes of `rs.erasure_order`, so each trial
-erases the previous trial's positions plus the next ones in that order.
-A position erased in the input may recur in the prefix; erasing it again
-changes nothing.
+erasure sets are nested prefixes of the positions from the most to the
+least unreliable, in one stable order (`rs.erase_most_unreliable`), so
+each trial erases the previous trial's positions plus the next ones in
+that order.
 
 Most trials return a candidate that another trial also returns, and
 which trials do is known without decoding them. The error/erasure
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .rs import CodeError, ErasedBlock, RSCodec, ReceivedWord, received_arrays, received_block
+from .rs import CodeError, ErasedBlock, RSCodec, received_block
 
 #: Gamma/T entries of the trials of one chunk of frames, which bounds its
 #: buffers and temporaries: RS(256;255,144) decodes 41 frames a chunk, and
@@ -59,66 +59,33 @@ def default_schedule(d_min: int) -> list[int]:
     return list(range(start, d_min, 2))
 
 
-def gmd_decode(words, codec: RSCodec, unreliability=None):
+def gmd_decode(symbols, codec: RSCodec, unreliability) -> list:
     """Multi-trial error/erasure decoding with candidate selection, one
     trial per tau of `default_schedule`: each row's codeword or None for
-    (rows, n) hard symbols and `unreliability` (`rs.received_block`), and
-    likewise for a sequence of `ReceivedWord`s, whose input erasures
-    (None) every trial erases; for one `ReceivedWord` its codeword or None.
+    (rows, n) hard symbols and `unreliability` (`rs.received_block`).
 
     Candidates are scored by the sum of (1 - h_i) over positions where the
     candidate matches the hard decision; ties go to the candidate produced
     by the smaller erasure count.
     """
     p = codec.params
-    inputs = None
-    if unreliability is None:
-        if isinstance(words, ReceivedWord):
-            return gmd_decode([words], codec)[0]
-        words = list(words)
-        if not words:
-            return []
-        y, inputs = received_arrays(words, p.n)
-        words, unreliability = y, np.array([w.unreliability for w in words])
-    y, h = received_block(words, unreliability, p.gf)
+    y, h = received_block(symbols, unreliability, p.gf)
     if y.shape[1] != p.n:
         raise CodeError("received word length mismatch")
     step = max(1, TRIAL_ENTRIES // (len(default_schedule(p.d_min)) * (2 * (p.n - p.k) + 4)))
-    return [c for lo in range(0, len(y), step)
-            for c in _decode_chunk(y[lo : lo + step], h[lo : lo + step],
-                                   None if inputs is None else inputs[lo : lo + step], codec)]
+    return [c for lo in range(0, len(y), step) for c in _decode_chunk(y[lo : lo + step], h[lo : lo + step], codec)]
 
 
-def trial_sequences(y: np.ndarray, h: np.ndarray, inputs, d_min: int):
-    """What GMD reads of (rows, n) hard words `y`, input erasures read as
-    0, with unreliabilities `h` and `inputs`, None or the input erasures'
-    mask: y with -1 at the input erasures, which no codeword symbol
-    matches; each word's erasure sequence, its input erasures in position
-    order, then the others from the most to the least unreliable; and how
-    many of its first positions each trial erases: the trial at tau of
-    `default_schedule` erases the input erasures and the first tau of
-    `rs.erasure_order`, as `erase_most_unreliable` does, each once."""
-    rows, n = y.shape
-    order = np.argsort(-h, axis=1, kind="stable")
-    schedule = np.array(default_schedule(d_min))
-    if inputs is None or not inputs.any():
-        return y, order, np.repeat(schedule[None], rows, axis=0)
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(n), axis=1)
-    sequences = np.argsort(np.where(inputs, np.arange(n) - n, rank), axis=1)
-    # the input erasures among order[:tau]
-    recur = np.zeros((rows, n + 1), dtype=np.intp)
-    np.cumsum(np.take_along_axis(inputs, order, axis=1), axis=1, out=recur[:, 1:])
-    return np.where(inputs, -1, y), sequences, inputs.sum(axis=1)[:, None] + schedule - recur[:, schedule]
-
-
-def _decode_chunk(y: np.ndarray, h: np.ndarray, inputs, codec: RSCodec) -> list:
+def _decode_chunk(y: np.ndarray, h: np.ndarray, codec: RSCodec) -> list:
     """`gmd_decode` of a block of words that is one chunk: the probe, one
     `locator_rows` call, then a `decode_ee` call per schedule index with a
-    trial left."""
+    trial left. The trial at tau of `default_schedule` erases the first
+    tau positions of its word's stable order from the most to the least
+    unreliable."""
     n, nsyn = codec.params.n, codec.params.n - codec.params.k
     rows = len(y)
-    known, positions, sizes = trial_sequences(y, h, inputs, codec.params.d_min)
+    positions = np.argsort(-h, axis=1, kind="stable")
+    sizes = np.repeat(np.array(default_schedule(codec.params.d_min))[None], rows, axis=0)
     synd, polys = codec.erasure_trial_rows(y, positions, sizes)
     count = sizes.shape[1]
     mid = count // 2
@@ -143,7 +110,7 @@ def _decode_chunk(y: np.ndarray, h: np.ndarray, inputs, codec: RSCodec) -> list:
         if not hit:
             return
         at = at[hit]
-        match = np.array([got[i] for i in hit]) == pick(known, at)
+        match = np.array([got[i] for i in hit]) == pick(y, at)
         lines = np.arange(len(at))[:, None]
         # inside[i, s]: the word's wrong positions among the first s of its
         # erasure sequence, those that the trials erasing s positions erase

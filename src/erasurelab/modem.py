@@ -249,7 +249,15 @@ def unreliability_nn(y: np.ndarray, qam: SquareQam, sigma: float) -> np.ndarray:
         # d0 - dn is -(dn - d0) exactly: rounding is symmetric in sign
         np.subtract(d0, e, out=e)
         e /= two_s2
-        s += np.where(ok, np.exp(e, out=e), 0.0)
+        # the decision is the nearest level, so the exponent is at most 0
+        # but for rounding, which at tiny sigma would overflow exp; clamped,
+        # it cannot overflow for a neighbor outside the constellation
+        # either, which can be nearer, and whose term is then zeroed (an
+        # exponent of -inf instead takes exp off numpy's vector loop)
+        np.minimum(e, 0.0, out=e)
+        np.exp(e, out=e)
+        np.multiply(e, ok, out=e)
+        s += e
     return _posterior(s)
 
 

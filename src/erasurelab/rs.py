@@ -22,13 +22,12 @@ none is erased. The Forney magnitudes are evaluated at the at most n-k
 roots of Psi, and the corrected word is checked by S(y) = S(e), a sum
 over those roots only.
 
-`decode_ee` takes a word or a block: a list of words, read as the block
-whose rows erase their input erasures, or an `ErasedBlock`, the (rows, n)
-hard words with each row's erasure order and count
-(`erase_most_unreliable`), and for GMD's trials each row's S(y),
-Gamma/T and locator. One row kernel decodes a block: the syndromes
-as one (rows, n) x (n, n-k) gather; Gamma/T grown in lock-step; Lambda
-for the rows at once; the Chien search as one gather over the block's
+`decode_ee` takes an `ErasedBlock`: the (rows, n) hard words with each
+row's erasure order and count (`erase_most_unreliable`), and for GMD's
+trials each row's S(y), Gamma/T and locator. One `ReceivedWord`, whose
+None symbols are erased, is the one-row block of its symbols. One row
+kernel decodes a block: the syndromes as one (rows, n) x (n, n-k)
+gather; Gamma/T grown in lock-step; Lambda for the rows at once; the Chien search as one gather over the block's
 largest L + 1 coefficients; the Forney step at each row's roots, padded
 to the block's largest root count; and the check S(y) = S(e). Each check
 drops the rows it fails, a clean row costs nothing past its syndrome
@@ -141,7 +140,8 @@ class CodeParams:
 
 @dataclass
 class ReceivedWord:
-    """Hard-decision symbols (None marks an erasure) with per-position unreliabilities."""
+    """One word for `RSCodec.decode_ee`: hard-decision symbols, None
+    marking an erasure, with per-position unreliabilities."""
 
     symbols: list  # list of int | None, length n
     unreliability: np.ndarray  # shape (n,), values in [0, 1)
@@ -159,18 +159,6 @@ def _check_unreliability(h: np.ndarray) -> None:
         raise CodeError("unreliability entries must be finite and lie in [0, 1)")
 
 
-def received_arrays(words: list, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The hard symbols of `ReceivedWord`s as a (rows, n) array, input
-    erasures (None) read as 0, and the input erasures' mask."""
-    if any(len(w.symbols) != n for w in words):
-        raise CodeError("received word length mismatch")
-    symbols = np.array([w.symbols for w in words], dtype=object).reshape(len(words), n)
-    inputs = np.equal(symbols, None)
-    symbols[inputs] = 0
-    # no words give an integer (0, n) block, not numpy's float empty array
-    return np.array(symbols.tolist(), dtype=None if words else np.intp).reshape(len(words), n), inputs
-
-
 def received_block(symbols, unreliability, gf: GF | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(rows, n) hard symbols and unreliabilities as arrays; a CodeError
     unless they share one (rows, n) shape, each unreliability in [0, 1)
@@ -182,39 +170,25 @@ def received_block(symbols, unreliability, gf: GF | None = None) -> tuple[np.nda
     return (y if gf is None else _symbol_array(y, gf)), h
 
 
-def erasure_order(h: np.ndarray) -> list[int]:
-    """The positions from the most to the least unreliable; the sort is
-    stable, so it keeps position order among equal unreliabilities."""
-    return np.argsort(-h, kind="stable").tolist()
-
-
-def erase_most_unreliable(symbols, unreliability, tau):
-    """Erase the first tau positions of `erasure_order`: a `ReceivedWord`
-    with None there; for (rows, n) symbols and unreliabilities
-    (`received_block`), with one tau or one a row, the `ErasedBlock` of one
-    stable argsort."""
-    h = np.asarray(unreliability, dtype=float)
-    if h.ndim == 2:
-        y, h = received_block(symbols, h)
-        taus = np.asarray(tau)
-        if taus.dtype.kind not in "iu" or taus.shape not in ((), (len(h),)):
-            raise CodeError(f"need an integer tau or one a row, got {tau!r}")
-        # a tau past n erases every position, and one below 0 none, as for one word
-        taus = np.minimum(np.maximum(np.broadcast_to(taus, len(h)), 0), h.shape[1])
-        return ErasedBlock(y, np.argsort(-h, axis=1, kind="stable"), taus)
-    require_integer("tau", tau, CodeError)
-    out = list(symbols)
-    if tau > 0:
-        for i in erasure_order(h)[:tau]:
-            out[i] = None
-    return ReceivedWord(out, h)
+def erase_most_unreliable(symbols, unreliability, tau) -> ErasedBlock:
+    """Erase each row's tau most unreliable positions, for (rows, n)
+    symbols and unreliabilities (`received_block`) and one tau or one a
+    row: the `ErasedBlock` of one stable argsort, which keeps position
+    order among equal unreliabilities."""
+    y, h = received_block(symbols, unreliability)
+    taus = np.asarray(tau)
+    if taus.dtype.kind not in "iu" or taus.shape not in ((), (len(h),)):
+        raise CodeError(f"need an integer tau or one a row, got {tau!r}")
+    # a tau past n erases every position, and one below 0 none
+    taus = np.minimum(np.maximum(np.broadcast_to(taus, len(h)), 0), h.shape[1])
+    return ErasedBlock(y, np.argsort(-h, axis=1, kind="stable"), taus)
 
 
 @dataclass
 class ErasedBlock:
     """Row r of the (rows, n) hard symbols `y` with order[r, :taus[r]]
-    erased, order[r] its positions from the most to the least unreliable:
-    `decode_ee` reads it as the list of each row's `erase_most_unreliable`.
+    erased, order[r] its positions in the order erased, from the most to
+    the least unreliable for `erase_most_unreliable`.
 
     A block of trials also carries each row's S(y) in `synd`, Gamma/T in
     `polys` and error locator, Lambda in `lam` and L, as
@@ -306,40 +280,40 @@ class RSCodec:
     def encode(self, info) -> list:
         """The systematic codeword (n symbols) of `info`, k symbols in
         [0, q); a (rows, k) block of info words gives the list of their
-        codewords, the parities of all rows in one gather."""
+        codewords, the parities of all rows in one gather. One info word
+        is the one-row block."""
         p = self.params
         u = _symbol_array(info, p.gf)
         if u.ndim not in (1, 2) or u.shape[-1] != p.k:
             raise CodeError(f"info must be k={p.k} symbols or a (rows, {p.k}) block, got shape {u.shape}")
-        if u.ndim == 1:
-            parity = p.gf.vecmat(u, self._parity_logs)
-        else:
-            parity = self._row_products(u, self._parity_logs, p.n - p.k)
-        return np.concatenate([u, parity], axis=-1).tolist()
+        block = np.atleast_2d(u)
+        words = np.concatenate([block, self._row_products(block, self._parity_logs, p.n - p.k)], axis=1).tolist()
+        return words if u.ndim == 2 else words[0]
 
     def decode_ee(self, word):
         """Error/erasure decode; returns a codeword or None on failure.
 
-        A `ReceivedWord` is read as the one trial of its symbols, erasing
-        its input erasures (None). An `ErasedBlock` or a sequence of
-        `ReceivedWord`s is a block, and the result the list of their
-        codewords or None; a caller that decodes one word under several
-        erasure sets passes the list of its `erase_most_unreliable` words,
-        one per set. A block of ROW_DECODE_MIN_WORDS rows or more decodes
-        as rows, a smaller one word by word.
+        An `ErasedBlock` is decoded row by row, and the result the list of
+        its rows' codewords or None; a block of ROW_DECODE_MIN_WORDS rows
+        or more decodes as rows, a smaller one word by word. One
+        `ReceivedWord` is the one-row block of its symbols that erases its
+        None symbols, in position order, and the result its codeword or
+        None.
 
         The decoder is a BMD decoder: the trial with erased set X returns
         the codeword c exactly when 2 |{i not in X : y_i != c_i}| + |X| <=
         n - k, and None when no codeword lies that close. Within that
         radius c is unique.
         """
-        one = isinstance(word, ReceivedWord)
+        if isinstance(word, ReceivedWord):
+            erased = [i for i, s in enumerate(word.symbols) if s is None]
+            order = erased + [i for i, s in enumerate(word.symbols) if s is not None]
+            y = np.array([[0 if s is None else s for s in word.symbols]])
+            return self._decode_each(ErasedBlock(y, np.array([order]), np.array([len(erased)])))[0]
         if not isinstance(word, ErasedBlock):
-            # each row erases the word's input erasures, in position order
-            y, inputs = received_arrays([word] if one else list(word), self.params.n)
-            word = ErasedBlock(y, np.argsort(~inputs, axis=1, kind="stable"), inputs.sum(axis=1))
-        out = self._decode_each(word) if len(word.taus) < ROW_DECODE_MIN_WORDS else self._decode_rows(word)
-        return out[0] if one else out
+            raise CodeError(f"decode_ee takes one ReceivedWord or an ErasedBlock of (rows, n) hard words, "
+                            f"got {type(word).__name__}")
+        return self._decode_each(word) if len(word.taus) < ROW_DECODE_MIN_WORDS else self._decode_rows(word)
 
     def _decode_each(self, block: ErasedBlock) -> list:
         """`decode_ee` of a block word by word, from the S(y), Gamma/T and
@@ -578,9 +552,8 @@ class RSCodec:
     def erasure_trial_rows(self, y: np.ndarray, positions: np.ndarray, sizes: np.ndarray):
         """The trials of a block of words: trial j of word r erases
         positions[r, :sizes[r, j]], `y` being the (rows, n) hard words,
-        integers in [0, q) with their input erasures read as 0, `positions`
-        distinct positions per row, and each row of `sizes` non-decreasing.
-        Returns S(y), (rows, n-k), one gather, and the trials' Gamma/T
+        integers in [0, q), `positions` distinct positions per row, and
+        each row of `sizes` non-decreasing. Returns S(y), (rows, n-k), one gather, and the trials' Gamma/T
         buffers, laid out as `ErasedBlock.polys`, a (rows, trials, 2(n-k)+4)
         array of field elements, from one lock-step pass of `_erase_rows`
         with a snapshot at each count that some trial erases."""

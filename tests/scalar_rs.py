@@ -7,6 +7,8 @@ list-based product that `GF.poly_mul` was before, and `inv`, `div`,
 `alpha_pow` and `poly_eval` are the scalar `GF` methods of the same names,
 now free functions, since only the tests use them. `mul_noLUT` is the
 table-free product that `tests/test_gf.py` checks the tables against.
+`erase_word` is the one-word form that `rs.erase_most_unreliable` had,
+with a Python sort in place of numpy's stable argsort.
 """
 
 from __future__ import annotations
@@ -35,6 +37,15 @@ def poly_eval(gf, p: list[int], x: int) -> int:
     for c in reversed(p):
         acc = gf.mul(acc, x) ^ c
     return acc
+
+
+def erase_word(symbols, unreliability, tau: int) -> ReceivedWord:
+    """The word with its tau most unreliable positions erased (None), the
+    earlier position first among equal unreliabilities."""
+    out = list(symbols)
+    for i in sorted(range(len(out)), key=lambda i: -unreliability[i])[: max(tau, 0)]:
+        out[i] = None
+    return ReceivedWord(out, unreliability)
 
 
 def mul_noLUT(gf, a: int, b: int) -> int:

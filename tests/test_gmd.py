@@ -6,10 +6,10 @@ import pytest
 
 from erasurelab import gmd
 from erasurelab.gf import GF
-from erasurelab.gmd import default_schedule, gmd_decode, trial_sequences
+from erasurelab.gmd import default_schedule, gmd_decode
 from erasurelab.modem import SquareQam, awgn, sigma_from_ebn0, unreliability_exact
-from erasurelab.rs import CodeError, CodeParams, ReceivedWord, RSCodec, erase_most_unreliable, erasure_order
-from scalar_rs import ScalarRSCodec
+from erasurelab.rs import CodeError, CodeParams, ReceivedWord, RSCodec, erase_most_unreliable
+from scalar_rs import ScalarRSCodec, erase_word
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +36,7 @@ def test_default_schedule_odd_dmin():
 def test_gmd_recovers_within_half_distance(codec, code):
     """Few errors with matching high unreliabilities: GMD must recover."""
     rng = np.random.default_rng(0)
+    sent, words, hs = [], [], []
     for _ in range(100):
         info = rng.integers(0, code.q, size=code.k).tolist()
         cw = codec.encode(info)
@@ -46,28 +47,28 @@ def test_gmd_recovers_within_half_distance(codec, code):
         for i in pos:
             word[i] ^= int(rng.integers(1, code.q))
             h[i] = rng.uniform(0.6, 0.99)
-        out = gmd_decode(ReceivedWord(word, h), codec)
-        assert out == cw
+        sent.append(cw)
+        words.append(word)
+        hs.append(h)
+    assert gmd_decode(np.array(words), codec, np.array(hs)) == sent
 
 
 def test_gmd_beats_errors_only_with_reliable_flags(codec, code):
     """d_min - 1 errors, all flagged unreliable: errors-only fails, GMD wins."""
     rng = np.random.default_rng(1)
-    wins = 0
     trials = 50
-    for _ in range(trials):
-        cw = codec.encode(rng.integers(0, code.q, size=code.k).tolist())
-        word = list(cw)
-        h = rng.uniform(0.0, 0.05, code.n)
+    sent = codec.encode(rng.integers(0, code.q, size=(trials, code.k)))
+    y = np.array(sent)
+    h = np.empty((trials, code.n))
+    for word, hr in zip(y, h):
+        hr[:] = rng.uniform(0.0, 0.05, code.n)
         pos = rng.permutation(code.n)[: code.d_min - 1]
         for i in pos:
             word[i] ^= int(rng.integers(1, code.q))
-            h[i] = rng.uniform(0.9, 0.99)
-        eo = codec.decode_ee(ReceivedWord(word, h))
-        assert eo != cw  # 8 errors exceed the errors-only radius
-        out = gmd_decode(ReceivedWord(word, h), codec)
-        wins += out == cw
-    assert wins == trials
+            hr[i] = rng.uniform(0.9, 0.99)
+    eo = codec.decode_ee(erase_most_unreliable(y, h, 0))
+    assert all(c != cw for c, cw in zip(eo, sent))  # 8 errors exceed the errors-only radius
+    assert gmd_decode(y, codec, h) == sent
 
 
 def test_gmd_output_is_codeword_or_none(codec, code):
@@ -76,14 +77,16 @@ def test_gmd_output_is_codeword_or_none(codec, code):
     fail on some words. Either way, any output is a valid codeword."""
     ref = ScalarRSCodec(code)
     rng = np.random.default_rng(2)
-    nones_short = 0
-    for _ in range(30):
-        word = rng.integers(0, code.q, size=code.n).tolist()
-        h = rng.uniform(0.4, 0.6, code.n)
-        out = gmd_decode(ReceivedWord(word, h), codec)
+    y = np.empty((30, code.n), dtype=np.int64)
+    h = np.empty((30, code.n))
+    for word, hr in zip(y, h):
+        word[:] = rng.integers(0, code.q, size=code.n)
+        hr[:] = rng.uniform(0.4, 0.6, code.n)
+    for out in gmd_decode(y, codec, h):
         assert out is not None and ref.is_codeword(out)
-        for tau in (0, 2):
-            short = codec.decode_ee(erase_most_unreliable(word, h, tau))
+    nones_short = 0
+    for tau in (0, 2):
+        for short in codec.decode_ee(erase_most_unreliable(y, h, tau)):
             if short is None:
                 nones_short += 1
             else:
@@ -96,30 +99,30 @@ def test_gmd_candidate_selection_channel(codec, code):
     rng = np.random.default_rng(3)
     qam = SquareQam(code.q)
     sigma = sigma_from_ebn0(7.0, code.q, code.n, code.k)
-    gmd_err = eo_err = 0
+    sent, received, hs = [], [], []
     for _ in range(400):
         cw = codec.encode(rng.integers(0, code.q, size=code.k).tolist())
         y = awgn(qam.modulate(cw), sigma, rng)
-        r = qam.hard_decision(y).tolist()
-        h = unreliability_exact(y, qam, sigma)
-        eo_err += codec.decode_ee(ReceivedWord(r, h)) != cw
-        gmd_err += gmd_decode(ReceivedWord(r, h), codec) != cw
+        sent.append(cw)
+        received.append(qam.hard_decision(y))
+        hs.append(unreliability_exact(y, qam, sigma))
+    received, h = np.array(received), np.array(hs)
+    eo_err = sum(c != cw for c, cw in zip(codec.decode_ee(erase_most_unreliable(received, h, 0)), sent))
+    gmd_err = sum(c != cw for c, cw in zip(gmd_decode(received, codec, h), sent))
     assert gmd_err <= eo_err
 
 
-def reference_gmd(word, ref, taus, outcomes):
+def reference_gmd(symbols, h, ref, taus, outcomes):
     """The trial loop that gmd_decode replaced, on the scalar codec: each
-    trial of the erasure counts `taus` erases afresh with
-    erase_most_unreliable. Counts failed (True) and successful (False)
-    trials in `outcomes`, and as "tie" each new candidate whose score
-    equals the best one so far, which the smaller erasure count wins."""
-    h = word.unreliability
-    symbols = word.symbols
+    trial of the erasure counts `taus` erases the word's symbols afresh
+    with erase_word. Counts failed (True) and successful (False) trials in
+    `outcomes`, and as "tie" each new candidate whose score equals the
+    best one so far, which the smaller erasure count wins."""
     best = None
     best_score = -1.0
     seen = set()
     for tau in taus:
-        cand = ref.decode_ee(erase_most_unreliable(symbols, h, tau))
+        cand = ref.decode_ee(erase_word(symbols, h, tau))
         outcomes[cand is None] += 1
         if cand is None:
             continue
@@ -139,8 +142,7 @@ def reference_gmd(word, ref, taus, outcomes):
 
 def gmd_test_words(code, codec, dbs, frames, garbage, rng):
     """Channel frames over the Eb/N0 values `dbs` and random words, each as
-    it is, with h rounded to 2 decimals (ties), with h all zero, and with 3
-    symbols already erased."""
+    it is, with h rounded to 2 decimals (ties) and with h all zero."""
     qam = SquareQam(code.q)
     words = []
     for f in range(frames):
@@ -154,10 +156,6 @@ def gmd_test_words(code, codec, dbs, frames, garbage, rng):
         yield r, h
         yield r, np.minimum(np.round(h, 2), 0.99)
         yield r, np.zeros(code.n)
-        erased = list(r)
-        for i in rng.choice(code.n, 3, replace=False):
-            erased[i] = None
-        yield erased, h
 
 
 #: codes and gmd_test_words arguments: RS(16;15,7), and RS(256;255,k) on
@@ -196,108 +194,91 @@ def tie_word(codec, code):
 @pytest.mark.parametrize("m, n, k, dbs, frames, garbage", GMD_CASES)
 def test_gmd_matches_per_trial_erasure(m, n, k, dbs, frames, garbage, monkeypatch):
     """Nested erasure sets built by one erasure_trial_rows pass give the
-    codeword of the per-trial erase_most_unreliable loop on the scalar
-    codec, ties and prior erasures included, also where a prior erasure
-    recurs in the sorted prefix that the trials erase. RS(256;255,223) and
-    RS(256;255,191) lie on the two sides of rs.ROW_BM_MIN_WORK for a full
-    schedule: locator_rows solves the first's trials by the scalar steps,
-    the second's in one row-batched pass when enough are left. Distinct candidates tie on
-    score on RS(16;15,7) and RS(256;255,144), and the smaller erasure
-    count must win; the tie that gmd_decode's probe of the middle trial
-    meets first is test_score_tie_goes_to_smaller_tau_found_after_the_probe,
-    whose word sits fourth among the RS(16;15,7) words here.
+    codeword of the per-trial erase_word loop on the scalar codec, ties
+    included. RS(256;255,223) and RS(256;255,191) lie on the two sides of
+    rs.ROW_BM_MIN_WORK for a full schedule: locator_rows solves the first's
+    trials by the scalar steps, the second's in one row-batched pass when
+    enough are left. Distinct candidates tie on score on RS(16;15,7) and
+    RS(256;255,144), and the smaller erasure count must win; the tie that
+    gmd_decode's probe of the middle trial meets first is
+    test_score_tie_goes_to_smaller_tau_found_after_the_probe, whose word
+    sits fourth among the RS(16;15,7) words here.
 
     The words decoded as blocks of 1, 5, 6 and 7 and all at once give the
     same codewords: passes of fewer than rs.ROW_DECODE_MIN_WORDS trials
-    and of more, among words with input erasures, words that decode every
-    trial and, at RS(16;15,7), words that settle at the probe."""
+    and of more, among words that decode every trial and, at RS(16;15,7),
+    words that settle at the probe. A block of no words decodes to []."""
     code = CodeParams(GF(m), n, k)
     codec, ref = RSCodec(code), ScalarRSCodec(code)
     taus = list(range((code.d_min - 1) % 2, code.d_min, 2))
     assert default_schedule(code.d_min) == taus
-    words = [ReceivedWord(r, h) for r, h in gmd_test_words(code, codec, dbs, frames, garbage,
-                                                            np.random.default_rng(11))]
+    words = list(gmd_test_words(code, codec, dbs, frames, garbage, np.random.default_rng(11)))
     if n == 15:
         y, h, a, _ = tie_word(codec, code)
-        words.insert(3, ReceivedWord(y, h))
+        words.insert(3, (y, h))
+    y, h = np.array([r for r, _ in words]), np.array([hr for _, hr in words])
     decode_ee = codec.decode_ee
     decoded = []  # the trials each word decodes alone
     monkeypatch.setattr(codec, "decode_ee", lambda w: decoded.append(len(w.taus)) or decode_ee(w))
     outcomes = Counter()
     wants, trials = [], Counter()
-    recurring = 0
-    for word in words:
-        want = reference_gmd(word, ref, taus, outcomes)
+    for r, (symbols, hr) in enumerate(words):
+        want = reference_gmd(symbols, hr, ref, taus, outcomes)
         decoded.clear()
-        assert gmd_decode(word, codec) == want
+        assert gmd_decode(y[r : r + 1], codec, h[r : r + 1]) == [want]
         wants.append(want)
         trials[sum(decoded)] += 1
-        prefix = np.argsort(-word.unreliability, kind="stable")[: code.d_min - 1]
-        recurring += any(word.symbols[i] is None for i in prefix)
     if n == 15:
         assert wants[3] == a
     assert outcomes[True] > 0 and outcomes[False] > 0
-    assert recurring > 0
     # at 15-16 dB every RS(256;255,144) word decodes every trial
     assert trials[len(taus)] > 0 and (n != 15 or trials[1] > 0), trials
     if n - k in (8, 111):
-        # the 12 words of each other code give one or two candidates
-        # apiece, and none tie
+        # the words of each other code give one or two candidates apiece,
+        # and none tie
         assert outcomes["tie"] > 0
     for size in (1, 5, 6, 7, len(words)):
-        got = [c for lo in range(0, len(words), size) for c in gmd_decode(words[lo : lo + size], codec)]
+        got = [c for lo in range(0, len(y), size) for c in gmd_decode(y[lo : lo + size], codec, h[lo : lo + size])]
         assert got == wants, size
-    assert gmd_decode([], codec) == []
+    assert gmd_decode(y[:0], codec, h[:0]) == []
 
 
 def test_trial_rows_match_each_words_trials():
-    """The trials of a block from one erasure_trial_rows pass over the
-    erasure sequences of trial_sequences are those of each word alone
-    under default_schedule, trial for trial: the erased positions, those
-    of its erase_most_unreliable word, in the order erased (the input
-    erasures in position order, then the others from the most to the
-    least unreliable, each once), and the S(y) and Gamma/T buffers of a
-    one-word pass over them; words with input erasures, with ties in h and
-    a recurring input erasure among them. A block with a word of the wrong
-    length, or with a symbol outside the field, is a CodeError."""
+    """The trials of a block from one erasure_trial_rows pass, over each
+    row's stable argsort of -h with the erasure counts of
+    default_schedule, as gmd_decode builds them, are those of each word
+    alone, trial for trial: the erased positions, from the most to the
+    least unreliable, the earlier position first among ties in h, and the
+    S(y) and Gamma/T buffers of a one-word pass over them. A block with a
+    word of the wrong length, or with a symbol outside the field, is a
+    CodeError."""
     for m, n, k, dbs, frames, garbage in GMD_CASES[:2]:
         code = CodeParams(GF(m), n, k)
         codec = code.codec
         schedule = default_schedule(code.d_min)
-        words = [ReceivedWord(r, h) for r, h in gmd_test_words(code, codec, dbs, min(frames, 30), garbage,
-                                                                np.random.default_rng(13))]
-        y = np.array([[0 if s is None else s for s in word.symbols] for word in words])
-        h = np.array([word.unreliability for word in words])
-        known, sequences, sizes = trial_sequences(y, h, np.equal([word.symbols for word in words], None),
-                                                  code.d_min)
+        words = list(gmd_test_words(code, codec, dbs, min(frames, 30), garbage, np.random.default_rng(13)))
+        y, h = np.array([r for r, _ in words]), np.array([hr for _, hr in words])
+        sequences = np.argsort(-h, axis=1, kind="stable")
+        sizes = np.repeat(np.array(schedule)[None], len(y), axis=0)
         synd, polys = codec.erasure_trial_rows(y, sequences, sizes)
-        inputs = recurring = 0
-        for r, (word, known_r) in enumerate(zip(words, known.tolist())):
-            assert sizes.shape[1] == len(schedule)
-            first = [i for i, s in enumerate(word.symbols) if s is None]
-            order = erasure_order(word.unreliability)
-            for j, tau in enumerate(schedule):
-                erased = list(dict.fromkeys(first + order[:tau]))
-                trial = erase_most_unreliable(word.symbols, word.unreliability, tau)
-                assert sorted(erased) == [i for i, s in enumerate(trial.symbols) if s is None]
-                assert sequences[r, : sizes[r, j]].tolist() == erased
+        ties = 0
+        for r, (_, hr) in enumerate(words):
+            order = sorted(range(n), key=lambda i: -hr[i])
+            assert sequences[r, : schedule[-1]].tolist() == order[: schedule[-1]]
             alone = codec.erasure_trial_rows(y[r : r + 1], sequences[r : r + 1], sizes[r : r + 1])
             assert np.array_equal(synd[r], alone[0][0]) and np.array_equal(polys[r], alone[1][0])
-            assert known_r == [-1 if s is None else s for s in word.symbols]
-            inputs += bool(first)
-            recurring += bool(set(first) & set(order[: schedule[-1]]))
-        assert inputs > 0 and recurring > 0
-        bad = list(words[0].symbols)
-        bad[1] = code.q
-        for block in ([words[0], ReceivedWord(bad, words[0].unreliability)],
-                      [words[0], ReceivedWord(bad[:-1], words[0].unreliability[:-1])]):
+            ties += len(set(hr[order[: schedule[-1]]].tolist())) < schedule[-1]
+        assert ties > 0
+        bad = y[:2].copy()
+        bad[1, 1] = code.q
+        for block, unreliability in ((bad, h[:2]), (y[:2, :-1], h[:2, :-1])):
             with pytest.raises(CodeError):
-                gmd_decode(block, codec)
+                gmd_decode(block, codec, unreliability)
 
 
 def test_gmd_block_peak_stays_bounded():
     """One 256-frame RS(256;255,144) block at 16.5 dB decodes with a traced
-    peak of at most 16 MB (it measures 10.3): gmd_decode takes it in
+    peak of at most 16 MB (it measures 8.9): gmd_decode takes it in
     chunks of frames whose trial buffers hold gmd.TRIAL_ENTRIES entries,
     where one chunk of all 256 frames peaks at 56 MB."""
     code = CodeParams(GF(8), 255, 144)
@@ -305,13 +286,15 @@ def test_gmd_block_peak_stays_bounded():
     sigma = sigma_from_ebn0(16.5, code.q, code.n, code.k)
     rng = np.random.default_rng(17)
     sent = codec.encode(rng.integers(0, code.q, (256, code.k)))
-    words = []
+    y, h = [], []
     for cw in sent:
-        y = awgn(qam.modulate(cw), sigma, rng)
-        words.append(ReceivedWord(qam.hard_decision(y).tolist(), unreliability_exact(y, qam, sigma)))
+        points = awgn(qam.modulate(cw), sigma, rng)
+        y.append(qam.hard_decision(points))
+        h.append(unreliability_exact(points, qam, sigma))
+    y, h = np.array(y), np.array(h)
     tracemalloc.start()
     try:
-        out = gmd_decode(words, codec)
+        out = gmd_decode(y, codec, h)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -322,35 +305,28 @@ def test_gmd_block_peak_stays_bounded():
 @pytest.mark.parametrize("m, n, k, dbs, frames, garbage", [GMD_CASES[0], (8, 255, 144, (15.0, 16.0), 2, 1)])
 def test_array_entry_matches_words_and_reference(m, n, k, dbs, frames, garbage, monkeypatch):
     """gmd_decode of (rows, n) symbols and unreliabilities gives the
-    codewords of reference_gmd, the per-trial loop on the scalar codec, and
-    of the same words as ReceivedWords: words with ties in h, h all zero
-    and garbage, and at RS(16;15,7) the score tie of tie_word; in blocks of
-    1, 5, 6 and 7 rows and all at once, and in chunks of 3 frames
-    (gmd.TRIAL_ENTRIES made small), where the words with input erasures
-    (None) go as ReceivedWords."""
+    codewords of reference_gmd, the per-trial loop on the scalar codec, for
+    each word: words with ties in h, h all zero and garbage, and at
+    RS(16;15,7) the score tie of tie_word; in blocks of 1, 5, 6 and 7 rows
+    and all at once, and in chunks of 3 frames (gmd.TRIAL_ENTRIES made
+    small)."""
     code = CodeParams(GF(m), n, k)
     codec, ref = RSCodec(code), ScalarRSCodec(code)
     taus = default_schedule(code.d_min)
-    words = [ReceivedWord(r, h) for r, h in gmd_test_words(code, codec, dbs, frames, garbage,
-                                                            np.random.default_rng(19))]
+    words = list(gmd_test_words(code, codec, dbs, frames, garbage, np.random.default_rng(19)))
     if n == 15:
         y, h, a, _ = tie_word(codec, code)
-        words.insert(2, ReceivedWord(y, h))
+        words.insert(2, (y, h))
     outcomes = Counter()
-    want = [reference_gmd(word, ref, taus, outcomes) for word in words]
+    want = [reference_gmd(r, hr, ref, taus, outcomes) for r, hr in words]
     assert n != 15 or (want[2] == a and outcomes["tie"] > 0)
-    whole = [w for w in words if None not in w.symbols]
-    y, h = np.array([w.symbols for w in whole]), np.array([w.unreliability for w in whole])
-    want_whole = [c for w, c in zip(words, want) if None not in w.symbols]
-    assert len(whole) < len(words)
+    y, h = np.array([r for r, _ in words]), np.array([hr for _, hr in words])
     for size in (1, 5, 6, 7, len(y)):
         got = [c for lo in range(0, len(y), size)
                for c in gmd_decode(y[lo : lo + size], codec, h[lo : lo + size])]
-        assert got == want_whole, size
-    assert gmd_decode(whole, codec) == want_whole
+        assert got == want, size
     monkeypatch.setattr(gmd, "TRIAL_ENTRIES", 3 * len(taus) * (2 * (n - k) + 4))
-    assert gmd_decode(y, codec, h) == want_whole
-    assert gmd_decode(words, codec) == want
+    assert gmd_decode(y, codec, h) == want
 
 
 @pytest.mark.parametrize("y, h", [
@@ -387,9 +363,8 @@ def test_array_entry_rejects_rows_of_another_length(codec, columns, monkeypatch)
 
 def test_gmd_short_block_peak_stays_bounded(code, codec):
     """One 256-frame RS(16;15,7) block at 9 dB decodes from its arrays with
-    a traced peak under 0.9 MB (it measures 0.66; the same block as
-    ReceivedWords took 1.05 MB when each trial was a word object of its
-    own)."""
+    a traced peak under 0.9 MB (it measures 0.66; it took 1.05 MB when
+    each trial was a word object of its own)."""
     qam, rng = SquareQam(code.q), np.random.default_rng(23)
     sigma = sigma_from_ebn0(9.0, code.q, code.n, code.k)
     sent = codec.encode(rng.integers(0, code.q, (256, code.k)))
@@ -437,13 +412,14 @@ def test_skip_rule_matches_decoding_every_trial(m, n, k, dbs, frames, garbage, m
         w.order[r, :tau].tolist() for r, tau in enumerate(w.taus.tolist())) or decode_ee(w))
     cases = Counter()
     words, expected = [], Counter()
+    schedule = default_schedule(code.d_min)
     for r, h in gmd_test_words(code, codec, dbs, frames, garbage, np.random.default_rng(11)):
-        # each trial's erased positions in the order GMD erases them: the
-        # input erasures in position order, then the prefix of erasure_order
-        inputs, order = [i for i, s in enumerate(r) if s is None], erasure_order(h)
-        schedule = default_schedule(code.d_min)
-        trials = [list(dict.fromkeys(inputs + order[:tau])) for tau in schedule]
-        outs = [decode_ee(erase_most_unreliable(r, h, tau)) for tau in schedule]
+        # each trial's erased positions in the order GMD erases them: from
+        # the most to the least unreliable, the earlier position first
+        # among ties
+        order = sorted(range(n), key=lambda i: -h[i])
+        trials = [order[:tau] for tau in schedule]
+        outs = [decode_ee(erase_word(r, h, tau)) for tau in schedule]
         found = {tuple(out) for out in outs if out is not None}
         for c in found:
             holds = [radius_holds(r, t, c, nsyn) for t in trials]
@@ -458,20 +434,19 @@ def test_skip_rule_matches_decoding_every_trial(m, n, k, dbs, frames, garbage, m
             if outs[j] is None or all(outs[i] != outs[j] for i in want):
                 want.append(j)
         decoded.clear()
-        gmd_decode(ReceivedWord(r, h), codec)
+        gmd_decode(np.array([r]), codec, h[None])
         assert decoded == [trials[j] for j in want]
-        words.append(ReceivedWord(r, h))
+        words.append((r, h))
         expected.update(tuple(trials[j]) for j in want)
     assert cases["new"] > 0 and cases["failed"] > 0
     if k != 144:
         # at 15-16 dB each RS(256;255,144) candidate comes from one trial
         assert cases["settled"] > 0
-    schedule = default_schedule(code.d_min)
     # the words are one chunk: the probe and one call per later pass
     assert len(words) * len(schedule) * (2 * nsyn + 4) <= gmd.TRIAL_ENTRIES
     decoded.clear()
     calls.clear()
-    gmd_decode(words, codec)
+    gmd_decode(np.array([r for r, _ in words]), codec, np.array([h for _, h in words]))
     assert Counter(map(tuple, decoded)) == expected
     assert len(calls) <= len(schedule), len(calls)
 
@@ -480,22 +455,28 @@ def test_score_tie_goes_to_smaller_tau_found_after_the_probe(codec, code):
     """Two codewords A and B at distance d_min = 9 tie on score; the trial
     at tau = 2 returns A and the middle trial, tau = 4, returns B, which
     the probe finds first. GMD must return A."""
-    assert default_schedule(code.d_min) == [0, 2, 4, 6, 8]
+    schedule = default_schedule(code.d_min)
+    assert schedule == [0, 2, 4, 6, 8]
     y, h, a, b = tie_word(codec, code)
-    outs = [codec.decode_ee(erase_most_unreliable(y, h, tau)) for tau in default_schedule(code.d_min)]
+    outs = codec.decode_ee(erase_most_unreliable([y] * len(schedule), [h] * len(schedule), np.array(schedule)))
     assert outs[1] == a and outs[2] == b
     score = [sum(1.0 - hi for hi, yi, ci in zip(h, y, c) if yi == ci) for c in (a, b)]
     assert score[0] == score[1]
-    assert gmd_decode(ReceivedWord(y, h), codec) == a
+    assert gmd_decode([y], codec, [h]) == [a]
 
 
 def test_decoders_leave_the_word_untouched(codec, code):
-    """gmd_decode and decode_ee read the caller's symbols and unreliability
-    and change neither."""
-    for r, h in gmd_test_words(code, codec, (7.0,), 20, 2, np.random.default_rng(12)):
-        word = ReceivedWord(r, h)
+    """gmd_decode and decode_ee read the caller's (rows, n) symbols and
+    unreliabilities, or one ReceivedWord, and change neither."""
+    words = list(gmd_test_words(code, codec, (7.0,), 20, 2, np.random.default_rng(12)))
+    y, h = np.array([r for r, _ in words]), np.array([hr for _, hr in words])
+    symbols, unreliability = y.copy(), h.copy()
+    gmd_decode(y, codec, h)
+    codec.decode_ee(erase_most_unreliable(y, h, 4))
+    assert np.array_equal(y, symbols) and np.array_equal(h, unreliability)
+    for r, hr in words:
+        word = ReceivedWord(r, hr)
         symbols, unreliability = list(r), word.unreliability.copy()
-        gmd_decode(word, codec)
         codec.decode_ee(word)
         assert word.symbols is r and r == symbols
         assert np.array_equal(word.unreliability, unreliability)

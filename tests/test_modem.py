@@ -219,22 +219,80 @@ def test_exact_bit_identical_to_sorted_reference(M, sigma):
         assert np.array_equal(h, sorted_unreliability_exact(y, qam, sigma)), kind
 
 
+def masked_nn_exponents(y: np.ndarray, qam: SquareQam, sigma: float):
+    """The exponents -(dn - d0) / 2 sigma^2 of masked_unreliability_nn in
+    its arithmetic, a row per neighbor in its order, and the mask of the
+    neighbors inside the constellation."""
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    ix, iy = qam.hard_decision_indices(y)
+    lx, ly = qam.levels[ix], qam.levels[iy]
+    d0 = (y[:, 0] - lx) ** 2 + (y[:, 1] - ly) ** 2
+    step = 2.0 * qam.scale
+    exponents, inside = [], []
+    for dxi, dyi in ((-1, 0), (1, 0), (0, -1), (0, 1)):
+        nx, ny = ix + dxi, iy + dyi
+        inside.append((nx >= 0) & (nx < qam.L) & (ny >= 0) & (ny < qam.L))
+        dn = (y[:, 0] - (lx + dxi * step)) ** 2 + (y[:, 1] - (ly + dyi * step)) ** 2
+        exponents.append(-(dn - d0) / (2.0 * sigma * sigma))
+    return np.array(exponents), np.array(inside)
+
+
+def clamped_nn(exponents: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """h from these exponents, each clamped at 0 and an outside neighbor's
+    term 0, its terms added in the reference's order."""
+    s = np.zeros(exponents.shape[1])
+    for x, ok in zip(exponents, inside):
+        s += np.exp(np.where(ok, np.minimum(x, 0.0), -np.inf))
+    return s / (1.0 + s)
+
+
 @pytest.mark.parametrize("M", [4, 16, 64, 256])
 @pytest.mark.parametrize("sigma", SIGMAS, ids=SIGMA_IDS)
 def test_nn_bit_identical_to_masked_reference(M, sigma):
     """Reusing each axis's own squared offset and one compare per neighbor
     mask gives every h exactly as the kernel that recomputed both offsets
-    and built each mask from four compares: on ties, ulp neighbours of
-    ties, level points and far out. At the smallest sigma both overflow
-    exp, and a tie's h is NaN in both (a fault of the approximation that
-    the reference shares), so NaN compares equal here."""
+    and built each mask from four compares, wherever that kernel's h is
+    finite and none of its exponents (d0 - dn) / 2 sigma^2 of a neighbor in
+    the constellation rounds above 0: on ties, ulp neighbours of ties,
+    level points and far out. The decision is the nearest level, so such
+    an exponent (on some ties) is clamped at 0: there h is exactly the
+    reference's with its exponents clamped, also at the smallest sigma,
+    where the reference's is NaN."""
     qam = SquareQam(M)
     for kind, y in _exact_inputs(qam, sigma, np.random.default_rng(M)).items():
+        got = unreliability_nn(y, qam, sigma)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = unreliability_nn(y, qam, sigma)
             want = masked_unreliability_nn(y, qam, sigma)
+        exponents, inside = masked_nn_exponents(y, qam, sigma)
+        plain = np.isfinite(want) & ~((exponents > 0) & inside).any(axis=0)
         assert got.shape == (len(y),), kind
-        assert np.array_equal(got, want, equal_nan=True), kind
+        assert np.array_equal(got[plain], want[plain]), kind
+        assert np.array_equal(got[~plain], clamped_nn(exponents, inside)[~plain]), kind
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("M", [16, 256])
+def test_nn_finite_at_the_ends_of_the_sigma_range(M):
+    """Under warnings as errors, the nearest-neighbor kernel gives finite h
+    in [0, 1), the clamped reference's, at SIGMA_MIN on decision midpoints,
+    where the decision's squared distance can round above a neighbor's,
+    and for points 50 steps outside the constellation, whose outside
+    neighbor's term would overflow exp, at sigma 0.05, 0.01 and SIGMA_MIN."""
+    qam = SquareQam(M)
+    rng = np.random.default_rng(M)
+    mids = (qam.levels[:-1] + qam.levels[1:]) / 2.0
+    on_mid = mids[rng.integers(0, qam.L - 1, (400, 2))]
+    edge = qam.levels[-1] + 50 * 2.0 * qam.scale
+    far = np.stack([rng.choice([-edge, edge], 400), qam.levels[rng.integers(0, qam.L, 400)]], -1)
+    far = np.concatenate([far, far[:, ::-1], rng.choice([-edge, edge], (400, 2))])
+    clamped = 0
+    for y, sigma in ((on_mid, SIGMA_MIN), (far, 0.05), (far, 0.01), (far, SIGMA_MIN)):
+        got = unreliability_nn(y, qam, sigma)
+        exponents, inside = masked_nn_exponents(y, qam, sigma)
+        assert ((got >= 0) & (got < 1)).all()
+        assert np.array_equal(got, clamped_nn(exponents, inside))
+        clamped += ((exponents > 0) & inside).any(axis=0).sum()
+    assert clamped > 0
 
 
 @pytest.mark.parametrize("sigma", [math.nan, 0.0, 1e-200, math.inf, -0.1, SIGMA_MAX * 1.001])

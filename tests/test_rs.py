@@ -15,10 +15,9 @@ from erasurelab.rs import (
     ReceivedWord,
     RSCodec,
     erase_most_unreliable,
-    erasure_order,
 )
-from erasurelab.gmd import default_schedule, gmd_decode, trial_sequences
-from scalar_rs import ScalarRSCodec, alpha_pow, poly_eval, scalar_poly_mul
+from erasurelab.gmd import default_schedule, gmd_decode
+from scalar_rs import ScalarRSCodec, alpha_pow, erase_word, poly_eval, scalar_poly_mul
 
 
 @pytest.fixture(scope="module")
@@ -112,7 +111,7 @@ def test_parity_rows_match_long_division(which, request):
         assert codec.encode(unit) == ref.encode(unit), i
 
 
-def test_received_word_validation():
+def test_received_word_validation(codec):
     with pytest.raises(CodeError):
         ReceivedWord([1, 2], np.array([0.1]))
     for bad in (1.0, np.nan, np.inf, -np.inf, -0.1):
@@ -120,20 +119,25 @@ def test_received_word_validation():
             ReceivedWord([1, 2], np.array([0.1, bad]))
     w = ReceivedWord([1, None, 3], np.array([0.1, 0.9, 0.0]))
     assert sum(s is None for s in w.symbols) == 1
+    # decode_ee takes words of n = 15 symbols only, erased ones too
+    for symbols in ([1] * 14, [1] * 16, [None] * 14):
+        with pytest.raises(CodeError, match="received word length mismatch"):
+            codec.decode_ee(ReceivedWord(symbols, np.zeros(len(symbols))))
 
 
 def test_erase_most_unreliable_stable():
-    h = np.array([0.5, 0.9, 0.5, 0.1])
-    w = erase_most_unreliable([1, 2, 3, 4], h, 2)
+    h = np.array([[0.5, 0.9, 0.5, 0.1]])
+    block = erase_most_unreliable([[1, 2, 3, 4]], h, 2)
     # 0.9 first, then the earlier of the tied 0.5 entries
-    assert w.symbols == [None, None, 3, 4]
-    assert erase_most_unreliable([1, 2, 3, 4], h, 0).symbols == [1, 2, 3, 4]
-    assert erase_most_unreliable([1, 2, 3, 4], h, np.int8(1)).symbols == [1, None, 3, 4]
-    # a tau that is not an integer is a CodeError, as for a block: a bool
-    # (an int, but never a count), a float of integer value and a string
+    assert block.order.tolist() == [[1, 0, 2, 3]] and block.taus.tolist() == [2]
+    assert block.y.tolist() == [[1, 2, 3, 4]]
+    assert erase_most_unreliable([[1, 2, 3, 4]], h, 0).taus.tolist() == [0]
+    assert erase_most_unreliable([[1, 2, 3, 4]], h, np.int8(1)).taus.tolist() == [1]
+    # a tau that is not an integer is a CodeError: a bool (an int, but
+    # never a count), a float of integer value and a string
     for tau in (True, 2.0, np.float64(1.0), "1"):
-        with pytest.raises(CodeError, match="tau must be an integer"):
-            erase_most_unreliable([1, 2, 3, 4], h, tau)
+        with pytest.raises(CodeError, match="need an integer tau"):
+            erase_most_unreliable([[1, 2, 3, 4]], h, tau)
 
 
 @pytest.mark.parametrize("m, n, k, rows", [(4, 15, 7, 300), (4, 15, 7, 5), (4, 15, 7, 1),
@@ -141,13 +145,14 @@ def test_erase_most_unreliable_stable():
 def test_erase_block_decodes_as_each_word(m, n, k, rows):
     """erase_most_unreliable of a (rows, n) block, with a tau per row
     (0, n-k, n-k+1 and past n among them) and unreliabilities on six
-    levels, so that ties are common, erases in each row the positions it
-    erases in the row alone, in the stable order of `erasure_order`; and
-    decode_ee of the block gives each row's decode_ee of its own
-    erase_most_unreliable word, as rows and, below ROW_DECODE_MIN_WORDS
-    rows, word by word. One tau for the block is that tau in each row."""
+    levels, so that ties are common, erases in each row the positions
+    that the scalar erase_word erases in the row alone, in its stable
+    order; and decode_ee of the block gives each row's result of the
+    scalar codec on its erase_word word, and of decode_ee of that one
+    word, as rows and, below ROW_DECODE_MIN_WORDS rows, word by word. One
+    tau for the block is that tau in each row."""
     params = CodeParams(GF(m), n, k)
-    codec = params.codec
+    codec, ref = params.codec, ScalarRSCodec(params)
     nsyn = n - k
     rng = np.random.default_rng(59 + rows)
     y = np.array([codec.encode(rng.integers(0, params.q, k).tolist()) for _ in range(rows)])
@@ -163,17 +168,17 @@ def test_erase_block_decodes_as_each_word(m, n, k, rows):
         taus[at::7] = tau
     block = erase_most_unreliable(y, h, taus)
     assert isinstance(block, ErasedBlock)
-    assert np.array_equal(block.order, [erasure_order(hr) for hr in h])
-    words = [erase_most_unreliable(r, hr, tau) for r, hr, tau in zip(y.tolist(), h, taus.tolist())]
+    assert block.order.tolist() == [sorted(range(n), key=lambda i: -hr[i]) for hr in h]
+    words = [erase_word(r, hr, tau) for r, hr, tau in zip(y.tolist(), h, taus.tolist())]
     for word, order, tau in zip(words, block.order, block.taus):
         assert [i for i, s in enumerate(word.symbols) if s is None] == sorted(order[:tau])
     got = codec.decode_ee(block)
-    assert got == [codec.decode_ee(w) for w in words]
+    assert got == [ref.decode_ee(w) for w in words] == [codec.decode_ee(w) for w in words]
     if rows > 1:
         assert 0 < got.count(None) < rows
     tau = nsyn // 2
     assert codec.decode_ee(erase_most_unreliable(y, h, tau)) == [
-        codec.decode_ee(erase_most_unreliable(r, hr, tau)) for r, hr in zip(y.tolist(), h)]
+        ref.decode_ee(erase_word(r, hr, tau)) for r, hr in zip(y.tolist(), h)]
 
 
 def test_erase_block_rejects_bad_input(small):
@@ -307,13 +312,11 @@ def scalar_erasure_locator(gf, n, erased):
     return gamma
 
 
-def erased_sets(symbols, order, taus) -> list[list[int]]:
+def erased_sets(order, taus) -> list[list[int]]:
     """The erased positions of a word's trial for each tau of `taus`, in
-    the order erased: its input erasures (None), then order[:tau], each
-    position once. Each set is a prefix of the next for taus
-    non-decreasing."""
-    inputs = [i for i, s in enumerate(symbols) if s is None]
-    return [list(dict.fromkeys(inputs + list(order[:tau]))) for tau in taus]
+    the order erased: order[:tau], each position once. Each set is a
+    prefix of the next for taus non-decreasing."""
+    return [list(dict.fromkeys(order[:tau])) for tau in taus]
 
 
 def as_erased(symbols, erased) -> list:
@@ -323,14 +326,14 @@ def as_erased(symbols, erased) -> list:
 
 
 def trial_block(codec, trials, locators=True) -> ErasedBlock:
-    """The ErasedBlock of trials, (symbols, erased, locator) triples, the
-    symbols with None at the input erasures: row r erases the positions
-    `erased`, and its order runs on through the others. With `locators`
-    each row carries S(y) and Gamma/T from one erasure_trial_rows pass and
-    its locator as lam/L rows, solved by locator_rows where the trial's is
-    None; without, the block is the bare rows."""
+    """The ErasedBlock of trials, (symbols, erased, locator) triples: row r
+    erases the positions `erased`, and its order runs on through the
+    others. With `locators` each row carries S(y) and Gamma/T from one
+    erasure_trial_rows pass and its locator as lam/L rows, solved by
+    locator_rows where the trial's is None; without, the block is the bare
+    rows."""
     n = codec.params.n
-    y = np.array([[0 if s is None else s for s in symbols] for symbols, _, _ in trials])
+    y = np.array([symbols for symbols, _, _ in trials])
     taus = np.array([len(erased) for _, erased, _ in trials], dtype=np.intp)
     order = np.array([erased + [i for i in range(n) if i not in set(erased)] for _, erased, _ in trials],
                      dtype=np.intp)
@@ -359,14 +362,12 @@ def take(block: ErasedBlock, rows) -> ErasedBlock:
 
 @pytest.mark.parametrize("m, n, k", [(4, 15, 7), (8, 255, 144)])
 def test_erased_word_grows_gamma_and_t(m, n, k):
-    """Over the erasure sequences of trial_sequences, trial j of a word in
-    erasure_trial_rows erases its input erasures and then the first tau of
-    erasure_order for tau of default_schedule, an input erasure that
-    recurs in that prefix once: its Gamma and T = Gamma S mod x^(n-k)
-    equal the scalar products over those positions, and S(y) is the
-    received word's, input erasures read as 0. Every trial's count comes
-    twice, so the counts are cumulative with equal ones; only the trials
-    of at most n-k positions have a Gamma that fits its slots."""
+    """Over each word's stable order from the most to the least unreliable,
+    trial j of a word in erasure_trial_rows erases the first tau positions
+    for tau of default_schedule, as gmd_decode's trials do: its Gamma and
+    T = Gamma S mod x^(n-k) equal the scalar products over those
+    positions, and S(y) is the received word's. Every trial's count comes
+    twice, so the counts are cumulative with equal ones."""
     params = CodeParams(GF(m), n, k)
     codec, ref = params.codec, ScalarRSCodec(params)
     gf, nsyn = params.gf, n - k
@@ -374,34 +375,17 @@ def test_erased_word_grows_gamma_and_t(m, n, k):
     rows = 10
     y = rng.integers(0, params.q, (rows, n))
     h = rng.integers(0, 7, (rows, n)) / 8
-    inputs = np.zeros((rows, n), dtype=bool)
-    for r in range(rows):
-        at = rng.choice(n, 3, replace=False)
-        inputs[r, at] = True
-        # the first input erasure sits on the most unreliable level, so it
-        # recurs in the prefix that the trials erase
-        h[r, at[0]] = 7 / 8
-    y[inputs] = 0
-    _, sequences, sizes = trial_sequences(y, h, inputs, params.d_min)
-    sizes = np.repeat(sizes, 2, axis=1)
-    synd, polys = codec.erasure_trial_rows(y, sequences, sizes)
+    sequences = np.argsort(-h, axis=1, kind="stable")
     schedule = np.repeat(default_schedule(params.d_min), 2)
-    compared = repeats = 0
+    sizes = np.repeat(schedule[None], rows, axis=0)
+    synd, polys = codec.erasure_trial_rows(y, sequences, sizes)
     for r in range(rows):
-        symbols = [None if i else s for i, s in zip(inputs[r], y[r].tolist())]
-        assert synd[r].tolist() == ref.syndromes(symbols)
-        order = erasure_order(h[r])
-        for j, (tau, size) in enumerate(zip(schedule.tolist(), sizes[r].tolist())):
-            (expected,) = erased_sets(symbols, order, [tau])
-            assert sequences[r, :size].tolist() == expected
-            if size > nsyn:
-                continue
-            gamma = scalar_erasure_locator(gf, n, expected)
-            assert polys[r, j, 1 : size + 2].tolist() == gamma
+        assert synd[r].tolist() == ref.syndromes(y[r].tolist())
+        for j, tau in enumerate(schedule.tolist()):
+            erased = sequences[r, :tau].tolist()
+            gamma = scalar_erasure_locator(gf, n, erased)
+            assert polys[r, j, 1 : tau + 2].tolist() == gamma
             assert polys[r, j, nsyn + 3 : 2 * nsyn + 3].tolist() == scalar_poly_mul(gf, gamma, synd[r].tolist())[:nsyn]
-            compared += 1
-        repeats += inputs[r, order[: schedule[-1]]].any()
-    assert repeats == rows and compared >= rows * len(schedule) // 2
 
 
 @pytest.mark.parametrize("m, n, k, words", [(4, 15, 7, 40), (8, 255, 144, 6)])
@@ -411,7 +395,7 @@ def test_trial_rows_decode_as_scalar_codec(m, n, k, words):
     call (trial_block), decodes to the scalar codec's result on the word
     with the trial's erased positions as None, in the block and as a row
     alone: schedules from no erasure to past n-k (at RS(16;15,7)), over
-    input erasures and orders with repeated positions."""
+    orders with repeated positions."""
     params = CodeParams(GF(m), n, k)
     codec, ref = params.codec, ScalarRSCodec(params)
     nsyn = n - k
@@ -419,10 +403,10 @@ def test_trial_rows_decode_as_scalar_codec(m, n, k, words):
     trials = []
     for _ in range(words):
         cw = codec.encode(rng.integers(0, params.q, k).tolist())
-        symbols = corrupt(cw, rng, int(rng.integers(0, nsyn // 2 + 2)), int(rng.integers(0, 3)), params.q)
+        symbols = corrupt(cw, rng, int(rng.integers(0, nsyn // 2 + 2)), 0, params.q)
         order = rng.choice(n, nsyn + 2).tolist()
         taus = [0] + sorted(rng.integers(0, len(order) + 1, 5).tolist())
-        trials += [(symbols, erased, None) for erased in erased_sets(symbols, order, taus)]
+        trials += [(symbols, erased, None) for erased in erased_sets(order, taus)]
     block = trial_block(codec, trials)
     got = codec.decode_ee(block)
     found = Counter()
@@ -437,12 +421,12 @@ def test_trial_rows_decode_as_scalar_codec(m, n, k, words):
 
 @pytest.mark.parametrize("m, n, k", [(4, 15, 7), (8, 255, 144)])
 def test_decode_ee_entries_match_scalar_codec(m, n, k, monkeypatch):
-    """decode_ee of one ReceivedWord, of lists of 1, 5, 6 and 7 of them
-    (word by word below ROW_DECODE_MIN_WORDS, as rows from it) and of the
-    equal erase_most_unreliable blocks gives the scalar codec's result on
-    each word, with one public decode_ee call each: words with input
-    erasures, which their tau erases first, and with up to n-k+2 erasures.
-    An empty list decodes to []."""
+    """decode_ee of erase_most_unreliable blocks of 1, 5, 6 and 7 rows
+    (word by word below ROW_DECODE_MIN_WORDS, as rows from it) and of all
+    of them, and of each row's erase_word as one ReceivedWord, gives the
+    scalar codec's result on that word, with one public decode_ee call
+    each: up to n-k+2 erasures. One ReceivedWord with every symbol erased,
+    or n-k+1 of them, decodes to None, and a block of no rows to []."""
     params = CodeParams(GF(m), n, k)
     codec, ref = RSCodec(params), ScalarRSCodec(params)
     nsyn = n - k
@@ -453,18 +437,12 @@ def test_decode_ee_entries_match_scalar_codec(m, n, k, monkeypatch):
     h = rng.uniform(0, 0.9, (count, n))
     taus = rng.integers(0, nsyn + 3, count)
     taus[::5] = nsyn + 1
-    words = []
     for r, tau in enumerate(taus.tolist()):
         eps = int(rng.integers(0, max(nsyn - tau, 0) // 2 + 3))
         y[r, rng.choice(n, eps, replace=False)] ^= rng.integers(1, params.q, eps)
-        inputs = rng.choice(n, min(int(rng.integers(0, 4)), tau), replace=False)
-        h[r, inputs] = 0.95
-        symbols = y[r].tolist()
-        for i in inputs:
-            symbols[i] = None
-        words.append(erase_most_unreliable(symbols, h[r], tau))
+    words = [erase_word(r, hr, tau) for r, hr, tau in zip(y.tolist(), h, taus.tolist())]
     want = [ref.decode_ee(w) for w in words]
-    assert 0 < want.count(None) < count and sum(None in w.symbols for w in words) > count // 2
+    assert 0 < want.count(None) < count
 
     calls, paths = [], []
     decode_ee, decode_each, decode_rows = codec.decode_ee, codec._decode_each, codec._decode_rows
@@ -475,18 +453,20 @@ def test_decode_ee_entries_match_scalar_codec(m, n, k, monkeypatch):
     assert codec.decode_ee(erase_most_unreliable(y, h, taus)) == want
     lo = 0
     for size in sizes:
-        assert codec.decode_ee(words[lo : lo + size]) == want[lo : lo + size]
         assert codec.decode_ee(erase_most_unreliable(y[lo : lo + size], h[lo : lo + size], taus[lo : lo + size])) \
             == want[lo : lo + size]
         lo += size
-    assert codec.decode_ee([]) == []
-    assert len(calls) == count + 2 + 2 * len(sizes)
+    assert codec.decode_ee(erase_most_unreliable(y[:0], h[:0], 0)) == []
+    for erased in (n, nsyn + 1):
+        word = ReceivedWord([None] * erased + y[0, erased:].tolist(), h[0])
+        assert codec.decode_ee(word) is None is ref.decode_ee(word)
+    assert len(calls) == count + 1 + len(sizes) + 1 + 2
     assert sizes[1] < ROW_DECODE_MIN_WORDS <= sizes[2]
 
     def via(size):
         return ("each" if size < ROW_DECODE_MIN_WORDS else "rows", size)
 
-    assert paths == [via(1)] * count + [via(count)] + [via(size) for size in sizes for _ in (0, 1)] + [via(0)]
+    assert paths == [via(1)] * count + [via(count)] + [via(size) for size in sizes] + [via(0)] + [via(1)] * 2
 
 
 def test_decode_ee_rejects_lambda_roots_at_erasures(codec, small):
@@ -548,22 +528,18 @@ def lfsr_rows(gf, rng, nsyn, count):
 
 
 def gmd_forney_rows(codec, rng, count):
-    """The Forney syndromes of the nested GMD trials of noisy words with
-    three input erasures, one of them among the first positions the trials
-    erase, so that it recurs in the sorted prefix, and the others beyond
-    the prefix, so that the last trials erase more than n-k positions."""
+    """The Forney syndromes of nested trials of noisy words, erasing from
+    none to n-k+2 positions of a random order, so that the last trials
+    erase more than n-k positions."""
     p = codec.params
     nsyn = p.n - p.k
-    taus = list(range(p.d_min))
+    taus = list(range(p.d_min + 2))
     rows = []
     for _ in range(count):
         cw = codec.encode(rng.integers(0, p.q, p.k).tolist())
         symbols = corrupt(cw, rng, int(rng.integers(0, nsyn)), 0, p.q)
-        order = rng.permutation(p.n).tolist()
-        for i in [order[2]] + order[-2:]:
-            symbols[i] = None
-        erased = erased_sets(symbols, order, taus)
-        y = np.array([[0 if s is None else s for s in symbols]])
+        erased = erased_sets(rng.permutation(p.n).tolist(), taus)
+        y = np.array([symbols])
         _, polys = codec.erasure_trial_rows(y, np.array(erased[-1:]), np.array([[len(e) for e in erased]]))
         for e, buffer in zip(erased, polys[0]):
             tau = len(e)
@@ -618,11 +594,11 @@ def test_locator_rows_by_check_count(k):
     assert (sum(range(nsyn, -1, -2)) ** 2 > ROW_BM_MIN_WORK * nsyn) == (k < 223)
     rng = np.random.default_rng(29)
     cw = codec.encode(rng.integers(0, params.q, k).tolist())
-    symbols = corrupt(cw, rng, nsyn // 3, 2, params.q)
+    symbols = corrupt(cw, rng, nsyn // 3, 0, params.q)
     order = rng.permutation(255).tolist()
     decoded = compared = 0
     for taus in ([0], [nsyn // 2], [3, 3], list(range(0, params.d_min, 2))):
-        trials = [(symbols, erased, None) for erased in erased_sets(symbols, order, taus)]
+        trials = [(symbols, erased, None) for erased in erased_sets(order, taus)]
         block = trial_block(codec, trials)
         sizes = block.taus
         lam, L = codec.locator_rows(block.polys, sizes)
@@ -641,26 +617,48 @@ def test_locator_rows_by_check_count(k):
 @pytest.mark.parametrize("bad", [-1, -3, 16, 1.7])
 def test_out_of_range_symbols_are_code_errors(codec, small, bad):
     """A symbol that is not an integer in [0, q) is a CodeError in encode,
-    decode_ee and gmd_decode, with or without erasures; None still marks
-    an erasure. Unchecked, a negative symbol wraps around the log table
-    and decodes to a "codeword" with negative symbols."""
+    in decode_ee of a block and of one ReceivedWord, with or without
+    erasures (None marks an erasure of one word), and in gmd_decode.
+    Unchecked, a negative symbol wraps around the log table and decodes to
+    a "codeword" with negative symbols."""
     n = small.n
     with pytest.raises(CodeError):
         codec.encode([bad] * small.k)
     cw = codec.encode(list(range(small.k)))
+    h = np.linspace(0, 0.5, n)
+    word = list(cw)
+    word[0] = bad
+    for rows in (1, ROW_DECODE_MIN_WORDS):
+        with pytest.raises(CodeError):
+            codec.decode_ee(erase_most_unreliable([word] * rows, [h] * rows, 2))
+        with pytest.raises(CodeError):
+            gmd_decode([word] * rows, codec, [h] * rows)
     for erasures in ([], [5, 9]):
         word = list(cw)
         word[0] = bad
         for i in erasures:
             word[i] = None
-        received = ReceivedWord(word, np.linspace(0, 0.5, n))
         with pytest.raises(CodeError):
-            codec.decode_ee(received)
-        with pytest.raises(CodeError):
-            gmd_decode(received, codec)
+            codec.decode_ee(ReceivedWord(word, h))
         word[0] = cw[0]
         assert codec.decode_ee(ReceivedWord(word, np.zeros(n))) == cw
     assert codec.encode(np.arange(small.k, dtype=np.uint8)) == cw
+
+
+@pytest.mark.parametrize("form", ["decode_ee-list", "erase-one-word", "gmd-received-word"])
+def test_word_forms_fail_at_entry(codec, small, form):
+    """The word forms that arrays replaced fail at entry with a CodeError
+    that names the (rows, n) form expected, not an error from inside the
+    code: decode_ee of a list of ReceivedWords, erase_most_unreliable of
+    one word, and gmd_decode of one ReceivedWord."""
+    word = ReceivedWord(codec.encode([1] * small.k), np.zeros(small.n))
+    run = {
+        "decode_ee-list": lambda: codec.decode_ee([word]),
+        "erase-one-word": lambda: erase_most_unreliable(word.symbols, word.unreliability, 2),
+        "gmd-received-word": lambda: gmd_decode(word, codec, word.unreliability),
+    }[form]
+    with pytest.raises(CodeError, match=r"\(rows, n\)"):
+        run()
 
 
 def decode_case(ref, symbols, erased, locator):
@@ -694,11 +692,11 @@ def decode_case(ref, symbols, erased, locator):
 
 def block_rows(codec, rng, count):
     """(symbols, erased, locator, word) rows for the block decoder: the
-    trials of codewords with up to three errors past the radius and up to
-    n-k+2 erasures, partly input erasures (None) and partly erased by a
-    random order, and the scalar codec's word for each, the trial's
-    erasures as None; every tenth a clean codeword, and every third erasing
-    its input erasures alone. Then trials with a locator that solves no key
+    trials of codewords with up to three errors past the radius of tau
+    erasures, tau up to n-k+2, and those erasures (in all but every third
+    trial up to three more) at other positions in a random order, and the
+    scalar codec's word for each, the trial's erasures as None; every
+    tenth a clean codeword. Then trials with a locator that solves no key
     equation, whose word is None: Lambda = 1 + X_b x with b not the error
     position (S(e) != S(y)) or erased, and with L = 2 > deg Lambda; and the
     one-error word's true Lambda with a coefficient past L, and past the
@@ -714,9 +712,11 @@ def block_rows(codec, rng, count):
             continue
         tau = int(rng.integers(0, nsyn + 3))
         eps = int(rng.integers(0, max(nsyn - tau, 0) // 2 + 4))
-        symbols = corrupt(cw, rng, eps, tau, p.q)
-        order = [] if r % 3 == 0 else rng.permutation(n).tolist()
-        (erased,) = erased_sets(symbols, order, [int(rng.integers(0, 4))])
+        pos = rng.permutation(n)
+        symbols = list(cw)
+        for i in pos[:eps]:
+            symbols[i] ^= int(rng.integers(1, p.q))
+        erased = pos[eps : eps + tau + (0 if r % 3 == 0 else int(rng.integers(0, 4)))].tolist()
         rows.append((symbols, erased, None, as_erased(symbols, erased)))
     for a, b in rng.choice(n, (3, 2), replace=False).tolist():
         cw = codec.encode(rng.integers(0, p.q, k).tolist())
@@ -736,8 +736,8 @@ def test_decode_ee_block_matches_per_word_and_scalar(m, n, k, count):
     whose rows carry S(y), Gamma/T and locators (trial_block), gives each
     row's decode_ee alone and the scalar codec's result on the trial's
     word, its erasures as None; the trials without a locator of their own
-    decode alike from the bare rows, and as ReceivedWords, one by one and
-    as a list. Six rows of the bare block take the scalar
+    decode alike from the bare rows, and as ReceivedWords, one by one.
+    Six rows of the bare block take the scalar
     Berlekamp-Massey form, the whole block the row form. The rows meet
     every exit of the decoder: clean, more than n-k erasures, 2L > N,
     deg Lambda != L, too few Chien roots, a root at an erasure,
@@ -756,8 +756,7 @@ def test_decode_ee_block_matches_per_word_and_scalar(m, n, k, count):
     plain = [r for r, (_, _, locator) in enumerate(trials) if locator is None]
     bare = take(trial_block(codec, trials, locators=False), plain)
     words = [ReceivedWord(rows[r][3], np.zeros(n)) for r in plain]
-    assert [got[r] for r in plain] == codec.decode_ee(bare) == codec.decode_ee(words) == [
-        codec.decode_ee(w) for w in words]
+    assert [got[r] for r in plain] == codec.decode_ee(bare) == [codec.decode_ee(w) for w in words]
     assert codec.decode_ee(take(bare, slice(0, 6))) == [got[r] for r in plain[:6]]
     assert codec._row_form([n - k] * count) and not codec._row_form([n - k] * 6)
     cases = Counter()
@@ -772,7 +771,6 @@ def test_decode_ee_block_matches_per_word_and_scalar(m, n, k, count):
         cases[case] += 1
     assert set(cases) == {"clean", "tau > n-k", "2L > N", "deg != L", "few roots",
                           "erased root", "S(e) != S(y)", "corrected"}, cases
-    assert codec.decode_ee([]) == []
 
 
 @pytest.mark.parametrize("m, n, k, words", [(4, 15, 7, 40), (8, 255, 144, 6)])
@@ -780,9 +778,8 @@ def test_decode_ee_block_of_trials_matches_each_trial(m, n, k, words):
     """A block of the trials of GMD-like schedules, shuffled among received
     words, decodes as an ErasedBlock (trial_block) of rows that carry S(y),
     Gamma/T and the locator, as the bare rows, as each row alone, carrying
-    or bare in turn, and as the trials' words, each alone and as a list.
-    Words with input erasures and up to twice the errors the radius
-    takes."""
+    or bare in turn, and as the trials' words, each alone. Words with up
+    to twice the errors the radius takes."""
     params = CodeParams(GF(m), n, k)
     codec = params.codec
     nsyn = n - k
@@ -790,17 +787,16 @@ def test_decode_ee_block_of_trials_matches_each_trial(m, n, k, words):
     trials = []
     for _ in range(words):
         cw = codec.encode(rng.integers(0, params.q, k).tolist())
-        symbols = corrupt(cw, rng, int(rng.integers(0, nsyn)), int(rng.integers(0, 4)), params.q)
-        # tau = 0 erases the input erasures alone: the received word
+        symbols = corrupt(cw, rng, int(rng.integers(0, nsyn)), 0, params.q)
         taus = range(0, nsyn + 2, 3)
-        trials += [(symbols, erased, None) for erased in erased_sets(symbols, rng.permutation(n).tolist(), taus)]
+        trials += [(symbols, erased, None) for erased in erased_sets(rng.permutation(n).tolist(), taus)]
     trials = [trials[i] for i in rng.permutation(len(trials))]
     solved, bare = trial_block(codec, trials), trial_block(codec, trials, locators=False)
     got = codec.decode_ee(solved)
     assert got == codec.decode_ee(bare)
     assert got == [codec.decode_ee(take((solved, bare)[r % 2], [r]))[0] for r in range(len(trials))]
     received = [ReceivedWord(as_erased(symbols, erased), np.zeros(n)) for symbols, erased, _ in trials]
-    assert got == [codec.decode_ee(w) for w in received] == codec.decode_ee(received)
+    assert got == [codec.decode_ee(w) for w in received]
     found = [c is not None for c in got]
     assert any(found) and not all(found)
 
@@ -808,19 +804,24 @@ def test_decode_ee_block_of_trials_matches_each_trial(m, n, k, words):
 def test_decode_block_peak_stays_bounded(big_codec):
     """One 256-word RS(256;255,144) block of words with up to 49 errors
     and 37 erasures decodes with a traced peak under 6 MB (it measures
-    4.4): the gathers run in row chunks of GATHER_ENTRIES entries, where
+    2.9): the gathers run in row chunks of GATHER_ENTRIES entries, where
     one gather over the whole block's syndromes alone would take 58 MB."""
     p = big_codec.params
     rng = np.random.default_rng(43)
-    words, sent = [], []
-    for _ in range(256):
+    y = np.empty((256, p.n), dtype=np.int64)
+    h, taus, sent = np.zeros((256, p.n)), np.empty(256, dtype=np.intp), []
+    for r in range(256):
         cw = big_codec.encode(rng.integers(0, p.q, p.k).tolist())
-        words.append(ReceivedWord(corrupt(cw, rng, int(rng.integers(0, 50)), int(rng.integers(0, 38)), p.q),
-                                  np.zeros(p.n)))
+        eps, taus[r] = int(rng.integers(0, 50)), int(rng.integers(0, 38))
+        pos = rng.permutation(p.n)[: eps + taus[r]]
+        y[r] = cw
+        y[r, pos[:eps]] ^= rng.integers(1, p.q, eps)
+        h[r, pos[eps:]] = 0.5
         sent.append(cw)
+    block = erase_most_unreliable(y, h, taus)
     tracemalloc.start()
     try:
-        out = big_codec.decode_ee(words)
+        out = big_codec.decode_ee(block)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -12,7 +12,7 @@ from erasurelab.dcf import DecoderCapability, DecoderKind
 from erasurelab.gf import GF
 from erasurelab.modem import SIGMA_MAX, SIGMA_MIN, SquareQam, awgn, sigma_from_ebn0
 from erasurelab.gmd import gmd_decode
-from erasurelab.rs import CodeParams, ReceivedWord, RSCodec, erase_most_unreliable
+from erasurelab.rs import CodeParams, RSCodec
 from erasurelab.sim import (
     CampaignConfig,
     ConfigError,
@@ -28,6 +28,7 @@ from erasurelab.sim import (
     _info_symbols,
 )
 from erasurelab.strategy import StrategyKind, choose_tau, pgf_distribution, residual_error_prob
+from scalar_rs import erase_word
 
 
 @pytest.fixture(scope="module")
@@ -344,7 +345,8 @@ def test_info_symbols_are_generator_integers(m, k):
 def reference_frame(runner, i):
     """One frame through the per-frame pipeline that run_block replaced:
     its own channel, unreliabilities, sort, chooser call on one vector and
-    prediction."""
+    prediction, and decode_ee of its one erase_word word, or gmd_decode of
+    its one-row block."""
     cfg, qam = runner.cfg, runner.qam
     rng = _frame_rng(cfg.seed, runner.point_index, i)
     cw = runner.codec.encode(rng.integers(0, cfg.code.q, size=cfg.code.k).tolist())
@@ -352,7 +354,7 @@ def reference_frame(runner, i):
     r = qam.hard_decision(y).tolist()
     h = unreliability(y, qam, runner.sigma, cfg.unreliability, runner.lut)
     if cfg.mode == "gmd":
-        return (0 if gmd_decode(ReceivedWord(r, h), runner.codec) == cw else 1), math.nan
+        return (0 if gmd_decode([r], runner.codec, [h]) == [cw] else 1), math.nan
     h_sorted = np.sort(h)[::-1]
     if cfg.mode == "adaptive":
         res = choose_tau(h_sorted, runner.cap, cfg.strategy)
@@ -360,7 +362,7 @@ def reference_frame(runner, i):
     else:
         tau = cfg.fixed_tau if cfg.mode == "fixed_tau" else 0
         predicted = residual_error_prob(pgf_distribution(h_sorted, tau), runner.cap.epsilon0(tau))
-    out = runner.codec.decode_ee(erase_most_unreliable(r, h, tau))
+    out = runner.codec.decode_ee(erase_word(r, h, tau))
     return (0 if out == cw else 1), predicted
 
 
