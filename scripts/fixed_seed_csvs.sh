@@ -7,12 +7,14 @@
 # SeedSequence's pool of four, which sim seeds its streams from, and
 # semi-simulatively with each method (1500 vectors, 22 500 points, so that
 # a boundary of the sampler's UNRELIABILITY_CHUNK falls inside a vector);
-# on RS(256;255,144) in the four Monte-Carlo modes, adaptively and in gmd
-# mode with one-frame points (the one-row frame block) and
-# semi-simulatively with each method; and `predict` on both codes,
-# RS(256;255,144) also at 18-20 dB, where P(tau) lies far below 1e-16.
-# That is 35 CSVs. `lut` then writes two lookup-table text files, 256-QAM
-# at 8 bits and 16-QAM at 6 bits: 37 files.
+# on RS(256;255,144) in the four Monte-Carlo modes, in errors_only mode
+# with five-frame points (one five-row block, decoded word by word, whose
+# Berlekamp-Massey runs the scalar form on 111 Forney syndromes),
+# adaptively and in gmd mode with one-frame points (the one-row frame
+# block) and semi-simulatively with each method; and `predict` on both
+# codes, RS(256;255,144) also at 18-20 dB, where P(tau) lies far below
+# 1e-16. That is 36 CSVs. `lut` then writes two lookup-table text files,
+# 256-QAM at 8 bits and 16-QAM at 6 bits: 38 files.
 #
 # Usage: sh scripts/fixed_seed_csvs.sh OUTDIR
 #
@@ -54,6 +56,8 @@ lab simulate $long --mode errors_only --out rs255_errors_only.csv
 lab simulate $long --mode fixed_tau --fixed-tau 20 --out rs255_fixed_tau.csv
 lab simulate $long --mode adaptive --strategy exact --out rs255_adaptive.csv
 lab simulate $long --mode gmd --out rs255_gmd.csv
+lab simulate --ebn0-grid 16.5,17 --frames 5 --seed 1 --unreliability exact \
+    --mode errors_only --out rs255_errors_only_short_blocks.csv
 lab simulate --ebn0-grid 16,16.5,17 --frames 1 --seed 1 --unreliability exact \
     --mode adaptive --strategy exact --out rs255_adaptive_one_frame.csv
 lab simulate --ebn0-grid 16,16.5,17 --frames 1 --seed 1 --unreliability exact \

@@ -10,10 +10,14 @@ The scalar product `mul` reads the tables as lists. The array kernels read
 them as numpy arrays (`log_table`, `exp_table`), after the lookup-table ufuncs
 of the `galois` library (https://github.com/mhostetter/galois): a product
 of arrays is one gather, a sum of products that gather followed by an
-XOR-reduce.
+XOR-reduce. `mul_tables` holds one 256-byte translation table per element,
+so that c times a polynomial kept one byte per coefficient is one
+`bytes.translate`; a symbol must fit in a byte, so m is at most 8.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 
@@ -35,15 +39,15 @@ class GF:
     Parameters
     ----------
     m : int
-        Extension degree (>= 1).
+        Extension degree, 1 <= m <= 8: a symbol fits in a byte.
     primitive_poly : int, optional
         Bitmask of a primitive polynomial of degree m. Defaults to a
         conventional choice for m in {4, 8}.
     """
 
     def __init__(self, m: int, primitive_poly: int | None = None):
-        if m < 1:
-            raise FieldError("extension degree must be >= 1")
+        if not 1 <= m <= 8:
+            raise FieldError(f"extension degree must be in [1, 8], symbols being bytes; got m={m}")
         if primitive_poly is None:
             try:
                 primitive_poly = DEFAULT_POLYS[m]
@@ -91,6 +95,15 @@ class GF:
 
     def mul(self, a: int, b: int) -> int:
         return self.exp[self.log[a] + self.log[b]]
+
+    @cached_property
+    def mul_tables(self) -> tuple[bytes, ...]:
+        """For each element c, the 256-byte translation table of b -> c*b
+        (zero past q - 1), built on first use: `p.translate(mul_tables[c])`
+        multiplies every byte of p by c."""
+        table = np.zeros((self.q, 256), dtype=np.uint8)
+        table[:, : self.q] = self.exp_table[self.log_table[:, None] + self.log_table]
+        return tuple(row.tobytes() for row in table)
 
     # -- array kernels (element arrays of dtype self.dtype or any int) --
 

@@ -48,18 +48,22 @@ g(x) and Gamma are built one linear factor at a time. The tables are
 read-only, and `CodeParams.codec` builds them once per code: every
 campaign on one `CodeParams` shares its codec.
 
-Berlekamp-Massey has two forms with one state: Lambda, L, and
-B = beta x^(r-m) P as the log of beta, the inverse discrepancy of the
-last length change m, and the logs of P, Lambda as it stood then;
-log(delta beta) is reduced through one table round trip. The scalar form
-runs one trial on the field's zero-sentinel lists, Lambda kept at L + 1
-coefficients. The row form steps trials in lock-step on (W, rows)
-arrays, W = (n-k)//2 + 2, at about ten array calls a step whatever the
-row count. Both give the same Lambda wherever 2L <= N, where it is
-unique. One rule, `RSCodec._row_form`, picks the form in
-`RSCodec.locator_rows`: the row form when the squared total count of
-Forney syndromes exceeds ROW_BM_MIN_WORK times the longest row's count,
-the steps of the row pass (for R rows of N syndromes,
+Berlekamp-Massey runs in its inversion form, on Lambda, L, P (Lambda as
+it stood at the last length change m) and beta, the inverse discrepancy
+at m. It has two forms. The scalar form runs one trial on byte strings,
+one byte per coefficient: a polynomial times a scalar is one
+`bytes.translate` by `GF.mul_tables`, a sum one int XOR. It carries the
+discrepancy polynomial D = Lambda S, shifted one byte a step, and P S as
+D stood at m, so that delta is D's low byte and the update of D one more
+translated XOR (the Delta-polynomial of D. V. Sarwate and N. R.
+Shanbhag, "High-speed architectures for Reed-Solomon decoders", IEEE
+Trans. VLSI 9(5), 2001). The row form steps trials in lock-step on
+(W, rows) log/antilog arrays, W = (n-k)//2 + 2, at about ten array calls
+a step whatever the row count. Both give the same Lambda wherever
+2L <= N, where it is unique. One rule, `RSCodec._row_form`, picks the
+form in `RSCodec.locator_rows`: the row form when the squared total
+count of Forney syndromes exceeds ROW_BM_MIN_WORK times the longest
+row's count, the steps of the row pass (for R rows of N syndromes,
 R^2 N > ROW_BM_MIN_WORK).
 """
 
@@ -78,11 +82,13 @@ from .gf import GF
 #: of Forney syndromes and N the longest row's, the steps of the row pass.
 #: For R rows of N syndromes that reads R^2 N > ROW_BM_MIN_WORK. Measured
 #: on the syndromes of words with about N/3 errors, R rows of N cross at
-#: R = 24, 20, 18, 15, 8 and 6 for N = 8, 12, 16, 32, 64 and 111 (R^2 N
-#: from 3900 to 7200); on the trial sets of GMD frames at n = 255, where
-#: the later trials are shorter, the row form is the faster one from
-#: S^2 / N = 6600 on and the scalar form up to 3800
-ROW_BM_MIN_WORK = 5000
+#: R = 32 to 48 for every N from 8 to 111 (R^2 N from 12 000 to 256 000).
+#: The trial sets of a one-frame GMD pass at n = 255 (S^2 / N at most
+#: 88 600) take the scalar form, with which `mc_long` and `semi_long` gmd
+#: ran 1.03x and 1.07x as fast as at the value 5000; 256-frame GMD passes
+#: at n = 15, whose smaller trial sets the row form solves faster from
+#: S^2 / N = 1600 on, ran as fast (1.015x)
+ROW_BM_MIN_WORK = 100_000
 #: entries of one gather's index array in the block decoder and encoder:
 #: rows are taken in chunks that keep each gather's temporaries near
 #: 0.5 MB (an intp per entry) whatever the code length and block size. A
@@ -92,7 +98,9 @@ ROW_BM_MIN_WORK = 5000
 GATHER_ENTRIES = 1 << 16
 #: the words from which `RSCodec.decode_ee` decodes a block as rows: fewer
 #: go word by word, which costs less for one to about five words (at
-#: n = 15 one row costs about 3x a word, six break even)
+#: n = 15 one row costs about 3x a word, six break even; at n = 255,
+#: errors-only blocks of four and six words decode 5-15 % faster word by
+#: word, and 4-frame passes run as fast at 6, 4 or 1)
 ROW_DECODE_MIN_WORDS = 6
 
 
@@ -611,8 +619,11 @@ class RSCodec:
         (n-k)//2. Where 2L > lengths[j], L is at least as large as the
         scalar one and Lambda, cut at W coefficients, is meaningless.
 
-        A step is the scalar update on columns. The zero sentinel makes a
-        zero discrepancy leave Lambda unchanged without a branch.
+        A step is the update of `_berlekamp_massey` on columns, in logs: P
+        as its logs, beta as its log, and delta as the inner product of
+        Lambda with the syndromes, where the byte form reads the low byte
+        of its carried D. The zero sentinel makes a zero discrepancy leave
+        Lambda unchanged without a branch.
         """
         gf = self.params.gf
         order, zero = gf.q - 1, gf.zero_log
@@ -660,31 +671,36 @@ class RSCodec:
         return lam, twice_l // 2
 
     def _berlekamp_massey(self, synd: list[int]) -> tuple[list[int], int]:
-        """Lambda, trailing zeros trimmed, and L for one syndrome list."""
+        """Lambda, trailing zeros trimmed, and L for one syndrome list.
+
+        Polynomials are ints, coefficient j in byte j: c times one is a
+        `bytes.translate` by `GF.mul_tables`[c], a sum one XOR. D = Lambda S
+        is carried shifted right one byte a step, so that delta_r is its
+        low byte, and next to P the bytes of P S as D stood at the last
+        length change m: the update D += delta beta x^(r-m) P S is then an
+        XOR of the translated bytes, both being shifted alike. The bytes of
+        D past the syndromes' count meet no later delta."""
         gf = self.params.gf
-        exp, log = gf.exp, gf.log  # zero-sentinel lists: no branch on 0
-        order = gf.q - 1
-        log_synd = [log[s] for s in synd]
-        lam = [1]  # deg Lambda <= L: L + 1 coefficients
-        lp, lbeta, shift = [0], 0, 0  # P = 1, beta = 1, m = -1
-        L = 0
-        for r, s in enumerate(synd):
-            delta = s
-            for j in range(1, L + 1):
-                delta ^= exp[log[lam[j]] + log_synd[r - j]]
-            shift += 1
-            if delta == 0:
-                continue
-            log_delta = log[delta]
-            lscale = log[exp[log_delta + lbeta]]  # log(delta beta) mod q-1
-            update, at = lp, shift
-            if 2 * L <= r:
-                lp, lbeta, shift = [log[c] for c in lam], order - log_delta, 0
-                lam += [0] * (r + 1 - 2 * L)
-                L = r + 1 - L
-            for j, c in enumerate(update, at):
-                lam[j] ^= exp[c + lscale]
-        # trim trailing zeros
-        while len(lam) > 1 and lam[-1] == 0:
-            lam.pop()
-        return lam, L
+        mul, exp, log = gf.mul_tables, gf.exp, gf.log
+        from_bytes = int.from_bytes
+        order, count = gf.q - 1, len(synd)
+        d = from_bytes(bytes(synd), "little")
+        lam, L = 1, 0
+        # P = 1 and beta = 1 at m = -1, P S being S one byte up
+        p, ps, beta, shift = b"\x01", bytes([0, *synd[:-1]]), 1, 8
+        for r in range(count):
+            delta = d & 0xFF
+            if delta:
+                scale = mul[mul[delta][beta]]
+                lam_update = from_bytes(p.translate(scale), "little") << shift
+                d_update = from_bytes(ps.translate(scale), "little")
+                if 2 * L <= r:
+                    # deg Lambda <= L; D holds no more bytes than S, and
+                    # the steps after r read its first count - 1 - r
+                    p, ps = lam.to_bytes(L + 1, "little"), d.to_bytes(count, "little")[: count - 1 - r]
+                    beta, shift, L = exp[order - log[delta]], 0, r + 1 - L
+                lam ^= lam_update
+                d ^= d_update
+            d >>= 8
+            shift += 8
+        return list(lam.to_bytes((lam.bit_length() + 7) // 8, "little")), L

@@ -9,6 +9,10 @@ now free functions, since only the tests use them. `mul_noLUT` is the
 table-free product that `tests/test_gf.py` checks the tables against.
 `erase_word` is the one-word form that `rs.erase_most_unreliable` had,
 with a Python sort in place of numpy's stable argsort.
+`list_berlekamp_massey` is the list form of `RSCodec._berlekamp_massey`
+that its byte form replaced: the state Lambda, L, log beta and the logs
+of P on the field's zero-sentinel lists, and an inner product a step for
+the discrepancy.
 """
 
 from __future__ import annotations
@@ -70,6 +74,37 @@ def scalar_poly_mul(gf, p: list[int], q: list[int]) -> list[int]:
         for j, qj in enumerate(q):
             r[i + j] ^= gf.mul(pi, qj)
     return r
+
+
+def list_berlekamp_massey(gf, synd: list[int]) -> tuple[list[int], int]:
+    """Lambda, trailing zeros trimmed, and L for one syndrome list, by the
+    list form that `RSCodec._berlekamp_massey` was before its byte form."""
+    exp, log = gf.exp, gf.log  # zero-sentinel lists: no branch on 0
+    order = gf.q - 1
+    log_synd = [log[s] for s in synd]
+    lam = [1]  # deg Lambda <= L: L + 1 coefficients
+    lp, lbeta, shift = [0], 0, 0  # P = 1, beta = 1, m = -1
+    L = 0
+    for r, s in enumerate(synd):
+        delta = s
+        for j in range(1, L + 1):
+            delta ^= exp[log[lam[j]] + log_synd[r - j]]
+        shift += 1
+        if delta == 0:
+            continue
+        log_delta = log[delta]
+        lscale = log[exp[log_delta + lbeta]]  # log(delta beta) mod q-1
+        update, at = lp, shift
+        if 2 * L <= r:
+            lp, lbeta, shift = [log[c] for c in lam], order - log_delta, 0
+            lam += [0] * (r + 1 - 2 * L)
+            L = r + 1 - L
+        for j, c in enumerate(update, at):
+            lam[j] ^= exp[c + lscale]
+    # trim trailing zeros
+    while len(lam) > 1 and lam[-1] == 0:
+        lam.pop()
+    return lam, L
 
 
 class ScalarRSCodec:

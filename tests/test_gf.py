@@ -33,6 +33,28 @@ def test_non_primitive_polynomial_rejected():
         GF(8, primitive_poly=0x11B)
 
 
+@pytest.mark.parametrize("m, poly", [(9, 0x211), (9, None), (16, 0x1100B)])
+def test_field_past_a_byte_rejected(m, poly):
+    """Symbols are bytes (`mul_tables` translates byte strings), so a field
+    with m > 8 is a FieldError that names the limit, with or without a
+    primitive polynomial; m = 0 names it too."""
+    with pytest.raises(FieldError, match=r"\[1, 8\]"):
+        GF(m, poly)
+    with pytest.raises(FieldError, match=r"\[1, 8\]"):
+        GF(0)
+
+
+@pytest.mark.parametrize("m, poly", [(3, 0b1011), (4, None), (8, None)])
+def test_mul_tables_translate_to_products(m, poly):
+    """Translating the bytes 0..q-1 by mul_tables[c] gives c times each,
+    for every c; each table is 256 bytes, zero past q - 1."""
+    gf = GF(m, poly)
+    assert len(gf.mul_tables) == gf.q and gf.mul_tables is gf.mul_tables
+    for c, table in enumerate(gf.mul_tables):
+        assert len(table) == 256 and not any(table[gf.q :])
+        assert list(bytes(range(gf.q)).translate(table)) == [mul_noLUT(gf, c, b) for b in range(gf.q)]
+
+
 def test_mul_identity_and_zero(gf8):
     for a in range(256):
         assert gf8.mul(a, 1) == a

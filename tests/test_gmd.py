@@ -158,8 +158,9 @@ def gmd_test_words(code, codec, dbs, frames, garbage, rng):
         yield r, np.zeros(code.n)
 
 
-#: codes and gmd_test_words arguments: RS(16;15,7), and RS(256;255,k) on
-#: both sides of rs.ROW_BM_MIN_WORK for a full schedule
+#: codes and gmd_test_words arguments: RS(16;15,7), and RS(256;255,k) at
+#: three check counts, whose blocks of words fall on both sides of
+#: rs.ROW_BM_MIN_WORK
 GMD_CASES = [
     (4, 15, 7, (6.0, 7.0, 8.0, 9.0), 500, 40),
     (8, 255, 144, (15.0, 16.0), 4, 1),
@@ -195,11 +196,12 @@ def tie_word(codec, code):
 def test_gmd_matches_per_trial_erasure(m, n, k, dbs, frames, garbage, monkeypatch):
     """Nested erasure sets built by one erasure_trial_rows pass give the
     codeword of the per-trial erase_word loop on the scalar codec, ties
-    included. RS(256;255,223) and RS(256;255,191) lie on the two sides of
-    rs.ROW_BM_MIN_WORK for a full schedule: locator_rows solves the first's
-    trials by the scalar steps, the second's in one row-batched pass when
-    enough are left. Distinct candidates tie on score on RS(16;15,7) and
-    RS(256;255,144), and the smaller erasure count must win; the tie that
+    included. At n = 255 locator_rows solves one word's trials by the
+    scalar steps (below rs.ROW_BM_MIN_WORK for a full schedule), and
+    those of the blocks of RS(256;255,191) and RS(256;255,144) words in
+    one row-batched pass when enough are left. Distinct candidates tie
+    on score on RS(16;15,7) and RS(256;255,144), and the smaller erasure
+    count must win; the tie that
     gmd_decode's probe of the middle trial meets first is
     test_score_tie_goes_to_smaller_tau_found_after_the_probe, whose word
     sits fourth among the RS(16;15,7) words here.

@@ -17,7 +17,7 @@ from erasurelab.rs import (
     erase_most_unreliable,
 )
 from erasurelab.gmd import default_schedule, gmd_decode
-from scalar_rs import ScalarRSCodec, alpha_pow, erase_word, poly_eval, scalar_poly_mul
+from scalar_rs import ScalarRSCodec, alpha_pow, erase_word, list_berlekamp_massey, poly_eval, scalar_poly_mul
 
 
 @pytest.fixture(scope="module")
@@ -581,6 +581,32 @@ def test_berlekamp_massey_rows_matches_scalar(m, n, k):
         codec._berlekamp_massey_rows(np.zeros((2, nsyn), dtype=int), [1, 2])
 
 
+@pytest.mark.parametrize("m, poly, n, k", [(3, 0b1011, 7, 3), (4, None, 15, 7), (8, None, 255, 144)])
+def test_berlekamp_massey_matches_list_form(m, poly, n, k):
+    """The byte form of the scalar Berlekamp-Massey returns exactly the
+    (Lambda, L) of the list form it replaced and of the reference codec on
+    every row, 2L > N included: random rows at every N in [0, n-k], LFSR
+    rows, the rows of GMD trials, all-zero rows and rows with one nonzero
+    syndrome at each index."""
+    params = CodeParams(GF(m, poly), n, k)
+    codec, ref = RSCodec(params), ScalarRSCodec(params)
+    gf, nsyn = params.gf, n - k
+    rng = np.random.default_rng(71)
+    rows = [(rng.integers(0, gf.q, nsyn).tolist(), N) for N in range(nsyn + 1) for _ in range(3)]
+    rows += lfsr_rows(gf, rng, nsyn, 60) + gmd_forney_rows(codec, rng, 3)
+    rows += [([0] * nsyn, N) for N in (0, 1, nsyn)]
+    for j in range(nsyn):
+        one = [0] * nsyn
+        one[j] = int(rng.integers(1, gf.q))
+        rows += [(one, nsyn), (one, j + 1)]
+    cases = Counter()
+    for row, N in rows:
+        got = codec._berlekamp_massey(row[:N])
+        assert got == list_berlekamp_massey(gf, row[:N]) == ref._berlekamp_massey(row[:N])
+        cases["2L > N" if 2 * got[1] > N else "2L <= N"] += 1
+    assert cases["2L > N"] > 0 and cases["2L <= N"] > 0
+
+
 @pytest.mark.parametrize("k", [223, 191, 144])
 def test_locator_rows_by_check_count(k):
     """locator_rows solves the trials of a word from their Gamma/T rows,
@@ -588,16 +614,17 @@ def test_locator_rows_by_check_count(k):
     (ROW_BM_MIN_WORK) and by the scalar steps per trial otherwise: that of
     the reference Berlekamp-Massey wherever 2L <= N, and decode_ee gives
     the same result from a block that carries these locators as from the
-    bare rows. RS(256;255,223) and RS(256;255,191) lie on the two sides."""
+    bare rows. For the trials at every erasure count from 0 to n-k,
+    RS(256;255,191) and RS(256;255,144) lie on the two sides."""
     params = CodeParams(GF(8), 255, k)
     codec, ref, nsyn = RSCodec(params), ScalarRSCodec(params), 255 - k
-    assert (sum(range(nsyn, -1, -2)) ** 2 > ROW_BM_MIN_WORK * nsyn) == (k < 223)
+    assert (sum(range(nsyn + 1)) ** 2 > ROW_BM_MIN_WORK * nsyn) == (k < 191)
     rng = np.random.default_rng(29)
     cw = codec.encode(rng.integers(0, params.q, k).tolist())
     symbols = corrupt(cw, rng, nsyn // 3, 0, params.q)
     order = rng.permutation(255).tolist()
     decoded = compared = 0
-    for taus in ([0], [nsyn // 2], [3, 3], list(range(0, params.d_min, 2))):
+    for taus in ([0], [nsyn // 2], [3, 3], list(range(0, params.d_min, 2)), list(range(params.d_min))):
         trials = [(symbols, erased, None) for erased in erased_sets(order, taus)]
         block = trial_block(codec, trials)
         sizes = block.taus
