@@ -9,10 +9,11 @@
 #     rev|tree PAIR RESULT_JSON
 #
 # RESULT_JSON being the run's last line of standard output (correctness,
-# operation counts and end-to-end metrics). Two lines come first:
+# operation counts and end-to-end metrics). Three lines come first:
 #
 #     machine {"cores": ..., "python": ..., "numpy": ..., "platform": ...}
 #     revisions {"parent": SHA, "change": SHA, "change_dirty": true|false}
+#     run {"workload": "WORKLOAD", "pairs": PAIRS, "seconds": "SECONDS"}
 #
 # the change being this tree's HEAD, dirty when its src/ or bench/ differ
 # from HEAD or hold untracked files. A failing run prints its standard
@@ -40,6 +41,7 @@ dirty=false
 [ -z "$(git -C "$here" status --porcelain -- src bench)" ] || dirty=true
 printf 'revisions {"parent": "%s", "change": "%s", "change_dirty": %s}\n' \
     "$(git -C "$here" rev-parse "$rev")" "$(git -C "$here" rev-parse HEAD)" "$dirty"
+printf 'run {"workload": "%s", "pairs": %s, "seconds": "%s"}\n' "$workload" "$pairs" "$seconds"
 
 run() {  # run SIDE PAIR
     case $1 in rev) root=$tmp/rev ;; tree) root=$here ;; esac

@@ -2,17 +2,30 @@
 
     sh scripts/ab_bench.sh REV WORKLOAD PAIRS SECONDS | python3 scripts/ab_summary.py
     python3 scripts/ab_summary.py --json < pairs.txt
+    python3 scripts/ab_summary.py --bench BENCH_N.json [--claim METRIC@WORKLOAD]
+        [--extra EXTRA.json] PAIRS_FILE...
 
 Reads the `rev|tree PAIR RESULT_JSON` lines of one workload's pairs on
-standard input, and the `machine JSON` and `revisions JSON` lines that
-ab_bench.sh prints first; other lines are ignored. For each end-to-end metric of
-BENCHMARK.json it prints each side's median and quartiles
-(statistics.quantiles, n=4, as bench/steady.py computes them), the
-change/parent ratio of the medians, `rev` being the parent and `tree` the
-change, and in how many of the pairs that have both values the change
+standard input, and the `machine JSON`, `revisions JSON` and `run JSON`
+lines that ab_bench.sh prints first; other lines are ignored. For each
+end-to-end metric of BENCHMARK.json it prints each side's median and
+quartiles (statistics.quantiles, n=4, as bench/steady.py computes them),
+the change/parent ratio of the medians, `rev` being the parent and `tree`
+the change, and in how many of the pairs that have both values the change
 did better in the metric's direction. With --json it prints the same
 figures as one JSON object, in the layout of a BENCH_*.json workload
-entry, with the machine and the revisions as ab_bench.sh recorded them.
+entry, with the machine, the revisions and the run as ab_bench.sh
+recorded them.
+
+--bench writes a whole BENCH_*.json from one pairs file per workload, each
+naming its workload in its `run` line, in the order given: the command,
+the machine, per side the revision and each workload's runs and metrics,
+then per workload the pair count, the ratios and the wins. Every file must
+come from the same machine and the same two revisions. --claim names the
+claimed metric and adds its verdict: the wins, and whether the medians
+differ by more than the parent's interquartile range in the metric's
+direction. --extra merges the top-level keys of a JSON object (profiles,
+Tier-1 counts, notes) after those; it may not replace one of them.
 """
 
 from __future__ import annotations
@@ -26,7 +39,7 @@ from pathlib import Path
 SPEC = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 SIDES = {"rev": "parent", "tree": "change"}
 #: the lines that ab_bench.sh prints before the pairs, each a JSON object
-FACTS = ("machine", "revisions")
+FACTS = ("machine", "revisions", "run")
 
 
 def read_pairs(lines) -> tuple[dict, dict]:
@@ -84,11 +97,100 @@ def summarise(pairs: dict, metrics: list) -> dict:
     return out
 
 
+def bench_file(entries: list, metrics: list, claim: str | None = None, extra: dict | None = None) -> dict:
+    """The BENCH_*.json object of the (summary, facts) entries, one per
+    workload; a ValueError if they disagree on the machine or the
+    revisions, lack a run line, repeat a workload, or if the claim or the
+    extra keys do not fit."""
+    first = entries[0][1]
+    for _, facts in entries:
+        if facts.get("run") is None:
+            raise ValueError("a pairs file has no `run` line naming its workload")
+        for kind in ("machine", "revisions"):
+            if facts.get(kind) != first.get(kind):
+                raise ValueError(f"the pairs files disagree on the {kind}: "
+                                 f"{first.get(kind)} against {facts.get(kind)}")
+    names = [facts["run"]["workload"] for _, facts in entries]
+    if len(set(names)) < len(names):
+        raise ValueError(f"a workload appears twice: {names}")
+    revisions, run = first["revisions"], first["run"]
+    out: dict = {
+        "command": f"sh scripts/ab_bench.sh {revisions['parent'][:7]} W {run['pairs']} {run['seconds']}"
+                   " > W.txt, for W = " + ", ".join(names) + " in that order, then python3"
+                   " scripts/ab_summary.py --bench on the files: python3 bench/run.py --workload W"
+                   f" --seed i --seconds {run['seconds']} --trace 0; pair i runs the parent first"
+                   " when i is odd and the change first when i is even, both at seed i, both"
+                   " under this tree's bench/",
+    }
+    if claim is not None:
+        out["claimed_metric"] = claim
+    out["machine"] = first["machine"]
+    for side, revision in (("parent", revisions["parent"]), ("change", revisions["change"])):
+        out[side] = {"revision": revision}
+        if side == "change":
+            out[side]["dirty"] = revisions["change_dirty"]
+        out[side]["workloads"] = {name: s[side] for name, (s, _) in zip(names, entries)}
+    for key in ("pairs", "change_over_parent_median", "change_wins_of_pairs"):
+        out[key] = {name: s[key] for name, (s, _) in zip(names, entries)}
+    if claim is not None:
+        out["claim"] = claim_verdict(out, claim, metrics)
+    for key, value in (extra or {}).items():
+        if key in out:
+            raise ValueError(f"--extra may not replace the key {key!r}")
+        out[key] = value
+    return out
+
+
+def claim_verdict(bench: dict, claim: str, metrics: list) -> dict:
+    """The claimed METRIC@WORKLOAD's wins, ratio and parent quartiles, and
+    whether the change's median beats the parent's by more than the
+    parent's interquartile range in the metric's direction."""
+    name, _, workload = (part.strip() for part in claim.partition("@"))
+    better = {m["name"]: m["better"] for m in metrics}
+    try:
+        parent = bench["parent"]["workloads"][workload]["metrics"][name]
+        change = bench["change"]["workloads"][workload]["metrics"][name]
+    except KeyError:
+        raise ValueError(f"--claim {claim!r}: no such metric and workload in the pairs") from None
+    gain = change["median"] - parent["median"]
+    if better[name] != "higher":
+        gain = -gain
+    return {
+        "wins": bench["change_wins_of_pairs"][workload][name],
+        "pairs": len(parent["values"]),
+        "change_over_parent_median": bench["change_over_parent_median"][workload][name],
+        "parent_q1": parent["q1"],
+        "parent_q3": parent["q3"],
+        "median_gain_exceeds_parent_iqr": gain > parent["q3"] - parent["q1"],
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--json", action="store_true", help="print the summary as JSON")
+    ap.add_argument("--bench", metavar="OUT", help="write a whole BENCH_*.json from the pairs files")
+    ap.add_argument("--claim", metavar="METRIC@WORKLOAD", help="the claimed metric (with --bench)")
+    ap.add_argument("--extra", metavar="JSON", help="a JSON object of further top-level keys (with --bench)")
+    ap.add_argument("files", nargs="*", metavar="PAIRS_FILE", help="one pairs file per workload (with --bench)")
     args = ap.parse_args(argv)
     metrics = json.loads(SPEC.read_text())["end_to_end"]
+    if args.bench is not None:
+        if not args.files:
+            ap.error("--bench needs at least one pairs file")
+        entries = []
+        for path in args.files:
+            with open(path) as fh:
+                pairs, facts = read_pairs(fh)
+            entries.append((summarise(pairs, metrics), facts))
+        extra = json.loads(Path(args.extra).read_text()) if args.extra else None
+        try:
+            bench = bench_file(entries, metrics, args.claim, extra)
+        except ValueError as exc:
+            ap.error(str(exc))
+        Path(args.bench).write_text(json.dumps(bench, indent=1) + "\n")
+        return 0
+    if args.files or args.claim or args.extra:
+        ap.error("pairs files, --claim and --extra go with --bench")
     pairs, facts = read_pairs(sys.stdin)
     summary = summarise(pairs, metrics)
     if args.json:

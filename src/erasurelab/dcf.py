@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache
 
 import numpy as np
 
@@ -62,22 +62,33 @@ class DecoderCapability:
         (l(n-k+1-tau)-1)//(l+1), GS n-tau-isqrt((n-tau)(k-1))-1, as
         (n-tau-eps)^2 > (n-tau)(k-1) iff n-tau-eps > isqrt((n-tau)(k-1)).
         """
-        n, k = self.code.n, self.code.k
-        if not (0 <= tau <= n):
-            raise ValueError(f"tau out of range: {tau}")
-        if self.kind is DecoderKind.BMD:
-            e0 = (n - k - tau) // 2
-        elif self.kind is DecoderKind.IRS:
-            e0 = (self.ell * (n - k + 1 - tau) - 1) // (self.ell + 1)
-        elif tau == n:
-            raise ValueError("GS capability undefined at tau = n")
-        else:
-            e0 = n - tau - math.isqrt((n - tau) * (k - 1)) - 1
-        return e0 if e0 >= 0 else NO_CAPABILITY
+        return _epsilon0(self.kind, self.code.n, self.code.k, self.ell, tau)
 
-    @cached_property
+    @property
     def epsilon0_table(self) -> np.ndarray:
-        """eps0(tau) for tau = 0..d_min-1, built on first use and read-only."""
-        table = np.array([self.epsilon0(tau) for tau in range(self.code.d_min)])
-        table.setflags(write=False)
-        return table
+        """eps0(tau) for tau = 0..d_min-1, read-only: one table per
+        capability value (kind, n, k, ell), built on first use and shared
+        by every equal capability."""
+        return _epsilon0_table(self.kind, self.code.n, self.code.k, self.ell)
+
+
+def _epsilon0(kind: DecoderKind, n: int, k: int, ell: int, tau: int) -> int:
+    """`DecoderCapability.epsilon0` of the capability (kind, n, k, ell)."""
+    if not (0 <= tau <= n):
+        raise ValueError(f"tau out of range: {tau}")
+    if kind is DecoderKind.BMD:
+        e0 = (n - k - tau) // 2
+    elif kind is DecoderKind.IRS:
+        e0 = (ell * (n - k + 1 - tau) - 1) // (ell + 1)
+    elif tau == n:
+        raise ValueError("GS capability undefined at tau = n")
+    else:
+        e0 = n - tau - math.isqrt((n - tau) * (k - 1)) - 1
+    return e0 if e0 >= 0 else NO_CAPABILITY
+
+
+@cache
+def _epsilon0_table(kind: DecoderKind, n: int, k: int, ell: int) -> np.ndarray:
+    table = np.array([_epsilon0(kind, n, k, ell, tau) for tau in range(n - k + 1)])
+    table.setflags(write=False)
+    return table

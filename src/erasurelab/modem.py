@@ -44,6 +44,11 @@ UNRELIABILITY_CHUNK = 1 << 14
 # core's cache through the merge layers; at a whole chunk they would take
 # 4 MB each at 256-QAM and stream through memory on every layer
 EXACT_BLOCK = 1 << 14
+#: the exact kernel raises exponents below FAR to FAR (exp(FAR) < 2^-1009 is
+#: still a normal double, so its exp stays on numpy's vector loop), but only
+#: in blocks whose nearest off-level exponents are all at least LEAD
+#: (exp(LEAD) > 2^-866); `unreliability_exact` says why h cannot change
+FAR, LEAD = -700.0, -600.0
 #: the noise levels the channel keeps finite, with a factor 1000 to spare
 #: (about -245 to +2990 dB): above SIGMA_MAX a hard decision's index
 #: overflows int64, below SIGMA_MIN a squared distance over 2 sigma^2
@@ -106,6 +111,9 @@ class SquareQam:
         self.points = np.stack(
             [self.levels[self.symbol_ix], self.levels[self.symbol_iy]], axis=-1
         )
+        # read-only, so that one instance per M can be shared
+        for a in (self.levels, self.index_symbol, self.symbol_ix, self.symbol_iy, self.points):
+            a.setflags(write=False)
 
     # -- mapping / channel --
 
@@ -156,6 +164,22 @@ def unreliability_exact(y: np.ndarray, qam: SquareQam, sigma: float) -> np.ndarr
     The likelihoods of rows 1 .. L-1 relative to row 0 are added in numpy's
     reduction order (`_add_rows`), so h is bit-identical to sorting each
     (point, axis) row of distances and summing its likelihoods along it.
+
+    An exp whose result is subnormal costs about 100 times a normal one
+    (it leaves numpy's vector loop), so exponents below FAR are raised to
+    FAR first wherever that cannot change h. The likelihood rows from
+    `_lone_rows` on are added one at a time onto a running sum that
+    already holds the nearest off-level likelihood, row 0 of the
+    exponents. In a block where that exponent is at least LEAD in every
+    column, each such sum is at least exp(LEAD) > 2^-866, so half its
+    last-place unit is at least 2^-919; a term below exp(FAR) < 2^-1009,
+    floored or not, then leaves the sum as it is, and h is unchanged bit
+    for bit. A block that fails the check is left as it is. The floor is
+    skipped for the whole call when no exponent can reach FAR: each is at
+    least -(max |v| + the outer level)^2 / 2 sigma^2, a bound of the
+    input, with a margin for rounding. The skip saves the pass and can
+    change nothing either way, since the floor only moves exponents below
+    FAR.
     """
     check_sigma(sigma)
     v = np.asarray(y, dtype=float).reshape(-1)
@@ -163,6 +187,12 @@ def unreliability_exact(y: np.ndarray, qam: SquareQam, sigma: float) -> np.ndarr
     levels = qam.levels[:, None]
     two_s2 = 2.0 * sigma * sigma
     step = EXACT_BLOCK // qam.L
+    lone = _lone_rows(qam.L - 1)
+    if len(v):
+        # every exponent is at least -(|v| + the outer level)^2 / 2 sigma^2
+        reach = max(float(v.max()), -float(v.min())) + float(qam.levels[-1])
+        if reach * reach < 0.99 * -FAR * two_s2:
+            lone = qam.L - 1  # no exponent reaches FAR: no floor pass
     for lo in range(0, len(v), step):
         d = v[lo : lo + step] - levels
         np.square(d, out=d)
@@ -170,6 +200,8 @@ def unreliability_exact(y: np.ndarray, qam: SquareQam, sigma: float) -> np.ndarr
         e = d[1:]
         np.subtract(d[0], e, out=e)
         np.divide(e, two_s2, out=e)
+        if lone < len(e) and e[0].min() >= LEAD:
+            np.maximum(e[lone:], FAR, out=e[lone:])
         np.exp(e, out=e)
         _add_rows(e, out=s[lo : lo + step])
     sx, sy = s[0::2], s[1::2]
@@ -190,6 +222,16 @@ def _merge_levels(d: np.ndarray) -> np.ndarray:
         np.maximum(d[:half], d[half:], out=other[1::2])
         d, other = other, d
     return d
+
+
+def _lone_rows(n: int) -> int:
+    """The first of the rows that `_add_rows` adds to n rows one at a time,
+    at the end, onto a running sum that already holds row 0: all rows past
+    row 0 below 8 rows, the n % 8 rows past the last multiple of 8 up to
+    128 rows, and none above (n, an empty range)."""
+    if n < 8:
+        return 1
+    return n - n % 8 if n <= 128 else n
 
 
 def _add_rows(e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

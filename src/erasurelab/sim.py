@@ -156,9 +156,11 @@ class CampaignConfig:
 
     @cached_property
     def qam(self) -> SquareQam:
-        """The square QAM of the code's q symbols, built once per config."""
+        """The square QAM of the code's q symbols: one read-only SquareQam
+        per q, shared by every config (`dataclasses.replace` makes a new
+        config per benchmark pass)."""
         try:
-            return SquareQam(self.code.q)
+            return _shared_qam(self.code.q)
         except ValueError as exc:
             raise ConfigError(f"code: {exc}") from None
 
@@ -169,6 +171,11 @@ class CampaignConfig:
             return DecoderCapability(self.decoder_kind, self.code, self.ell)
         except ValueError as exc:
             raise ConfigError(f"decoder: {exc}") from None
+
+
+@cache
+def _shared_qam(M: int) -> SquareQam:
+    return SquareQam(M)
 
 
 @dataclass

@@ -78,3 +78,71 @@ def test_ab_summary_table():
     row = next(line for line in lines if line.startswith("frames_per_s.adaptive"))
     assert row.split()[-2:] == ["1.476", "3/4"]
     assert any(line.startswith("peak_rss_mb") and line.endswith(" 2/4") for line in lines)
+
+
+def pairs_file(tmp_path, workload: str, revisions=REVISIONS, run=True) -> str:
+    """CANNED with a `run` line naming the workload, as a file."""
+    run_line = f"run {json.dumps({'workload': workload, 'pairs': 4, 'seconds': '30'})}"
+    lines = [CANNED[0], f"revisions {json.dumps(revisions)}", *([run_line] if run else []), *CANNED[2:]]
+    path = tmp_path / f"{workload}.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return str(path)
+
+
+def test_ab_summary_bench_file(tmp_path):
+    """--bench writes one BENCH_*.json from one pairs file per workload:
+    per side the revision and each workload's entry as --json gives it,
+    per workload the pairs, ratios and wins, in the order given; the claim
+    with its verdict, and the extra keys after."""
+    files = [pairs_file(tmp_path, w) for w in ("semi_long", "mc_short")]
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps({"tier1": {"change": "1 passed"}}))
+    out = tmp_path / "BENCH_9.json"
+    summary("--bench", str(out), "--claim", "frames_per_s.adaptive @ semi_long", "--extra", str(extra), *files)
+    bench = json.loads(out.read_text())
+    entry = json.loads(summary("--json"))
+    assert list(bench)[:3] == ["command", "claimed_metric", "machine"]
+    assert bench["command"].startswith(f"sh scripts/ab_bench.sh {'a' * 7} W 4 30 ")
+    assert "W = semi_long, mc_short in that order" in bench["command"]
+    assert bench["machine"] == MACHINE
+    assert bench["parent"]["revision"] == "a" * 40
+    assert (bench["change"]["revision"], bench["change"]["dirty"]) == ("b" * 40, True)
+    for side in ("parent", "change"):
+        assert list(bench[side]["workloads"]) == ["semi_long", "mc_short"]
+        assert bench[side]["workloads"]["mc_short"] == entry[side]
+    assert bench["pairs"] == {"semi_long": 4, "mc_short": 4}
+    assert bench["change_wins_of_pairs"]["semi_long"] == entry["change_wins_of_pairs"]
+    assert bench["change_over_parent_median"]["mc_short"] == entry["change_over_parent_median"]
+    # parent adaptive 100, 110, 90, 120: median 105 and quartiles 92.5 and
+    # 117.5; the change's median 155 beats 105 by more than 25
+    assert bench["claim"] == {
+        "wins": 3, "pairs": 4, "change_over_parent_median": 155.0 / 105.0,
+        "parent_q1": 92.5, "parent_q3": 117.5, "median_gain_exceeds_parent_iqr": True,
+    }
+    assert bench["tier1"] == {"change": "1 passed"}
+    # lower is better: peak RSS medians 50 and 50 differ by no more than the IQR
+    summary("--bench", str(out), "--claim", "peak_rss_mb@mc_short", *files)
+    verdict = json.loads(out.read_text())["claim"]
+    assert (verdict["wins"], verdict["median_gain_exceeds_parent_iqr"]) == (2, False)
+
+
+def test_ab_summary_bench_rejects_mixed_files(tmp_path):
+    """Pairs files of different revisions, a file without its run line, a
+    workload given twice, an unknown claim or an extra key that would
+    replace a written one stop --bench with a message and write nothing."""
+    other = {**REVISIONS, "change": "c" * 40}
+    extra = tmp_path / "extra.json"
+    extra.write_text(json.dumps({"pairs": 1}))
+    cases = [
+        ([pairs_file(tmp_path, "semi_long"), pairs_file(tmp_path, "mc_long", other)], "disagree on the revisions"),
+        ([pairs_file(tmp_path, "mc_short", run=False)], "no `run` line"),
+        ([pairs_file(tmp_path, "semi_long")] * 2, "appears twice"),
+        ([pairs_file(tmp_path, "semi_long"), "--claim", "frames_per_s.gmd@semi_long"], "no such metric"),
+        ([pairs_file(tmp_path, "semi_long"), "--extra", str(extra)], "may not replace"),
+    ]
+    out = tmp_path / "BENCH_9.json"
+    for args, message in cases:
+        run = subprocess.run([sys.executable, str(SCRIPT), "--bench", str(out), *args],
+                             capture_output=True, text=True)
+        assert run.returncode == 2 and message in run.stderr, (message, run.stderr)
+        assert not out.exists()
