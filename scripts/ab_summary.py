@@ -21,7 +21,8 @@ recorded them.
 naming its workload in its `run` line, in the order given: the command,
 the machine, per side the revision and each workload's runs and metrics,
 then per workload the pair count, the ratios and the wins. Every file must
-come from the same machine and the same two revisions. --claim names the
+come from the same machine and the same two revisions; the change is
+dirty if it was in any of them. --claim names the
 claimed metric and adds its verdict: the wins, and whether the medians
 differ by more than the parent's interquartile range in the metric's
 direction. --extra merges the top-level keys of a JSON object (profiles,
@@ -102,18 +103,23 @@ def bench_file(entries: list, metrics: list, claim: str | None = None, extra: di
     workload; a ValueError if they disagree on the machine or the
     revisions, lack a run line, repeat a workload, or if the claim or the
     extra keys do not fit."""
+    if any(facts.get(kind) is None for _, facts in entries for kind in ("revisions", "run")):
+        raise ValueError("a pairs file has no `revisions` line or no `run` line naming its workload")
+
+    def source(facts):
+        return facts.get("machine"), facts["revisions"]["parent"], facts["revisions"]["change"]
+
     first = entries[0][1]
     for _, facts in entries:
-        if facts.get("run") is None:
-            raise ValueError("a pairs file has no `run` line naming its workload")
-        for kind in ("machine", "revisions"):
-            if facts.get(kind) != first.get(kind):
-                raise ValueError(f"the pairs files disagree on the {kind}: "
-                                 f"{first.get(kind)} against {facts.get(kind)}")
+        if source(facts) != source(first):
+            raise ValueError(f"the pairs files disagree on the machine or the revisions: "
+                             f"{source(first)} against {source(facts)}")
     names = [facts["run"]["workload"] for _, facts in entries]
     if len(set(names)) < len(names):
         raise ValueError(f"a workload appears twice: {names}")
     revisions, run = first["revisions"], first["run"]
+    # the tree may have been edited between workloads: dirty if any was
+    dirty = any(facts["revisions"]["change_dirty"] for _, facts in entries)
     out: dict = {
         "command": f"sh scripts/ab_bench.sh {revisions['parent'][:7]} W {run['pairs']} {run['seconds']}"
                    " > W.txt, for W = " + ", ".join(names) + " in that order, then python3"
@@ -128,7 +134,7 @@ def bench_file(entries: list, metrics: list, claim: str | None = None, extra: di
     for side, revision in (("parent", revisions["parent"]), ("change", revisions["change"])):
         out[side] = {"revision": revision}
         if side == "change":
-            out[side]["dirty"] = revisions["change_dirty"]
+            out[side]["dirty"] = dirty
         out[side]["workloads"] = {name: s[side] for name, (s, _) in zip(names, entries)}
     for key in ("pairs", "change_over_parent_median", "change_wins_of_pairs"):
         out[key] = {name: s[key] for name, (s, _) in zip(names, entries)}

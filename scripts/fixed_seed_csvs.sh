@@ -11,10 +11,15 @@
 # with five-frame points (one five-row block, decoded word by word, whose
 # Berlekamp-Massey runs the scalar form on 111 Forney syndromes),
 # adaptively and in gmd mode with one-frame points (the one-row frame
-# block) and semi-simulatively with each method; and `predict` on both
-# codes, RS(256;255,144) also at 18-20 dB, where P(tau) lies far below
-# 1e-16. That is 36 CSVs. `lut` then writes two lookup-table text files,
-# 256-QAM at 8 bits and 16-QAM at 6 bits: 38 files.
+# block) and semi-simulatively with each method, and with exact
+# unreliabilities at 30 and 45 dB with tau pinned at d_min - 1 = 111, so
+# that P is the chance of any error among the 144 kept symbols, about the
+# sum of their h: at 30 dB the exact kernel floors its far exponents
+# (fer about 1e-38), and at 45 dB every block takes the row-0 fallback and
+# h underflows to 0 (a floor there would give about 2e-301); and `predict` on
+# both codes, RS(256;255,144) also at 18-20 dB, where P(tau) lies far
+# below 1e-16. That is 37 CSVs. `lut` then writes two lookup-table text
+# files, 256-QAM at 8 bits and 16-QAM at 6 bits: 39 files.
 #
 # Usage: sh scripts/fixed_seed_csvs.sh OUTDIR
 #
@@ -66,6 +71,8 @@ for u in exact lut nn; do
     lab simulate --ebn0-grid 16,16.5,17 --mode semi_simulative --samples 1000 --seed 1 \
         --unreliability $u --out rs255_semi_$u.csv
 done
+lab simulate --ebn0-grid 30,45 --mode semi_simulative --fixed-tau 111 --samples 1000 --seed 1 \
+    --unreliability exact --out rs255_semi_exact_high.csv
 
 lab predict --m 4 --n 15 --k 7 --ebn0-grid 6,8,10,12,14 --samples 2000 --seed 1 \
     --unreliability exact --out rs15_predict.csv

@@ -14,9 +14,12 @@ one row per level and one column per received coordinate, and each column
 falls and then rises along the levels (V-shaped), so a bitonic merger of
 log2 L min/max layers sorts it. Its off-decision likelihoods are then added
 row by row in the order numpy's add.reduce uses along a contiguous axis, so
-every h equals, bit for bit, the sort-and-sum form it replaced. Both rest on
-numpy: a numpy that changes its reduction order or its exp loops fails the
-differential test against that form (tests/scalar_modem.py), not silently.
+every h equals, bit for bit, the sort-and-sum form it replaced. Before the
+exp, exponents below FAR are raised to FAR where the term cannot change
+its sum (`unreliability_exact` gives the argument), which keeps subnormal
+results off exp's slow path without changing h. Both rest on numpy: a numpy
+that changes its reduction order or its exp loops fails the differential
+test against that form (tests/scalar_modem.py), not silently.
 """
 
 from __future__ import annotations
@@ -172,14 +175,14 @@ def unreliability_exact(y: np.ndarray, qam: SquareQam, sigma: float) -> np.ndarr
     already holds the nearest off-level likelihood, row 0 of the
     exponents. In a block where that exponent is at least LEAD in every
     column, each such sum is at least exp(LEAD) > 2^-866, so half its
-    last-place unit is at least 2^-919; a term below exp(FAR) < 2^-1009,
-    floored or not, then leaves the sum as it is, and h is unchanged bit
-    for bit. A block that fails the check is left as it is. The floor is
-    skipped for the whole call when no exponent can reach FAR: each is at
-    least -(max |v| + the outer level)^2 / 2 sigma^2, a bound of the
-    input, with a margin for rounding. The skip saves the pass and can
-    change nothing either way, since the floor only moves exponents below
-    FAR.
+    last-place unit is at least 2^-919. A term whose exponent lies below
+    FAR and the floored term exp(FAR) are both below 2^-1009, so either
+    leaves the sum as it is, and h is unchanged bit for bit. A block that
+    fails the check is left as it is. The floor is skipped for the whole
+    call when no exponent can reach FAR: each is at least
+    -(max |v| + the outer level)^2 / 2 sigma^2, a bound of the input, with
+    a margin for rounding. The skip saves the pass and can change nothing
+    either way, since the floor only moves exponents below FAR.
     """
     check_sigma(sigma)
     v = np.asarray(y, dtype=float).reshape(-1)

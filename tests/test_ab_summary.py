@@ -94,7 +94,8 @@ def test_ab_summary_bench_file(tmp_path):
     per side the revision and each workload's entry as --json gives it,
     per workload the pairs, ratios and wins, in the order given; the claim
     with its verdict, and the extra keys after."""
-    files = [pairs_file(tmp_path, w) for w in ("semi_long", "mc_short")]
+    # the tree was edited between the two workloads' pairs: the change is dirty
+    files = [pairs_file(tmp_path, "semi_long", {**REVISIONS, "change_dirty": False}), pairs_file(tmp_path, "mc_short")]
     extra = tmp_path / "extra.json"
     extra.write_text(json.dumps({"tier1": {"change": "1 passed"}}))
     out = tmp_path / "BENCH_9.json"
@@ -134,7 +135,7 @@ def test_ab_summary_bench_rejects_mixed_files(tmp_path):
     extra = tmp_path / "extra.json"
     extra.write_text(json.dumps({"pairs": 1}))
     cases = [
-        ([pairs_file(tmp_path, "semi_long"), pairs_file(tmp_path, "mc_long", other)], "disagree on the revisions"),
+        ([pairs_file(tmp_path, "semi_long"), pairs_file(tmp_path, "mc_long", other)], "disagree on the machine or the revisions"),
         ([pairs_file(tmp_path, "mc_short", run=False)], "no `run` line"),
         ([pairs_file(tmp_path, "semi_long")] * 2, "appears twice"),
         ([pairs_file(tmp_path, "semi_long"), "--claim", "frames_per_s.gmd@semi_long"], "no such metric"),

@@ -126,12 +126,15 @@ def test_gs_integer_boundary_guard():
 
 def test_epsilon0_table_matches_per_tau(code15, code255):
     """The table the tau choosers read is eps0(tau) for tau = 0..d_min-1,
-    built once per capability and read-only."""
+    read-only and built once per capability value: an equal capability on
+    another CodeParams object of the same code reads the same table."""
     for code in (code15, code255):
-        for cap in caps(code, ells=(3,)):
+        twin = CodeParams(GF(code.gf.m), code.n, code.k)
+        for cap, cap_twin in zip(caps(code, ells=(3,)), caps(twin, ells=(3,))):
             table = cap.epsilon0_table
             assert table.tolist() == [cap.epsilon0(tau) for tau in range(code.d_min)]
             assert cap.epsilon0_table is table
+            assert cap_twin.epsilon0_table is table
             with pytest.raises(ValueError):
                 table[0] = 0
 

@@ -219,6 +219,53 @@ def test_exact_bit_identical_to_sorted_reference(M, sigma):
         assert np.array_equal(h, sorted_unreliability_exact(y, qam, sigma)), kind
 
 
+def _floor_blocks(y: np.ndarray, qam: SquareQam, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per block of the exact kernel: whether every nearest off-level
+    exponent is at least modem.LEAD (the floor is taken), and whether an
+    exponent of the rows that `_lone_rows` names lies below modem.FAR
+    (the floor moves it)."""
+    v = np.asarray(y, dtype=float).reshape(-1)
+    e = np.sort((v[:, None] - qam.levels) ** 2, axis=-1)
+    e = (e[:, :1] - e[:, 1:]) / (2.0 * sigma * sigma)
+    step = modem.EXACT_BLOCK // qam.L
+    lone = modem._lone_rows(qam.L - 1)
+    blocks = [e[lo : lo + step] for lo in range(0, len(v), step)]
+    return (np.array([b[:, 0].min() >= modem.LEAD for b in blocks]),
+            np.array([(b[:, lone:] < modem.FAR).any() for b in blocks]))
+
+
+@pytest.mark.parametrize("M", [4, 16, 64, 256])
+@pytest.mark.parametrize("ebn0_db", [0.0, 10.0, 16.5, 20.0, 30.0, 45.0, 60.0])
+def test_exact_floor_bit_identical_to_sorted_reference(M, ebn0_db):
+    """Raising the exponents below FAR to FAR, in the rows added one at a
+    time onto a sum that holds row 0 and only in blocks whose row 0 is at
+    least LEAD, leaves every h bit for bit as the sorting kernel gives it:
+    on noisy points, on points jittered by sigma about the decision
+    midpoints (row 0 near 0 at any noise level), on points 1 to 50 steps
+    outside the grid (row 0 far below LEAD), and on all three in one call,
+    whose 256-QAM blocks fall on both sides of the LEAD check from 30 dB
+    on. Each kind alone also takes the skip of the whole call when no
+    exponent can reach FAR (16-QAM below about 20 dB)."""
+    qam = SquareQam(M)
+    sigma = sigma_from_ebn0(ebn0_db, M, 255, 144)
+    rng = np.random.default_rng([M, int(ebn0_db * 10)])
+    mids = (qam.levels[:-1] + qam.levels[1:]) / 2.0
+    outside = qam.levels[-1] + 2.0 * qam.scale * rng.uniform(1.0, 50.0, (400, 2))
+    kinds = {
+        "noisy": awgn(qam.modulate(rng.integers(0, M, 1500)), sigma, rng),
+        "near_midpoints": mids[rng.integers(0, qam.L - 1, (600, 2))] + sigma * rng.uniform(-1.0, 1.0, (600, 2)),
+        "outside": outside * rng.choice([-1.0, 1.0], (400, 2)),
+    }
+    kinds["all"] = np.concatenate(list(kinds.values()))
+    for kind, y in kinds.items():
+        assert np.array_equal(unreliability_exact(y, qam, sigma), sorted_unreliability_exact(y, qam, sigma)), kind
+    if M == 256 and ebn0_db >= 16.5:
+        lead, far = _floor_blocks(kinds["all"], qam, sigma)
+        assert (lead & far).any()  # the floor moves some exponent
+        if ebn0_db >= 30.0:
+            assert not lead.all()  # and some block keeps its exponents
+
+
 def masked_nn_exponents(y: np.ndarray, qam: SquareQam, sigma: float):
     """The exponents -(dn - d0) / 2 sigma^2 of masked_unreliability_nn in
     its arithmetic, a row per neighbor in its order, and the mask of the

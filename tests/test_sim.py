@@ -188,6 +188,18 @@ def test_config_rejects_what_fails_in_the_run(code, field, kw):
         make_cfg(**{"code": code, **kw})
 
 
+def test_config_copies_share_qam_and_eps0_table(code):
+    """A config and its `replace` copies (one per benchmark pass) read one
+    SquareQam per q and one eps0 table, both read-only, instead of
+    building their own."""
+    cfg = make_cfg(code=code)
+    copy = replace(cfg, seed=cfg.seed + 1)
+    assert copy.qam is cfg.qam and copy.cap.epsilon0_table is cfg.cap.epsilon0_table
+    for a in (cfg.qam.levels, cfg.qam.points, cfg.qam.index_symbol, cfg.cap.epsilon0_table):
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
 def test_sampled_vectors_shape_and_order(code):
     qam = SquareQam(16)
     rng = np.random.default_rng(2)
